@@ -16,13 +16,11 @@ from .errors import (CorpusLoadError, DegeneratePopulation,
                      DegenerateVariance, EmptyBoard, MissingBaseline,
                      MissingSalary, NonPositiveTenure, NoProductiveProfessors,
                      NoPublications, NoRankableSds, RankdiffError,
-                     ScopeNotRankable, SynthConfigError, UnitSetMismatch,
-                     Violation, ZeroMean)
+                     SynthConfigError, UnitSetMismatch, Violation, ZeroMean)
 from .indicators import (BOTH, FSS, MNCS, ProfessorScore, ScoreBoard,
                          ScoreboardSet, ScopePair, UnitScore, fss_professor,
                          fss_unit, impact_map, mncs_unit, professor_scores,
-                         scoreboard, scoreboards, sds_average_fss,
-                         sds_averages)
+                         scoreboards, sds_averages)
 from .ranking import (ComparisonRow, ComparisonTable, RankEntry, RankedList,
                       compare, natural_key, percentile, quartile, rank,
                       round_half_away, shift_glyph)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from .corpus import Corpus, Publication
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.baselines")
+
+CSV_COLUMNS = ["year", "category", "mean", "cited_count", "total_count"]
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,7 @@ class ScalingFactorTable:
 
     def __init__(self, cells: dict[tuple[int, str], CellStats]):
         for key, stats in cells.items():
-            if stats.cited_count < 1 or stats.mean <= 0:
-                raise ValueError(f"cell {key} must contain >= 1 cited publication")
+            _check_cell(key, stats)
         self._cells = dict(cells)
 
     def cell(self, year: int, category: str) -> CellStats | None:
@@ -57,19 +59,44 @@ class ScalingFactorTable:
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
-            w.writerow(["year", "category", "mean", "cited_count", "total_count"])
+            w.writerow(CSV_COLUMNS)
             for (year, cat), s in self.items():
                 w.writerow([year, cat, repr(s.mean), s.cited_count, s.total_count])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScalingFactorTable":
+        """Read a table written by ``to_csv``.
+
+        Raises ValueError naming the file and line of the first bad header,
+        row or duplicate cell.
+        """
         cells: dict[tuple[int, str], CellStats] = {}
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                key = (int(row["year"]), row["category"])
-                cells[key] = CellStats(float(row["mean"]), int(row["cited_count"]),
-                                       int(row["total_count"]))
+            reader = csv.DictReader(f)
+            if reader.fieldnames != CSV_COLUMNS:
+                raise ValueError(
+                    f"{path}:1: expected columns {','.join(CSV_COLUMNS)}, got "
+                    f"{','.join(reader.fieldnames or [])}")
+            for line, row in enumerate(reader, start=2):
+                if None in row or None in row.values():
+                    raise ValueError(f"{path}:{line}: wrong number of fields")
+                try:
+                    key = (int(row["year"]), row["category"])
+                    stats = CellStats(float(row["mean"]), int(row["cited_count"]),
+                                      int(row["total_count"]))
+                    _check_cell(key, stats)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line}: {exc}") from exc
+                if key in cells:
+                    raise ValueError(f"{path}:{line}: duplicate cell {key}")
+                cells[key] = stats
         return cls(cells)
+
+
+def _check_cell(key: tuple[int, str], stats: CellStats) -> None:
+    if stats.cited_count < 1 or not 0 < stats.mean < math.inf:
+        raise ValueError(f"cell {key} must contain >= 1 cited publication "
+                         f"and a finite positive mean")
 
 
 def compute_scaling_factors(corpus: Corpus) -> ScalingFactorTable:

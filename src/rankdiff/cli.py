@@ -13,19 +13,20 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors
-from .corpus import (Corpus, CorpusPaths, LEVELS, RunConfig, apply_filters,
-                     load_corpus, read_config, write_corpus_csvs)
-from .errors import (CorpusLoadError, RankdiffError, SynthConfigError,
-                     UnitSetMismatch)
+from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
+                     apply_filters, load_corpus, read_config, write_corpus_csvs)
+from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import BOTH, FSS, MNCS, ScoreBoard, UnitScore, scoreboards
-from .ranking import compare, rank
+from .ranking import ComparisonTable, compare, rank
 from .synth import SynthConfig, generate
 
 log = logging.getLogger("rankdiff.cli")
@@ -119,16 +120,7 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
         "window": {"start_year": run_cfg.window.start_year,
                    "end_year": run_cfg.window.end_year,
                    "label": run_cfg.window.citation_snapshot_label},
-        "filters": {
-            "min_years_on_staff": run_cfg.filters.min_years_on_staff,
-            "excluded_doc_types": sorted(run_cfg.filters.excluded_doc_types),
-            "min_professors_sds": run_cfg.filters.min_professors_sds,
-            "min_professors_uda": run_cfg.filters.min_professors_uda,
-            "min_professors_overall": run_cfg.filters.min_professors_overall,
-            "min_units_to_rank": run_cfg.filters.min_units_to_rank,
-            "baseline_include_all_doctypes":
-                run_cfg.filters.baseline_include_all_doctypes,
-        },
+        "filters": run_cfg.filters.as_dict(),
     }
 
 
@@ -158,7 +150,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _baseline_table(args: argparse.Namespace, corpus: Corpus,
                     out: OutputDir) -> ScalingFactorTable:
     if getattr(args, "baselines", None):
-        table = ScalingFactorTable.from_csv(args.baselines)
+        try:
+            table = ScalingFactorTable.from_csv(args.baselines)
+        except ValueError as exc:
+            raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
         log.info("baselines imported from %s (%d cells)", args.baselines,
                  len(table))
     else:
@@ -200,15 +195,56 @@ def _slug(scope: str | None) -> str:
     return "overall" if scope is None else scope.replace("/", "_")
 
 
-def _compare_pair(pair_label: str, fss_board: ScoreBoard,
-                  mncs_board: ScoreBoard, staff: dict[str, int] | None,
-                  out: OutputDir, level: str):
-    ranked_f = rank(fss_board)
-    ranked_m = rank(mncs_board)
-    cmp = compare(ranked_f, ranked_m, staff=staff, label=pair_label)
-    report.write_comparison_csv(
-        cmp, out.path("comparisons", f"comparison_{level}_{_slug(pair_label)}.csv"))
-    return cmp
+def _emit_comparisons(
+        out: OutputDir, tag: str, title: str,
+        pairs: Iterable[tuple[str, ScoreBoard, ScoreBoard, dict | None]],
+        uda_of: Callable[[str], str] | None = None) -> list[ComparisonTable]:
+    """Rank and compare each (label, fss board, mncs board, staff) pair.
+
+    Writes one comparison CSV per pair, the shift, quartile and dispersion
+    summaries named by ``tag``, and report.md. With ``uda_of`` (SDS level),
+    the shift summaries are also ranged per discipline.
+    """
+    comparisons, shifts, quartiles, dispersions = [], [], [], []
+    for label, fss_board, mncs_board, staff in pairs:
+        cmp = compare(rank(fss_board), rank(mncs_board), staff=staff,
+                      label=label)
+        report.write_comparison_csv(
+            cmp, out.path("comparisons", f"comparison_{tag}_{_slug(label)}.csv"))
+        comparisons.append(cmp)
+        summary = divergence.shift_stats(cmp)
+        shifts.append(summary)
+        if summary.pearson is None:
+            out.warnings.append(f"scope {label}: correlations omitted "
+                                f"(fewer than 3 units or degenerate variance)")
+        quartiles.append(divergence.quartile_stats(cmp))
+        if len(fss_board.entries) < 2:
+            continue
+        for board in (fss_board, mncs_board):
+            try:
+                dispersions.append(divergence.dispersion(board))
+            except ZeroMean:
+                out.warnings.append(f"scope {label}: {board.indicator} "
+                                    f"dispersion omitted (zero mean)")
+    report.write_shift_summary_csv(
+        shifts, out.path("summaries", f"shift_summary_{tag}.csv"))
+    report.write_quartile_summary_csv(
+        quartiles, out.path("summaries", f"quartile_summary_{tag}.csv"))
+    report.write_dispersion_csv(
+        dispersions, out.path("summaries", f"dispersion_{tag}.csv"))
+    ranges = []
+    if uda_of is not None:
+        by_uda: dict[str, list] = {}
+        for summary in shifts:
+            by_uda.setdefault(uda_of(summary.scope_code), []).append(summary)
+        ranges = [divergence.range_summary(group, uda)
+                  for uda, group in sorted(by_uda.items())]
+        report.write_range_summary_csv(
+            ranges, out.path("summaries", f"range_summary_{tag}.csv"))
+    md = report.render_report(title, comparisons, shifts, quartiles,
+                              dispersions, ranges)
+    out.path("comparisons", "report.md").write_text(md, encoding="utf-8")
+    return comparisons
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -231,56 +267,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
 
-    comparisons = []
-    shift_summaries = []
-    quartile_summaries = []
-    dispersions = []
-    for scope, pair in board_set.pairs.items():
-        assert pair.fss is not None and pair.mncs is not None
-        if not pair.fss.entries:
-            out.warnings.append(f"scope {scope}: no units with both scores")
-            continue
-        if len(pair.fss.entries) < 2:
-            out.warnings.append(f"scope {scope}: single unit, excluded from "
-                                f"percentile/quartile analytics")
-            continue
-        staff = {e.university_id: e.research_staff for e in pair.fss.entries}
-        label = scope if scope is not None else "overall"
-        cmp = _compare_pair(label, pair.fss, pair.mncs, staff, out, args.level)
-        comparisons.append(cmp)
-        summary = divergence.shift_stats(cmp)
-        shift_summaries.append(summary)
-        if summary.pearson is None:
-            out.warnings.append(f"scope {scope}: correlations omitted "
-                                f"(fewer than 3 units or degenerate variance)")
-        quartile_summaries.append(divergence.quartile_stats(cmp))
-        if len(pair.fss.entries) >= 2:
-            dispersions.append(divergence.dispersion(pair.fss))
-            dispersions.append(divergence.dispersion(pair.mncs))
-    report.write_shift_summary_csv(
-        shift_summaries, out.path("summaries", f"shift_summary_{args.level}.csv"))
-    report.write_quartile_summary_csv(
-        quartile_summaries,
-        out.path("summaries", f"quartile_summary_{args.level}.csv"))
-    report.write_dispersion_csv(
-        dispersions, out.path("summaries", f"dispersion_{args.level}.csv"))
+    # lazy, so each skip warning keeps its scope-order place in the manifest
+    def rankable():
+        for scope, pair in board_set.pairs.items():
+            if not pair.fss.entries:
+                out.warnings.append(f"scope {scope}: no units with both scores")
+            elif len(pair.fss.entries) < 2:
+                out.warnings.append(f"scope {scope}: single unit, excluded from "
+                                    f"percentile/quartile analytics")
+            else:
+                staff = {e.university_id: e.research_staff
+                         for e in pair.fss.entries}
+                yield (scope if scope is not None else "overall", pair.fss,
+                       pair.mncs, staff)
 
-    ranges = []
-    if args.level == "sds":
-        by_uda: dict[str, list] = {}
-        for summary in shift_summaries:
-            sds_code = summary.scope_code
-            uda = corpus.field_scheme.uda_of(sds_code)
-            by_uda.setdefault(uda, []).append(summary)
-        ranges = [divergence.range_summary(group, uda)
-                  for uda, group in sorted(by_uda.items())]
-        report.write_range_summary_csv(
-            ranges, out.path("summaries", "range_summary_sds.csv"))
-
-    md = report.render_report(f"FSS vs MNCS comparison ({args.level} level)",
-                              comparisons, shift_summaries,
-                              quartile_summaries, dispersions, ranges)
-    out.path("comparisons", "report.md").write_text(md, encoding="utf-8")
+    comparisons = _emit_comparisons(
+        out, args.level, f"FSS vs MNCS comparison ({args.level} level)",
+        rankable(),
+        corpus.field_scheme.uda_of if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
                        _input_digests(args.data_dir))
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")
@@ -305,12 +309,16 @@ def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
                     EXIT_CONFIG, f"{path}:{i}: missing or duplicate unit id")
             seen.add(unit)
             try:
-                fss_entries.append(UnitScore(unit, FSS, float(row["fss_score"])))
-                mncs_entries.append(UnitScore(unit, MNCS,
-                                              float(row["mncs_score"])))
+                fss, mncs = float(row["fss_score"]), float(row["mncs_score"])
             except ValueError as exc:
                 raise SystemExitWithCode(EXIT_CONFIG,
                                          f"{path}:{i}: {exc}") from exc
+            if not (math.isfinite(fss) and math.isfinite(mncs)):
+                raise SystemExitWithCode(
+                    EXIT_CONFIG, f"{path}:{i}: scores must be finite, got "
+                    f"fss_score={fss}, mncs_score={mncs}")
+            fss_entries.append(UnitScore(unit, FSS, fss))
+            mncs_entries.append(UnitScore(unit, MNCS, mncs))
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
     provenance = {"source": str(path), "sha256": _sha256(path)}
@@ -324,32 +332,11 @@ def _compare_from_scores(args: argparse.Namespace) -> int:
         raise SystemExitWithCode(EXIT_CONFIG, f"no such file: {path}")
     fss_board, mncs_board = _read_scores_csv(path)
     out = OutputDir(args.out, args.force)
-    label = args.label
     if len(fss_board.entries) < 2:
         out.warnings.append("single unit: percentile set to 100 by convention")
-    try:
-        cmp = _compare_pair(label, fss_board, mncs_board, None, out, "replay")
-    except UnitSetMismatch as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    summary = divergence.shift_stats(cmp)
-    if summary.pearson is None:
-        out.warnings.append("correlations omitted (fewer than 3 units or "
-                            "degenerate variance)")
-    quartiles = divergence.quartile_stats(cmp)
-    dispersions = []
-    if len(fss_board.entries) >= 2:
-        dispersions = [divergence.dispersion(fss_board),
-                       divergence.dispersion(mncs_board)]
-    report.write_shift_summary_csv(
-        [summary], out.path("summaries", "shift_summary_replay.csv"))
-    report.write_quartile_summary_csv(
-        [quartiles], out.path("summaries", "quartile_summary_replay.csv"))
-    report.write_dispersion_csv(
-        dispersions, out.path("summaries", "dispersion_replay.csv"))
-    md = report.render_report(f"FSS vs MNCS comparison (replay: {label})",
-                              [cmp], [summary], [quartiles], dispersions)
-    out.path("comparisons", "report.md").write_text(md, encoding="utf-8")
+    (cmp,) = _emit_comparisons(
+        out, "replay", f"FSS vs MNCS comparison (replay: {args.label})",
+        [(args.label, fss_board, mncs_board, None)])
     out.write_manifest("compare", sys.argv[1:], None,
                        {str(path): _sha256(path)})
     print(f"compared {cmp.n} units; outputs in {out.root}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -114,6 +115,12 @@ class FilterConfig:
                 continue
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be >= 0")
+
+    def as_dict(self) -> dict:
+        """JSON-ready snapshot of every setting, for manifests and provenance."""
+        snapshot = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        snapshot["excluded_doc_types"] = sorted(self.excluded_doc_types)
+        return snapshot
 
     def min_professors(self, level: str) -> int:
         return {
@@ -266,17 +273,14 @@ class Corpus:
             h.update(f"S|{rank}|{self.salary_table[rank]!r}\n".encode())
         return h.hexdigest()
 
-    def professors_in_scope(self, level: str, scope_code: str | None) -> list[Professor]:
-        return [p for p in self.professors.values()
-                if self.in_scope(p, level, scope_code)]
-
-    def in_scope(self, prof: Professor, level: str, scope_code: str | None) -> bool:
-        if level == LEVEL_OVERALL:
-            return True
+    def scope_of(self, prof: Professor, level: str) -> str | None:
+        """The professor's scope code at a level: SDS, UDA, or None overall."""
         if level == LEVEL_SDS:
-            return prof.sds_code == scope_code
+            return prof.sds_code
         if level == LEVEL_UDA:
-            return self.field_scheme.uda_of(prof.sds_code) == scope_code
+            return self.field_scheme.uda_of(prof.sds_code)
+        if level == LEVEL_OVERALL:
+            return None
         raise ValueError(f"unknown level {level!r}")
 
 
@@ -346,10 +350,14 @@ def _parse_int(raw: str, where: str, fld: str, violations: list[Violation],
 def _parse_float(raw: str, where: str, fld: str,
                  violations: list[Violation]) -> float | None:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         violations.append(Violation(where, fld, f"not a number: {raw!r}"))
         return None
+    if not math.isfinite(value):
+        violations.append(Violation(where, fld, f"not a finite number: {raw!r}"))
+        return None
+    return value
 
 
 def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> Corpus:
@@ -512,12 +520,7 @@ def scope_codes(corpus: Corpus, level: str) -> list[str | None]:
     """Scope codes populated by at least one professor, sorted; [None] overall."""
     if level == LEVEL_OVERALL:
         return [None]
-    if level == LEVEL_SDS:
-        return sorted({p.sds_code for p in corpus.professors.values()})
-    if level == LEVEL_UDA:
-        return sorted({corpus.field_scheme.uda_of(p.sds_code)
-                       for p in corpus.professors.values()})
-    raise ValueError(f"unknown level {level!r}")
+    return sorted({corpus.scope_of(p, level) for p in corpus.professors.values()})
 
 
 def eligible_units(corpus: Corpus, level: str,
@@ -531,13 +534,7 @@ def eligible_units(corpus: Corpus, level: str,
         raise ValueError(f"unknown level {level!r}")
     headcount: dict[tuple[str, str | None], int] = {}
     for prof in corpus.professors.values():
-        if level == LEVEL_SDS:
-            scope: str | None = prof.sds_code
-        elif level == LEVEL_UDA:
-            scope = corpus.field_scheme.uda_of(prof.sds_code)
-        else:
-            scope = None
-        key = (prof.university_id, scope)
+        key = (prof.university_id, corpus.scope_of(prof, level))
         headcount[key] = headcount.get(key, 0) + 1
     threshold = cfg.min_professors(level)
     return [EligibleUnit(univ, scope, n)

@@ -50,10 +50,6 @@ class NoPublications(RankdiffError):
     """A unit has no normalizable publication in scope."""
 
 
-class ScopeNotRankable(RankdiffError):
-    """Too few eligible units in a scope to rank it."""
-
-
 class EmptyBoard(RankdiffError):
     """A scoreboard with no entries cannot be ranked."""
 

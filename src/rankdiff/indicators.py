@@ -13,17 +13,15 @@ import logging
 from dataclasses import dataclass, field
 
 from .baselines import ScalingFactorTable, normalized_impact
-from .corpus import (Corpus, FilterConfig, Professor, LEVEL_SDS, LEVEL_UDA,
-                     LEVELS, eligible_units)
+from .corpus import Corpus, FilterConfig, Professor, LEVEL_SDS, eligible_units
 from .errors import (MissingBaseline, MissingSalary, NonPositiveTenure,
-                     NoProductiveProfessors, NoPublications, ScopeNotRankable)
+                     NoProductiveProfessors, NoPublications)
 
 log = logging.getLogger("rankdiff.indicators")
 
 FSS = "fss"
 MNCS = "mncs"
 BOTH = "both"
-INDICATORS = (FSS, MNCS)
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,14 @@ def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | N
 
 
 def fss_professor(prof: Professor, corpus: Corpus, table: ScalingFactorTable,
-                  salaries: dict[str, float] | None = None) -> ProfessorScore:
+                  salaries: dict[str, float] | None = None,
+                  impacts: dict[str, float | None] | None = None) -> ProfessorScore:
     """Average yearly productivity of one professor.
 
     score = (1 / salary) * (1 / t) * sum over authored publications of
     (normalized impact / total co-author count). Publications without a
-    baseline are skipped and counted.
+    baseline are skipped and counted. ``impacts`` may carry the
+    precomputed ``impact_map``.
     """
     salaries = corpus.salary_table if salaries is None else salaries
     salary = salaries.get(prof.academic_rank)
@@ -87,26 +87,30 @@ def fss_professor(prof: Professor, corpus: Corpus, table: ScalingFactorTable,
     if prof.years_on_staff <= 0:
         raise NonPositiveTenure(
             f"professor {prof.professor_id} has t={prof.years_on_staff}")
+    if impacts is None:
+        impacts = impact_map(corpus, table)
     total = 0.0
     terms = 0
     skipped = 0
     for pub_id in sorted(corpus.pubs_by_professor.get(prof.professor_id, [])):
-        pub = corpus.publications[pub_id]
-        try:
-            impact = normalized_impact(pub, table)
-        except MissingBaseline:
+        impact = impacts[pub_id]
+        if impact is None:
             skipped += 1
             continue
-        total += impact / pub.n_authors_total
+        total += impact / corpus.publications[pub_id].n_authors_total
         terms += 1
     score = total / (salary * prof.years_on_staff)
     return ProfessorScore(prof.professor_id, score, terms, prof.years_on_staff,
                           salary, skipped)
 
 
-def professor_scores(corpus: Corpus,
-                     table: ScalingFactorTable) -> dict[str, ProfessorScore]:
-    scores = {pid: fss_professor(corpus.professors[pid], corpus, table)
+def professor_scores(corpus: Corpus, table: ScalingFactorTable,
+                     impacts: dict[str, float | None] | None = None
+                     ) -> dict[str, ProfessorScore]:
+    if impacts is None:
+        impacts = impact_map(corpus, table)
+    scores = {pid: fss_professor(corpus.professors[pid], corpus, table,
+                                 impacts=impacts)
               for pid in sorted(corpus.professors)}
     skipped = sum(s.skipped_missing_baseline for s in scores.values())
     if skipped:
@@ -115,28 +119,33 @@ def professor_scores(corpus: Corpus,
     return scores
 
 
-def sds_average_fss(corpus: Corpus, sds_code: str,
-                    scores: dict[str, ProfessorScore]) -> float:
-    """National mean productivity of the SDS's productive professors."""
-    values = [scores[p.professor_id].fss_p
-              for p in corpus.professors.values()
-              if p.sds_code == sds_code and scores[p.professor_id].fss_p > 0]
-    if not values:
-        raise NoProductiveProfessors(f"SDS {sds_code!r} has no productive professor")
-    return sum(values) / len(values)
-
-
 def sds_averages(corpus: Corpus,
                  scores: dict[str, ProfessorScore]) -> dict[str, float]:
-    """Standardization means for every SDS that has one; others are logged."""
+    """National mean productivity of each SDS's productive professors.
+
+    An SDS without a productive professor has no mean and is logged. Values
+    are summed in professor-id order, so input row order cannot change them.
+    """
+    productive: dict[str, list[float]] = {}
+    for pid in sorted(corpus.professors):
+        values = productive.setdefault(corpus.professors[pid].sds_code, [])
+        if scores[pid].fss_p > 0:
+            values.append(scores[pid].fss_p)
     averages: dict[str, float] = {}
-    for code in sorted({p.sds_code for p in corpus.professors.values()}):
-        try:
-            averages[code] = sds_average_fss(corpus, code, scores)
-        except NoProductiveProfessors:
+    for code, values in sorted(productive.items()):
+        if values:
+            averages[code] = sum(values) / len(values)
+        else:
             log.warning("SDS %s has no productive professor; its staff are "
                         "excluded from unit FSS", code)
     return averages
+
+
+def _members(corpus: Corpus, university_id: str, level: str,
+             scope_code: str | None) -> list[Professor]:
+    return [p for p in corpus.professors.values()
+            if p.university_id == university_id
+            and corpus.scope_of(p, level) == scope_code]
 
 
 def fss_unit(university_id: str, level: str, scope_code: str | None,
@@ -152,9 +161,7 @@ def fss_unit(university_id: str, level: str, scope_code: str | None,
     if averages is None:
         averages = sds_averages(corpus, scores)
     if members is None:
-        members = [p for p in corpus.professors.values()
-                   if p.university_id == university_id
-                   and corpus.in_scope(p, level, scope_code)]
+        members = _members(corpus, university_id, level, scope_code)
     ratios = []
     dropped = 0
     # fixed summation order keeps results identical across input orderings
@@ -187,9 +194,9 @@ def mncs_unit(university_id: str, level: str, scope_code: str | None,
     in-scope staff list.
     """
     if members is None:
-        members = [p for p in corpus.professors.values()
-                   if p.university_id == university_id
-                   and corpus.in_scope(p, level, scope_code)]
+        members = _members(corpus, university_id, level, scope_code)
+    if impacts is None:
+        impacts = impact_map(corpus, table)
     member_ids = {p.professor_id for p in members}
     m_by_pub: dict[str, int] = {}
     for pid in member_ids:
@@ -199,18 +206,11 @@ def mncs_unit(university_id: str, level: str, scope_code: str | None,
     weight_sum = 0.0
     skipped = 0
     for pub_id in sorted(m_by_pub):
-        pub = corpus.publications[pub_id]
-        if impacts is not None:
-            impact = impacts[pub_id]
-        else:
-            try:
-                impact = normalized_impact(pub, table)
-            except MissingBaseline:
-                impact = None
+        impact = impacts[pub_id]
         if impact is None:
             skipped += 1
             continue
-        weight = m_by_pub[pub_id] / pub.n_authors_total
+        weight = m_by_pub[pub_id] / corpus.publications[pub_id].n_authors_total
         numerator += impact * weight
         weight_sum += weight
     if skipped:
@@ -250,8 +250,6 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
     restricted to the units that obtained both scores; the rest are dropped
     and reported.
     """
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
     if indicator not in (FSS, MNCS, BOTH):
         raise ValueError(f"unknown indicator {indicator!r}")
     want_fss = indicator in (FSS, BOTH)
@@ -264,33 +262,19 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
     member_groups: dict[tuple[str, str | None], list[Professor]] = {}
     for pid in sorted(corpus.professors):
         prof = corpus.professors[pid]
-        if level == LEVEL_SDS:
-            scope: str | None = prof.sds_code
-        elif level == LEVEL_UDA:
-            scope = corpus.field_scheme.uda_of(prof.sds_code)
-        else:
-            scope = None
-        member_groups.setdefault((prof.university_id, scope), []).append(prof)
+        member_groups.setdefault(
+            (prof.university_id, corpus.scope_of(prof, level)), []).append(prof)
 
-    scores = averages = impacts = None
+    impacts = impact_map(corpus, table)
+    scores = averages = None
     if want_fss:
-        scores = professor_scores(corpus, table)
+        scores = professor_scores(corpus, table, impacts)
         averages = sds_averages(corpus, scores)
-    if want_mncs:
-        impacts = impact_map(corpus, table)
 
     provenance = {
         "corpus": corpus.digest(),
         "baselines": table.digest(),
-        "filters": {
-            "min_years_on_staff": cfg.min_years_on_staff,
-            "excluded_doc_types": sorted(cfg.excluded_doc_types),
-            "min_professors_sds": cfg.min_professors_sds,
-            "min_professors_uda": cfg.min_professors_uda,
-            "min_professors_overall": cfg.min_professors_overall,
-            "min_units_to_rank": cfg.min_units_to_rank,
-            "baseline_include_all_doctypes": cfg.baseline_include_all_doctypes,
-        },
+        "filters": cfg.as_dict(),
     }
 
     result = ScoreboardSet(level=level, pairs={})
@@ -344,20 +328,3 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
                                     provenance)
         result.pairs[scope] = ScopePair(scope, fss_board, mncs_board, dropped)
     return result
-
-
-def scoreboard(corpus: Corpus, table: ScalingFactorTable, indicator: str,
-               level: str, scope_code: str | None,
-               cfg: FilterConfig) -> ScoreBoard:
-    """One scope's board for one indicator; raises ScopeNotRankable."""
-    if indicator not in INDICATORS:
-        raise ValueError(f"indicator must be one of {INDICATORS}")
-    board_set = scoreboards(corpus, table, level, cfg, indicator)
-    if scope_code in board_set.not_rankable:
-        raise ScopeNotRankable(f"scope {scope_code}: below min_units_to_rank")
-    pair = board_set.pairs.get(scope_code)
-    if pair is None:
-        raise ScopeNotRankable(f"scope {scope_code}: no eligible units")
-    board = pair.fss if indicator == FSS else pair.mncs
-    assert board is not None
-    return board

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 
 import pytest
 
@@ -223,6 +224,57 @@ def test_baselines_import_reproduces_scores(synth_setup):
     assert a == b
 
 
+def test_scoreboards_independent_of_csv_row_order(synth_setup):
+    tmp_path, data_dir, run_cfg = synth_setup
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    rng = random.Random(4)
+    for src in sorted(data_dir.glob("*.csv")):
+        header, *rows = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(rows)
+        (shuffled / src.name).write_text(header + "".join(rows),
+                                         encoding="utf-8")
+    for level in ("sds", "uda", "overall"):
+        outs = [tmp_path / f"{level}_{d.name}" for d in (data_dir, shuffled)]
+        for d, out in zip((data_dir, shuffled), outs):
+            assert main(["score", str(d), "--config", str(run_cfg),
+                         "--indicator", "both", "--level", level,
+                         "--out", str(out)]) == 0
+        names = sorted(p.name for p in (outs[0] / "scoreboards").glob("*.csv"))
+        assert names
+        assert names == sorted(
+            p.name for p in (outs[1] / "scoreboards").glob("*.csv"))
+        for name in names:
+            assert (outs[0] / "scoreboards" / name).read_bytes() == \
+                (outs[1] / "scoreboards" / name).read_bytes(), name
+
+
+def test_validate_rejects_non_finite_numbers(synth_setup, capsys):
+    tmp_path, data_dir, run_cfg = synth_setup
+    path = data_dir / "professors.csv"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(True)
+    first = first.rsplit(",", 1)[0] + ",nan\n"
+    path.write_text(header + first + "".join(rest), encoding="utf-8")
+    assert main(["validate", str(data_dir), "--config", str(run_cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out
+    assert "professors.csv:2 [years_on_staff]" in out
+
+
+@pytest.mark.parametrize("text, line", [
+    ("year,cat,mean,cited_count,total_count\n2008,C,2.0,1,1\n", 1),
+    ("year,category,mean,cited_count,total_count\n2008,C,nan,1,1\n", 2),
+])
+def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line):
+    tmp_path, data_dir, run_cfg = synth_setup
+    bad = tmp_path / "bad_baselines.csv"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["score", str(data_dir), "--config", str(run_cfg),
+                 "--level", "overall", "--out", str(tmp_path / "out"),
+                 "--baselines", str(bad)]) == 2
+    assert f"error: bad baselines: {bad}:{line}:" in capsys.readouterr().err
+
+
 def test_end_to_end_determinism(synth_setup):
     tmp_path, data_dir, run_cfg = synth_setup
     out_a = tmp_path / "run_a"
@@ -311,6 +363,29 @@ def test_from_scores_two_units_omits_correlations(tmp_path):
     assert row["pearson"] == "" and row["spearman"] == ""
     manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
     assert any("correlations omitted" in w for w in manifest["warnings"])
+
+
+def test_from_scores_zero_mean_omits_only_that_dispersion(tmp_path):
+    scores = tmp_path / "zero.csv"
+    scores.write_text("unit,fss_score,mncs_score\nA,0,1\nB,0,2\nC,0,3\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--from-scores", str(scores), "--label", "Z",
+                 "--out", str(out)]) == 0
+    with open(out / "summaries" / "dispersion_replay.csv") as f:
+        assert [r["indicator"] for r in csv.DictReader(f)] == ["mncs"]
+    assert (out / "comparisons" / "report.md").exists()
+    manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
+    assert "scope Z: fss dispersion omitted (zero mean)" in manifest["warnings"]
+
+
+def test_from_scores_rejects_non_finite_scores(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("unit,fss_score,mncs_score\nA,1,1\nB,2,nan\nC,3,3\n",
+                   encoding="utf-8")
+    assert main(["compare", "--from-scores", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {bad}:3: " in capsys.readouterr().err
 
 
 def test_from_scores_rejects_bad_columns(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,23 @@ def test_scope_codes_per_level(tiny_corpus):
     # only populated scopes count
     filtered = apply_filters(tiny_corpus, FilterConfig())   # drops p4 (S2)
     assert scope_codes(filtered, "sds") == ["S1"]
+
+
+def test_scope_of_per_level(tiny_corpus):
+    p4 = tiny_corpus.professors["p4"]
+    assert tiny_corpus.scope_of(p4, "sds") == "S2"
+    assert tiny_corpus.scope_of(p4, "uda") == "U1"
+    assert tiny_corpus.scope_of(p4, "overall") is None
+    with pytest.raises(ValueError, match="unknown level"):
+        tiny_corpus.scope_of(p4, "faculty")
+
+
+def test_filter_config_snapshot_is_json_ready():
+    cfg = FilterConfig(excluded_doc_types=frozenset({"reply", "editorial"}))
+    snapshot = cfg.as_dict()
+    assert json.loads(json.dumps(snapshot)) == snapshot
+    assert snapshot["excluded_doc_types"] == ["editorial", "reply"]
+    assert len(snapshot) == 7
 
 
 # ---------------------------------------------------------------------------

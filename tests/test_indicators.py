@@ -7,10 +7,9 @@ from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
                       MissingSalary, NonPositiveTenure,
                       NoProductiveProfessors, NoPublications,
                       ObservationWindow, Professor, Publication,
-                      ScalingFactorTable, ScopeNotRankable,
-                      compute_scaling_factors, fss_professor, fss_unit,
-                      mncs_unit, professor_scores, scoreboard, scoreboards,
-                      sds_average_fss, sds_averages)
+                      ScalingFactorTable, compute_scaling_factors,
+                      fss_professor, fss_unit, mncs_unit, professor_scores,
+                      scoreboards, sds_averages)
 from rankdiff.baselines import CellStats
 from rankdiff.indicators import ProfessorScore
 from helpers import add_publication, clone_university, random_corpus
@@ -104,19 +103,19 @@ def _staff_corpus(assignment: dict[str, tuple[str, str]]) -> Corpus:
 
 def test_sds_average_ignores_unproductive():
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("B", "S"), "p3": ("C", "S")})
-    avg = sds_average_fss(corpus, "S", _scores({"p1": 0.0, "p2": 2.0, "p3": 4.0}))
-    assert avg == 3.0
+    averages = sds_averages(corpus, _scores({"p1": 0.0, "p2": 2.0, "p3": 4.0}))
+    assert averages == {"S": 3.0}
 
 
-def test_sds_average_no_productive_professors():
+def test_sds_average_no_productive_professors(caplog):
     corpus = _staff_corpus({"p1": ("A", "S")})
-    with pytest.raises(NoProductiveProfessors):
-        sds_average_fss(corpus, "S", _scores({"p1": 0.0}))
+    assert "S" not in sds_averages(corpus, _scores({"p1": 0.0}))
+    assert "SDS S has no productive professor" in caplog.text
 
 
 def test_sds_average_singleton():
     corpus = _staff_corpus({"p1": ("A", "S")})
-    assert sds_average_fss(corpus, "S", _scores({"p1": 1.0})) == 1.0
+    assert sds_averages(corpus, _scores({"p1": 1.0}))["S"] == 1.0
 
 
 def test_fss_unit_all_at_average():
@@ -269,17 +268,10 @@ def test_scoreboards_same_unit_sets(tiny_corpus, relaxed_cfg):
     assert pair.fss.provenance["corpus"] == filtered.digest()
 
 
-def test_scoreboard_not_rankable_below_min_units(tiny_corpus, relaxed_cfg):
-    cfg = FilterConfig(min_professors_sds=1, min_units_to_rank=5)
-    table = compute_scaling_factors(tiny_corpus)
-    with pytest.raises(ScopeNotRankable):
-        scoreboard(tiny_corpus, table, "fss", "sds", "S1", cfg)
-
-
 def test_scoreboard_empty_scope(tiny_corpus, relaxed_cfg):
     table = compute_scaling_factors(tiny_corpus)
-    with pytest.raises(ScopeNotRankable):
-        scoreboard(tiny_corpus, table, "fss", "sds", "S99", relaxed_cfg)
+    boards = scoreboards(tiny_corpus, table, "sds", relaxed_cfg, "fss")
+    assert "S99" not in boards.pairs
 
 
 def test_scoreboards_single_indicator_request(tiny_corpus, relaxed_cfg):
