@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus, Publication, read_csv
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.baselines")
@@ -68,28 +68,20 @@ class ScalingFactorTable:
         """Read a table written by ``to_csv``.
 
         Raises ValueError naming the file and line of the first bad header,
-        row or duplicate cell.
+        row or duplicate cell, or of an undecodable byte.
         """
         cells: dict[tuple[int, str], CellStats] = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != CSV_COLUMNS:
-                raise ValueError(
-                    f"{path}:1: expected columns {','.join(CSV_COLUMNS)}, got "
-                    f"{','.join(reader.fieldnames or [])}")
-            for line, row in enumerate(reader, start=2):
-                if None in row or None in row.values():
-                    raise ValueError(f"{path}:{line}: wrong number of fields")
-                try:
-                    key = (int(row["year"]), row["category"])
-                    stats = CellStats(float(row["mean"]), int(row["cited_count"]),
-                                      int(row["total_count"]))
-                    _check_cell(key, stats)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line}: {exc}") from exc
-                if key in cells:
-                    raise ValueError(f"{path}:{line}: duplicate cell {key}")
-                cells[key] = stats
+        for where, row in read_csv(path, CSV_COLUMNS):
+            try:
+                key = (int(row["year"]), row["category"])
+                stats = CellStats(float(row["mean"]), int(row["cited_count"]),
+                                  int(row["total_count"]))
+                _check_cell(key, stats)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if key in cells:
+                raise ValueError(f"{where}: duplicate cell {key}")
+            cells[key] = stats
         return cls(cells)
 
 

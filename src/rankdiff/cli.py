@@ -8,7 +8,6 @@ RANKDIFF_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +22,8 @@ from pathlib import Path
 from . import divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors
 from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
-                     apply_filters, load_corpus, read_config, write_corpus_csvs)
+                     apply_filters, load_corpus, read_config, read_csv,
+                     write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import BOTH, FSS, MNCS, ScoreBoard, UnitScore, scoreboards
 from .ranking import ComparisonTable, compare, rank
@@ -292,33 +292,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"unit", "fss_score", "mncs_score"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    try:
+        rows = read_csv(path, ["unit", "fss_score", "mncs_score"],
+                        extra_columns=True)
+    except ValueError as exc:
+        raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
+    fss_entries = []
+    mncs_entries = []
+    seen: set[str] = set()
+    for where, row in rows:
+        unit = row["unit"].strip()
+        if not unit or unit in seen:
             raise SystemExitWithCode(
-                EXIT_CONFIG,
-                f"{path}: need columns unit,fss_score,mncs_score")
-        fss_entries = []
-        mncs_entries = []
-        seen: set[str] = set()
-        for i, row in enumerate(reader, start=2):
-            unit = row["unit"].strip()
-            if not unit or unit in seen:
-                raise SystemExitWithCode(
-                    EXIT_CONFIG, f"{path}:{i}: missing or duplicate unit id")
-            seen.add(unit)
-            try:
-                fss, mncs = float(row["fss_score"]), float(row["mncs_score"])
-            except ValueError as exc:
-                raise SystemExitWithCode(EXIT_CONFIG,
-                                         f"{path}:{i}: {exc}") from exc
-            if not (math.isfinite(fss) and math.isfinite(mncs)):
-                raise SystemExitWithCode(
-                    EXIT_CONFIG, f"{path}:{i}: scores must be finite, got "
-                    f"fss_score={fss}, mncs_score={mncs}")
-            fss_entries.append(UnitScore(unit, FSS, fss))
-            mncs_entries.append(UnitScore(unit, MNCS, mncs))
+                EXIT_CONFIG, f"{where}: missing or duplicate unit id")
+        seen.add(unit)
+        try:
+            fss, mncs = float(row["fss_score"]), float(row["mncs_score"])
+        except ValueError as exc:
+            raise SystemExitWithCode(EXIT_CONFIG, f"{where}: {exc}") from exc
+        if not (math.isfinite(fss) and math.isfinite(mncs)):
+            raise SystemExitWithCode(
+                EXIT_CONFIG, f"{where}: scores must be finite, got "
+                f"fss_score={fss}, mncs_score={mncs}")
+        fss_entries.append(UnitScore(unit, FSS, fss))
+        mncs_entries.append(UnitScore(unit, MNCS, mncs))
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
     provenance = {"source": str(path), "sha256": _sha256(path)}
@@ -328,8 +325,6 @@ def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
 
 def _compare_from_scores(args: argparse.Namespace) -> int:
     path = Path(args.from_scores)
-    if not path.exists():
-        raise SystemExitWithCode(EXIT_CONFIG, f"no such file: {path}")
     fss_board, mncs_board = _read_scores_csv(path)
     out = OutputDir(args.out, args.force)
     if len(fss_board.entries) < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 import math
 from dataclasses import dataclass, field, fields as dc_fields
@@ -189,54 +190,65 @@ class Corpus:
             self.professors_by_pub.setdefault(a.pub_id, []).append(a.professor_id)
         self.universities = sorted({p.university_id for p in self.professors.values()})
 
-    def check(self) -> list[Violation]:
-        """Cross-reference and invariant checks; returns all violations found."""
+    def check(self, lines: dict[tuple[str, object], str] | None = None
+              ) -> list[Violation]:
+        """Cross-reference and invariant checks; returns all violations found.
+
+        ``lines`` maps (file, key) to the "file:line" a record was loaded
+        from, keyed by id and by list index for authorships; a record
+        without one is named by its key.
+        """
         v: list[Violation] = []
+        lines = lines or {}
 
         def add(where: str, fld: str, msg: str) -> None:
             if len(v) < MAX_VIOLATIONS:
                 v.append(Violation(where, fld, msg))
 
         for pub in self.publications.values():
+            where = lines.get(("publications", pub.pub_id), pub.pub_id)
             if not pub.subject_categories:
-                add(pub.pub_id, "subject_categories", "must be non-empty")
+                add(where, "subject_categories", "must be non-empty")
             if pub.citations < 0:
-                add(pub.pub_id, "citations", "must be >= 0")
+                add(where, "citations", f"must be >= 0, got {pub.citations}")
             if pub.n_authors_total < 1:
-                add(pub.pub_id, "n_authors_total", "must be >= 1")
+                add(where, "n_authors_total",
+                    f"must be >= 1, got {pub.n_authors_total}")
         for prof in self.professors.values():
+            where = lines.get(("professors", prof.professor_id), prof.professor_id)
             if prof.sds_code not in self.field_scheme:
-                add(prof.professor_id, "sds_code",
-                    f"unknown SDS {prof.sds_code!r}")
+                add(where, "sds_code", f"unknown SDS {prof.sds_code!r}")
             if prof.academic_rank not in self.salary_table:
-                add(prof.professor_id, "academic_rank",
+                add(where, "academic_rank",
                     f"rank {prof.academic_rank!r} missing from salary table")
-            if prof.years_on_staff <= 0:
-                add(prof.professor_id, "years_on_staff", "must be > 0")
-            elif prof.years_on_staff > self.window.n_years:
-                add(prof.professor_id, "years_on_staff",
-                    f"{prof.years_on_staff} exceeds window length {self.window.n_years}")
+            years, n_years = prof.years_on_staff, self.window.n_years
+            if not 0 < years <= n_years:
+                add(where, "years_on_staff",
+                    f"{years} exceeds window length {n_years}"
+                    if years > n_years else f"must be > 0, got {years}")
         seen: set[tuple[str, str]] = set()
         per_pub: dict[str, int] = {}
-        for a in self.authorships:
-            key = (a.pub_id, a.professor_id)
-            if key in seen:
-                add(f"{a.pub_id}/{a.professor_id}", "authorship", "duplicate pair")
-            seen.add(key)
+        for i, a in enumerate(self.authorships):
+            where = lines.get(("authorships", i), f"{a.pub_id}/{a.professor_id}")
+            if (a.pub_id, a.professor_id) in seen:
+                add(where, "authorship", "duplicate pair")
+            seen.add((a.pub_id, a.professor_id))
+            # a dangling row is reported once and counts toward no total
             if a.pub_id not in self.publications:
-                add(a.pub_id, "pub_id", "authorship references missing publication")
+                add(where, "pub_id", f"unknown publication {a.pub_id!r}")
+            elif a.professor_id in self.professors:
+                per_pub[a.pub_id] = per_pub.get(a.pub_id, 0) + 1
             if a.professor_id not in self.professors:
-                add(a.professor_id, "professor_id",
-                    "authorship references missing professor")
-            per_pub[a.pub_id] = per_pub.get(a.pub_id, 0) + 1
+                add(where, "professor_id", f"unknown professor {a.professor_id!r}")
         for pub_id, count in per_pub.items():
-            pub = self.publications.get(pub_id)
-            if pub is not None and count > pub.n_authors_total:
-                add(pub_id, "n_authors_total",
+            pub = self.publications[pub_id]
+            if count > pub.n_authors_total:
+                add(lines.get(("publications", pub_id), pub_id), "n_authors_total",
                     f"{count} authorships exceed n_authors_total={pub.n_authors_total}")
-        for salary in self.salary_table.values():
-            if salary <= 0:
-                add("salary_table", "avg_yearly_salary", "must be > 0")
+        for rank, salary in self.salary_table.items():
+            if not 0 < salary < math.inf:
+                add(lines.get(("salaries", rank), "salary_table"), "avg_yearly_salary",
+                    f"must be finite and > 0, got {salary}")
         return v
 
     def counts(self) -> dict[str, int]:
@@ -311,40 +323,75 @@ class CorpusPaths:
                 self.fields, self.salaries]
 
 
-def _read_rows(path: Path, expected: list[str],
-               violations: list[Violation]) -> list[tuple[int, dict[str, str]]]:
-    if not path.exists():
-        violations.append(Violation(str(path), "-", "file not found"))
-        return []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            violations.append(Violation(
-                f"{path.name}:1", "header",
-                f"expected columns {','.join(expected)}, got "
-                f"{','.join(reader.fieldnames or [])}"))
-            return []
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if None in row or any(val is None for val in row.values()):
-                violations.append(Violation(f"{path.name}:{i}", "-",
-                                            "wrong number of fields"))
-                continue
-            rows.append((i, row))
-        return rows
+def read_csv(path: str | Path, columns: list[str],
+             problems: list[Violation] | None = None, label: str | None = None,
+             extra_columns: bool = False) -> list[tuple[str, dict[str, str]]]:
+    """Rows of a UTF-8 CSV file as ("<label>:<line>", {column: value}) pairs.
 
+    The header must be ``columns``, or include them with ``extra_columns``.
+    A missing file, an undecodable byte or a bad header is one problem and
+    yields no rows; a row with the wrong number of fields is a problem and
+    is skipped. Problems are appended to ``problems``; without it, the first
+    raises ValueError("<label>:<line>: ..."). ``label`` names the file; it
+    defaults to the path as given.
+    """
+    label = str(path) if label is None else label
 
-def _parse_int(raw: str, where: str, fld: str, violations: list[Violation],
-               minimum: int | None = None) -> int | None:
+    def problem(where: str, fld: str, message: str) -> None:
+        if problems is None:
+            raise ValueError(f"{where}: {message}")
+        problems.append(Violation(where, fld, message))
+
     try:
-        value = int(raw)
+        text = Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        problem(str(path), "-", "file not found")
+        return []
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        problem(f"{label}:{line}", "-",
+                f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})")
+        return []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [c.strip() for c in next(reader, [])]
+    if header != columns and not (extra_columns and set(columns) <= set(header)):
+        including = " including" if extra_columns else ""
+        problem(f"{label}:1", "header", f"expected columns{including} "
+                f"{','.join(columns)}, got {','.join(header)}")
+        return []
+    rows = []
+    for fields in reader:
+        if not fields:
+            continue
+        where = f"{label}:{reader.line_num}"
+        if len(fields) != len(header):
+            problem(where, "-", f"wrong number of fields: {len(fields)}, "
+                    f"expected {len(header)}")
+            continue
+        rows.append((where, dict(zip(header, fields))))
+    return rows
+
+
+def _key(raw: str, where: str, fld: str, seen: dict,
+         violations: list[Violation]) -> str | None:
+    """The stripped key, or None (with a violation) if empty or already seen."""
+    key = raw.strip()
+    if not key:
+        violations.append(Violation(where, fld, "empty"))
+        return None
+    if key in seen:
+        violations.append(Violation(where, fld, f"duplicate key {key!r}"))
+        return None
+    return key
+
+
+def _parse_int(raw: str, where: str, fld: str,
+               violations: list[Violation]) -> int | None:
+    try:
+        return int(raw)
     except ValueError:
         violations.append(Violation(where, fld, f"not an integer: {raw!r}"))
         return None
-    if minimum is not None and value < minimum:
-        violations.append(Violation(where, fld, f"must be >= {minimum}, got {value}"))
-        return None
-    return value
 
 
 def _parse_float(raw: str, where: str, fld: str,
@@ -363,50 +410,44 @@ def _parse_float(raw: str, where: str, fld: str,
 def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> Corpus:
     """Load and validate the five corpus CSV files.
 
-    Raises CorpusLoadError naming file, line and field for every violation
-    found (capped); nothing is silently dropped.
+    Parsing checks types, finite numbers and non-empty, unique keys; the
+    corpus invariants are then checked once by ``Corpus.check``. Raises
+    CorpusLoadError naming file, line and field for every violation found
+    (capped); nothing is silently dropped.
     """
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
     violations: list[Violation] = []
+    lines: dict[tuple[str, object], str] = {}
+
+    def rows(path: Path, columns: list[str]) -> list[tuple[str, dict[str, str]]]:
+        return read_csv(path, columns, violations, label=path.name)
 
     publications: dict[str, Publication] = {}
-    for line, row in _read_rows(
-            paths.publications,
-            ["pub_id", "year", "doc_type", "subject_categories",
-             "citations", "n_authors_total"], violations):
-        where = f"{paths.publications.name}:{line}"
-        pub_id = row["pub_id"].strip()
-        if not pub_id:
-            violations.append(Violation(where, "pub_id", "empty"))
-            continue
-        if pub_id in publications:
-            violations.append(Violation(where, "pub_id", f"duplicate key {pub_id!r}"))
-            continue
+    for where, row in rows(paths.publications,
+                           ["pub_id", "year", "doc_type", "subject_categories",
+                            "citations", "n_authors_total"]):
+        pub_id = _key(row["pub_id"], where, "pub_id", publications, violations)
         year = _parse_int(row["year"], where, "year", violations)
-        cats = tuple(c.strip() for c in row["subject_categories"].split("|") if c.strip())
-        if not cats:
-            violations.append(Violation(where, "subject_categories", "empty list"))
-        citations = _parse_int(row["citations"], where, "citations", violations, minimum=0)
+        citations = _parse_int(row["citations"], where, "citations", violations)
         n_authors = _parse_int(row["n_authors_total"], where, "n_authors_total",
-                               violations, minimum=1)
-        if None in (year, citations, n_authors) or not cats:
+                               violations)
+        if None in (pub_id, year, citations, n_authors):
             continue
+        cats = tuple(c.strip() for c in row["subject_categories"].split("|") if c.strip())
         publications[pub_id] = Publication(
             pub_id, year, row["doc_type"].strip(), cats, citations, n_authors)
+        lines["publications", pub_id] = where
 
-    field_rows = _read_rows(
-        paths.fields, ["sds_code", "sds_name", "uda_code", "uda_name"], violations)
     sds_to_uda: dict[str, str] = {}
     sds_names: dict[str, str] = {}
     uda_names: dict[str, str] = {}
-    for line, row in field_rows:
-        where = f"{paths.fields.name}:{line}"
-        code = row["sds_code"].strip()
-        uda = row["uda_code"].strip()
-        if code in sds_to_uda:
-            violations.append(Violation(where, "sds_code", f"duplicate key {code!r}"))
+    for where, row in rows(paths.fields,
+                           ["sds_code", "sds_name", "uda_code", "uda_name"]):
+        code = _key(row["sds_code"], where, "sds_code", sds_to_uda, violations)
+        if code is None:
             continue
+        uda = row["uda_code"].strip()
         if uda in uda_names and uda_names[uda] != row["uda_name"].strip():
             violations.append(Violation(where, "uda_name",
                                         f"conflicting names for UDA {uda!r}"))
@@ -416,65 +457,43 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     scheme = FieldScheme(sds_to_uda, sds_names, uda_names)
 
     salary_table: dict[str, float] = {}
-    for line, row in _read_rows(
-            paths.salaries, ["academic_rank", "avg_yearly_salary"], violations):
-        where = f"{paths.salaries.name}:{line}"
-        rank = row["academic_rank"].strip()
-        if rank in salary_table:
-            violations.append(Violation(where, "academic_rank",
-                                        f"duplicate key {rank!r}"))
-            continue
+    for where, row in rows(paths.salaries, ["academic_rank", "avg_yearly_salary"]):
+        rank = _key(row["academic_rank"], where, "academic_rank", salary_table,
+                    violations)
         salary = _parse_float(row["avg_yearly_salary"], where,
                               "avg_yearly_salary", violations)
-        if salary is None:
-            continue
-        if salary <= 0:
-            violations.append(Violation(where, "avg_yearly_salary", "must be > 0"))
+        if rank is None or salary is None:
             continue
         salary_table[rank] = salary
+        lines["salaries", rank] = where
 
     professors: dict[str, Professor] = {}
-    for line, row in _read_rows(
-            paths.professors,
-            ["professor_id", "university_id", "sds_code", "academic_rank",
-             "years_on_staff"], violations):
-        where = f"{paths.professors.name}:{line}"
-        pid = row["professor_id"].strip()
-        if not pid:
-            violations.append(Violation(where, "professor_id", "empty"))
-            continue
-        if pid in professors:
-            violations.append(Violation(where, "professor_id",
-                                        f"duplicate key {pid!r}"))
-            continue
-        years = _parse_float(row["years_on_staff"], where, "years_on_staff", violations)
-        if years is None:
+    for where, row in rows(paths.professors,
+                           ["professor_id", "university_id", "sds_code",
+                            "academic_rank", "years_on_staff"]):
+        pid = _key(row["professor_id"], where, "professor_id", professors,
+                   violations)
+        years = _parse_float(row["years_on_staff"], where, "years_on_staff",
+                             violations)
+        if pid is None or years is None:
             continue
         professors[pid] = Professor(pid, row["university_id"].strip(),
                                     row["sds_code"].strip(),
                                     row["academic_rank"].strip(), years)
+        lines["professors", pid] = where
 
     authorships: list[Authorship] = []
-    for line, row in _read_rows(paths.authorships,
-                                ["pub_id", "professor_id"], violations):
-        where = f"{paths.authorships.name}:{line}"
-        pub_id = row["pub_id"].strip()
-        pid = row["professor_id"].strip()
-        if pub_id not in publications:
-            violations.append(Violation(where, "pub_id",
-                                        f"unknown publication {pub_id!r}"))
-            continue
-        if pid not in professors:
-            violations.append(Violation(where, "professor_id",
-                                        f"unknown professor {pid!r}"))
-            continue
-        authorships.append(Authorship(pub_id, pid))
+    for where, row in rows(paths.authorships, ["pub_id", "professor_id"]):
+        lines["authorships", len(authorships)] = where
+        authorships.append(Authorship(row["pub_id"].strip(),
+                                      row["professor_id"].strip()))
 
+    if not violations:
+        corpus = Corpus(window, publications, authorships, professors, scheme,
+                        salary_table, validate=False)
+        violations = corpus.check(lines)
     if violations:
         raise CorpusLoadError(violations)
-
-    corpus = Corpus(window, publications, authorships, professors, scheme,
-                    salary_table)
     n_outside = sum(1 for p in publications.values() if not window.contains(p.year))
     log.info("loaded corpus: %s (%d publications outside window, kept until filtering)",
              corpus.counts(), n_outside)

@@ -16,17 +16,9 @@ log = logging.getLogger("rankdiff.divergence")
 
 def average_ranks(xs) -> np.ndarray:
     """1-based ranks of xs ascending, ties sharing their average rank."""
-    a = np.asarray(xs, dtype=float)
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size, dtype=float)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(xs, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def pearson(xs, ys) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .baselines import ScalingFactorTable, normalized_impact
 from .corpus import (Authorship, Corpus, FieldScheme, ObservationWindow,
@@ -107,6 +106,8 @@ class SynthConfig:
 
 def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:
     """Mean-1 gamma variates driven by standard-normal draws (copula step)."""
+    # imported here: scipy.stats costs ~1 s of start-up, and only synth needs it
+    from scipy import stats
     u = stats.norm.cdf(z)
     # clip away exact 0/1 so ppf stays finite
     u = np.clip(u, 1e-12, 1 - 1e-12)

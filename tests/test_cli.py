@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,26 @@ def test_validate_rejects_non_finite_numbers(synth_setup, capsys):
     assert "professors.csv:2 [years_on_staff]" in out
 
 
+def test_validate_locates_undecodable_byte(synth_setup, capsys):
+    tmp_path, data_dir, run_cfg = synth_setup
+    path = data_dir / "professors.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"".join(lines))
+    assert main(["validate", str(data_dir), "--config", str(run_cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out
+    assert "professors.csv:4 " in out
+
+
+def test_cli_import_skips_scipy_stats():
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c",
+         "import rankdiff.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
+
+
 @pytest.mark.parametrize("text, line", [
     ("year,cat,mean,cited_count,total_count\n2008,C,2.0,1,1\n", 1),
     ("year,category,mean,cited_count,total_count\n2008,C,nan,1,1\n", 2),
@@ -386,6 +410,19 @@ def test_from_scores_rejects_non_finite_scores(tmp_path, capsys):
     assert main(["compare", "--from-scores", str(bad),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: {bad}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"unit,fss_score,mncs_score\nA,1,1\nB,2\nC,3,3\n", 3),
+    (b"unit,fss_score,mncs_score\nA,1,1\nB,2,2,2\nC,3,3\n", 3),
+    (b"unit,fss_score,mncs_score\nA,1,1\nB,2,2\nC\xff,3,3\n", 4),
+], ids=["missing_field", "extra_field", "bad_byte"])
+def test_from_scores_rejects_malformed_rows(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    assert main(["compare", "--from-scores", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {bad}:{line}: " in capsys.readouterr().err
 
 
 def test_from_scores_rejects_bad_columns(tmp_path):

@@ -90,6 +90,37 @@ def test_tenure_exceeding_window(window):
         Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": 1.0})
 
 
+@pytest.mark.parametrize("name, line, old, new, fld, message", [
+    ("professors.csv", 2, "p1,A,S1,full,5", "p1,A,S9,full,5", "sds_code",
+     "unknown SDS 'S9'"),
+    ("professors.csv", 3, "p2,A,S1,assistant,5", "p2,A,S1,dean,5",
+     "academic_rank", "rank 'dean' missing from salary table"),
+    ("professors.csv", 4, "p3,B,S1,assistant,5", "p3,B,S1,assistant,7",
+     "years_on_staff", "7.0 exceeds window length 5"),
+    ("authorships.csv", 8, "w5,p1\n", "w5,p1\nw3,p2\n", "authorship",
+     "duplicate pair"),
+], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair"])
+def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
+                                     fld, message):
+    path = corpus_dir / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as err:
+        load_corpus(corpus_dir, window)
+    (v,) = err.value.violations
+    assert (v.where, v.field, v.message) == (f"{name}:{line}", fld, message)
+
+
+@pytest.mark.parametrize("years, salary", [
+    (float("nan"), 1.0), (5.0, float("nan")), (5.0, float("inf")),
+], ids=["nan_tenure", "nan_salary", "inf_salary"])
+def test_non_finite_values_in_memory(window, years, salary):
+    profs = {"p": Professor("p", "A", "S", "r", years)}
+    with pytest.raises(CorpusLoadError):
+        Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": salary})
+
+
 # ---------------------------------------------------------------------------
 # Filtering
 
