@@ -9,7 +9,6 @@ simply does not exist.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -49,12 +48,6 @@ class ScalingFactorTable:
 
     def items(self):
         return ((k, self._cells[k]) for k in sorted(self._cells))
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for (year, cat), s in self.items():
-            h.update(f"{year}|{cat}|{s.mean!r}|{s.cited_count}|{s.total_count}\n".encode())
-        return h.hexdigest()
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:

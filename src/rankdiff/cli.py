@@ -124,9 +124,12 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
     }
 
 
-def _input_digests(data_dir: str) -> dict[str, str]:
-    return {str(p): _sha256(p) for p in CorpusPaths.from_dir(data_dir).all()
-            if p.exists()}
+def _input_digests(args: argparse.Namespace) -> dict[str, str]:
+    """sha256 of every file the run read: the corpus and any --baselines."""
+    paths = [p for p in CorpusPaths.from_dir(args.data_dir).all() if p.exists()]
+    if args.baselines:
+        paths.append(Path(args.baselines))
+    return {str(p): _sha256(p) for p in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _baseline_table(args: argparse.Namespace, corpus: Corpus,
                     out: OutputDir) -> ScalingFactorTable:
-    if getattr(args, "baselines", None):
+    if args.baselines:
         try:
             table = ScalingFactorTable.from_csv(args.baselines)
         except ValueError as exc:
@@ -158,7 +161,7 @@ def _baseline_table(args: argparse.Namespace, corpus: Corpus,
                  len(table))
     else:
         table = compute_scaling_factors(corpus)
-    if getattr(args, "export_baselines", False):
+    if args.export_baselines:
         table.to_csv(out.path("summaries", "baselines.csv"))
     return table
 
@@ -186,7 +189,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         out.warnings.append(
             "not rankable: " + ", ".join(str(s) for s in board_set.not_rankable))
     out.write_manifest("score", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args.data_dir))
+                       _input_digests(args))
     print(f"wrote {len(board_set.pairs)} scope scoreboard(s) to {out.root}")
     return EXIT_OK
 
@@ -286,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rankable(),
         corpus.field_scheme.uda_of if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args.data_dir))
+                       _input_digests(args))
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")
     return EXIT_OK
 
@@ -318,9 +321,8 @@ def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
         mncs_entries.append(UnitScore(unit, MNCS, mncs))
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
-    provenance = {"source": str(path), "sha256": _sha256(path)}
-    return (ScoreBoard("replay", None, FSS, fss_entries, provenance),
-            ScoreBoard("replay", None, MNCS, mncs_entries, provenance))
+    return (ScoreBoard("replay", None, FSS, fss_entries),
+            ScoreBoard("replay", None, MNCS, mncs_entries))
 
 
 def _compare_from_scores(args: argparse.Namespace) -> int:

@@ -118,7 +118,7 @@ class FilterConfig:
                 raise ValueError(f"{f.name} must be >= 0")
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot of every setting, for manifests and provenance."""
+        """JSON-ready snapshot of every setting, for the run manifest."""
         snapshot = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         snapshot["excluded_doc_types"] = sorted(self.excluded_doc_types)
         return snapshot
@@ -242,7 +242,7 @@ class Corpus:
                 add(where, "professor_id", f"unknown professor {a.professor_id!r}")
         for pub_id, count in per_pub.items():
             pub = self.publications[pub_id]
-            if count > pub.n_authors_total:
+            if count > pub.n_authors_total >= 1:    # < 1 is reported above
                 add(lines.get(("publications", pub_id), pub_id), "n_authors_total",
                     f"{count} authorships exceed n_authors_total={pub.n_authors_total}")
         for rank, salary in self.salary_table.items():
@@ -262,7 +262,7 @@ class Corpus:
         }
 
     def digest(self) -> str:
-        """Stable content hash, used for provenance stamping."""
+        """Stable content hash of the corpus, independent of row order."""
         h = hashlib.sha256()
         h.update(f"{self.window.start_year},{self.window.end_year}".encode())
         for pid in sorted(self.publications):
@@ -331,7 +331,8 @@ def read_csv(path: str | Path, columns: list[str],
     The header must be ``columns``, or include them with ``extra_columns``.
     A missing file, an undecodable byte or a bad header is one problem and
     yields no rows; a row with the wrong number of fields is a problem and
-    is skipped. Problems are appended to ``problems``; without it, the first
+    is skipped; a row the csv module cannot parse is a problem and ends the
+    file. Problems are appended to ``problems``; without it, the first
     raises ValueError("<label>:<line>: ..."). ``label`` names the file; it
     defaults to the path as given.
     """
@@ -353,22 +354,25 @@ def read_csv(path: str | Path, columns: list[str],
                 f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})")
         return []
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = [c.strip() for c in next(reader, [])]
-    if header != columns and not (extra_columns and set(columns) <= set(header)):
-        including = " including" if extra_columns else ""
-        problem(f"{label}:1", "header", f"expected columns{including} "
-                f"{','.join(columns)}, got {','.join(header)}")
-        return []
     rows = []
-    for fields in reader:
-        if not fields:
-            continue
-        where = f"{label}:{reader.line_num}"
-        if len(fields) != len(header):
-            problem(where, "-", f"wrong number of fields: {len(fields)}, "
-                    f"expected {len(header)}")
-            continue
-        rows.append((where, dict(zip(header, fields))))
+    try:
+        header = [c.strip() for c in next(reader, [])]
+        if header != columns and not (extra_columns and set(columns) <= set(header)):
+            including = " including" if extra_columns else ""
+            problem(f"{label}:1", "header", f"expected columns{including} "
+                    f"{','.join(columns)}, got {','.join(header)}")
+            return []
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{label}:{reader.line_num}"
+            if len(fields) != len(header):
+                problem(where, "-", f"wrong number of fields: {len(fields)}, "
+                        f"expected {len(header)}")
+                continue
+            rows.append((where, dict(zip(header, fields))))
+    except csv.Error as exc:        # e.g. a field over the size limit
+        problem(f"{label}:{reader.line_num}", "-", str(exc))
     return rows
 
 

@@ -10,6 +10,7 @@ fractional-authorship weights.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .baselines import ScalingFactorTable, normalized_impact
@@ -49,7 +50,6 @@ class ScoreBoard:
     scope_code: str | None
     indicator: str
     entries: list[UnitScore]
-    provenance: dict | None = None
 
     def unit_ids(self) -> list[str]:
         return [e.university_id for e in self.entries]
@@ -141,86 +141,105 @@ def sds_averages(corpus: Corpus,
     return averages
 
 
-def _members(corpus: Corpus, university_id: str, level: str,
-             scope_code: str | None) -> list[Professor]:
-    return [p for p in corpus.professors.values()
-            if p.university_id == university_id
-            and corpus.scope_of(p, level) == scope_code]
+_UnitPair = tuple[UnitScore | None, UnitScore | None]
+
+
+def _unit_scores(corpus: Corpus, level: str,
+                 scores: dict[str, ProfessorScore] | None = None,
+                 averages: dict[str, float] | None = None,
+                 impacts: dict[str, float | None] | None = None
+                 ) -> Callable[[str, str | None], _UnitPair]:
+    """Group the professors of every unit at ``level`` in one pass.
+
+    FSS needs ``scores`` (every professor's) and ``averages``, MNCS needs
+    ``impacts``. Returns ``unit(university_id, scope_code) -> (fss, mncs)``,
+    which builds one unit's scores, None where not asked or undefined, and
+    logs its dropped professors and skipped publications. FSS ratios are
+    summed in professor-id order and MNCS terms in publication-id order, so
+    no score depends on input row order.
+    """
+    members: dict[tuple[str, str | None], list[str]] = {}
+    for pid in sorted(corpus.professors):
+        prof = corpus.professors[pid]
+        key = (prof.university_id, corpus.scope_of(prof, level))
+        members.setdefault(key, []).append(pid)
+
+    def unit(university_id: str, scope_code: str | None) -> _UnitPair:
+        pids = members.get((university_id, scope_code), [])
+        fss = mncs = None
+        if scores is not None:
+            ratios = []
+            for pid in pids:
+                avg = averages.get(corpus.professors[pid].sds_code)
+                if avg is not None:
+                    ratios.append(scores[pid].fss_p / avg)
+            if len(ratios) < len(pids):
+                log.warning("fss_unit %s/%s: %d professors dropped "
+                            "(unstandardizable SDS)",
+                            university_id, scope_code, len(pids) - len(ratios))
+            if ratios:
+                fss = UnitScore(university_id, FSS, sum(ratios) / len(ratios),
+                                research_staff=len(ratios))
+        if impacts is not None:
+            m_by_pub: dict[str, int] = {}       # the unit's authors per pub
+            for pid in pids:
+                for pub_id in corpus.pubs_by_professor.get(pid, []):
+                    m_by_pub[pub_id] = m_by_pub.get(pub_id, 0) + 1
+            numerator = weight_sum = 0.0
+            skipped = 0
+            for pub_id, m in sorted(m_by_pub.items()):
+                impact = impacts[pub_id]
+                if impact is None:
+                    skipped += 1
+                    continue
+                weight = m / corpus.publications[pub_id].n_authors_total
+                numerator += impact * weight
+                weight_sum += weight
+            if skipped:
+                log.warning("mncs_unit %s/%s: %d publications skipped "
+                            "(missing baseline)",
+                            university_id, scope_code, skipped)
+            if weight_sum > 0:
+                mncs = UnitScore(university_id, MNCS, numerator / weight_sum,
+                                 publication_weight=weight_sum)
+        return fss, mncs
+    return unit
 
 
 def fss_unit(university_id: str, level: str, scope_code: str | None,
              corpus: Corpus, scores: dict[str, ProfessorScore],
-             averages: dict[str, float] | None = None,
-             members: list[Professor] | None = None) -> UnitScore:
+             averages: dict[str, float] | None = None) -> UnitScore:
     """Unit productivity: mean of SDS-standardized professor values.
 
     Unproductive professors count as zeros. Professors whose SDS has no
     national standard are dropped from both the numerator and the staff
-    count. ``members`` may carry the precomputed in-scope staff list.
+    count.
     """
     if averages is None:
         averages = sds_averages(corpus, scores)
-    if members is None:
-        members = _members(corpus, university_id, level, scope_code)
-    ratios = []
-    dropped = 0
-    # fixed summation order keeps results identical across input orderings
-    for prof in sorted(members, key=lambda p: p.professor_id):
-        avg = averages.get(prof.sds_code)
-        if avg is None:
-            dropped += 1
-            continue
-        ratios.append(scores[prof.professor_id].fss_p / avg)
-    if dropped:
-        log.warning("fss_unit %s/%s: %d professors dropped (unstandardizable SDS)",
-                    university_id, scope_code, dropped)
-    if not ratios:
+    unit = _unit_scores(corpus, level, scores, averages)
+    fss, _ = unit(university_id, scope_code)
+    if fss is None:
         raise NoProductiveProfessors(
             f"unit {university_id}/{scope_code}: no standardizable professor")
-    return UnitScore(university_id, FSS, sum(ratios) / len(ratios),
-                     research_staff=len(ratios))
+    return fss
 
 
 def mncs_unit(university_id: str, level: str, scope_code: str | None,
-              corpus: Corpus, table: ScalingFactorTable,
-              impacts: dict[str, float | None] | None = None,
-              members: list[Professor] | None = None) -> UnitScore:
+              corpus: Corpus, table: ScalingFactorTable) -> UnitScore:
     """Weighted mean normalized citation impact of the unit's publications.
 
     The weight of publication i is m_i / n_i: the unit's in-scope professors
     among its authors over all its co-authors. Uncited publications add
     weight but no impact; publications without a baseline are dropped from
-    numerator and denominator alike. ``members`` may carry the precomputed
-    in-scope staff list.
+    numerator and denominator alike.
     """
-    if members is None:
-        members = _members(corpus, university_id, level, scope_code)
-    if impacts is None:
-        impacts = impact_map(corpus, table)
-    member_ids = {p.professor_id for p in members}
-    m_by_pub: dict[str, int] = {}
-    for pid in member_ids:
-        for pub_id in corpus.pubs_by_professor.get(pid, []):
-            m_by_pub[pub_id] = m_by_pub.get(pub_id, 0) + 1
-    numerator = 0.0
-    weight_sum = 0.0
-    skipped = 0
-    for pub_id in sorted(m_by_pub):
-        impact = impacts[pub_id]
-        if impact is None:
-            skipped += 1
-            continue
-        weight = m_by_pub[pub_id] / corpus.publications[pub_id].n_authors_total
-        numerator += impact * weight
-        weight_sum += weight
-    if skipped:
-        log.warning("mncs_unit %s/%s: %d publications skipped (missing baseline)",
-                    university_id, scope_code, skipped)
-    if weight_sum == 0:
+    unit = _unit_scores(corpus, level, impacts=impact_map(corpus, table))
+    _, mncs = unit(university_id, scope_code)
+    if mncs is None:
         raise NoPublications(
             f"unit {university_id}/{scope_code} has no normalizable publication")
-    return UnitScore(university_id, MNCS, numerator / weight_sum,
-                     publication_weight=weight_sum)
+    return mncs
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +274,17 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
     want_fss = indicator in (FSS, BOTH)
     want_mncs = indicator in (MNCS, BOTH)
 
-    units = eligible_units(corpus, level, cfg)
     by_scope: dict[str | None, list] = {}
-    for u in units:
+    for u in eligible_units(corpus, level, cfg):
         by_scope.setdefault(u.scope_code, []).append(u)
-    member_groups: dict[tuple[str, str | None], list[Professor]] = {}
-    for pid in sorted(corpus.professors):
-        prof = corpus.professors[pid]
-        member_groups.setdefault(
-            (prof.university_id, corpus.scope_of(prof, level)), []).append(prof)
 
     impacts = impact_map(corpus, table)
     scores = averages = None
     if want_fss:
         scores = professor_scores(corpus, table, impacts)
         averages = sds_averages(corpus, scores)
-
-    provenance = {
-        "corpus": corpus.digest(),
-        "baselines": table.digest(),
-        "filters": cfg.as_dict(),
-    }
+    unit = _unit_scores(corpus, level, scores, averages,
+                        impacts if want_mncs else None)
 
     result = ScoreboardSet(level=level, pairs={})
     for scope in sorted(by_scope, key=lambda s: s or ""):
@@ -286,45 +295,25 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
                 f"scope {scope}: {len(scope_units)} eligible units, "
                 f"need {cfg.min_units_to_rank}")
             continue
-        fss_entries: dict[str, UnitScore] = {}
-        mncs_entries: dict[str, UnitScore] = {}
+        fss_entries: list[UnitScore] = []
+        mncs_entries: list[UnitScore] = []
         dropped: list[str] = []
-        for u in scope_units:
-            ok = True
-            fss_score = mncs_score = None
-            members = member_groups.get((u.university_id, scope), [])
-            if want_fss:
-                try:
-                    fss_score = fss_unit(u.university_id, level, scope, corpus,
-                                         scores, averages, members=members)
-                except NoProductiveProfessors:
-                    ok = False
-            if want_mncs:
-                try:
-                    mncs_score = mncs_unit(u.university_id, level, scope,
-                                           corpus, table, impacts,
-                                           members=members)
-                except NoPublications:
-                    ok = False
-            if indicator == BOTH and not ok:
+        for u in scope_units:       # eligible_units sorts them by id
+            fss_score, mncs_score = unit(u.university_id, scope)
+            if indicator == BOTH and (fss_score is None or mncs_score is None):
                 dropped.append(u.university_id)
                 continue
             if fss_score is not None:
-                fss_entries[u.university_id] = fss_score
+                fss_entries.append(fss_score)
             if mncs_score is not None:
-                mncs_entries[u.university_id] = mncs_score
+                mncs_entries.append(mncs_score)
         if dropped:
             result.warnings.append(
                 f"scope {scope}: dropped units missing one indicator: "
                 f"{', '.join(dropped)}")
-        fss_board = mncs_board = None
-        if want_fss:
-            fss_board = ScoreBoard(level, scope, FSS,
-                                   [fss_entries[k] for k in sorted(fss_entries)],
-                                   provenance)
-        if want_mncs:
-            mncs_board = ScoreBoard(level, scope, MNCS,
-                                    [mncs_entries[k] for k in sorted(mncs_entries)],
-                                    provenance)
-        result.pairs[scope] = ScopePair(scope, fss_board, mncs_board, dropped)
+        result.pairs[scope] = ScopePair(
+            scope,
+            ScoreBoard(level, scope, FSS, fss_entries) if want_fss else None,
+            ScoreBoard(level, scope, MNCS, mncs_entries) if want_mncs else None,
+            dropped)
     return result

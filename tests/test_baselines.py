@@ -148,4 +148,4 @@ def test_csv_roundtrip(tmp_path):
     table = compute_scaling_factors(corpus)
     path = tmp_path / "baselines.csv"
     table.to_csv(path)
-    assert ScalingFactorTable.from_csv(path).digest() == table.digest()
+    assert list(ScalingFactorTable.from_csv(path).items()) == list(table.items())

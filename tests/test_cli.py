@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -226,6 +227,12 @@ def test_baselines_import_reproduces_scores(synth_setup):
     a = (first / "scoreboards" / "scoreboard_overall_overall.csv").read_bytes()
     b = (second / "scoreboards" / "scoreboard_overall_overall.csv").read_bytes()
     assert a == b
+    table = first / "summaries" / "baselines.csv"
+    manifest = json.loads(
+        (second / "manifest" / "run_manifest.json").read_text())
+    assert manifest["inputs"][str(table)] == \
+        hashlib.sha256(table.read_bytes()).hexdigest()
+    assert len(manifest["inputs"]) == 6     # the five corpus files and the table
 
 
 def test_scoreboards_independent_of_csv_row_order(synth_setup):
@@ -275,6 +282,21 @@ def test_validate_locates_undecodable_byte(synth_setup, capsys):
     out = capsys.readouterr().out
     assert "INVALID" in out
     assert "professors.csv:4 " in out
+
+
+def test_validate_locates_oversized_field(synth_setup, capsys):
+    # a field over the csv module's 131,072-character limit
+    tmp_path, data_dir, run_cfg = synth_setup
+    path = data_dir / "publications.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[2] = "x" * 200_000                       # doc_type
+    lines[2] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["validate", str(data_dir), "--config", str(run_cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out
+    assert "publications.csv:3 [-]: field larger than field limit" in out
 
 
 def test_cli_import_skips_scipy_stats():
@@ -416,7 +438,8 @@ def test_from_scores_rejects_non_finite_scores(tmp_path, capsys):
     (b"unit,fss_score,mncs_score\nA,1,1\nB,2\nC,3,3\n", 3),
     (b"unit,fss_score,mncs_score\nA,1,1\nB,2,2,2\nC,3,3\n", 3),
     (b"unit,fss_score,mncs_score\nA,1,1\nB,2,2\nC\xff,3,3\n", 4),
-], ids=["missing_field", "extra_field", "bad_byte"])
+    (b"unit,fss_score,mncs_score\nA,1,1\nB" + b"x" * 200_000 + b",2,2\n", 3),
+], ids=["missing_field", "extra_field", "bad_byte", "oversized_field"])
 def test_from_scores_rejects_malformed_rows(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(text)

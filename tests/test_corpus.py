@@ -99,7 +99,11 @@ def test_tenure_exceeding_window(window):
      "years_on_staff", "7.0 exceeds window length 5"),
     ("authorships.csv", 8, "w5,p1\n", "w5,p1\nw3,p2\n", "authorship",
      "duplicate pair"),
-], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair"])
+    # one authorship on a zero total: the count rule adds no second violation
+    ("publications.csv", 3, "w2,2009,article,C1,0,1", "w2,2009,article,C1,0,0",
+     "n_authors_total", "must be >= 1, got 0"),
+], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair",
+        "zero_authors"])
 def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
                                      fld, message):
     path = corpus_dir / name

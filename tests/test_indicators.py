@@ -265,7 +265,6 @@ def test_scoreboards_same_unit_sets(tiny_corpus, relaxed_cfg):
     boards = scoreboards(filtered, table, "sds", relaxed_cfg)
     pair = boards.pairs["S1"]
     assert pair.fss.unit_ids() == pair.mncs.unit_ids() == ["A", "B"]
-    assert pair.fss.provenance["corpus"] == filtered.digest()
 
 
 def test_scoreboard_empty_scope(tiny_corpus, relaxed_cfg):
@@ -306,6 +305,41 @@ def test_scoreboards_drop_units_missing_one_indicator(relaxed_cfg):
     pair = boards.pairs["S"]
     assert pair.fss.unit_ids() == pair.mncs.unit_ids() == ["A"]
     assert pair.dropped_units == ["B"]
+
+
+@pytest.mark.parametrize("level", ["sds", "uda", "overall"])
+def test_scoreboards_match_unit_views(level, relaxed_cfg, caplog):
+    rng = np.random.default_rng(31)
+    corpus = random_corpus(rng, n_universities=4, n_sds=4)
+    full = compute_scaling_factors(corpus)
+    missing = next(iter(full))
+    table = ScalingFactorTable({k: v for k, v in full.items() if k != missing})
+    # expected skip warnings: each unit's in-scope publications in that cell
+    skipped: dict[tuple, set] = {}
+    for a in corpus.authorships:
+        pub = corpus.publications[a.pub_id]
+        if (pub.year,) + pub.subject_categories == missing:
+            prof = corpus.professors[a.professor_id]
+            unit = (prof.university_id, corpus.scope_of(prof, level))
+            skipped.setdefault(unit, set()).add(a.pub_id)
+    assert skipped
+    caplog.clear()
+    boards = scoreboards(corpus, table, level, relaxed_cfg)
+    logged = sorted(r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("mncs_unit"))
+    assert logged == sorted(
+        f"mncs_unit {univ}/{scope}: {len(pubs)} publications skipped "
+        f"(missing baseline)" for (univ, scope), pubs in skipped.items())
+    scores = professor_scores(corpus, table)
+    averages = sds_averages(corpus, scores)
+    compared = 0
+    for scope, pair in boards.pairs.items():
+        for fss, mncs in zip(pair.fss.entries, pair.mncs.entries, strict=True):
+            univ = fss.university_id
+            assert fss == fss_unit(univ, level, scope, corpus, scores, averages)
+            assert mncs == mncs_unit(univ, level, scope, corpus, table)
+            compared += 1
+    assert compared >= 4
 
 
 # ---------------------------------------------------------------------------
