@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,20 +61,31 @@ class SynthConfig:
             raise SynthConfigError("n_universities must be >= 1")
         if not self.sds_spec:
             raise SynthConfigError("sds_spec must name at least one SDS")
+        first_code: dict[str, str] = {}
+        for code, _ in self.sds_spec:
+            cat = _primary_category(code)
+            if cat in first_code:
+                if first_code[cat] == code:
+                    raise SynthConfigError(f"SDS code {code!r} is listed twice")
+                raise SynthConfigError(
+                    f"SDS codes {first_code[cat]!r} and {code!r} share "
+                    f"subject category {cat!r}")
+            first_code[cat] = code
         lo, hi = self.professors_per_sds
         if lo < 0 or hi < lo:
             raise SynthConfigError(f"bad professors_per_sds range ({lo}, {hi})")
-        if self.pubs_per_professor < 0:
-            raise SynthConfigError("pubs_per_professor must be >= 0")
-        if self.citation_dispersion <= 0:
-            raise SynthConfigError("citation_dispersion must be > 0")
+        if not 0 <= self.pubs_per_professor < math.inf:
+            raise SynthConfigError("pubs_per_professor must be finite and >= 0")
+        if not 0 < self.citation_dispersion < math.inf:
+            raise SynthConfigError("citation_dispersion must be finite and > 0")
         if not 0 <= self.quantity_impact_corr < 1:
             raise SynthConfigError("quantity_impact_corr must be in [0, 1)")
         if not self.salary_levels:
             raise SynthConfigError("salary_levels must not be empty")
         for rank, salary in self.salary_levels:
-            if salary <= 0:
-                raise SynthConfigError(f"salary for rank {rank!r} must be > 0")
+            if not 0 < salary < math.inf:
+                raise SynthConfigError(
+                    f"salary for rank {rank!r} must be finite and > 0")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
@@ -104,14 +116,22 @@ class SynthConfig:
             raise SynthConfigError(f"{path}: bad synth config: {exc}") from exc
 
 
+def _primary_category(sds_code: str) -> str:
+    """The one primary subject category of an SDS."""
+    return f"CAT_{sds_code.replace('/', '_')}"
+
+
 def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:
     """Mean-1 gamma variates driven by standard-normal draws (copula step)."""
-    # imported here: scipy.stats costs ~1 s of start-up, and only synth needs it
-    from scipy import stats
-    u = stats.norm.cdf(z)
-    # clip away exact 0/1 so ppf stays finite
+    # ndtr and gammaincinv are the standard normal CDF and the unit-scale
+    # gamma inverse CDF, the same numbers as scipy.stats' norm.cdf and
+    # gamma.ppf without its ~1 s import; imported here because only synth
+    # needs them
+    from scipy import special
+    u = special.ndtr(z)
+    # clip away exact 0/1 so the inverse stays finite
     u = np.clip(u, 1e-12, 1 - 1e-12)
-    return stats.gamma.ppf(u, a=shape) / shape
+    return special.gammaincinv(shape, u) / shape
 
 
 def generate(cfg: SynthConfig) -> Corpus:
@@ -120,8 +140,13 @@ def generate(cfg: SynthConfig) -> Corpus:
     window = cfg.window
     years = list(range(window.start_year, window.end_year + 1))
     n_years = len(years)
+    # pick lists as arrays, built once: rng.choice draws the same stream from
+    # an equal array, without converting a list on every call
+    year_choices = np.array(years)
+    doc_type_p = np.array(DOC_TYPE_WEIGHTS)
 
     sds_codes = [code for code, _ in cfg.sds_spec]
+    sds_choices = np.array(sds_codes)
     scheme = FieldScheme(
         sds_to_uda={code: uda for code, uda in cfg.sds_spec},
         sds_names={code: f"Field {code}" for code, _ in cfg.sds_spec},
@@ -133,10 +158,17 @@ def generate(cfg: SynthConfig) -> Corpus:
     rank_p = rank_p / rank_p.sum()
 
     # one primary subject category per SDS; citation behavior varies by field
-    category_of = {code: f"CAT_{code.replace('/', '_')}" for code in sds_codes}
-    cat_factor = {category_of[code]: float(f)
+    primary_of = {code: _primary_category(code) for code in sds_codes}
+    cat_factor = {primary_of[code]: float(f)
                   for code, f in zip(sds_codes,
                                      rng.lognormal(0.0, 0.4, len(sds_codes)))}
+    # a second category comes from another SDS of the same UDA
+    uda_cats: dict[str, list[str]] = {}
+    for code, uda in cfg.sds_spec:
+        uda_cats.setdefault(uda, []).append(primary_of[code])
+    second_choices = {
+        code: np.array([c for c in uda_cats[uda] if c != primary_of[code]])
+        for code, uda in cfg.sds_spec}
     yr_factor = {y: 1.0 - 0.45 * i / max(1, n_years - 1)
                  for i, y in enumerate(years)}
 
@@ -177,20 +209,16 @@ def generate(cfg: SynthConfig) -> Corpus:
     for idx, name in enumerate(prof_ids):
         prof = professors[name]
         pool = prof_sds[prof.sds_code]
-        same_uda = [c for c in sds_codes
-                    if scheme.uda_of(c) == scheme.uda_of(prof.sds_code)]
+        primary = primary_of[prof.sds_code]
+        seconds = second_choices[prof.sds_code]
         for _ in range(int(pub_counts[idx])):
             pub_no += 1
             pub_id = f"PUB_{pub_no:06d}"
-            year = int(rng.choice(years))
-            doc_type = DOC_TYPES[int(rng.choice(len(DOC_TYPES),
-                                                p=DOC_TYPE_WEIGHTS))]
-            primary = category_of[prof.sds_code]
+            year = int(rng.choice(year_choices))
+            doc_type = DOC_TYPES[int(rng.choice(len(DOC_TYPES), p=doc_type_p))]
             cats = [primary]
-            if len(same_uda) > 1 and rng.random() < SECOND_CATEGORY_SHARE:
-                other = [category_of[c] for c in same_uda
-                         if category_of[c] != primary]
-                cats.append(str(rng.choice(other)))
+            if len(seconds) and rng.random() < SECOND_CATEGORY_SHARE:
+                cats.append(str(rng.choice(seconds)))
             authors = [name]
             if len(pool) > 1 and rng.random() < COLLAB_SHARE:
                 others = [p for p in pool if p != name]
@@ -216,9 +244,8 @@ def generate(cfg: SynthConfig) -> Corpus:
     for _ in range(n_extra):
         pub_no += 1
         pub_id = f"PUB_{pub_no:06d}"
-        year = int(rng.choice(years))
-        code = str(rng.choice(sds_codes))
-        cat = category_of[code]
+        year = int(rng.choice(year_choices))
+        cat = primary_of[str(rng.choice(sds_choices))]
         mean_c = BASE_CITATION_MEAN * mean_cite_mult * cat_factor[cat] * yr_factor[year]
         noise = float(rng.gamma(cfg.citation_dispersion,
                                 1.0 / cfg.citation_dispersion))
@@ -247,7 +274,7 @@ def _ensure_cited_cells(publications: dict[str, Publication],
             cells.setdefault(key, []).append(pub_id)
             if pub.citations > 0:
                 cited.add(key)
-    for key in sorted(cells, key=lambda k: (k[0], k[1])):
+    for key in sorted(cells):
         if len(cells[key]) >= MIN_CELL_FOR_CITED_GUARANTEE and key not in cited:
             pub_id = cells[key][int(rng.integers(len(cells[key])))]
             pub = publications[pub_id]

@@ -214,6 +214,19 @@ def test_bad_synth_config_is_config_error(tmp_path):
     assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pubs_per_professor", float("nan")),
+    ("citation_dispersion", float("nan")),
+    ("salaries", {"assistant": float("nan")}),
+], ids=["pubs_per_professor", "citation_dispersion", "salary"])
+def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SYNTH_CFG, key: value}), encoding="utf-8")
+    assert "NaN" in bad.read_text(encoding="utf-8")
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_baselines_import_reproduces_scores(synth_setup):
     tmp_path, data_dir, run_cfg = synth_setup
     first = tmp_path / "first"
@@ -304,6 +317,19 @@ def test_cli_import_skips_scipy_stats():
     subprocess.run(
         [sys.executable, "-c",
          "import rankdiff.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
+
+
+def test_synth_skips_scipy_stats(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
+    code = ("import sys\n"
+            "from rankdiff.cli import main\n"
+            "assert main(['synth', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "assert 'scipy.stats' not in sys.modules\n")
+    subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
 
 

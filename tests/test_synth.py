@@ -24,6 +24,18 @@ def small_cfg(seed=7, **overrides) -> SynthConfig:
     return SynthConfig(**base)
 
 
+def multi_uda_cfg(seed=4) -> SynthConfig:
+    """Three UDAs of three or four SDS: second categories and co-authors."""
+    return SynthConfig(
+        seed=seed, n_universities=9,
+        sds_spec=tuple((f"SDS/{i:02d}", f"{i % 3 + 1}") for i in range(10)),
+        professors_per_sds=(1, 6), pubs_per_professor=7.0,
+        citation_dispersion=0.8, quantity_impact_corr=0.3,
+        salary_levels=(("assistant", 45000.0), ("associate", 60000.0),
+                       ("full", 80000.0)),
+        window=ObservationWindow(2006, 2012, "synthetic snapshot"))
+
+
 def test_same_seed_same_corpus():
     assert generate(small_cfg()).digest() == generate(small_cfg()).digest()
 
@@ -33,6 +45,30 @@ def test_same_seed_byte_identical_files(tmp_path):
     paths_b = write_corpus_csvs(generate(small_cfg()), tmp_path / "b")
     for pa, pb in zip(paths_a.all(), paths_b.all()):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+# Corpus.digest() values pinned from the generator before its pick lists were
+# prebuilt: any change to the random stream or to how draws become records
+# changes a digest
+@pytest.mark.parametrize("make_cfg, digest", [
+    (lambda: small_cfg(seed=1),
+     "65a51022d1d34ffb7571d5b33d79c5c4be23d9c5a70ecdfda575791ecc73e6ef"),
+    (lambda: small_cfg(seed=2),
+     "c967b47dd771020f2b8a3bb5401663b54470b809989dd8777e3e27584d1b0b9f"),
+    (lambda: small_cfg(seed=7),
+     "77c392353050c3e11ddc20447be41b83c318c0d7f0f30a89e2b5fe0ed9df7fe8"),
+    (multi_uda_cfg,
+     "4c1d2a0abd5c2ec2cfa4dfe5d4212240683809110cfc696fd77ea4b668f8194d"),
+], ids=["small_seed1", "small_seed2", "small_seed7", "multi_uda"])
+def test_stream_pinned(make_cfg, digest):
+    assert generate(make_cfg()).digest() == digest
+
+
+def test_multi_uda_cfg_draws_second_categories_and_coauthors():
+    corpus = generate(multi_uda_cfg())
+    assert any(len(pub.subject_categories) > 1
+               for pub in corpus.publications.values())
+    assert any(len(authors) > 1 for authors in corpus.professors_by_pub.values())
 
 
 def test_different_seed_different_corpus():
@@ -123,10 +159,27 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
     {"quantity_impact_corr": 1.0},
     {"salary_levels": ()},
     {"salary_levels": (("assistant", 0.0),)},
+    {"pubs_per_professor": float("nan")},
+    {"pubs_per_professor": float("inf")},
+    {"citation_dispersion": float("nan")},
+    {"citation_dispersion": float("inf")},
+    {"salary_levels": (("assistant", float("nan")),)},
+    {"salary_levels": (("assistant", float("inf")),)},
+    {"sds_spec": (("SDS/01", "1"), ("SDS/02", "1"), ("SDS/01", "1"))},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(SynthConfigError):
         small_cfg(**overrides)
+
+
+@pytest.mark.parametrize("sds_spec, message", [
+    ((("SDS/01", "1"), ("SDS/01", "2")), "SDS code 'SDS/01' is listed twice"),
+    # both codes become subject category CAT_A_B
+    ((("A/B", "1"), ("A_B", "1")), "SDS codes 'A/B' and 'A_B' share"),
+], ids=["repeated", "shared_category"])
+def test_sds_code_clash_named(sds_spec, message):
+    with pytest.raises(SynthConfigError, match=message):
+        small_cfg(sds_spec=sds_spec)
 
 
 def test_config_from_json(tmp_path):
