@@ -3,9 +3,10 @@ summaries, score dispersion, and cross-field ranges."""
 from __future__ import annotations
 
 import logging
+import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
 
 from .errors import DegenerateVariance, NoRankableSds, ZeroMean
 from .indicators import ScoreBoard
@@ -14,27 +15,53 @@ from .ranking import ComparisonTable
 log = logging.getLogger("rankdiff.divergence")
 
 
-def average_ranks(xs) -> np.ndarray:
-    """1-based ranks of xs ascending, ties sharing their average rank."""
-    _, inverse, counts = np.unique(np.asarray(xs, dtype=float),
-                                   return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+def average_ranks(xs) -> list[float]:
+    """1-based ranks of xs ascending, as a list in input order; ties share
+    their average rank."""
+    values = [float(v) for v in xs]
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, block in groupby(sorted(range(len(values)), key=values.__getitem__),
+                            key=values.__getitem__):
+        block = list(block)
+        end = start + len(block)
+        for i in block:
+            ranks[i] = (start + 1 + end) / 2
+        start = end
+    return ranks
+
+
+def _fsum(terms) -> float:
+    """Exactly rounded sum of floats. Where math.fsum raises instead (the
+    sum leaves the float range, or inf meets -inf) this gives what float
+    addition gives: inf or nan."""
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
+
+
+def _mean(values: list[float]) -> float:
+    return _fsum(values) / len(values)
 
 
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation of two equal-length sequences."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 3:
-        raise ValueError(f"need at least 3 pairs, got {x.size}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = float(np.sqrt(float(xc @ xc) * float(yc @ yc)))
+    x = [float(v) for v in xs]
+    y = [float(v) for v in ys]
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 3:
+        raise ValueError(f"need at least 3 pairs, got {len(x)}")
+    mx = _mean(x)
+    my = _mean(y)
+    xc = [v - mx for v in x]
+    yc = [v - my for v in y]
+    denom = math.sqrt(_fsum(a * a for a in xc) * _fsum(b * b for b in yc))
     if denom == 0.0:
         raise DegenerateVariance("zero variance in at least one input")
-    return float((xc @ yc) / denom)
+    return _fsum(a * b for a, b in zip(xc, yc)) / denom
 
 
 def spearman(xs, ys) -> float:
@@ -75,19 +102,24 @@ def shift_stats(cmp: ComparisonTable) -> DivergenceSummary:
     if not cmp.rows:
         raise ValueError("empty comparison table")
     n = cmp.n
-    shifts = np.array([abs(r.rank_shift) for r in cmp.rows], dtype=float)
+    # integer shifts: the sum is exact, so mean and median are the
+    # correctly rounded quotients
+    shifts = [abs(r.rank_shift) for r in cmp.rows]
+    mean = sum(shifts) / n
+    median = float(statistics.median(shifts))
+    top = max(shifts)
     to_pct = 100.0 / (n - 1) if n > 1 else 0.0
     p, s = _correlations(cmp)
     return DivergenceSummary(
         scope_code=cmp.label,
         n_units=n,
-        pct_shifting_rank=100.0 * float(np.count_nonzero(shifts)) / n,
-        mean_abs_shift=float(shifts.mean()),
-        median_abs_shift=float(np.median(shifts)),
-        max_abs_shift=int(shifts.max()),
-        mean_pct_shift=float(shifts.mean()) * to_pct,
-        median_pct_shift=float(np.median(shifts)) * to_pct,
-        max_pct_shift=float(shifts.max()) * to_pct,
+        pct_shifting_rank=100.0 * sum(1 for d in shifts if d) / n,
+        mean_abs_shift=mean,
+        median_abs_shift=median,
+        max_abs_shift=top,
+        mean_pct_shift=mean * to_pct,
+        median_pct_shift=median * to_pct,
+        max_pct_shift=top * to_pct,
         pearson=p,
         spearman=s,
     )
@@ -115,7 +147,7 @@ def quartile_stats(cmp: ComparisonTable) -> QuartileSummary:
         scope_code=cmp.label,
         n_units=n,
         pct_shifting_quartile=100.0 * sum(1 for d in deltas if d) / n,
-        mean_abs_quartile_shift=float(np.mean(deltas)),
+        mean_abs_quartile_shift=sum(deltas) / n,
         max_quartile_shift=max(deltas),
         pct_leaving_q1=100.0 * leaving / len(q1) if q1 else 0.0,
     )
@@ -133,17 +165,18 @@ class DispersionStats:
 
 def dispersion(board: ScoreBoard) -> DispersionStats:
     """Mean, sample standard deviation, and CV of a board's score column."""
-    values = np.array([e.score for e in board.entries], dtype=float)
-    if values.size < 2:
-        raise ValueError(f"need at least 2 scores, got {values.size}")
-    mean = float(values.mean())
+    values = [float(e.score) for e in board.entries]
+    n = len(values)
+    if n < 2:
+        raise ValueError(f"need at least 2 scores, got {n}")
+    mean = _mean(values)
     if mean == 0.0:
         raise ZeroMean("coefficient of variation undefined for zero mean")
-    std = float(values.std(ddof=1))
+    std = math.sqrt(_fsum((v - mean) * (v - mean) for v in values) / (n - 1))
     return DispersionStats(
         scope_code=board.scope_code or "overall",
         indicator=board.indicator,
-        n_units=int(values.size),
+        n_units=n,
         mean=mean,
         std_dev=std,
         coefficient_of_variation=std / mean,

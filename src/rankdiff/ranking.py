@@ -6,8 +6,6 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
-import numpy as np
-
 from .errors import DegeneratePopulation, EmptyBoard, UnitSetMismatch
 from .indicators import ScoreBoard
 
@@ -117,11 +115,13 @@ class ComparisonTable:
     n: int
     label: str = ""
 
-    def fss_scores(self) -> np.ndarray:
-        return np.array([r.fss_score for r in self.rows])
+    def fss_scores(self) -> list[float]:
+        """FSS scores in row (FSS rank) order."""
+        return [r.fss_score for r in self.rows]
 
-    def mncs_scores(self) -> np.ndarray:
-        return np.array([r.mncs_score for r in self.rows])
+    def mncs_scores(self) -> list[float]:
+        """MNCS scores in row (FSS rank) order."""
+        return [r.mncs_score for r in self.rows]
 
     def by_unit(self) -> dict[str, ComparisonRow]:
         return {r.unit_id: r for r in self.rows}

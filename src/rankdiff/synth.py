@@ -14,14 +14,16 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .baselines import ScalingFactorTable, normalized_impact
 from .corpus import (Authorship, Corpus, FieldScheme, ObservationWindow,
                      Professor, Publication)
 from .divergence import pearson
 from .errors import MissingBaseline, SynthConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger("rankdiff.synth")
 
@@ -37,6 +39,11 @@ NATIONAL_EXTRA_SHARE = 0.40
 MIN_CELL_FOR_CITED_GUARANTEE = 50
 OUTPUT_MIX_SHAPE = 1.8          # gamma shape of the output-rate mixture
 CITE_MIX_SHAPE = 1.0            # gamma shape of the citation-propensity mixture
+# Upper bound on the configured mean output per professor over the window.
+# Real rates are tens of publications; far larger means would build
+# millions of publications per professor, and numpy's Poisson sampler
+# refuses means near 1e19.
+MAX_PUBS_PER_PROFESSOR = 1000.0
 
 # Empirical attenuation between the latent copula correlation and the
 # measured count-level correlation (Poisson noise, per-publication citation
@@ -74,8 +81,10 @@ class SynthConfig:
         lo, hi = self.professors_per_sds
         if lo < 0 or hi < lo:
             raise SynthConfigError(f"bad professors_per_sds range ({lo}, {hi})")
-        if not 0 <= self.pubs_per_professor < math.inf:
-            raise SynthConfigError("pubs_per_professor must be finite and >= 0")
+        if not 0 <= self.pubs_per_professor <= MAX_PUBS_PER_PROFESSOR:
+            raise SynthConfigError(
+                f"pubs_per_professor must be finite, >= 0 and "
+                f"<= {MAX_PUBS_PER_PROFESSOR:g}")
         if not 0 < self.citation_dispersion < math.inf:
             raise SynthConfigError("citation_dispersion must be finite and > 0")
         if not 0 <= self.quantity_impact_corr < 1:
@@ -125,8 +134,9 @@ def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:
     """Mean-1 gamma variates driven by standard-normal draws (copula step)."""
     # ndtr and gammaincinv are the standard normal CDF and the unit-scale
     # gamma inverse CDF, the same numbers as scipy.stats' norm.cdf and
-    # gamma.ppf without its ~1 s import; imported here because only synth
-    # needs them
+    # gamma.ppf without its ~1 s import; numpy and scipy are imported here
+    # and in generate because only synth needs them
+    import numpy as np
     from scipy import special
     u = special.ndtr(z)
     # clip away exact 0/1 so the inverse stays finite
@@ -136,6 +146,7 @@ def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:
 
 def generate(cfg: SynthConfig) -> Corpus:
     """Build a validated corpus from the config; deterministic per seed."""
+    import numpy as np
     rng = np.random.default_rng(cfg.seed)
     window = cfg.window
     years = list(range(window.start_year, window.end_year + 1))

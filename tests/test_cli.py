@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rankdiff.cli import main
+from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 from rankdiff import round_half_away
 from helpers import load_ref, replay_compare
 
@@ -227,6 +228,17 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1e20, MAX_PUBS_PER_PROFESSOR + 1],
+                         ids=["1e20", "bound_plus_one"])
+def test_synth_huge_pubs_per_professor_is_config_error(tmp_path, capsys, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SYNTH_CFG, "pubs_per_professor": value}),
+                   encoding="utf-8")
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert (f"pubs_per_professor must be finite, >= 0 and "
+            f"<= {MAX_PUBS_PER_PROFESSOR:g}") in capsys.readouterr().err
+
+
 def test_baselines_import_reproduces_scores(synth_setup):
     tmp_path, data_dir, run_cfg = synth_setup
     first = tmp_path / "first"
@@ -312,11 +324,37 @@ def test_validate_locates_oversized_field(synth_setup, capsys):
     assert "publications.csv:3 [-]: field larger than field limit" in out
 
 
-def test_cli_import_skips_scipy_stats():
+@pytest.mark.parametrize("module", ["scipy.stats", "numpy"])
+def test_cli_import_skips_module(module):
     root = Path(__file__).resolve().parents[1]
     subprocess.run(
         [sys.executable, "-c",
-         "import rankdiff.cli, sys; assert 'scipy.stats' not in sys.modules"],
+         f"import rankdiff.cli, sys; assert {module!r} not in sys.modules"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
+
+
+def test_analysis_commands_skip_numpy(synth_setup):
+    # the corpus was written by the fixture, so no synth runs in the child
+    tmp_path, data_dir, run_cfg = synth_setup
+    root = Path(__file__).resolve().parents[1]
+    corpus_args = [str(data_dir), "--config", str(run_cfg)]
+    commands = [
+        ["validate", *corpus_args],
+        ["score", *corpus_args, "--indicator", "both", "--level", "sds",
+         "--out", str(tmp_path / "score")],
+        ["compare", *corpus_args, "--level", "sds",
+         "--out", str(tmp_path / "compare")],
+        ["compare", "--from-scores",
+         str(root / "tests" / "data" / "ref_overall.csv"),
+         "--out", str(tmp_path / "replay")],
+    ]
+    code = ("import json, sys\n"
+            "from rankdiff.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules\n")
+    subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
 
 

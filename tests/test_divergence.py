@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankdiff import (DegenerateVariance, NoRankableSds, ZeroMean,
@@ -13,8 +14,9 @@ from rankdiff import (DegenerateVariance, NoRankableSds, ZeroMean,
                       range_summary, shift_stats, spearman)
 from rankdiff.divergence import DivergenceSummary
 from rankdiff.indicators import FSS, ScoreBoard, UnitScore
-from helpers import (comparison_from_ranks, load_ref, oracle_quartile_stats,
-                     oracle_shift_stats, replay_compare)
+from rankdiff.ranking import compare, rank
+from helpers import (boards_from_columns, comparison_from_ranks, load_ref,
+                     oracle_quartile_stats, oracle_shift_stats, replay_compare)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,18 @@ def test_dispersion_matches_numpy_sample_std():
         values.std(ddof=1) / values.mean())
 
 
+def test_statistics_past_float_range_give_inf_or_nan():
+    # finite scores whose sums leave the float range: the statistics are
+    # inf or nan, as float arithmetic gives, and nothing raises
+    huge = [1.7e308 - i * 1e300 for i in range(6)]
+    d = dispersion(ScoreBoard("replay", "t", FSS,
+                              [UnitScore(f"N{i}", FSS, v)
+                               for i, v in enumerate(huge)]))
+    assert d.mean == math.inf
+    assert d.std_dev == math.inf
+    assert math.isnan(pearson(huge, range(6)))
+
+
 def test_dispersion_needs_two_scores():
     board = ScoreBoard("replay", "t", FSS, [UnitScore("A", FSS, 1.0)])
     with pytest.raises(ValueError):
@@ -268,3 +282,40 @@ def test_mean_pct_shift_consistency():
         assert s.mean_pct_shift == pytest.approx(
             s.mean_abs_shift * 100 / (n - 1))
         assert s.max_pct_shift == pytest.approx(s.max_abs_shift * 100 / (n - 1))
+
+
+# ---------------------------------------------------------------------------
+# The standard-library statistics against numpy and scipy
+
+# eighths give many exact ties; 2-decimal floats give a few
+_score = st.one_of(st.integers(0, 40).map(lambda k: k / 8),
+                   st.floats(min_value=0, max_value=50).map(
+                       lambda x: round(x, 2)))
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stdlib_statistics_match_numpy_and_scipy(parity, data):
+    n = 2 * data.draw(st.integers(1, 20)) + parity
+    fss = data.draw(st.lists(_score, min_size=n, max_size=n))
+    mncs = data.draw(st.lists(_score, min_size=n, max_size=n))
+    assert average_ranks(fss) == list(
+        scipy.stats.rankdata(fss, method="average"))
+
+    units = [f"U{i}" for i in range(n)]
+    cmp = compare(*(rank(b) for b in boards_from_columns(units, fss, mncs)))
+    shifts = np.array([abs(r.rank_shift) for r in cmp.rows], dtype=float)
+    s = shift_stats(cmp)
+    assert s.mean_abs_shift == shifts.mean()
+    assert s.median_abs_shift == np.median(shifts)
+    assert s.max_abs_shift == shifts.max()
+    deltas = [abs(r.quartile_fss - r.quartile_mncs) for r in cmp.rows]
+    assert quartile_stats(cmp).mean_abs_quartile_shift == np.mean(deltas)
+
+    values = np.array(fss)
+    assume(values.mean() != 0.0)
+    d = dispersion(ScoreBoard("replay", "t", FSS,
+                              [UnitScore(u, FSS, v) for u, v in zip(units, fss)]))
+    assert d.mean == pytest.approx(values.mean(), rel=1e-12)
+    assert d.std_dev == pytest.approx(values.std(ddof=1), rel=1e-12)

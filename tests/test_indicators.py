@@ -445,6 +445,30 @@ def test_uniform_salary_scaling_leaves_units_unchanged():
             assert after == pytest.approx(before, abs=1e-9)
 
 
+@pytest.mark.parametrize("factor", [0.37, 1e3])
+@pytest.mark.parametrize("level", ["sds", "uda", "overall"])
+def test_scoreboards_invariant_under_salary_scaling(level, factor, relaxed_cfg):
+    # SDS standardisation divides every professor FSS by its SDS average,
+    # which carries the same salary factor; MNCS never reads salaries
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        corpus = random_corpus(rng, n_universities=4, n_sds=4)
+        scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
+                        corpus.professors, corpus.field_scheme,
+                        {r: factor * s for r, s in corpus.salary_table.items()})
+        table = compute_scaling_factors(corpus)
+        before = scoreboards(corpus, table, level, relaxed_cfg, "both")
+        after = scoreboards(scaled, table, level, relaxed_cfg, "both")
+        assert after.pairs.keys() == before.pairs.keys()
+        for scope, pair in before.pairs.items():
+            assert after.pairs[scope].mncs == pair.mncs
+            for old, new in zip(pair.fss.entries, after.pairs[scope].fss.entries,
+                                strict=True):
+                assert new.university_id == old.university_id
+                assert new.research_staff == old.research_staff
+                assert new.score == pytest.approx(old.score, rel=1e-12, abs=0)
+
+
 def test_scores_invariant_under_input_permutation():
     rng = np.random.default_rng(25)
     corpus = random_corpus(rng, n_universities=2, n_sds=2)

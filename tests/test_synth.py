@@ -9,6 +9,7 @@ from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       compute_scaling_factors, generate,
                       measure_quantity_impact_correlation, scoreboards,
                       write_corpus_csvs)
+from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 
 
 def small_cfg(seed=7, **overrides) -> SynthConfig:
@@ -166,10 +167,17 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
     {"salary_levels": (("assistant", float("nan")),)},
     {"salary_levels": (("assistant", float("inf")),)},
     {"sds_spec": (("SDS/01", "1"), ("SDS/02", "1"), ("SDS/01", "1"))},
+    {"pubs_per_professor": 1e20},
+    {"pubs_per_professor": MAX_PUBS_PER_PROFESSOR + 1},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(SynthConfigError):
         small_cfg(**overrides)
+
+
+def test_pubs_per_professor_bound_is_inclusive():
+    assert small_cfg(pubs_per_professor=MAX_PUBS_PER_PROFESSOR) \
+        .pubs_per_professor == MAX_PUBS_PER_PROFESSOR
 
 
 @pytest.mark.parametrize("sds_spec, message", [
