@@ -8,13 +8,12 @@ simply does not exist.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Publication, read_csv
+from .corpus import Corpus, Publication, read_csv, write_csv
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.baselines")
@@ -50,11 +49,9 @@ class ScalingFactorTable:
         return ((k, self._cells[k]) for k in sorted(self._cells))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(CSV_COLUMNS)
-            for (year, cat), s in self.items():
-                w.writerow([year, cat, repr(s.mean), s.cited_count, s.total_count])
+        write_csv(path, CSV_COLUMNS,
+                  ([year, cat, repr(s.mean), s.cited_count, s.total_count]
+                   for (year, cat), s in self.items()))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScalingFactorTable":

@@ -96,23 +96,19 @@ class SystemExitWithCode(Exception):
         super().__init__(message)
 
 
-def _config_or_exit(path: str | None) -> RunConfig:
+def _config_or_exit(path: str | None, include_all: bool = False) -> RunConfig:
+    """The run's settings: the config file, with the command-line flag."""
     if path is None:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "--config is required for corpus commands")
     try:
-        return read_config(path)
+        run_cfg = read_config(path)
     except (OSError, ValueError) as exc:
         raise SystemExitWithCode(EXIT_CONFIG, f"bad config: {exc}") from exc
-
-
-def _load_filtered(data_dir: str, run_cfg: RunConfig,
-                   baseline_include_all: bool) -> Corpus:
-    cfg = run_cfg.filters
-    if baseline_include_all and not cfg.baseline_include_all_doctypes:
-        cfg = dataclasses.replace(cfg, baseline_include_all_doctypes=True)
-    corpus = load_corpus(data_dir, run_cfg.window)
-    return apply_filters(corpus, cfg)
+    if include_all:
+        run_cfg = dataclasses.replace(run_cfg, filters=dataclasses.replace(
+            run_cfg.filters, baseline_include_all_doctypes=True))
+    return run_cfg
 
 
 def _config_snapshot(run_cfg: RunConfig) -> dict:
@@ -167,10 +163,10 @@ def _baseline_table(args: argparse.Namespace, corpus: Corpus,
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    run_cfg = _config_or_exit(args.config)
+    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
     try:
-        corpus = _load_filtered(args.data_dir, run_cfg,
-                                args.baseline_include_all_doctypes)
+        corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
+                               run_cfg.filters)
     except CorpusLoadError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -252,14 +248,24 @@ def _emit_comparisons(
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.from_scores:
+        corpus_only = [name for name, given in [
+            ("DATA_DIR", args.data_dir), ("--config", args.config),
+            ("--baselines", args.baselines),
+            ("--export-baselines", args.export_baselines),
+            ("--baseline-include-all-doctypes",
+             args.baseline_include_all_doctypes)] if given]
+        if corpus_only:
+            raise SystemExitWithCode(
+                EXIT_CONFIG, f"--from-scores reads no corpus; remove "
+                f"{', '.join(corpus_only)}")
         return _compare_from_scores(args)
     if not args.data_dir:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "either DATA_DIR or --from-scores is required")
-    run_cfg = _config_or_exit(args.config)
+    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
     try:
-        corpus = _load_filtered(args.data_dir, run_cfg,
-                                args.baseline_include_all_doctypes)
+        corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
+                               run_cfg.filters)
     except CorpusLoadError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

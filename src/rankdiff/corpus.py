@@ -13,6 +13,7 @@ import hashlib
 import io
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -91,14 +92,6 @@ class FieldScheme:
     def uda_of(self, sds_code: str) -> str:
         return self.sds_to_uda[sds_code]
 
-    @property
-    def sds_codes(self) -> list[str]:
-        return sorted(self.sds_to_uda)
-
-    @property
-    def uda_codes(self) -> list[str]:
-        return sorted(set(self.sds_to_uda.values()))
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -112,10 +105,9 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         for f in dc_fields(self):
-            if f.name in ("excluded_doc_types", "baseline_include_all_doctypes"):
-                continue
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if type(f.default) in (int, float) and not 0 <= value < math.inf:
+                raise ValueError(f"{f.name}: must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot of every setting, for the run manifest."""
@@ -376,6 +368,16 @@ def read_csv(path: str | Path, columns: list[str],
     return rows
 
 
+def write_csv(path: str | Path, columns: list[str],
+              rows: Iterable[Iterable[object]]) -> None:
+    """Write a UTF-8 CSV file in the csv module's default dialect: the
+    ``columns`` header, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
 def _key(raw: str, where: str, fld: str, seen: dict,
          violations: list[Violation]) -> str | None:
     """The stripped key, or None (with a violation) if empty or already seen."""
@@ -392,10 +394,14 @@ def _key(raw: str, where: str, fld: str, seen: dict,
 def _parse_int(raw: str, where: str, fld: str,
                violations: list[Violation]) -> int | None:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         violations.append(Violation(where, fld, f"not an integer: {raw!r}"))
         return None
+    if abs(value) > 2**53:      # not every larger integer is a float
+        violations.append(Violation(where, fld, "must be at most 2**53 in magnitude"))
+        return None
+    return value
 
 
 def _parse_float(raw: str, where: str, fld: str,
@@ -574,40 +580,28 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
     d = Path(outdir)
     d.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.from_dir(d)
-    with open(paths.publications, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["pub_id", "year", "doc_type", "subject_categories",
-                    "citations", "n_authors_total"])
-        for pid in sorted(corpus.publications):
-            p = corpus.publications[pid]
-            w.writerow([p.pub_id, p.year, p.doc_type,
-                        "|".join(p.subject_categories), p.citations,
-                        p.n_authors_total])
-    with open(paths.authorships, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["pub_id", "professor_id"])
-        for a in sorted(corpus.authorships, key=lambda a: (a.pub_id, a.professor_id)):
-            w.writerow([a.pub_id, a.professor_id])
-    with open(paths.professors, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["professor_id", "university_id", "sds_code",
-                    "academic_rank", "years_on_staff"])
-        for pid in sorted(corpus.professors):
-            p = corpus.professors[pid]
-            w.writerow([p.professor_id, p.university_id, p.sds_code,
-                        p.academic_rank, f"{p.years_on_staff:g}"])
-    with open(paths.fields, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["sds_code", "sds_name", "uda_code", "uda_name"])
-        for code in sorted(corpus.field_scheme.sds_to_uda):
-            uda = corpus.field_scheme.sds_to_uda[code]
-            w.writerow([code, corpus.field_scheme.sds_names.get(code, code),
-                        uda, corpus.field_scheme.uda_names.get(uda, uda)])
-    with open(paths.salaries, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["academic_rank", "avg_yearly_salary"])
-        for rank in sorted(corpus.salary_table):
-            w.writerow([rank, f"{corpus.salary_table[rank]:g}"])
+    scheme = corpus.field_scheme
+    write_csv(paths.publications,
+              ["pub_id", "year", "doc_type", "subject_categories", "citations",
+               "n_authors_total"],
+              ([p.pub_id, p.year, p.doc_type, "|".join(p.subject_categories),
+                p.citations, p.n_authors_total]
+               for _, p in sorted(corpus.publications.items())))
+    write_csv(paths.authorships, ["pub_id", "professor_id"],
+              sorted((a.pub_id, a.professor_id) for a in corpus.authorships))
+    write_csv(paths.professors,
+              ["professor_id", "university_id", "sds_code", "academic_rank",
+               "years_on_staff"],
+              ([p.professor_id, p.university_id, p.sds_code, p.academic_rank,
+                f"{p.years_on_staff:g}"]
+               for _, p in sorted(corpus.professors.items())))
+    write_csv(paths.fields, ["sds_code", "sds_name", "uda_code", "uda_name"],
+              ([code, scheme.sds_names.get(code, code), uda,
+                scheme.uda_names.get(uda, uda)]
+               for code, uda in sorted(scheme.sds_to_uda.items())))
+    write_csv(paths.salaries, ["academic_rank", "avg_yearly_salary"],
+              ([rank, f"{salary:g}"]
+               for rank, salary in sorted(corpus.salary_table.items())))
     return paths
 
 
@@ -622,69 +616,63 @@ class RunConfig:
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+# the window settings, each with a value of its type
+_WINDOW_KEYS = {"start_year": 0, "end_year": 0, "citation_snapshot_label": ""}
+
+
+def _parse_setting(key: str, text: str, like: object) -> object:
+    """``text`` parsed as the type of ``like``: a boolean, a comma-separated
+    set, a string, an integer or a number."""
+    if isinstance(like, bool):
+        if text.lower() in _TRUE | _FALSE:
+            return text.lower() in _TRUE
+        raise ValueError(f"{key}: must be boolean, got {text!r}")
+    if isinstance(like, frozenset):
+        return frozenset(t.strip() for t in text.split(",") if t.strip())
+    if isinstance(like, str):
+        return text
+    try:
+        return type(like)(text)
+    except ValueError:
+        kind = "an integer" if isinstance(like, int) else "a number"
+        raise ValueError(f"{key}: not {kind}: {text!r}") from None
 
 
 def read_config(path: str | Path) -> RunConfig:
     """Parse a key=value config file into window + filter settings.
 
-    Recognized keys: start_year, end_year, citation_snapshot_label,
-    min_years_on_staff, excluded_doc_types (comma separated),
-    min_professors_sds, min_professors_uda, min_professors_overall,
-    min_units_to_rank, baseline_include_all_doctypes.
+    The keys are start_year and end_year (required), citation_snapshot_label,
+    and the fields of FilterConfig, each parsed as the type of its default
+    (a set is comma separated). A key may appear once. A bad value or a
+    repeated key raises ValueError("<file>:<line>: <key>: ...").
     """
-    raw: dict[str, str] = {}
+    settings = dict(_WINDOW_KEYS, **{f.name: f.default for f in dc_fields(FilterConfig)})
+    raw: dict[str, tuple[int, str]] = {}
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{i}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in raw:
+            raise ValueError(f"{path}:{i}: {key}: repeated, first set on line "
+                             f"{raw[key][0]}")
+        raw[key] = (i, value)
 
-    known = {"start_year", "end_year", "citation_snapshot_label",
-             "min_years_on_staff", "excluded_doc_types", "min_professors_sds",
-             "min_professors_uda", "min_professors_overall",
-             "min_units_to_rank", "baseline_include_all_doctypes"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(settings)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     if "start_year" not in raw or "end_year" not in raw:
         raise ValueError(f"{path}: start_year and end_year are required")
-
-    window = ObservationWindow(
-        start_year=int(raw["start_year"]),
-        end_year=int(raw["end_year"]),
-        citation_snapshot_label=raw.get("citation_snapshot_label", ""),
-    )
-    defaults = FilterConfig()
-    excluded = defaults.excluded_doc_types
-    if "excluded_doc_types" in raw:
-        excluded = frozenset(t.strip() for t in raw["excluded_doc_types"].split(",")
-                             if t.strip())
-
-    def flag(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        value = raw[key].lower()
-        if value in _TRUE:
-            return True
-        if value in _FALSE:
-            return False
-        raise ValueError(f"{path}: {key} must be boolean, got {raw[key]!r}")
-
-    filters = FilterConfig(
-        min_years_on_staff=float(raw.get("min_years_on_staff",
-                                         defaults.min_years_on_staff)),
-        excluded_doc_types=excluded,
-        min_professors_sds=int(raw.get("min_professors_sds",
-                                       defaults.min_professors_sds)),
-        min_professors_uda=int(raw.get("min_professors_uda",
-                                       defaults.min_professors_uda)),
-        min_professors_overall=int(raw.get("min_professors_overall",
-                                           defaults.min_professors_overall)),
-        min_units_to_rank=int(raw.get("min_units_to_rank",
-                                      defaults.min_units_to_rank)),
-        baseline_include_all_doctypes=flag("baseline_include_all_doctypes", False),
-    )
-    return RunConfig(window=window, filters=filters)
+    values = {}
+    for key, (i, text) in raw.items():
+        try:
+            values[key] = _parse_setting(key, text, settings[key])
+            if key not in _WINDOW_KEYS:
+                FilterConfig(**{key: values[key]})     # checks this one value
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
+    window = {key: values.pop(key) for key in _WINDOW_KEYS if key in values}
+    return RunConfig(window=ObservationWindow(**window),
+                     filters=FilterConfig(**values))

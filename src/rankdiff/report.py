@@ -5,12 +5,12 @@ percentiles to 1, shift glyphs); CSVs carry more precision for machine use.
 """
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
+from .corpus import write_csv
 from .divergence import (DispersionStats, DivergenceSummary, QuartileSummary,
                          RangeSummary, RANGE_STATS)
-from .indicators import ScoreBoard
+from .indicators import ScoreBoard, UnitScore
 from .ranking import ComparisonTable, round_half_away, shift_glyph
 
 
@@ -18,87 +18,68 @@ def _fmt(x: float | None, spec: str = ".6g") -> str:
     return "" if x is None else format(x, spec)
 
 
+def _staff_or_weight(e: UnitScore) -> str:
+    extra = e.research_staff if e.research_staff is not None else e.publication_weight
+    return "" if extra is None else repr(extra)
+
+
 def write_scoreboard_csv(boards: list[ScoreBoard], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["level", "scope_code", "university_id", "indicator",
-                    "score", "research_staff_or_weight"])
-        for board in boards:
-            for e in board.entries:
-                extra = (e.research_staff if e.research_staff is not None
-                         else e.publication_weight)
-                w.writerow([board.level, board.scope_code or "", e.university_id,
-                            board.indicator, repr(e.score),
-                            "" if extra is None else
-                            (extra if isinstance(extra, int) else repr(extra))])
+    write_csv(path, ["level", "scope_code", "university_id", "indicator",
+                     "score", "research_staff_or_weight"],
+              ([board.level, board.scope_code or "", e.university_id,
+                board.indicator, repr(e.score), _staff_or_weight(e)]
+               for board in boards for e in board.entries))
 
 
 def write_comparison_csv(cmp: ComparisonTable, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["university", "staff", "fss_score", "fss_rank", "fss_pct",
-                    "mncs_score", "mncs_rank", "mncs_pct", "rank_shift",
-                    "pct_shift", "q_fss", "q_mncs"])
-        for r in cmp.rows:
-            w.writerow([
-                r.unit_id,
-                "" if r.staff is None else r.staff,
+    write_csv(path, ["university", "staff", "fss_score", "fss_rank", "fss_pct",
+                     "mncs_score", "mncs_rank", "mncs_pct", "rank_shift",
+                     "pct_shift", "q_fss", "q_mncs"],
+              ([r.unit_id, "" if r.staff is None else r.staff,
                 f"{r.fss_score:.3f}", r.fss_rank, round_half_away(r.fss_pct),
                 f"{r.mncs_score:.3f}", r.mncs_rank, round_half_away(r.mncs_pct),
                 r.rank_shift, round_half_away(r.pct_shift),
-                r.quartile_fss, r.quartile_mncs,
-            ])
+                r.quartile_fss, r.quartile_mncs]
+               for r in cmp.rows))
 
 
 def write_shift_summary_csv(summaries: list[DivergenceSummary],
                             path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["scope", "n_units", "pct_shifting_rank", "mean_abs_shift",
-                    "median_abs_shift", "max_abs_shift", "mean_pct_shift",
-                    "median_pct_shift", "max_pct_shift", "pearson", "spearman"])
-        for s in summaries:
-            w.writerow([s.scope_code, s.n_units, _fmt(s.pct_shifting_rank),
-                        _fmt(s.mean_abs_shift), _fmt(s.median_abs_shift),
-                        s.max_abs_shift, _fmt(s.mean_pct_shift),
-                        _fmt(s.median_pct_shift), _fmt(s.max_pct_shift),
-                        _fmt(s.pearson, ".6f") if s.pearson is not None else "",
-                        _fmt(s.spearman, ".6f") if s.spearman is not None else ""])
+    write_csv(path, ["scope", "n_units", "pct_shifting_rank", "mean_abs_shift",
+                     "median_abs_shift", "max_abs_shift", "mean_pct_shift",
+                     "median_pct_shift", "max_pct_shift", "pearson", "spearman"],
+              ([s.scope_code, s.n_units, _fmt(s.pct_shifting_rank),
+                _fmt(s.mean_abs_shift), _fmt(s.median_abs_shift),
+                s.max_abs_shift, _fmt(s.mean_pct_shift),
+                _fmt(s.median_pct_shift), _fmt(s.max_pct_shift),
+                _fmt(s.pearson, ".6f"), _fmt(s.spearman, ".6f")]
+               for s in summaries))
 
 
 def write_quartile_summary_csv(summaries: list[QuartileSummary],
                                path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["scope", "n_units", "pct_shifting_quartile",
-                    "mean_abs_quartile_shift", "max_quartile_shift",
-                    "pct_leaving_q1"])
-        for s in summaries:
-            w.writerow([s.scope_code, s.n_units, _fmt(s.pct_shifting_quartile),
-                        _fmt(s.mean_abs_quartile_shift), s.max_quartile_shift,
-                        _fmt(s.pct_leaving_q1)])
+    write_csv(path, ["scope", "n_units", "pct_shifting_quartile",
+                     "mean_abs_quartile_shift", "max_quartile_shift",
+                     "pct_leaving_q1"],
+              ([s.scope_code, s.n_units, _fmt(s.pct_shifting_quartile),
+                _fmt(s.mean_abs_quartile_shift), s.max_quartile_shift,
+                _fmt(s.pct_leaving_q1)]
+               for s in summaries))
 
 
 def write_dispersion_csv(stats: list[DispersionStats], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["scope", "indicator", "n_units", "mean", "std_dev",
-                    "coefficient_of_variation"])
-        for s in stats:
-            w.writerow([s.scope_code, s.indicator, s.n_units, _fmt(s.mean),
-                        _fmt(s.std_dev), _fmt(s.coefficient_of_variation)])
+    write_csv(path, ["scope", "indicator", "n_units", "mean", "std_dev",
+                     "coefficient_of_variation"],
+              ([s.scope_code, s.indicator, s.n_units, _fmt(s.mean),
+                _fmt(s.std_dev), _fmt(s.coefficient_of_variation)]
+               for s in stats))
 
 
 def write_range_summary_csv(summaries: list[RangeSummary],
                             path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["uda", "n_sds", "statistic", "min", "max"])
-        for s in summaries:
-            for stat in RANGE_STATS:
-                if stat in s.ranges:
-                    lo, hi = s.ranges[stat]
-                    w.writerow([s.uda_code, s.n_sds, stat, _fmt(lo), _fmt(hi)])
+    write_csv(path, ["uda", "n_sds", "statistic", "min", "max"],
+              ([s.uda_code, s.n_sds, stat, *map(_fmt, s.ranges[stat])]
+               for s in summaries for stat in RANGE_STATS if stat in s.ranges))
 
 
 # ---------------------------------------------------------------------------

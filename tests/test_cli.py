@@ -14,7 +14,7 @@ import pytest
 from rankdiff.cli import main
 from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 from rankdiff import round_half_away
-from helpers import load_ref, replay_compare
+from helpers import DATA_DIR, load_ref, replay_compare
 
 RUN_CFG = ("start_year=2008\nend_year=2012\n"
            "min_professors_sds=1\nmin_professors_uda=1\n"
@@ -75,6 +75,27 @@ def test_synth_validate_score_compare_pipeline(synth_setup):
     assert (cmp_out / "summaries" / "quartile_summary_uda.csv").exists()
     assert (cmp_out / "summaries" / "dispersion_uda.csv").exists()
     assert (cmp_out / "comparisons" / "report.md").exists()
+
+
+def test_outputs_match_golden_digests(synth_setup):
+    """Every output byte of synth, score and compare on the fixture corpus,
+    pinned by sha256 (the manifest, which holds a timestamp, excepted)."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    corpus_args = [str(data_dir), "--config", str(run_cfg)]
+    assert main(["score", *corpus_args, "--level", "sds", "--export-baselines",
+                 "--out", str(tmp_path / "score")]) == 0
+    for level in ("sds", "uda", "overall"):
+        assert main(["compare", *corpus_args, "--level", level,
+                     "--out", str(tmp_path / f"cmp_{level}")]) == 0
+    got = {}
+    for name in ("corpus", "score", "cmp_sds", "cmp_uda", "cmp_overall"):
+        for path in (tmp_path / name).rglob("*"):
+            if path.is_file() and path.name != "run_manifest.json":
+                got[path.relative_to(tmp_path).as_posix()] = \
+                    hashlib.sha256(path.read_bytes()).hexdigest()
+    golden = (DATA_DIR / "golden_outputs.sha256").read_text(encoding="utf-8")
+    assert got == {rel: digest for digest, rel in
+                   (line.split("  ") for line in golden.splitlines())}
 
 
 def test_score_matches_hand_computed_fixture(tmp_path):
@@ -459,6 +480,18 @@ def test_baseline_include_all_doctypes_flag_runs(synth_setup):
     assert main(["score", str(data_dir), "--config", str(run_cfg),
                  "--level", "uda", "--out", str(out),
                  "--baseline-include-all-doctypes"]) == 0
+    manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
+    assert manifest["config"]["filters"]["baseline_include_all_doctypes"] is True
+
+
+def test_non_finite_config_setting_is_config_error(synth_setup, capsys):
+    tmp_path, data_dir, run_cfg = synth_setup
+    bad_cfg = tmp_path / "nan.cfg"
+    bad_cfg.write_text(RUN_CFG + "min_years_on_staff = nan\n", encoding="utf-8")
+    assert main(["compare", str(data_dir), "--config", str(bad_cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: bad config: {bad_cfg}:7: min_years_on_staff: " \
+        in capsys.readouterr().err
 
 
 def test_from_scores_two_units_omits_correlations(tmp_path):
@@ -525,6 +558,23 @@ def test_from_scores_rejects_duplicate_units(tmp_path):
                    encoding="utf-8")
     assert main(["compare", "--from-scores", str(bad),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["DATA"], "DATA_DIR"),
+    (["--config", "nope.cfg"], "--config"),
+    (["--baselines", "nonexist.csv"], "--baselines"),
+    (["--export-baselines"], "--export-baselines"),
+    (["--baseline-include-all-doctypes"], "--baseline-include-all-doctypes"),
+], ids=["data_dir", "config", "baselines", "export_baselines",
+        "include_all_doctypes"])
+def test_from_scores_rejects_corpus_inputs(tmp_path, capsys, extra, named):
+    scores = DATA_DIR / "ref_overall.csv"
+    out = tmp_path / "out"
+    assert main(["compare", *extra, "--from-scores", str(scores),
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_requires_corpus_or_scores(tmp_path):

@@ -102,8 +102,12 @@ def test_tenure_exceeding_window(window):
     # one authorship on a zero total: the count rule adds no second violation
     ("publications.csv", 3, "w2,2009,article,C1,0,1", "w2,2009,article,C1,0,0",
      "n_authors_total", "must be >= 1, got 0"),
+    # 401 digits: exact as an int, but no float holds it
+    ("publications.csv", 3, "w2,2009,article,C1,0,1",
+     "w2,2009,article,C1," + "9" * 401 + ",1", "citations",
+     "must be at most 2**53 in magnitude"),
 ], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair",
-        "zero_authors"])
+        "zero_authors", "huge_citations"])
 def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
                                      fld, message):
     path = corpus_dir / name
@@ -299,6 +303,14 @@ def test_read_config_defaults(tmp_path):
     ("start_year=2008\nend_year=2012\nbaseline_include_all_doctypes=maybe\n",
      "must be boolean"),
     ("just a line\n", "expected key=value"),
+    ("start_year=2008\nend_year=2012\nmin_years_on_staff=nan\n",
+     r"run\.cfg:3: min_years_on_staff: must be finite"),
+    ("start_year=2008\nend_year=2012\nmin_years_on_staff=inf\n",
+     r"run\.cfg:3: min_years_on_staff: must be finite"),
+    ("start_year=2008\nend_year=2012\nmin_professors_uda=2.5\n",
+     r"run\.cfg:3: min_professors_uda: not an integer"),
+    ("start_year=2008\nmin_professors_sds=1\nend_year=2012\n"
+     "min_professors_sds=2\n", r"run\.cfg:4: min_professors_sds: repeated"),
 ])
 def test_read_config_errors(tmp_path, content, match):
     path = tmp_path / "run.cfg"
