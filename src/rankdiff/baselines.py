@@ -18,7 +18,8 @@ from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.baselines")
 
-CSV_COLUMNS = ["year", "category", "mean", "cited_count", "total_count"]
+CSV_COLUMNS = {"year": int, "category": str, "mean": float, "cited_count": int,
+               "total_count": int}
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,9 @@ class ScalingFactorTable:
 
     def __init__(self, cells: dict[tuple[int, str], CellStats]):
         for key, stats in cells.items():
-            _check_cell(key, stats)
+            problem = _cell_problem(key, stats)
+            if problem:
+                raise ValueError(problem)
         self._cells = dict(cells)
 
     def cell(self, year: int, category: str) -> CellStats | None:
@@ -58,27 +61,24 @@ class ScalingFactorTable:
         """Read a table written by ``to_csv``.
 
         Raises ValueError naming the file and line of the first bad header,
-        row or duplicate cell, or of an undecodable byte.
+        cell, duplicate (year, category) or empty category, or of an
+        undecodable byte.
         """
         cells: dict[tuple[int, str], CellStats] = {}
-        for where, row in read_csv(path, CSV_COLUMNS):
-            try:
-                key = (int(row["year"]), row["category"])
-                stats = CellStats(float(row["mean"]), int(row["cited_count"]),
-                                  int(row["total_count"]))
-                _check_cell(key, stats)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if key in cells:
-                raise ValueError(f"{where}: duplicate cell {key}")
-            cells[key] = stats
+        for where, (year, category, *counts) in read_csv(
+                path, CSV_COLUMNS, key=("year", "category")):
+            cells[year, category] = stats = CellStats(*counts)
+            problem = _cell_problem((year, category), stats)
+            if problem:
+                raise ValueError(f"{where}: {problem}")
         return cls(cells)
 
 
-def _check_cell(key: tuple[int, str], stats: CellStats) -> None:
+def _cell_problem(key: tuple[int, str], stats: CellStats) -> str | None:
     if stats.cited_count < 1 or not 0 < stats.mean < math.inf:
-        raise ValueError(f"cell {key} must contain >= 1 cited publication "
-                         f"and a finite positive mean")
+        return (f"cell {key} must contain >= 1 cited publication "
+                f"and a finite positive mean")
+    return None
 
 
 def compute_scaling_factors(corpus: Corpus) -> ScalingFactorTable:

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -302,29 +301,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
     try:
-        rows = read_csv(path, ["unit", "fss_score", "mncs_score"],
-                        extra_columns=True)
+        rows = read_csv(path, {"unit": str, "fss_score": float,
+                               "mncs_score": float},
+                        extra_columns=True, key=("unit",))
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
-    fss_entries = []
-    mncs_entries = []
-    seen: set[str] = set()
-    for where, row in rows:
-        unit = row["unit"].strip()
-        if not unit or unit in seen:
-            raise SystemExitWithCode(
-                EXIT_CONFIG, f"{where}: missing or duplicate unit id")
-        seen.add(unit)
-        try:
-            fss, mncs = float(row["fss_score"]), float(row["mncs_score"])
-        except ValueError as exc:
-            raise SystemExitWithCode(EXIT_CONFIG, f"{where}: {exc}") from exc
-        if not (math.isfinite(fss) and math.isfinite(mncs)):
-            raise SystemExitWithCode(
-                EXIT_CONFIG, f"{where}: scores must be finite, got "
-                f"fss_score={fss}, mncs_score={mncs}")
-        fss_entries.append(UnitScore(unit, FSS, fss))
-        mncs_entries.append(UnitScore(unit, MNCS, mncs))
+    fss_entries = [UnitScore(unit, FSS, fss) for _, (unit, fss, _) in rows]
+    mncs_entries = [UnitScore(unit, MNCS, mncs) for _, (unit, _, mncs) in rows]
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
     return (ScoreBoard("replay", None, FSS, fss_entries),

@@ -209,10 +209,10 @@ class Corpus:
         for prof in self.professors.values():
             where = lines.get(("professors", prof.professor_id), prof.professor_id)
             if prof.sds_code not in self.field_scheme:
-                add(where, "sds_code", f"unknown SDS {prof.sds_code!r}")
+                add(where, "sds_code", f"unknown SDS {_quote(prof.sds_code)}")
             if prof.academic_rank not in self.salary_table:
                 add(where, "academic_rank",
-                    f"rank {prof.academic_rank!r} missing from salary table")
+                    f"rank {_quote(prof.academic_rank)} missing from salary table")
             years, n_years = prof.years_on_staff, self.window.n_years
             if not 0 < years <= n_years:
                 add(where, "years_on_staff",
@@ -227,11 +227,12 @@ class Corpus:
             seen.add((a.pub_id, a.professor_id))
             # a dangling row is reported once and counts toward no total
             if a.pub_id not in self.publications:
-                add(where, "pub_id", f"unknown publication {a.pub_id!r}")
+                add(where, "pub_id", f"unknown publication {_quote(a.pub_id)}")
             elif a.professor_id in self.professors:
                 per_pub[a.pub_id] = per_pub.get(a.pub_id, 0) + 1
             if a.professor_id not in self.professors:
-                add(where, "professor_id", f"unknown professor {a.professor_id!r}")
+                add(where, "professor_id",
+                    f"unknown professor {_quote(a.professor_id)}")
         for pub_id, count in per_pub.items():
             pub = self.publications[pub_id]
             if count > pub.n_authors_total >= 1:    # < 1 is reported above
@@ -315,24 +316,67 @@ class CorpusPaths:
                 self.fields, self.salaries]
 
 
-def read_csv(path: str | Path, columns: list[str],
-             problems: list[Violation] | None = None, label: str | None = None,
-             extra_columns: bool = False) -> list[tuple[str, dict[str, str]]]:
-    """Rows of a UTF-8 CSV file as ("<label>:<line>", {column: value}) pairs.
+# the columns of each corpus file, in order, with the type of their cells
+PUBLICATION_COLUMNS = {"pub_id": str, "year": int, "doc_type": str,
+                       "subject_categories": str, "citations": int,
+                       "n_authors_total": int}
+AUTHORSHIP_COLUMNS = {"pub_id": str, "professor_id": str}
+PROFESSOR_COLUMNS = {"professor_id": str, "university_id": str, "sds_code": str,
+                     "academic_rank": str, "years_on_staff": float}
+FIELD_COLUMNS = {"sds_code": str, "sds_name": str, "uda_code": str,
+                 "uda_name": str}
+SALARY_COLUMNS = {"academic_rank": str, "avg_yearly_salary": float}
 
-    The header must be ``columns``, or include them with ``extra_columns``.
+
+# a numeric cell's exclusive bound on magnitude, by type
+_BOUNDS = {int: 2**53 + 1, float: math.inf}
+
+
+def _quote(text: str) -> str:
+    """``text`` for a message: its repr, cut to 40 characters."""
+    quoted = repr(text[:41])
+    return quoted if len(quoted) <= 42 else quoted[:40] + "..."
+
+
+def _cell_problem(cell: str, kind: type) -> str:
+    """Why a stripped numeric cell is not a value of ``kind`` in its bound."""
+    try:
+        kind(cell)
+    except ValueError:
+        # int() refuses more than 4,300 digits, all of them over the bound
+        if not (kind is int and cell.lstrip("+-").isdecimal()):
+            what = "an integer" if kind is int else "a number"
+            return f"not {what}: {_quote(cell)}"
+    if kind is int:
+        return "must be at most 2**53 in magnitude"
+    return f"not a finite number: {_quote(cell)}"
+
+
+def read_csv(path: str | Path, columns: dict[str, type],
+             problems: list[Violation] | None = None, label: str | None = None,
+             extra_columns: bool = False, key: tuple[str, ...] = ()
+             ) -> list[tuple[str, tuple]]:
+    """Rows of a UTF-8 CSV file as ("<label>:<line>", values) pairs.
+
+    ``columns`` maps each column to the type of its cells, ``str``, ``int``
+    or ``float``; ``values`` holds the typed cells in that order. The header
+    must be those columns, or include them with ``extra_columns``. Every cell
+    is stripped; an integer must be at most 2**53 in magnitude, a number
+    finite, and the ``key`` columns non-empty and unique together.
+
     A missing file, an undecodable byte or a bad header is one problem and
-    yields no rows; a row with the wrong number of fields is a problem and
-    is skipped; a row the csv module cannot parse is a problem and ends the
-    file. Problems are appended to ``problems``; without it, the first
-    raises ValueError("<label>:<line>: ..."). ``label`` names the file; it
-    defaults to the path as given.
+    yields no rows; a row with the wrong number of fields or a bad cell is a
+    problem and is skipped; a row the csv module cannot parse is a problem
+    and ends the file. Problems are appended to ``problems``; without it,
+    the first raises ValueError("<label>:<line>: ..."). ``label`` names the
+    file; it defaults to the path as given.
     """
     label = str(path) if label is None else label
 
     def problem(where: str, fld: str, message: str) -> None:
         if problems is None:
-            raise ValueError(f"{where}: {message}")
+            raise ValueError(f"{where}: {message}" if fld == "-"
+                             else f"{where}: {fld}: {message}")
         problems.append(Violation(where, fld, message))
 
     try:
@@ -346,14 +390,20 @@ def read_csv(path: str | Path, columns: list[str],
                 f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})")
         return []
     reader = csv.reader(io.StringIO(text, newline=""))
+    names = list(columns)
     rows = []
     try:
         header = [c.strip() for c in next(reader, [])]
-        if header != columns and not (extra_columns and set(columns) <= set(header)):
+        if header != names and not (extra_columns and set(names) <= set(header)):
             including = " including" if extra_columns else ""
             problem(f"{label}:1", "header", f"expected columns{including} "
-                    f"{','.join(columns)}, got {','.join(header)}")
+                    f"{','.join(names)}, got {_quote(','.join(header))}")
             return []
+        # (column, field index, type, exclusive bound on magnitude)
+        cells = [(name, header.index(name), kind, _BOUNDS.get(kind))
+                 for name, kind in columns.items()]
+        key_at = [names.index(name) for name in key]
+        seen: set[tuple] = set()
         for fields in reader:
             if not fields:
                 continue
@@ -362,13 +412,39 @@ def read_csv(path: str | Path, columns: list[str],
                 problem(where, "-", f"wrong number of fields: {len(fields)}, "
                         f"expected {len(header)}")
                 continue
-            rows.append((where, dict(zip(header, fields))))
+            values = []
+            for name, i, kind, bound in cells:
+                cell = fields[i].strip()
+                if kind is str:
+                    values.append(cell)
+                    continue
+                try:
+                    value = kind(cell)
+                except ValueError:
+                    value = math.nan        # within no bound
+                if -bound < value < bound:
+                    values.append(value)
+                else:
+                    problem(where, name, _cell_problem(cell, kind))
+            if len(values) < len(cells):
+                continue
+            if key_at:
+                k = tuple([values[j] for j in key_at])
+                if "" in k:
+                    problem(where, key[k.index("")], "empty")
+                    continue
+                if k in seen:
+                    problem(where, ",".join(key), "duplicate key "
+                            + ", ".join(_quote(str(v)) for v in k))
+                    continue
+                seen.add(k)
+            rows.append((where, tuple(values)))
     except csv.Error as exc:        # e.g. a field over the size limit
         problem(f"{label}:{reader.line_num}", "-", str(exc))
     return rows
 
 
-def write_csv(path: str | Path, columns: list[str],
+def write_csv(path: str | Path, columns: Iterable[str],
               rows: Iterable[Iterable[object]]) -> None:
     """Write a UTF-8 CSV file in the csv module's default dialect: the
     ``columns`` header, then ``rows``."""
@@ -378,132 +454,67 @@ def write_csv(path: str | Path, columns: list[str],
         w.writerows(rows)
 
 
-def _key(raw: str, where: str, fld: str, seen: dict,
-         violations: list[Violation]) -> str | None:
-    """The stripped key, or None (with a violation) if empty or already seen."""
-    key = raw.strip()
-    if not key:
-        violations.append(Violation(where, fld, "empty"))
-        return None
-    if key in seen:
-        violations.append(Violation(where, fld, f"duplicate key {key!r}"))
-        return None
-    return key
-
-
-def _parse_int(raw: str, where: str, fld: str,
-               violations: list[Violation]) -> int | None:
-    try:
-        value = int(raw)
-    except ValueError:
-        violations.append(Violation(where, fld, f"not an integer: {raw!r}"))
-        return None
-    if abs(value) > 2**53:      # not every larger integer is a float
-        violations.append(Violation(where, fld, "must be at most 2**53 in magnitude"))
-        return None
-    return value
-
-
-def _parse_float(raw: str, where: str, fld: str,
-                 violations: list[Violation]) -> float | None:
-    try:
-        value = float(raw)
-    except ValueError:
-        violations.append(Violation(where, fld, f"not a number: {raw!r}"))
-        return None
-    if not math.isfinite(value):
-        violations.append(Violation(where, fld, f"not a finite number: {raw!r}"))
-        return None
-    return value
-
-
 def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> Corpus:
     """Load and validate the five corpus CSV files.
 
-    Parsing checks types, finite numbers and non-empty, unique keys; the
-    corpus invariants are then checked once by ``Corpus.check``. Raises
-    CorpusLoadError naming file, line and field for every violation found
-    (capped); nothing is silently dropped.
+    ``read_csv`` checks every cell and key; the corpus invariants are then
+    checked once by ``Corpus.check``. Raises CorpusLoadError naming file,
+    line and field for every violation found, up to MAX_VIOLATIONS; nothing
+    is silently dropped.
     """
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
     violations: list[Violation] = []
     lines: dict[tuple[str, object], str] = {}
 
-    def rows(path: Path, columns: list[str]) -> list[tuple[str, dict[str, str]]]:
-        return read_csv(path, columns, violations, label=path.name)
+    def rows(path: Path, columns: dict[str, type],
+             key: tuple[str, ...] = ()) -> list[tuple[str, tuple]]:
+        return read_csv(path, columns, violations, label=path.name, key=key)
 
     publications: dict[str, Publication] = {}
-    for where, row in rows(paths.publications,
-                           ["pub_id", "year", "doc_type", "subject_categories",
-                            "citations", "n_authors_total"]):
-        pub_id = _key(row["pub_id"], where, "pub_id", publications, violations)
-        year = _parse_int(row["year"], where, "year", violations)
-        citations = _parse_int(row["citations"], where, "citations", violations)
-        n_authors = _parse_int(row["n_authors_total"], where, "n_authors_total",
-                               violations)
-        if None in (pub_id, year, citations, n_authors):
-            continue
-        cats = tuple(c.strip() for c in row["subject_categories"].split("|") if c.strip())
-        publications[pub_id] = Publication(
-            pub_id, year, row["doc_type"].strip(), cats, citations, n_authors)
+    for where, (pub_id, year, doc_type, cats, citations, n_authors) in rows(
+            paths.publications, PUBLICATION_COLUMNS, ("pub_id",)):
+        cats = tuple(c.strip() for c in cats.split("|") if c.strip())
+        publications[pub_id] = Publication(pub_id, year, doc_type, cats,
+                                           citations, n_authors)
         lines["publications", pub_id] = where
 
     sds_to_uda: dict[str, str] = {}
     sds_names: dict[str, str] = {}
     uda_names: dict[str, str] = {}
-    for where, row in rows(paths.fields,
-                           ["sds_code", "sds_name", "uda_code", "uda_name"]):
-        code = _key(row["sds_code"], where, "sds_code", sds_to_uda, violations)
-        if code is None:
-            continue
-        uda = row["uda_code"].strip()
-        if uda in uda_names and uda_names[uda] != row["uda_name"].strip():
+    for where, (code, sds_name, uda, uda_name) in rows(
+            paths.fields, FIELD_COLUMNS, ("sds_code",)):
+        if uda in uda_names and uda_names[uda] != uda_name:
             violations.append(Violation(where, "uda_name",
-                                        f"conflicting names for UDA {uda!r}"))
+                                        f"conflicting names for UDA {_quote(uda)}"))
         sds_to_uda[code] = uda
-        sds_names[code] = row["sds_name"].strip()
-        uda_names[uda] = row["uda_name"].strip()
+        sds_names[code] = sds_name
+        uda_names[uda] = uda_name
     scheme = FieldScheme(sds_to_uda, sds_names, uda_names)
 
     salary_table: dict[str, float] = {}
-    for where, row in rows(paths.salaries, ["academic_rank", "avg_yearly_salary"]):
-        rank = _key(row["academic_rank"], where, "academic_rank", salary_table,
-                    violations)
-        salary = _parse_float(row["avg_yearly_salary"], where,
-                              "avg_yearly_salary", violations)
-        if rank is None or salary is None:
-            continue
+    for where, (rank, salary) in rows(paths.salaries, SALARY_COLUMNS,
+                                      ("academic_rank",)):
         salary_table[rank] = salary
         lines["salaries", rank] = where
 
     professors: dict[str, Professor] = {}
-    for where, row in rows(paths.professors,
-                           ["professor_id", "university_id", "sds_code",
-                            "academic_rank", "years_on_staff"]):
-        pid = _key(row["professor_id"], where, "professor_id", professors,
-                   violations)
-        years = _parse_float(row["years_on_staff"], where, "years_on_staff",
-                             violations)
-        if pid is None or years is None:
-            continue
-        professors[pid] = Professor(pid, row["university_id"].strip(),
-                                    row["sds_code"].strip(),
-                                    row["academic_rank"].strip(), years)
-        lines["professors", pid] = where
+    for where, row in rows(paths.professors, PROFESSOR_COLUMNS,
+                           ("professor_id",)):
+        professors[row[0]] = Professor(*row)
+        lines["professors", row[0]] = where
 
     authorships: list[Authorship] = []
-    for where, row in rows(paths.authorships, ["pub_id", "professor_id"]):
+    for where, row in rows(paths.authorships, AUTHORSHIP_COLUMNS):
         lines["authorships", len(authorships)] = where
-        authorships.append(Authorship(row["pub_id"].strip(),
-                                      row["professor_id"].strip()))
+        authorships.append(Authorship(*row))
 
     if not violations:
         corpus = Corpus(window, publications, authorships, professors, scheme,
                         salary_table, validate=False)
         violations = corpus.check(lines)
     if violations:
-        raise CorpusLoadError(violations)
+        raise CorpusLoadError(violations[:MAX_VIOLATIONS])
     n_outside = sum(1 for p in publications.values() if not window.contains(p.year))
     log.info("loaded corpus: %s (%d publications outside window, kept until filtering)",
              corpus.counts(), n_outside)
@@ -581,25 +592,21 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
     d.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.from_dir(d)
     scheme = corpus.field_scheme
-    write_csv(paths.publications,
-              ["pub_id", "year", "doc_type", "subject_categories", "citations",
-               "n_authors_total"],
+    write_csv(paths.publications, PUBLICATION_COLUMNS,
               ([p.pub_id, p.year, p.doc_type, "|".join(p.subject_categories),
                 p.citations, p.n_authors_total]
                for _, p in sorted(corpus.publications.items())))
-    write_csv(paths.authorships, ["pub_id", "professor_id"],
+    write_csv(paths.authorships, AUTHORSHIP_COLUMNS,
               sorted((a.pub_id, a.professor_id) for a in corpus.authorships))
-    write_csv(paths.professors,
-              ["professor_id", "university_id", "sds_code", "academic_rank",
-               "years_on_staff"],
+    write_csv(paths.professors, PROFESSOR_COLUMNS,
               ([p.professor_id, p.university_id, p.sds_code, p.academic_rank,
                 f"{p.years_on_staff:g}"]
                for _, p in sorted(corpus.professors.items())))
-    write_csv(paths.fields, ["sds_code", "sds_name", "uda_code", "uda_name"],
+    write_csv(paths.fields, FIELD_COLUMNS,
               ([code, scheme.sds_names.get(code, code), uda,
                 scheme.uda_names.get(uda, uda)]
                for code, uda in sorted(scheme.sds_to_uda.items())))
-    write_csv(paths.salaries, ["academic_rank", "avg_yearly_salary"],
+    write_csv(paths.salaries, SALARY_COLUMNS,
               ([rank, f"{salary:g}"]
                for rank, salary in sorted(corpus.salary_table.items())))
     return paths
@@ -674,5 +681,8 @@ def read_config(path: str | Path) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: {exc}") from None
     window = {key: values.pop(key) for key in _WINDOW_KEYS if key in values}
-    return RunConfig(window=ObservationWindow(**window),
-                     filters=FilterConfig(**values))
+    try:
+        window = ObservationWindow(**window)
+    except ValueError as exc:       # end_year before start_year
+        raise ValueError(f"{path}:{raw['end_year'][0]}: end_year: {exc}") from None
+    return RunConfig(window=window, filters=FilterConfig(**values))

@@ -54,9 +54,6 @@ class ScoreBoard:
     def unit_ids(self) -> list[str]:
         return [e.university_id for e in self.entries]
 
-    def scores(self) -> dict[str, float]:
-        return {e.university_id: e.score for e in self.entries}
-
 
 def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | None]:
     """Normalized impact per publication; None marks a missing baseline."""

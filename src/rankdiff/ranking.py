@@ -13,9 +13,14 @@ log = logging.getLogger("rankdiff.ranking")
 
 
 def natural_key(unit_id: str) -> tuple:
-    """Sort key treating digit runs numerically, so UNIV_9 < UNIV_10."""
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", unit_id))
+    """Sort key treating digit runs numerically, so UNIV_9 < UNIV_10: a run
+    (each odd part) compares by its length without leading zeros, then by
+    its digits, so runs of any length sort by value."""
+    parts = re.split(r"(\d+)", unit_id)
+    for i in range(1, len(parts), 2):
+        digits = parts[i].lstrip("0")
+        parts[i] = (len(digits), digits)
+    return tuple(parts)
 
 
 def round_half_away(x: float, ndigits: int = 1) -> float:

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .baselines import ScalingFactorTable, normalized_impact
+from .baselines import ScalingFactorTable
 from .corpus import (Authorship, Corpus, FieldScheme, ObservationWindow,
                      Professor, Publication)
 from .divergence import pearson
-from .errors import MissingBaseline, SynthConfigError
+from .errors import SynthConfigError
+from .indicators import impact_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -299,17 +300,12 @@ def measure_quantity_impact_correlation(corpus: Corpus,
                                         table: ScalingFactorTable) -> float:
     """Pearson between per-professor output count and mean normalized impact,
     over professors with at least one normalizable publication."""
+    impact = impact_map(corpus, table)
     counts = []
     impacts = []
     for pid in sorted(corpus.professors):
         pub_ids = corpus.pubs_by_professor.get(pid, [])
-        values = []
-        for pub_id in pub_ids:
-            try:
-                values.append(normalized_impact(corpus.publications[pub_id],
-                                                table))
-            except MissingBaseline:
-                continue
+        values = [impact[p] for p in pub_ids if impact[p] is not None]
         if values:
             counts.append(len(pub_ids))
             impacts.append(sum(values) / len(values))

@@ -5,13 +5,20 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankdiff.cli import main
+from rankdiff.corpus import MAX_VIOLATIONS
 from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 from rankdiff import round_half_away
 from helpers import DATA_DIR, load_ref, replay_compare
@@ -32,6 +39,9 @@ SYNTH_CFG = {
     "salaries": {"assistant": 45000, "associate": 60000, "full": 80000},
     "window": {"start_year": 2008, "end_year": 2012, "label": "synthetic"},
 }
+
+# the bundled tables with unit,fss_score,mncs_score columns
+REF_SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
 
 
 @pytest.fixture
@@ -79,7 +89,9 @@ def test_synth_validate_score_compare_pipeline(synth_setup):
 
 def test_outputs_match_golden_digests(synth_setup):
     """Every output byte of synth, score and compare on the fixture corpus,
-    pinned by sha256 (the manifest, which holds a timestamp, excepted)."""
+    of score with the exported baselines pinned, and of compare --from-scores
+    on the reference tables, pinned by sha256 (the manifest, which holds a
+    timestamp, excepted)."""
     tmp_path, data_dir, run_cfg = synth_setup
     corpus_args = [str(data_dir), "--config", str(run_cfg)]
     assert main(["score", *corpus_args, "--level", "sds", "--export-baselines",
@@ -87,8 +99,15 @@ def test_outputs_match_golden_digests(synth_setup):
     for level in ("sds", "uda", "overall"):
         assert main(["compare", *corpus_args, "--level", level,
                      "--out", str(tmp_path / f"cmp_{level}")]) == 0
+    assert main(["score", *corpus_args, "--level", "overall", "--baselines",
+                 str(tmp_path / "score" / "summaries" / "baselines.csv"),
+                 "--out", str(tmp_path / "score_pinned")]) == 0
+    for ref in REF_SCORE_TABLES:
+        assert main(["compare", "--from-scores", str(DATA_DIR / f"ref_{ref}.csv"),
+                     "--out", str(tmp_path / f"replay_{ref}")]) == 0
     got = {}
-    for name in ("corpus", "score", "cmp_sds", "cmp_uda", "cmp_overall"):
+    for name in ("corpus", "score", "cmp_sds", "cmp_uda", "cmp_overall",
+                 "score_pinned", *(f"replay_{ref}" for ref in REF_SCORE_TABLES)):
         for path in (tmp_path / name).rglob("*"):
             if path.is_file() and path.name != "run_manifest.json":
                 got[path.relative_to(tmp_path).as_posix()] = \
@@ -395,6 +414,9 @@ def test_synth_skips_scipy_stats(tmp_path):
 @pytest.mark.parametrize("text, line", [
     ("year,cat,mean,cited_count,total_count\n2008,C,2.0,1,1\n", 1),
     ("year,category,mean,cited_count,total_count\n2008,C,nan,1,1\n", 2),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
+     "2008, C ,3.0,1,1\n", 3),
+    ("year,category,mean,cited_count,total_count\n2008, ,2.0,1,1\n", 2),
 ])
 def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line):
     tmp_path, data_dir, run_cfg = synth_setup
@@ -404,6 +426,103 @@ def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line):
                  "--level", "overall", "--out", str(tmp_path / "out"),
                  "--baselines", str(bad)]) == 2
     assert f"error: bad baselines: {bad}:{line}:" in capsys.readouterr().err
+
+
+def _pad_csv(src: Path, dst: Path) -> None:
+    """Copy a CSV file with spaces around every cell."""
+    with open(src, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    with open(dst, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([f"  {cell} " for cell in row] for row in rows)
+
+
+def test_padded_cells_change_no_output(synth_setup):
+    """Spaces around the cells of every input CSV (corpus files, a
+    --baselines table, a --from-scores table) change no output byte."""
+    tmp_path, data_dir, run_cfg = synth_setup
+
+    def run(tag: str, corpus: Path, baselines: Path, scores: Path) -> None:
+        args = [str(corpus), "--config", str(run_cfg)]
+        assert main(["score", *args, "--level", "sds", "--export-baselines",
+                     "--out", str(tmp_path / tag / "score")]) == 0
+        assert main(["compare", *args, "--level", "uda",
+                     "--out", str(tmp_path / tag / "compare")]) == 0
+        assert main(["score", *args, "--level", "overall", "--baselines",
+                     str(baselines), "--out", str(tmp_path / tag / "pinned")]) == 0
+        assert main(["compare", "--from-scores", str(scores),
+                     "--out", str(tmp_path / tag / "replay")]) == 0
+
+    exported = tmp_path / "plain" / "score" / "summaries" / "baselines.csv"
+    run("plain", data_dir, exported, DATA_DIR / "ref_overall.csv")
+    padded = tmp_path / "padded_inputs"
+    padded.mkdir()
+    for path in [*data_dir.glob("*.csv"), exported, DATA_DIR / "ref_overall.csv"]:
+        _pad_csv(path, padded / path.name)
+    run("padded", padded, padded / "baselines.csv", padded / "ref_overall.csv")
+    outputs = sorted(p.relative_to(tmp_path / "plain")
+                     for p in (tmp_path / "plain").rglob("*.csv"))
+    assert outputs == sorted(p.relative_to(tmp_path / "padded")
+                             for p in (tmp_path / "padded").rglob("*.csv"))
+    for rel in outputs:
+        assert (tmp_path / "plain" / rel).read_bytes() == \
+            (tmp_path / "padded" / rel).read_bytes(), rel
+    pinned = tmp_path / "plain" / "pinned" / "scoreboards"
+    assert len((pinned / "scoreboard_overall_overall.csv").read_text(
+        encoding="utf-8").splitlines()) > 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path = root / "synth.json"
+    cfg_path.write_text(json.dumps(SYNTH_CFG), encoding="utf-8")
+    run_cfg = root / "run.cfg"
+    run_cfg.write_text(RUN_CFG, encoding="utf-8")
+    assert main(["synth", str(cfg_path), "--out", str(root / "corpus")]) == 0
+    return root / "corpus", run_cfg
+
+
+CORPUS_FILES = ("publications.csv", "authorships.csv", "professors.csv",
+                "fields.csv", "salaries.csv")
+FUZZ_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "9" * 5000, "-" + "1" * 17,
+                     "0x10", "1_000", "2.5"]),
+    st.text(st.characters(codec="utf-8"), max_size=20),
+    st.text(st.characters(codec="utf-8"), min_size=200, max_size=3000))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(CORPUS_FILES), row=st.integers(0, 10**6),
+       column=st.integers(0, 9), cell=FUZZ_CELLS)
+def test_fuzzed_cell_gives_located_result(fuzz_corpus, name, row, column,
+                                          cell):
+    """One cell of the corpus replaced by drawn text: validate and compare
+    end in exit 0, 1 or 2 with no traceback, and validate lists at most
+    MAX_VIOLATIONS violations, each on a line under 200 characters."""
+    data_dir, run_cfg = fuzz_corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(data_dir, corpus)
+        with open(corpus / name, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        fields = rows[row % len(rows)]
+        fields[column % len(fields)] = cell
+        with open(corpus / name, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+        args = [str(corpus), "--config", str(run_cfg)]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            validated = main(["validate", *args])
+            listed = out.getvalue().splitlines()
+            compared = main(["compare", *args, "--level", "overall",
+                             "--out", str(Path(tmp) / "out")])
+    assert validated in (0, 1) and compared in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if validated == 1:
+        violations = listed[1:]
+        assert 0 < len(violations) <= MAX_VIOLATIONS
+        assert all(len(line) < 200 for line in violations)
 
 
 def test_end_to_end_determinism(synth_setup):

@@ -9,6 +9,7 @@ from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
                       apply_filters, eligible_units, load_corpus, read_config,
                       write_corpus_csvs)
+from rankdiff.corpus import MAX_VIOLATIONS
 from helpers import random_corpus
 
 
@@ -106,8 +107,23 @@ def test_tenure_exceeding_window(window):
     ("publications.csv", 3, "w2,2009,article,C1,0,1",
      "w2,2009,article,C1," + "9" * 401 + ",1", "citations",
      "must be at most 2**53 in magnitude"),
+    # 5,000 digits: more than int() parses; the message does not echo them
+    ("publications.csv", 3, "w2,2009,article,C1,0,1",
+     "w2,2009,article,C1," + "9" * 5000 + ",1", "citations",
+     "must be at most 2**53 in magnitude"),
+    ("publications.csv", 3, "w2,2009,article,C1,0,1",
+     "w2,2009,article,C1,0," + "x" * 5000, "n_authors_total",
+     "not an integer: '" + "x" * 39 + "..."),
+    ("salaries.csv", 2, "assistant,1", "assistant, inf ", "avg_yearly_salary",
+     "not a finite number: 'inf'"),
+    ("fields.csv", 3, "S2,Field two", " S1 ,Field two", "sds_code",
+     "duplicate key 'S1'"),
+    ("professors.csv", 5, "p4,B,S2,assistant,2.5", " ,B,S2,assistant,2.5",
+     "professor_id", "empty"),
 ], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair",
-        "zero_authors", "huge_citations"])
+        "zero_authors", "huge_citations", "huge_citations_5000_digits",
+        "long_garbage_integer", "inf_salary", "padded_duplicate_key",
+        "blank_key"])
 def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
                                      fld, message):
     path = corpus_dir / name
@@ -118,6 +134,15 @@ def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
         load_corpus(corpus_dir, window)
     (v,) = err.value.violations
     assert (v.where, v.field, v.message) == (f"{name}:{line}", fld, message)
+
+
+def test_violations_capped(corpus_dir, window):
+    with open(corpus_dir / "publications.csv", "a", encoding="utf-8") as f:
+        f.writelines(f"x{i},year{i},article,C1,4,2\n" for i in range(500))
+    with pytest.raises(CorpusLoadError) as err:
+        load_corpus(corpus_dir, window)
+    assert len(err.value.violations) == MAX_VIOLATIONS == 100
+    assert err.value.violations[-1].where == "publications.csv:106"
 
 
 @pytest.mark.parametrize("years, salary", [
@@ -311,6 +336,8 @@ def test_read_config_defaults(tmp_path):
      r"run\.cfg:3: min_professors_uda: not an integer"),
     ("start_year=2008\nmin_professors_sds=1\nend_year=2012\n"
      "min_professors_sds=2\n", r"run\.cfg:4: min_professors_sds: repeated"),
+    ("start_year=2012\nend_year=2008\n",
+     r"run\.cfg:2: end_year: window end 2008 precedes start 2012"),
 ])
 def test_read_config_errors(tmp_path, content, match):
     path = tmp_path / "run.cfg"

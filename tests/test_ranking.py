@@ -33,6 +33,10 @@ def test_rank_natural_id_order():
 def test_natural_key_ordering():
     assert natural_key("UNIV_9") < natural_key("UNIV_10")
     assert natural_key("UNIV_3") < natural_key("UNIV_21")
+    assert natural_key("UNIV_007") == natural_key("UNIV_7")
+    # longer than int() parses, and a digit that is not a decimal digit
+    assert natural_key("U" + "9" * 5000) > natural_key("U" + "9" * 4999)
+    assert natural_key("U²") > natural_key("U2")
 
 
 def test_rank_single_unit_percentile_convention():
