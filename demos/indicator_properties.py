@@ -11,12 +11,15 @@ Three results worth seeing concretely:
 """
 from __future__ import annotations
 
-from rankdiff import (Authorship, Corpus, FieldScheme, ObservationWindow,
-                      Professor, Publication, compute_scaling_factors,
-                      fss_professor, fss_unit, mncs_unit, professor_scores,
-                      sds_averages)
+from rankdiff import (FSS, MNCS, Authorship, Corpus, FieldScheme,
+                      FilterConfig, ObservationWindow, Professor, Publication,
+                      compute_scaling_factors, impact_map, professor_scores,
+                      scoreboards, sds_averages, unit_scores)
 
 WINDOW = ObservationWindow(2008, 2012)
+# every university of these tiny corpora is eligible
+ALL_UNITS = FilterConfig(min_professors_sds=1, min_professors_uda=1,
+                         min_professors_overall=1, min_units_to_rank=1)
 
 
 def build_corpus(extra_pub: Publication | None = None,
@@ -54,24 +57,36 @@ def build_corpus(extra_pub: Publication | None = None,
                   FieldScheme({"S1": "U1"}), salaries)
 
 
+def alpha_score(corpus: Corpus, indicator: str) -> float:
+    """ALPHA's overall score of one indicator from the full scoring pass."""
+    pair = scoreboards(corpus, table, "overall", ALL_UNITS, indicator).pairs[None]
+    board = pair.fss if indicator == FSS else pair.mncs
+    return next(e.score for e in board.entries if e.university_id == "ALPHA")
+
+
+def fss_p(corpus: Corpus) -> dict[str, float]:
+    """Every professor's FSS_P."""
+    return professor_scores(corpus, impact_map(corpus, table))
+
+
 base = build_corpus()
 table = compute_scaling_factors(base)   # held fixed throughout
 
 print("=" * 70)
 print("  1. The per-publication paradox")
 print("=" * 70)
-before = mncs_unit("ALPHA", "overall", None, base, table).score
+before = alpha_score(base, MNCS)
 print(f"ALPHA's MNCS with its original portfolio: {before:.4f}")
 
 weak = Publication("extra", 2009, "article", ("C",), 1, 2)
 with_weak = build_corpus(extra_pub=weak)
-after = mncs_unit("ALPHA", "overall", None, with_weak, table).score
+after = alpha_score(with_weak, MNCS)
 impact = weak.citations / table.cell(2009, "C").mean
 print(f"add a publication with normalized impact {impact:.3f} "
       f"(below average): MNCS falls to {after:.4f}")
 
-fss_before = fss_professor(base.professors["p1"], base, table).fss_p
-fss_after = fss_professor(with_weak.professors["p1"], with_weak, table).fss_p
+fss_before = fss_p(base)["p1"]
+fss_after = fss_p(with_weak)["p1"]
 print(f"the same addition raises the author's FSS: "
       f"{fss_before:.4f} -> {fss_after:.4f}")
 
@@ -79,15 +94,15 @@ print()
 print("=" * 70)
 print("  2. Size independence")
 print("=" * 70)
-scores = professor_scores(base, table)
-averages = sds_averages(base, scores)
-fss_small = fss_unit("ALPHA", "overall", None, base, scores, averages).score
-mncs_small = mncs_unit("ALPHA", "overall", None, base, table).score
+fss_small = alpha_score(base, FSS)
+mncs_small = alpha_score(base, MNCS)
 
+# the doubled unit is standardized by the original national SDS averages
+averages = sds_averages(base, fss_p(base))
 doubled = build_corpus(cloned=True)
-scores2 = professor_scores(doubled, table)
-fss_big = fss_unit("ALPHA", "overall", None, doubled, scores2, averages).score
-mncs_big = mncs_unit("ALPHA", "overall", None, doubled, table).score
+fss_big = unit_scores(doubled, "overall", fss_p(doubled), averages)(
+    "ALPHA", None)[0].score
+mncs_big = alpha_score(doubled, MNCS)
 print(f"ALPHA with 2 professors : FSS {fss_small:.6f}  MNCS {mncs_small:.6f}")
 print(f"ALPHA doubled to 4 staff: FSS {fss_big:.6f}  MNCS {mncs_big:.6f}")
 
@@ -97,11 +112,8 @@ print("  3. Salary-unit invariance")
 print("=" * 70)
 for k in (1.0, 1000.0):
     corpus_k = build_corpus(salary_scale=k)
-    scores_k = professor_scores(corpus_k, table)
-    averages_k = sds_averages(corpus_k, scores_k)
-    unit = fss_unit("ALPHA", "overall", None, corpus_k, scores_k, averages_k)
-    p1 = scores_k["p1"].fss_p
+    p1 = fss_p(corpus_k)["p1"]
     print(f"salary unit x{k:>6g}: professor p1 FSS_P {p1:.6f}  "
-          f"unit FSS {unit.score:.6f}")
+          f"unit FSS {alpha_score(corpus_k, FSS):.6f}")
 print("individual values rescale with 1/k; the standardized unit score "
       "does not move")

@@ -14,13 +14,11 @@ from .divergence import (DispersionStats, DivergenceSummary, QuartileSummary,
                          quartile_stats, range_summary, shift_stats, spearman)
 from .errors import (CorpusLoadError, DegeneratePopulation,
                      DegenerateVariance, EmptyBoard, MissingBaseline,
-                     MissingSalary, NonPositiveTenure, NoProductiveProfessors,
-                     NoPublications, NoRankableSds, RankdiffError,
-                     SynthConfigError, UnitSetMismatch, Violation, ZeroMean)
-from .indicators import (BOTH, FSS, MNCS, ProfessorScore, ScoreBoard,
-                         ScoreboardSet, ScopePair, UnitScore, fss_professor,
-                         fss_unit, impact_map, mncs_unit, professor_scores,
-                         scoreboards, sds_averages)
+                     NoRankableSds, RankdiffError, SynthConfigError,
+                     UnitSetMismatch, Violation, ZeroMean)
+from .indicators import (BOTH, FSS, MNCS, ScoreBoard, ScoreboardSet, ScopePair,
+                         UnitScore, impact_map, professor_scores, scoreboards,
+                         sds_averages, unit_scores)
 from .ranking import (ComparisonRow, ComparisonTable, RankEntry, RankedList,
                       compare, natural_key, percentile, quartile, rank,
                       round_half_away, shift_glyph)

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -24,7 +25,8 @@ from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
                      apply_filters, load_corpus, read_config, read_csv,
                      write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
-from .indicators import BOTH, FSS, MNCS, ScoreBoard, UnitScore, scoreboards
+from .indicators import (BOTH, FSS, MNCS, ScoreBoard, ScoreboardSet, UnitScore,
+                         scoreboards)
 from .ranking import ComparisonTable, compare, rank
 from .synth import SynthConfig, generate
 
@@ -135,7 +137,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         corpus = load_corpus(args.data_dir, run_cfg.window)
     except CorpusLoadError as exc:
-        print(f"INVALID: {len(exc.violations)} violation(s)")
+        shown = len(exc.violations)
+        print(f"INVALID: {exc.total} violation(s)" if exc.total == shown else
+              f"INVALID: first {shown} of {exc.total} violation(s)")
         for v in exc.violations:
             print(f"  {v}")
         return EXIT_VALIDATION
@@ -161,21 +165,25 @@ def _baseline_table(args: argparse.Namespace, corpus: Corpus,
     return table
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def _score_corpus(args: argparse.Namespace, indicator: str
+                  ) -> tuple[RunConfig, OutputDir, Corpus, ScoreboardSet]:
+    """Load, filter and score the corpus at ``args.level``; the output
+    directory holds the scoring warnings."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    try:
-        corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
-                               run_cfg.filters)
-    except CorpusLoadError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
+                           run_cfg.filters)
     out = OutputDir(args.out, args.force)
     table = _baseline_table(args, corpus, out)
     board_set = scoreboards(corpus, table, args.level, run_cfg.filters,
-                            args.indicator)
+                            indicator)
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
+    return run_cfg, out, corpus, board_set
+
+
+def cmd_score(args: argparse.Namespace) -> int:
+    run_cfg, out, _, board_set = _score_corpus(args, args.indicator)
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
         name = f"scoreboard_{args.level}_{_slug(scope)}.csv"
@@ -193,15 +201,26 @@ def _slug(scope: str | None) -> str:
     return "overall" if scope is None else scope.replace("/", "_")
 
 
+def _require_finite(source: str, label: str, stats) -> None:
+    """Exit 1 when a statistic of ``stats`` overflowed to inf or nan."""
+    for name, value in vars(stats).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            what = f"{getattr(stats, 'indicator', '')} {name}".lstrip()
+            raise SystemExitWithCode(
+                EXIT_VALIDATION, f"{source}: scope {label}: {what} is {value}; "
+                f"the scores are too large for float arithmetic")
+
+
 def _emit_comparisons(
-        out: OutputDir, tag: str, title: str,
+        out: OutputDir, source: str, tag: str, title: str,
         pairs: Iterable[tuple[str, ScoreBoard, ScoreBoard, dict | None]],
         uda_of: Callable[[str], str] | None = None) -> list[ComparisonTable]:
     """Rank and compare each (label, fss board, mncs board, staff) pair.
 
     Writes one comparison CSV per pair, the shift, quartile and dispersion
     summaries named by ``tag``, and report.md. With ``uda_of`` (SDS level),
-    the shift summaries are also ranged per discipline.
+    the shift summaries are also ranged per discipline. A statistic that is
+    not finite ends the run with exit 1, naming ``source``, the input.
     """
     comparisons, shifts, quartiles, dispersions = [], [], [], []
     for label, fss_board, mncs_board, staff in pairs:
@@ -211,6 +230,7 @@ def _emit_comparisons(
             cmp, out.path("comparisons", f"comparison_{tag}_{_slug(label)}.csv"))
         comparisons.append(cmp)
         summary = divergence.shift_stats(cmp)
+        _require_finite(source, label, summary)
         shifts.append(summary)
         if summary.pearson is None:
             out.warnings.append(f"scope {label}: correlations omitted "
@@ -220,10 +240,13 @@ def _emit_comparisons(
             continue
         for board in (fss_board, mncs_board):
             try:
-                dispersions.append(divergence.dispersion(board))
+                stats = divergence.dispersion(board)
             except ZeroMean:
                 out.warnings.append(f"scope {label}: {board.indicator} "
                                     f"dispersion omitted (zero mean)")
+                continue
+            _require_finite(source, label, stats)
+            dispersions.append(stats)
     report.write_shift_summary_csv(
         shifts, out.path("summaries", f"shift_summary_{tag}.csv"))
     report.write_quartile_summary_csv(
@@ -261,19 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.data_dir:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "either DATA_DIR or --from-scores is required")
-    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    try:
-        corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
-                               run_cfg.filters)
-    except CorpusLoadError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    out = OutputDir(args.out, args.force)
-    table = _baseline_table(args, corpus, out)
-    board_set = scoreboards(corpus, table, args.level, run_cfg.filters, BOTH)
-    out.warnings.extend(board_set.warnings)
-    if not board_set.pairs:
-        out.warnings.append(f"no eligible units at {args.level} level")
+    run_cfg, out, corpus, board_set = _score_corpus(args, BOTH)
 
     # lazy, so each skip warning keeps its scope-order place in the manifest
     def rankable():
@@ -290,7 +301,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                        pair.mncs, staff)
 
     comparisons = _emit_comparisons(
-        out, args.level, f"FSS vs MNCS comparison ({args.level} level)",
+        out, args.data_dir, args.level,
+        f"FSS vs MNCS comparison ({args.level} level)",
         rankable(),
         corpus.field_scheme.uda_of if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
@@ -321,7 +333,8 @@ def _compare_from_scores(args: argparse.Namespace) -> int:
     if len(fss_board.entries) < 2:
         out.warnings.append("single unit: percentile set to 100 by convention")
     (cmp,) = _emit_comparisons(
-        out, "replay", f"FSS vs MNCS comparison (replay: {args.label})",
+        out, str(path), "replay",
+        f"FSS vs MNCS comparison (replay: {args.label})",
         [(args.label, fss_board, mncs_board, None)])
     out.write_manifest("compare", sys.argv[1:], None,
                        {str(path): _sha256(path)})
@@ -409,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExitWithCode as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
+    except CorpusLoadError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except RankdiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

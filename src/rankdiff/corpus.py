@@ -30,9 +30,6 @@ DEFAULT_EXCLUDED_DOC_TYPES = frozenset(
     {"editorial material", "meeting abstract", "reply to letter"}
 )
 
-MAX_VIOLATIONS = 100
-
-
 @dataclass(frozen=True)
 class ObservationWindow:
     start_year: int
@@ -194,8 +191,7 @@ class Corpus:
         lines = lines or {}
 
         def add(where: str, fld: str, msg: str) -> None:
-            if len(v) < MAX_VIOLATIONS:
-                v.append(Violation(where, fld, msg))
+            v.append(Violation(where, fld, msg))
 
         for pub in self.publications.values():
             where = lines.get(("publications", pub.pub_id), pub.pub_id)
@@ -458,9 +454,9 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     """Load and validate the five corpus CSV files.
 
     ``read_csv`` checks every cell and key; the corpus invariants are then
-    checked once by ``Corpus.check``. Raises CorpusLoadError naming file,
-    line and field for every violation found, up to MAX_VIOLATIONS; nothing
-    is silently dropped.
+    checked once by ``Corpus.check``. Raises CorpusLoadError counting every
+    violation found and naming file, line and field for the first
+    MAX_VIOLATIONS; nothing is silently dropped.
     """
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
@@ -514,7 +510,7 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
                         salary_table, validate=False)
         violations = corpus.check(lines)
     if violations:
-        raise CorpusLoadError(violations[:MAX_VIOLATIONS])
+        raise CorpusLoadError(violations)
     n_outside = sum(1 for p in publications.values() if not window.contains(p.year))
     log.info("loaded corpus: %s (%d publications outside window, kept until filtering)",
              corpus.counts(), n_outside)

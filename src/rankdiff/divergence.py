@@ -47,7 +47,8 @@ def _mean(values: list[float]) -> float:
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation of two equal-length sequences."""
+    """Sample Pearson correlation of two equal-length sequences; nan if
+    the sums of squares overflow."""
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]
     if len(x) != len(y):
@@ -61,6 +62,8 @@ def pearson(xs, ys) -> float:
     denom = math.sqrt(_fsum(a * a for a in xc) * _fsum(b * b for b in yc))
     if denom == 0.0:
         raise DegenerateVariance("zero variance in at least one input")
+    if denom == math.inf:
+        return math.nan
     return _fsum(a * b for a, b in zip(xc, yc)) / denom
 
 

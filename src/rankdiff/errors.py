@@ -20,34 +20,23 @@ class Violation:
         return f"{self.where} [{self.field}]: {self.message}"
 
 
+MAX_VIOLATIONS = 100
+
+
 class CorpusLoadError(RankdiffError):
-    """Raised when corpus files fail to parse or cross-validate."""
+    """Raised when corpus files fail to parse or cross-validate; keeps the
+    first MAX_VIOLATIONS violations and counts them all in ``total``."""
 
     def __init__(self, violations: list[Violation]):
-        self.violations = violations
+        self.violations = violations[:MAX_VIOLATIONS]
+        self.total = len(violations)
         head = "; ".join(str(v) for v in violations[:3])
-        more = f" (+{len(violations) - 3} more)" if len(violations) > 3 else ""
-        super().__init__(f"{len(violations)} corpus violation(s): {head}{more}")
+        more = f" (+{self.total - 3} more)" if self.total > 3 else ""
+        super().__init__(f"{self.total} corpus violation(s): {head}{more}")
 
 
 class MissingBaseline(RankdiffError):
     """A publication's (year, category) cell has no citation baseline."""
-
-
-class MissingSalary(RankdiffError):
-    """Professor's academic rank has no salary entry."""
-
-
-class NonPositiveTenure(RankdiffError):
-    """Professor's years on staff is zero or negative."""
-
-
-class NoProductiveProfessors(RankdiffError):
-    """An SDS has no professor with positive productivity nationally."""
-
-
-class NoPublications(RankdiffError):
-    """A unit has no normalizable publication in scope."""
 
 
 class EmptyBoard(RankdiffError):

@@ -14,25 +14,14 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .baselines import ScalingFactorTable, normalized_impact
-from .corpus import Corpus, FilterConfig, Professor, LEVEL_SDS, eligible_units
-from .errors import (MissingBaseline, MissingSalary, NonPositiveTenure,
-                     NoProductiveProfessors, NoPublications)
+from .corpus import Corpus, FilterConfig, LEVEL_SDS, eligible_units
+from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.indicators")
 
 FSS = "fss"
 MNCS = "mncs"
 BOTH = "both"
-
-
-@dataclass(frozen=True)
-class ProfessorScore:
-    professor_id: str
-    fss_p: float
-    term_count: int             # publications that entered the sum
-    t: float
-    salary: float
-    skipped_missing_baseline: int = 0
 
 
 @dataclass(frozen=True)
@@ -59,65 +48,43 @@ def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | N
     """Normalized impact per publication; None marks a missing baseline."""
     impacts: dict[str, float | None] = {}
     for pub_id in sorted(corpus.publications):
-        pub = corpus.publications[pub_id]
         try:
-            impacts[pub_id] = normalized_impact(pub, table)
+            impacts[pub_id] = normalized_impact(corpus.publications[pub_id], table)
         except MissingBaseline:
             impacts[pub_id] = None
     return impacts
 
 
-def fss_professor(prof: Professor, corpus: Corpus, table: ScalingFactorTable,
-                  salaries: dict[str, float] | None = None,
-                  impacts: dict[str, float | None] | None = None) -> ProfessorScore:
-    """Average yearly productivity of one professor.
+def professor_scores(corpus: Corpus,
+                     impacts: dict[str, float | None]) -> dict[str, float]:
+    """Average yearly productivity (FSS_P) of every professor.
 
     score = (1 / salary) * (1 / t) * sum over authored publications of
-    (normalized impact / total co-author count). Publications without a
-    baseline are skipped and counted. ``impacts`` may carry the
-    precomputed ``impact_map``.
+    (normalized impact / total co-author count). A publication whose
+    ``impacts`` entry is None (no baseline) is skipped and counted in one
+    warning. Terms are summed in publication-id order, so input row order
+    cannot change a score.
     """
-    salaries = corpus.salary_table if salaries is None else salaries
-    salary = salaries.get(prof.academic_rank)
-    if salary is None:
-        raise MissingSalary(f"no salary for rank {prof.academic_rank!r}")
-    if prof.years_on_staff <= 0:
-        raise NonPositiveTenure(
-            f"professor {prof.professor_id} has t={prof.years_on_staff}")
-    if impacts is None:
-        impacts = impact_map(corpus, table)
-    total = 0.0
-    terms = 0
+    scores: dict[str, float] = {}
     skipped = 0
-    for pub_id in sorted(corpus.pubs_by_professor.get(prof.professor_id, [])):
-        impact = impacts[pub_id]
-        if impact is None:
-            skipped += 1
-            continue
-        total += impact / corpus.publications[pub_id].n_authors_total
-        terms += 1
-    score = total / (salary * prof.years_on_staff)
-    return ProfessorScore(prof.professor_id, score, terms, prof.years_on_staff,
-                          salary, skipped)
-
-
-def professor_scores(corpus: Corpus, table: ScalingFactorTable,
-                     impacts: dict[str, float | None] | None = None
-                     ) -> dict[str, ProfessorScore]:
-    if impacts is None:
-        impacts = impact_map(corpus, table)
-    scores = {pid: fss_professor(corpus.professors[pid], corpus, table,
-                                 impacts=impacts)
-              for pid in sorted(corpus.professors)}
-    skipped = sum(s.skipped_missing_baseline for s in scores.values())
+    for pid in sorted(corpus.professors):
+        prof = corpus.professors[pid]
+        total = 0.0
+        for pub_id in sorted(corpus.pubs_by_professor.get(pid, [])):
+            impact = impacts[pub_id]
+            if impact is None:
+                skipped += 1
+            else:
+                total += impact / corpus.publications[pub_id].n_authors_total
+        salary = corpus.salary_table[prof.academic_rank]
+        scores[pid] = total / (salary * prof.years_on_staff)
     if skipped:
         log.warning("fss: %d publication terms skipped for missing baselines",
                     skipped)
     return scores
 
 
-def sds_averages(corpus: Corpus,
-                 scores: dict[str, ProfessorScore]) -> dict[str, float]:
+def sds_averages(corpus: Corpus, scores: dict[str, float]) -> dict[str, float]:
     """National mean productivity of each SDS's productive professors.
 
     An SDS without a productive professor has no mean and is logged. Values
@@ -126,8 +93,8 @@ def sds_averages(corpus: Corpus,
     productive: dict[str, list[float]] = {}
     for pid in sorted(corpus.professors):
         values = productive.setdefault(corpus.professors[pid].sds_code, [])
-        if scores[pid].fss_p > 0:
-            values.append(scores[pid].fss_p)
+        if scores[pid] > 0:
+            values.append(scores[pid])
     averages: dict[str, float] = {}
     for code, values in sorted(productive.items()):
         if values:
@@ -141,19 +108,24 @@ def sds_averages(corpus: Corpus,
 _UnitPair = tuple[UnitScore | None, UnitScore | None]
 
 
-def _unit_scores(corpus: Corpus, level: str,
-                 scores: dict[str, ProfessorScore] | None = None,
-                 averages: dict[str, float] | None = None,
-                 impacts: dict[str, float | None] | None = None
-                 ) -> Callable[[str, str | None], _UnitPair]:
+def unit_scores(corpus: Corpus, level: str,
+                scores: dict[str, float] | None = None,
+                averages: dict[str, float] | None = None,
+                impacts: dict[str, float | None] | None = None
+                ) -> Callable[[str, str | None], _UnitPair]:
     """Group the professors of every unit at ``level`` in one pass.
 
-    FSS needs ``scores`` (every professor's) and ``averages``, MNCS needs
-    ``impacts``. Returns ``unit(university_id, scope_code) -> (fss, mncs)``,
-    which builds one unit's scores, None where not asked or undefined, and
-    logs its dropped professors and skipped publications. FSS ratios are
-    summed in professor-id order and MNCS terms in publication-id order, so
-    no score depends on input row order.
+    FSS needs ``scores`` and ``averages``, MNCS needs ``impacts``; None
+    leaves that indicator out. Returns ``unit(university_id, scope_code) ->
+    (fss, mncs)``: one unit's scores, None where not asked or undefined. It
+    logs the unit's dropped professors and skipped publications.
+
+    FSS is the mean of SDS-standardized professor values, zeros included;
+    a professor whose SDS has no average leaves numerator and staff. MNCS
+    weights publication i by m_i / n_i, the unit's in-scope authors over all
+    co-authors; an uncited one adds weight only, one without a baseline
+    nothing. FSS ratios are summed in professor-id order and MNCS terms in
+    publication-id order, so no score depends on input row order.
     """
     members: dict[tuple[str, str | None], list[str]] = {}
     for pid in sorted(corpus.professors):
@@ -169,7 +141,7 @@ def _unit_scores(corpus: Corpus, level: str,
             for pid in pids:
                 avg = averages.get(corpus.professors[pid].sds_code)
                 if avg is not None:
-                    ratios.append(scores[pid].fss_p / avg)
+                    ratios.append(scores[pid] / avg)
             if len(ratios) < len(pids):
                 log.warning("fss_unit %s/%s: %d professors dropped "
                             "(unstandardizable SDS)",
@@ -201,42 +173,6 @@ def _unit_scores(corpus: Corpus, level: str,
                                  publication_weight=weight_sum)
         return fss, mncs
     return unit
-
-
-def fss_unit(university_id: str, level: str, scope_code: str | None,
-             corpus: Corpus, scores: dict[str, ProfessorScore],
-             averages: dict[str, float] | None = None) -> UnitScore:
-    """Unit productivity: mean of SDS-standardized professor values.
-
-    Unproductive professors count as zeros. Professors whose SDS has no
-    national standard are dropped from both the numerator and the staff
-    count.
-    """
-    if averages is None:
-        averages = sds_averages(corpus, scores)
-    unit = _unit_scores(corpus, level, scores, averages)
-    fss, _ = unit(university_id, scope_code)
-    if fss is None:
-        raise NoProductiveProfessors(
-            f"unit {university_id}/{scope_code}: no standardizable professor")
-    return fss
-
-
-def mncs_unit(university_id: str, level: str, scope_code: str | None,
-              corpus: Corpus, table: ScalingFactorTable) -> UnitScore:
-    """Weighted mean normalized citation impact of the unit's publications.
-
-    The weight of publication i is m_i / n_i: the unit's in-scope professors
-    among its authors over all its co-authors. Uncited publications add
-    weight but no impact; publications without a baseline are dropped from
-    numerator and denominator alike.
-    """
-    unit = _unit_scores(corpus, level, impacts=impact_map(corpus, table))
-    _, mncs = unit(university_id, scope_code)
-    if mncs is None:
-        raise NoPublications(
-            f"unit {university_id}/{scope_code} has no normalizable publication")
-    return mncs
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +214,10 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
     impacts = impact_map(corpus, table)
     scores = averages = None
     if want_fss:
-        scores = professor_scores(corpus, table, impacts)
+        scores = professor_scores(corpus, impacts)
         averages = sds_averages(corpus, scores)
-    unit = _unit_scores(corpus, level, scores, averages,
-                        impacts if want_mncs else None)
+    unit = unit_scores(corpus, level, scores, averages,
+                       impacts if want_mncs else None)
 
     result = ScoreboardSet(level=level, pairs={})
     for scope in sorted(by_scope, key=lambda s: s or ""):

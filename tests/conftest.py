@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
-                      ObservationWindow, Professor, Publication,
-                      write_corpus_csvs)
+from rankdiff import (Authorship, Corpus, FieldScheme, ObservationWindow,
+                      Professor, Publication, write_corpus_csvs)
+from helpers import RELAXED_CFG
 
 
 @pytest.fixture
@@ -41,8 +41,7 @@ def tiny_corpus(window):
 @pytest.fixture
 def relaxed_cfg():
     """Thresholds low enough that tiny fixtures stay fully eligible."""
-    return FilterConfig(min_professors_sds=1, min_professors_uda=1,
-                        min_professors_overall=1, min_units_to_rank=1)
+    return RELAXED_CFG
 
 
 @pytest.fixture

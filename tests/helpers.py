@@ -9,11 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from rankdiff import (Authorship, Corpus, FieldScheme, ObservationWindow,
-                      Professor, Publication, ScoreBoard, compare, rank)
+from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
+                      ObservationWindow, Professor, Publication, ScoreBoard,
+                      compare, rank, scoreboards)
 from rankdiff.indicators import FSS, MNCS, UnitScore
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# thresholds low enough that every unit of a small fixture is eligible
+RELAXED_CFG = FilterConfig(min_professors_sds=1, min_professors_uda=1,
+                           min_professors_overall=1, min_units_to_rank=1)
 
 
 def load_ref(name: str) -> list[dict[str, str]]:
@@ -301,3 +306,71 @@ def comparison_from_ranks(fss_ranks: list[int], mncs_ranks: list[int]):
     mncs_scores = [float(n - r + 1) for r in mncs_ranks]
     fss_board, mncs_board = boards_from_columns(units, fss_scores, mncs_scores)
     return compare(rank(fss_board), rank(mncs_board), label="oracle")
+
+
+# ---------------------------------------------------------------------------
+# Unit scores
+
+def overall_scores(corpus: Corpus, table, indicator: str) -> dict[str, float]:
+    """University -> overall score of one indicator, from ``scoreboards``
+    with every unit eligible; a university without that score is absent."""
+    pair = scoreboards(corpus, table, "overall", RELAXED_CFG, indicator).pairs[None]
+    board = pair.fss if indicator == FSS else pair.mncs
+    return {e.university_id: e.score for e in board.entries}
+
+
+def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
+    """(university, scope) -> (fss, research staff, mncs, weight sum) of
+    every unit at ``level``, computed unit by unit from the README formulas.
+
+    A publication's impact is its citations over the mean of its categories'
+    baselines, None without a baseline. A professor's FSS_P is the sum of
+    impact / n over authored publications, over salary * years on staff.
+    Unit FSS is the mean of FSS_P / (national mean FSS_P of the professor's
+    SDS over its productive professors), over the unit's professors whose SDS
+    has one. Unit MNCS is sum(impact * m/n) / sum(m/n) over the publications
+    the unit's m professors author. An undefined score is None.
+    """
+    def impact(pub):
+        cells = [table.cell(pub.year, c) for c in pub.subject_categories]
+        if None in cells:
+            return None
+        return pub.citations / (sum(c.mean for c in cells) / len(cells))
+
+    def fss_p(prof):
+        total = 0.0
+        for a in corpus.authorships:
+            pub = corpus.publications[a.pub_id]
+            if a.professor_id == prof.professor_id and impact(pub) is not None:
+                total += impact(pub) / pub.n_authors_total
+        salary = corpus.salary_table[prof.academic_rank]
+        return total / (salary * prof.years_on_staff)
+
+    def sds_mean(code):
+        values = [fss_p(p) for p in corpus.professors.values()
+                  if p.sds_code == code and fss_p(p) > 0]
+        return sum(values) / len(values) if values else None
+
+    units = {(p.university_id, corpus.scope_of(p, level))
+             for p in corpus.professors.values()}
+    result = {}
+    for univ, scope in units:
+        staff = [p for p in corpus.professors.values()
+                 if (p.university_id, corpus.scope_of(p, level)) == (univ, scope)]
+        ratios = [fss_p(p) / sds_mean(p.sds_code) for p in staff
+                  if sds_mean(p.sds_code) is not None]
+        fss = sum(ratios) / len(ratios) if ratios else None
+        ids = {p.professor_id for p in staff}
+        m: dict[str, int] = {}
+        for a in corpus.authorships:
+            if a.professor_id in ids:
+                m[a.pub_id] = m.get(a.pub_id, 0) + 1
+        numerator = weights = 0.0
+        for pub_id, count in m.items():
+            pub = corpus.publications[pub_id]
+            if impact(pub) is not None:
+                numerator += impact(pub) * count / pub.n_authors_total
+                weights += count / pub.n_authors_total
+        mncs = numerator / weights if weights > 0 else None
+        result[univ, scope] = (fss, len(ratios), mncs, weights)
+    return result

@@ -17,24 +17,24 @@ value the columns determine and prints the published one beside it.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from rankdiff import (FilterConfig, NoProductiveProfessors, NoPublications,
-                      ObservationWindow, Publication, SynthConfig,
-                      apply_filters, compare, compute_scaling_factors,
-                      dispersion, fss_unit, generate, mncs_unit,
-                      normalized_impact, pearson, percentile,
+from rankdiff import (FSS, MNCS, FilterConfig, ObservationWindow, Publication,
+                      SynthConfig, apply_filters, compare,
+                      compute_scaling_factors, dispersion, generate,
+                      impact_map, normalized_impact, pearson, percentile,
                       professor_scores, quartile_stats, rank,
                       round_half_away, scoreboards, sds_averages, shift_stats,
-                      spearman)
+                      spearman, unit_scores)
 from helpers import (add_publication, boards_from_columns, clone_university,
                      comparison_from_ranks, expected_replay_table, load_ref,
-                     oracle_quartile_stats, oracle_shift_stats, random_corpus,
-                     replay_compare, tie_blocks)
+                     oracle_quartile_stats, oracle_shift_stats,
+                     overall_scores, random_corpus, replay_compare, tie_blocks)
 
 
 def _criterion(name: str, failures: list[str]) -> None:
@@ -279,11 +279,8 @@ def test_criterion_07_mncs_paradox():
         corpus = random_corpus(rng, n_universities=2, n_sds=2,
                                pubs_mean=3.0, p_uncited=0.2)
         table = compute_scaling_factors(corpus)
-        try:
-            before = mncs_unit("UNIV1", "overall", None, corpus, table).score
-        except NoPublications:
-            continue
-        if before <= 0:
+        before = overall_scores(corpus, table, MNCS).get("UNIV1")
+        if before is None or before <= 0:
             continue
         year, cat = next(iter(table))
         mean = table.cell(year, cat).mean
@@ -297,8 +294,8 @@ def test_criterion_07_mncs_paradox():
         high_c = int(np.ceil(mean * before * 2)) + 1
         high = add_publication(corpus, Publication(
             "X_HIGH", year, "article", (cat,), high_c, 2), [prof])
-        after_low = mncs_unit("UNIV1", "overall", None, low, table).score
-        after_high = mncs_unit("UNIV1", "overall", None, high, table).score
+        after_low = overall_scores(low, table, MNCS)["UNIV1"]
+        after_high = overall_scores(high, table, MNCS)["UNIV1"]
         if not after_low < before:
             failures.append(f"case {checked}: below-average addition did not "
                             f"lower score ({before} -> {after_low})")
@@ -321,20 +318,18 @@ def test_criterion_08_size_independence_under_cloning():
         corpus = random_corpus(rng, n_universities=3, n_sds=2,
                                profs_per=(1, 2), pubs_mean=2.5)
         table = compute_scaling_factors(corpus)
-        scores = professor_scores(corpus, table)
-        averages = sds_averages(corpus, scores)
-        try:
-            fss_before = fss_unit("UNIV1", "overall", None, corpus, scores,
-                                  averages).score
-            mncs_before = mncs_unit("UNIV1", "overall", None, corpus,
-                                    table).score
-        except (NoPublications, NoProductiveProfessors):
+        fss_before = overall_scores(corpus, table, FSS).get("UNIV1")
+        mncs_before = overall_scores(corpus, table, MNCS).get("UNIV1")
+        if fss_before is None or mncs_before is None:
             continue
+        # the clone is standardized by the original national averages
+        averages = sds_averages(corpus, professor_scores(
+            corpus, impact_map(corpus, table)))
         cloned = clone_university(corpus, "UNIV1")
-        cloned_scores = professor_scores(cloned, table)
-        fss_after = fss_unit("UNIV1", "overall", None, cloned, cloned_scores,
-                             averages).score
-        mncs_after = mncs_unit("UNIV1", "overall", None, cloned, table).score
+        cloned_scores = professor_scores(cloned, impact_map(cloned, table))
+        fss_after = unit_scores(cloned, "overall", cloned_scores, averages)(
+            "UNIV1", None)[0].score
+        mncs_after = overall_scores(cloned, table, MNCS)["UNIV1"]
         if abs(fss_after - fss_before) > 1e-9:
             failures.append(f"case {checked}: fss {fss_before} -> {fss_after}")
         if abs(mncs_after - mncs_before) > 1e-9:
@@ -359,24 +354,15 @@ def test_criterion_09_uniform_salary_scaling():
         scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
                         corpus.professors, corpus.field_scheme,
                         {r: s * k for r, s in corpus.salary_table.items()})
-        scores = professor_scores(corpus, table)
-        scores_k = professor_scores(scaled, table)
-        averages = sds_averages(corpus, scores)
-        averages_k = sds_averages(scaled, scores_k)
-        values = {}
-        values_k = {}
-        for univ in corpus.universities:
-            try:
-                values[univ] = fss_unit(univ, "overall", None, corpus, scores,
-                                        averages).score
-                values_k[univ] = fss_unit(univ, "overall", None, scaled,
-                                          scores_k, averages_k).score
-            except NoProductiveProfessors:
-                continue
+        values = overall_scores(corpus, table, FSS)
+        values_k = overall_scores(scaled, table, FSS)
+        if values_k.keys() != values.keys():
+            failures.append(f"case {checked}: scored units changed under "
+                            f"k={k:.3f}")
         for univ, before in values.items():
-            if abs(values_k[univ] - before) > 1e-9:
+            if abs(values_k.get(univ, math.inf) - before) > 1e-9:
                 failures.append(f"case {checked}: {univ} fss {before} -> "
-                                f"{values_k[univ]} under k={k:.3f}")
+                                f"{values_k.get(univ)} under k={k:.3f}")
         order = sorted(values, key=lambda u: (-values[u], u))
         order_k = sorted(values_k, key=lambda u: (-values_k[u], u))
         if order != order_k:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankdiff.cli import main
-from rankdiff.corpus import MAX_VIOLATIONS
+from rankdiff.errors import MAX_VIOLATIONS
 from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 from rankdiff import round_half_away
 from helpers import DATA_DIR, load_ref, replay_compare
@@ -648,6 +648,22 @@ def test_from_scores_rejects_non_finite_scores(tmp_path, capsys):
     assert main(["compare", "--from-scores", str(bad),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: {bad}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, statistic", [(6, "pearson is nan"),
+                                          (2, "fss mean is inf")],
+                         ids=["pearson", "dispersion"])
+def test_from_scores_overflowing_statistics_fail(tmp_path, capsys, n,
+                                                 statistic):
+    # finite FSS scores from 1.2e308 up whose sums leave the float range
+    big = tmp_path / "big.csv"
+    big.write_text("unit,fss_score,mncs_score\n" + "".join(
+        f"U{i},1.{i + 2}e308,{i}\n" for i in range(n)), encoding="utf-8")
+    assert main(["compare", "--from-scores", str(big),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {big}: scope scores: {statistic}; ")
+    assert not (tmp_path / "out" / "manifest" / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("text, line", [

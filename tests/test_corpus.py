@@ -9,7 +9,8 @@ from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
                       apply_filters, eligible_units, load_corpus, read_config,
                       write_corpus_csvs)
-from rankdiff.corpus import MAX_VIOLATIONS
+from rankdiff.cli import main
+from rankdiff.errors import MAX_VIOLATIONS
 from helpers import random_corpus
 
 
@@ -120,10 +121,14 @@ def test_tenure_exceeding_window(window):
      "duplicate key 'S1'"),
     ("professors.csv", 5, "p4,B,S2,assistant,2.5", " ,B,S2,assistant,2.5",
      "professor_id", "empty"),
+    ("professors.csv", 4, "p3,B,S1,assistant,5", "p3,B,S1,assistant,0",
+     "years_on_staff", "must be > 0, got 0.0"),
+    ("professors.csv", 4, "p3,B,S1,assistant,5", "p3,B,S1,assistant,-1",
+     "years_on_staff", "must be > 0, got -1.0"),
 ], ids=["unknown_sds", "unknown_rank", "long_tenure", "duplicate_pair",
         "zero_authors", "huge_citations", "huge_citations_5000_digits",
         "long_garbage_integer", "inf_salary", "padded_duplicate_key",
-        "blank_key"])
+        "blank_key", "zero_tenure", "negative_tenure"])
 def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
                                      fld, message):
     path = corpus_dir / name
@@ -136,13 +141,22 @@ def test_corpus_rules_name_file_line(corpus_dir, window, name, line, old, new,
     assert (v.where, v.field, v.message) == (f"{name}:{line}", fld, message)
 
 
-def test_violations_capped(corpus_dir, window):
+def test_violations_capped(corpus_dir, window, tmp_path, capsys):
     with open(corpus_dir / "publications.csv", "a", encoding="utf-8") as f:
         f.writelines(f"x{i},year{i},article,C1,4,2\n" for i in range(500))
     with pytest.raises(CorpusLoadError) as err:
         load_corpus(corpus_dir, window)
     assert len(err.value.violations) == MAX_VIOLATIONS == 100
     assert err.value.violations[-1].where == "publications.csv:106"
+    assert err.value.total == 500
+    assert str(err.value).startswith("500 corpus violation(s): ")
+    assert str(err.value).endswith(" (+497 more)")
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text("start_year=2008\nend_year=2012\n", encoding="utf-8")
+    assert main(["validate", str(corpus_dir), "--config", str(run_cfg)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "INVALID: first 100 of 500 violation(s)"
+    assert len(out) == 1 + MAX_VIOLATIONS
 
 
 @pytest.mark.parametrize("years, salary", [

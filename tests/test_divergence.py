@@ -33,6 +33,12 @@ def test_pearson_degenerate_variance():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def test_pearson_overflow_is_nan():
+    # the squares overflow while the cross products stay finite: r is 1,
+    # not the 0.0 that dividing by an infinite denominator gives
+    assert math.isnan(pearson([1e200, 2e200, 3e200, 4e200], [1, 2, 3, 4]))
+
+
 def test_pearson_rejects_short_or_mismatched_input():
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [1.0, 2.0])

@@ -3,16 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
-                      MissingSalary, NonPositiveTenure,
-                      NoProductiveProfessors, NoPublications,
-                      ObservationWindow, Professor, Publication,
-                      ScalingFactorTable, compute_scaling_factors,
-                      fss_professor, fss_unit, mncs_unit, professor_scores,
-                      scoreboards, sds_averages)
+from rankdiff import (FSS, MNCS, Authorship, Corpus, CorpusLoadError,
+                      FieldScheme, FilterConfig, ObservationWindow, Professor,
+                      Publication, ScalingFactorTable, compute_scaling_factors,
+                      impact_map, professor_scores, scoreboards, sds_averages,
+                      unit_scores)
 from rankdiff.baselines import CellStats
-from rankdiff.indicators import ProfessorScore
-from helpers import add_publication, clone_university, random_corpus
+from helpers import (RELAXED_CFG, add_publication, clone_university,
+                     oracle_unit_scores, overall_scores, random_corpus)
 
 WINDOW = ObservationWindow(2008, 2012)
 
@@ -28,6 +26,10 @@ def _pub(pub_id, citations, n_authors, year=2008, cats=("C",)):
     return Publication(pub_id, year, "article", cats, citations, n_authors)
 
 
+def _fss_p(corpus, table):
+    return professor_scores(corpus, impact_map(corpus, table))
+
+
 # ---------------------------------------------------------------------------
 # Professor-level FSS
 
@@ -36,15 +38,14 @@ def test_fss_professor_unity_case():
     prof = Professor("p", "A", "S", "r", 1.0)
     corpus = _corpus([_pub("w", 2, 1)], [Authorship("w", "p")], [prof])
     table = ScalingFactorTable({(2008, "C"): CellStats(2.0, 1, 1)})
-    assert fss_professor(prof, corpus, table).fss_p == 1.0
+    assert _fss_p(corpus, table)["p"] == 1.0
 
 
-def test_fss_professor_no_publications():
+def test_fss_professor_no_publications(caplog):
     prof = Professor("p", "A", "S", "r", 3.0)
     corpus = _corpus([], [], [prof])
-    score = fss_professor(prof, corpus, ScalingFactorTable({}))
-    assert score.fss_p == 0.0
-    assert score.term_count == 0
+    assert _fss_p(corpus, ScalingFactorTable({}))["p"] == 0.0
+    assert "skipped" not in caplog.text
 
 
 def test_fss_professor_hand_computed():
@@ -56,42 +57,41 @@ def test_fss_professor_hand_computed():
                      [prof], salaries={"r": 2.0})
     table = ScalingFactorTable({(2008, "C1"): CellStats(2.0, 1, 1),
                                 (2008, "C2"): CellStats(3.0, 1, 1)})
-    assert fss_professor(prof, corpus, table).fss_p == pytest.approx(2 / 15)
+    assert _fss_p(corpus, table)["p"] == pytest.approx(2 / 15)
 
 
+# a professor's FSS_P divides by salary and tenure; the corpus guards both
 def test_fss_professor_missing_salary():
     prof = Professor("p", "A", "S", "r", 5.0)
-    corpus = _corpus([], [], [prof])
-    with pytest.raises(MissingSalary):
-        fss_professor(prof, corpus, ScalingFactorTable({}), salaries={})
+    with pytest.raises(CorpusLoadError,
+                       match="rank 'r' missing from salary table"):
+        _corpus([], [], [prof], salaries={"q": 1.0})
 
 
 def test_fss_professor_nonpositive_tenure():
-    prof = Professor("p", "A", "S", "r", 5.0)
-    corpus = _corpus([], [], [prof])
     broken = Professor("p", "A", "S", "r", 0.0)
-    with pytest.raises(NonPositiveTenure):
-        fss_professor(broken, corpus, ScalingFactorTable({}),
-                      salaries={"r": 1.0})
+    with pytest.raises(CorpusLoadError, match="must be > 0, got 0.0"):
+        _corpus([], [], [broken])
 
 
-def test_fss_skips_missing_baseline_terms():
+def test_fss_skips_missing_baseline_terms(caplog):
     prof = Professor("p", "A", "S", "r", 1.0)
     corpus = _corpus([_pub("w1", 2, 1), _pub("w2", 5, 1, cats=("UNKNOWN",))],
                      [Authorship("w1", "p"), Authorship("w2", "p")], [prof])
     table = ScalingFactorTable({(2008, "C"): CellStats(2.0, 1, 1)})
-    score = fss_professor(prof, corpus, table)
-    assert score.fss_p == 1.0
-    assert score.term_count == 1
-    assert score.skipped_missing_baseline == 1
+    assert _fss_p(corpus, table)["p"] == 1.0
+    assert "fss: 1 publication terms skipped for missing baselines" \
+        in caplog.text
 
 
 # ---------------------------------------------------------------------------
 # SDS standardization
 
-def _scores(values: dict[str, float]) -> dict[str, ProfessorScore]:
-    return {pid: ProfessorScore(pid, v, 0, 1.0, 1.0)
-            for pid, v in values.items()}
+def _unit_fss(corpus, level, scope, scores, univ="A"):
+    """Unit FSS from hand-made professor scores."""
+    unit = unit_scores(corpus, level, scores, sds_averages(corpus, scores))
+    fss, _ = unit(univ, scope)
+    return fss
 
 
 def _staff_corpus(assignment: dict[str, tuple[str, str]]) -> Corpus:
@@ -103,25 +103,25 @@ def _staff_corpus(assignment: dict[str, tuple[str, str]]) -> Corpus:
 
 def test_sds_average_ignores_unproductive():
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("B", "S"), "p3": ("C", "S")})
-    averages = sds_averages(corpus, _scores({"p1": 0.0, "p2": 2.0, "p3": 4.0}))
+    averages = sds_averages(corpus, {"p1": 0.0, "p2": 2.0, "p3": 4.0})
     assert averages == {"S": 3.0}
 
 
 def test_sds_average_no_productive_professors(caplog):
     corpus = _staff_corpus({"p1": ("A", "S")})
-    assert "S" not in sds_averages(corpus, _scores({"p1": 0.0}))
+    assert "S" not in sds_averages(corpus, {"p1": 0.0})
     assert "SDS S has no productive professor" in caplog.text
 
 
 def test_sds_average_singleton():
     corpus = _staff_corpus({"p1": ("A", "S")})
-    assert sds_averages(corpus, _scores({"p1": 1.0}))["S"] == 1.0
+    assert sds_averages(corpus, {"p1": 1.0})["S"] == 1.0
 
 
 def test_fss_unit_all_at_average():
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("B", "S")})
-    scores = _scores({"p1": 0.7, "p2": 0.7})
-    unit = fss_unit("A", "sds", "S", corpus, scores)
+    scores = {"p1": 0.7, "p2": 0.7}
+    unit = _unit_fss(corpus, "sds", "S", scores)
     assert unit.score == pytest.approx(1.0)
     assert unit.research_staff == 1
 
@@ -130,9 +130,9 @@ def test_fss_unit_includes_unproductive_in_staff():
     # ratios {2.0, 0}: the zero stays in the denominator
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("A", "S"),
                             "p3": ("B", "S")})
-    scores = _scores({"p1": 2.0, "p2": 0.0, "p3": 2.0})
+    scores = {"p1": 2.0, "p2": 0.0, "p3": 2.0}
     # national average over productive: (2 + 2) / 2 = 2 -> ratios 1.0 and 0.0
-    unit = fss_unit("A", "sds", "S", corpus, scores)
+    unit = _unit_fss(corpus, "sds", "S", scores)
     assert unit.score == pytest.approx(0.5)
     assert unit.research_staff == 2
 
@@ -142,16 +142,16 @@ def test_fss_unit_ratio_two_and_zero_average_to_one():
     # standardized ratios {2.0, 0}; the unproductive zero stays in RS
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("A", "S"),
                             "p3": ("B", "S"), "p4": ("C", "S")})
-    scores = _scores({"p1": 4.0, "p2": 0.0, "p3": 1.0, "p4": 1.0})
-    unit = fss_unit("A", "sds", "S", corpus, scores)
+    scores = {"p1": 4.0, "p2": 0.0, "p3": 1.0, "p4": 1.0}
+    unit = _unit_fss(corpus, "sds", "S", scores)
     assert unit.score == pytest.approx(1.0)
     assert unit.research_staff == 2
 
 
 def test_fss_unit_singleton_ratio():
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("B", "S")})
-    scores = _scores({"p1": 1.0, "p2": 3.0})
-    unit = fss_unit("A", "sds", "S", corpus, scores)
+    scores = {"p1": 1.0, "p2": 3.0}
+    unit = _unit_fss(corpus, "sds", "S", scores)
     assert unit.score == pytest.approx(0.5)
 
 
@@ -161,8 +161,8 @@ def test_fss_unit_drops_unstandardizable_sds():
              Professor("p2", "A", "S2", "r", 5.0),
              Professor("p3", "B", "S1", "r", 5.0)]
     corpus = _corpus([], [], profs, sds_map={"S1": "U", "S2": "U"})
-    scores = _scores({"p1": 2.0, "p2": 0.0, "p3": 2.0})
-    unit = fss_unit("A", "uda", "U", corpus, scores)
+    scores = {"p1": 2.0, "p2": 0.0, "p3": 2.0}
+    unit = _unit_fss(corpus, "uda", "U", scores)
     assert unit.research_staff == 1
     assert unit.score == pytest.approx(1.0)
 
@@ -174,29 +174,34 @@ def test_fss_unit_standardizes_by_own_sds_at_uda_level():
              Professor("p3", "B", "S1", "r", 5.0),
              Professor("p4", "B", "S2", "r", 5.0)]
     corpus = _corpus([], [], profs, sds_map={"S1": "U", "S2": "U"})
-    scores = _scores({"p1": 1.0, "p2": 8.0, "p3": 3.0, "p4": 8.0})
+    scores = {"p1": 1.0, "p2": 8.0, "p3": 3.0, "p4": 8.0}
     # averages: S1 -> 2, S2 -> 8; A's ratios: 0.5, 1.0
-    unit = fss_unit("A", "uda", "U", corpus, scores)
+    unit = _unit_fss(corpus, "uda", "U", scores)
     assert unit.score == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
 # MNCS
 
+def _mncs(corpus, table, level="overall", scope=None):
+    """Unit A's MNCS entry from the scoring pass; None when it has none."""
+    pair = scoreboards(corpus, table, level, RELAXED_CFG, MNCS).pairs[scope]
+    return next((e for e in pair.mncs.entries if e.university_id == "A"), None)
+
+
 def test_mncs_all_unit_impact():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([_pub("w1", 3, 2), _pub("w2", 3, 3)],
                      [Authorship("w1", "p"), Authorship("w2", "p")], profs)
     table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 2, 2)})
-    assert mncs_unit("A", "overall", None, corpus, table).score == \
-        pytest.approx(1.0)
+    assert _mncs(corpus, table).score == pytest.approx(1.0)
 
 
 def test_mncs_single_publication_weight_cancels():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([_pub("w", 6, 2)], [Authorship("w", "p")], profs)
     table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 1)})
-    unit = mncs_unit("A", "overall", None, corpus, table)
+    unit = _mncs(corpus, table)
     assert unit.score == pytest.approx(2.0)
     assert unit.publication_weight == pytest.approx(0.5)
 
@@ -209,7 +214,7 @@ def test_mncs_uncited_keeps_weight_in_denominator():
                      [Authorship("w1", "p1"), Authorship("w1", "p2"),
                       Authorship("w2", "p1")], profs)
     table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 2)})
-    unit = mncs_unit("A", "overall", None, corpus, table)
+    unit = _mncs(corpus, table)
     assert unit.score == pytest.approx(1.0 / 0.75)
 
 
@@ -221,18 +226,20 @@ def test_mncs_counts_in_scope_professors_once_per_publication():
                      [Authorship("w", "p1"), Authorship("w", "p2")],
                      profs, sds_map={"S1": "U", "S2": "U"})
     table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 1)})
-    unit = mncs_unit("A", "overall", None, corpus, table)
+    unit = _mncs(corpus, table)
     assert unit.publication_weight == pytest.approx(0.5)   # m=2, n=4
     # at SDS level only one professor is in scope: m=1, n=4
-    unit_sds = mncs_unit("A", "sds", "S1", corpus, table)
+    unit_sds = _mncs(corpus, table, "sds", "S1")
     assert unit_sds.publication_weight == pytest.approx(0.25)
 
 
 def test_mncs_no_publications():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([], [], profs)
-    with pytest.raises(NoPublications):
-        mncs_unit("A", "overall", None, corpus, ScalingFactorTable({}))
+    table = ScalingFactorTable({})
+    assert _mncs(corpus, table) is None
+    unit = unit_scores(corpus, "overall", impacts=impact_map(corpus, table))
+    assert unit("A", None) == (None, None)
 
 
 def test_mncs_weights_in_unit_interval():
@@ -308,7 +315,7 @@ def test_scoreboards_drop_units_missing_one_indicator(relaxed_cfg):
 
 
 @pytest.mark.parametrize("level", ["sds", "uda", "overall"])
-def test_scoreboards_match_unit_views(level, relaxed_cfg, caplog):
+def test_scoreboards_match_naive_oracle(level, relaxed_cfg, caplog):
     rng = np.random.default_rng(31)
     corpus = random_corpus(rng, n_universities=4, n_sds=4)
     full = compute_scaling_factors(corpus)
@@ -330,15 +337,22 @@ def test_scoreboards_match_unit_views(level, relaxed_cfg, caplog):
     assert logged == sorted(
         f"mncs_unit {univ}/{scope}: {len(pubs)} publications skipped "
         f"(missing baseline)" for (univ, scope), pubs in skipped.items())
-    scores = professor_scores(corpus, table)
-    averages = sds_averages(corpus, scores)
+    expected = oracle_unit_scores(corpus, table, level)
     compared = 0
-    for scope, pair in boards.pairs.items():
-        for fss, mncs in zip(pair.fss.entries, pair.mncs.entries, strict=True):
-            univ = fss.university_id
-            assert fss == fss_unit(univ, level, scope, corpus, scores, averages)
-            assert mncs == mncs_unit(univ, level, scope, corpus, table)
-            compared += 1
+    for (univ, scope), (fss, staff, mncs, weight) in expected.items():
+        pair = boards.pairs[scope]
+        if fss is None or mncs is None:
+            assert univ in pair.dropped_units
+            continue
+        (got_fss,) = [e for e in pair.fss.entries if e.university_id == univ]
+        (got_mncs,) = [e for e in pair.mncs.entries
+                       if e.university_id == univ]
+        assert got_fss.score == pytest.approx(fss, rel=1e-12, abs=0)
+        assert got_fss.research_staff == staff
+        assert got_mncs.score == pytest.approx(mncs, rel=1e-12, abs=0)
+        assert got_mncs.publication_weight == pytest.approx(weight, rel=1e-12)
+        compared += 1
+    assert compared == sum(len(p.fss.entries) for p in boards.pairs.values())
     assert compared >= 4
 
 
@@ -346,7 +360,7 @@ def test_scoreboards_match_unit_views(level, relaxed_cfg, caplog):
 # Indicator invariants
 
 def _unit_mncs(corpus, table, univ="UNIV1"):
-    return mncs_unit(univ, "overall", None, corpus, table).score
+    return overall_scores(corpus, table, MNCS).get(univ)
 
 
 def test_mncs_paradox_small_loop():
@@ -355,11 +369,8 @@ def test_mncs_paradox_small_loop():
     while checked < 30:
         corpus = random_corpus(rng, n_universities=2, n_sds=2, p_uncited=0.2)
         table = compute_scaling_factors(corpus)
-        try:
-            before = _unit_mncs(corpus, table)
-        except NoPublications:
-            continue
-        if before <= 0:
+        before = _unit_mncs(corpus, table)
+        if before is None or before <= 0:
             continue
         year, cat = next(iter(table))
         mean = table.cell(year, cat).mean
@@ -382,16 +393,14 @@ def test_fss_monotone_in_cited_publications():
         corpus = random_corpus(rng, n_universities=2, n_sds=1)
         table = compute_scaling_factors(corpus)
         pid = sorted(corpus.professors)[0]
-        prof = corpus.professors[pid]
         year, cat = next(iter(table))
-        before = fss_professor(prof, corpus, table).fss_p
+        before = _fss_p(corpus, table)[pid]
         cited = Publication("EXTRA_C", year, "article", (cat,), 3, 2)
         with_cited = add_publication(corpus, cited, [pid])
-        assert fss_professor(prof, with_cited, table).fss_p > before
+        assert _fss_p(with_cited, table)[pid] > before
         uncited = Publication("EXTRA_U", year, "article", (cat,), 0, 2)
         with_uncited = add_publication(corpus, uncited, [pid])
-        assert fss_professor(prof, with_uncited, table).fss_p == \
-            pytest.approx(before, abs=0)
+        assert _fss_p(with_uncited, table)[pid] == pytest.approx(before, abs=0)
 
 
 def test_size_independence_under_cloning():
@@ -400,19 +409,16 @@ def test_size_independence_under_cloning():
         corpus = random_corpus(rng, n_universities=3, n_sds=2,
                                profs_per=(1, 2))
         table = compute_scaling_factors(corpus)
-        scores = professor_scores(corpus, table)
-        averages = sds_averages(corpus, scores)
+        averages = sds_averages(corpus, _fss_p(corpus, table))
         univ = "UNIV1"
-        try:
-            fss_before = fss_unit(univ, "overall", None, corpus, scores,
-                                  averages).score
-            mncs_before = _unit_mncs(corpus, table, univ)
-        except (NoPublications, NoProductiveProfessors):
+        fss_before = overall_scores(corpus, table, FSS).get(univ)
+        mncs_before = _unit_mncs(corpus, table, univ)
+        if fss_before is None or mncs_before is None:
             continue
+        # the clone is standardized by the original national averages
         cloned = clone_university(corpus, univ)
-        cloned_scores = professor_scores(cloned, table)
-        fss_after = fss_unit(univ, "overall", None, cloned, cloned_scores,
-                             averages).score
+        unit = unit_scores(cloned, "overall", _fss_p(cloned, table), averages)
+        fss_after = unit(univ, None)[0].score
         mncs_after = _unit_mncs(cloned, table, univ)
         assert fss_after == pytest.approx(fss_before, abs=1e-9)
         assert mncs_after == pytest.approx(mncs_before, abs=1e-9)
@@ -427,22 +433,15 @@ def test_uniform_salary_scaling_leaves_units_unchanged():
         scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
                         corpus.professors, corpus.field_scheme,
                         {r: s * k for r, s in corpus.salary_table.items()})
-        scores = professor_scores(corpus, table)
-        scores_k = professor_scores(scaled, table)
+        scores = _fss_p(corpus, table)
+        scores_k = _fss_p(scaled, table)
         for pid in scores:
-            assert scores_k[pid].fss_p == pytest.approx(scores[pid].fss_p / k,
-                                                        rel=1e-9)
-        averages = sds_averages(corpus, scores)
-        averages_k = sds_averages(scaled, scores_k)
-        for univ in corpus.universities:
-            try:
-                before = fss_unit(univ, "overall", None, corpus, scores,
-                                  averages).score
-            except NoProductiveProfessors:
-                continue
-            after = fss_unit(univ, "overall", None, scaled, scores_k,
-                             averages_k).score
-            assert after == pytest.approx(before, abs=1e-9)
+            assert scores_k[pid] == pytest.approx(scores[pid] / k, rel=1e-9)
+        before = overall_scores(corpus, table, FSS)
+        after = overall_scores(scaled, table, FSS)
+        assert after.keys() == before.keys()
+        for univ, value in before.items():
+            assert after[univ] == pytest.approx(value, abs=1e-9)
 
 
 @pytest.mark.parametrize("factor", [0.37, 1e3])
@@ -480,11 +479,7 @@ def test_scores_invariant_under_input_permutation():
                       list(reversed(corpus.authorships)),
                       dict(reversed(list(corpus.professors.items()))),
                       corpus.field_scheme, corpus.salary_table)
-    scores = professor_scores(corpus, table)
-    scores_shuffled = professor_scores(shuffled, table)
-    for pid in scores:
-        assert scores_shuffled[pid].fss_p == scores[pid].fss_p
-    for univ in corpus.universities:
-        assert _unit_mncs(shuffled, table, univ) == _unit_mncs(corpus, table, univ)
-        assert fss_unit(univ, "overall", None, shuffled, scores_shuffled).score \
-            == fss_unit(univ, "overall", None, corpus, scores).score
+    assert _fss_p(shuffled, table) == _fss_p(corpus, table)
+    for indicator in (FSS, MNCS):
+        assert overall_scores(shuffled, table, indicator) == \
+            overall_scores(corpus, table, indicator)
