@@ -64,13 +64,13 @@ class ScalingFactorTable:
         cell, duplicate (year, category) or empty category, or of an
         undecodable byte.
         """
-        cells: dict[tuple[int, str], CellStats] = {}
-        for where, (year, category, *counts) in read_csv(
-                path, CSV_COLUMNS, key=("year", "category")):
-            cells[year, category] = stats = CellStats(*counts)
-            problem = _cell_problem((year, category), stats)
+        lines, (years, categories, *counts) = read_csv(
+            path, CSV_COLUMNS, key=("year", "category"))
+        cells = dict(zip(zip(years, categories), map(CellStats, *counts)))
+        for line, (key, stats) in zip(lines, cells.items()):
+            problem = _cell_problem(key, stats)
             if problem:
-                raise ValueError(f"{where}: {problem}")
+                raise ValueError(f"{path}:{line}: {problem}")
         return cls(cells)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -132,10 +133,32 @@ def _input_digests(args: argparse.Namespace) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _load(args: argparse.Namespace, run_cfg: RunConfig,
+          filtered: bool = True) -> Corpus:
+    """Load the corpus and, if ``filtered``, filter it.
+
+    The cyclic garbage collector is paused meanwhile and the survivors are
+    then frozen out of its scans: loading creates tens of thousands of
+    records and no reference cycle, so the collections they would trigger
+    find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        corpus = load_corpus(args.data_dir, run_cfg.window)
+        if filtered:
+            corpus = apply_filters(corpus, run_cfg.filters)
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return corpus
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _config_or_exit(args.config)
     try:
-        corpus = load_corpus(args.data_dir, run_cfg.window)
+        corpus = _load(args, run_cfg, filtered=False)
     except CorpusLoadError as exc:
         shown = len(exc.violations)
         print(f"INVALID: {exc.total} violation(s)" if exc.total == shown else
@@ -170,8 +193,7 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     """Load, filter and score the corpus at ``args.level``; the output
     directory holds the scoring warnings."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    corpus = apply_filters(load_corpus(args.data_dir, run_cfg.window),
-                           run_cfg.filters)
+    corpus = _load(args, run_cfg)
     out = OutputDir(args.out, args.force)
     table = _baseline_table(args, corpus, out)
     board_set = scoreboards(corpus, table, args.level, run_cfg.filters,
@@ -220,14 +242,13 @@ def _emit_comparisons(
     Writes one comparison CSV per pair, the shift, quartile and dispersion
     summaries named by ``tag``, and report.md. With ``uda_of`` (SDS level),
     the shift summaries are also ranged per discipline. A statistic that is
-    not finite ends the run with exit 1, naming ``source``, the input.
+    not finite ends the run with exit 1, naming ``source``, the input; every
+    statistic is checked before the first file is written.
     """
     comparisons, shifts, quartiles, dispersions = [], [], [], []
     for label, fss_board, mncs_board, staff in pairs:
         cmp = compare(rank(fss_board), rank(mncs_board), staff=staff,
                       label=label)
-        report.write_comparison_csv(
-            cmp, out.path("comparisons", f"comparison_{tag}_{_slug(label)}.csv"))
         comparisons.append(cmp)
         summary = divergence.shift_stats(cmp)
         _require_finite(source, label, summary)
@@ -247,6 +268,9 @@ def _emit_comparisons(
                 continue
             _require_finite(source, label, stats)
             dispersions.append(stats)
+    for cmp in comparisons:
+        report.write_comparison_csv(cmp, out.path(
+            "comparisons", f"comparison_{tag}_{_slug(cmp.label)}.csv"))
     report.write_shift_summary_csv(
         shifts, out.path("summaries", f"shift_summary_{tag}.csv"))
     report.write_quartile_summary_csv(
@@ -313,13 +337,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
     try:
-        rows = read_csv(path, {"unit": str, "fss_score": float,
-                               "mncs_score": float},
-                        extra_columns=True, key=("unit",))
+        _, (units, fss_scores, mncs_scores) = read_csv(
+            path, {"unit": str, "fss_score": float, "mncs_score": float},
+            extra_columns=True, key=("unit",))
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
-    fss_entries = [UnitScore(unit, FSS, fss) for _, (unit, fss, _) in rows]
-    mncs_entries = [UnitScore(unit, MNCS, mncs) for _, (unit, _, mncs) in rows]
+    fss_entries = [UnitScore(u, FSS, s) for u, s in zip(units, fss_scores)]
+    mncs_entries = [UnitScore(u, MNCS, s) for u, s in zip(units, mncs_scores)]
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
     return (ScoreBoard("replay", None, FSS, fss_entries),

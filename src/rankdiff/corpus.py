@@ -15,6 +15,7 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusLoadError, Violation
@@ -169,15 +170,27 @@ class Corpus:
             violations = self.check()
             if violations:
                 raise CorpusLoadError(violations)
-        self._build_indexes()
 
-    def _build_indexes(self) -> None:
-        self.pubs_by_professor: dict[str, list[str]] = {}
-        self.professors_by_pub: dict[str, list[str]] = {}
+    # the indexes are built on first use, so a corpus that is only validated
+    # or filtered never builds them
+
+    @cached_property
+    def pubs_by_professor(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
         for a in self.authorships:
-            self.pubs_by_professor.setdefault(a.professor_id, []).append(a.pub_id)
-            self.professors_by_pub.setdefault(a.pub_id, []).append(a.professor_id)
-        self.universities = sorted({p.university_id for p in self.professors.values()})
+            index.setdefault(a.professor_id, []).append(a.pub_id)
+        return index
+
+    @cached_property
+    def professors_by_pub(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        for a in self.authorships:
+            index.setdefault(a.pub_id, []).append(a.professor_id)
+        return index
+
+    @cached_property
+    def universities(self) -> list[str]:
+        return sorted({p.university_id for p in self.professors.values()})
 
     def check(self, lines: dict[tuple[str, object], str] | None = None
               ) -> list[Violation]:
@@ -190,54 +203,61 @@ class Corpus:
         v: list[Violation] = []
         lines = lines or {}
 
-        def add(where: str, fld: str, msg: str) -> None:
+        def add(file: str, key: object, fld: str, msg: str,
+                name: str | None = None) -> None:
+            where = lines.get((file, key), key if name is None else name)
             v.append(Violation(where, fld, msg))
 
         for pub in self.publications.values():
-            where = lines.get(("publications", pub.pub_id), pub.pub_id)
             if not pub.subject_categories:
-                add(where, "subject_categories", "must be non-empty")
+                add("publications", pub.pub_id, "subject_categories",
+                    "must be non-empty")
             if pub.citations < 0:
-                add(where, "citations", f"must be >= 0, got {pub.citations}")
+                add("publications", pub.pub_id, "citations",
+                    f"must be >= 0, got {pub.citations}")
             if pub.n_authors_total < 1:
-                add(where, "n_authors_total",
+                add("publications", pub.pub_id, "n_authors_total",
                     f"must be >= 1, got {pub.n_authors_total}")
+        n_years = self.window.n_years
         for prof in self.professors.values():
-            where = lines.get(("professors", prof.professor_id), prof.professor_id)
+            pid = prof.professor_id
             if prof.sds_code not in self.field_scheme:
-                add(where, "sds_code", f"unknown SDS {_quote(prof.sds_code)}")
+                add("professors", pid, "sds_code",
+                    f"unknown SDS {_quote(prof.sds_code)}")
             if prof.academic_rank not in self.salary_table:
-                add(where, "academic_rank",
+                add("professors", pid, "academic_rank",
                     f"rank {_quote(prof.academic_rank)} missing from salary table")
-            years, n_years = prof.years_on_staff, self.window.n_years
+            years = prof.years_on_staff
             if not 0 < years <= n_years:
-                add(where, "years_on_staff",
+                add("professors", pid, "years_on_staff",
                     f"{years} exceeds window length {n_years}"
                     if years > n_years else f"must be > 0, got {years}")
         seen: set[tuple[str, str]] = set()
         per_pub: dict[str, int] = {}
         for i, a in enumerate(self.authorships):
-            where = lines.get(("authorships", i), f"{a.pub_id}/{a.professor_id}")
-            if (a.pub_id, a.professor_id) in seen:
-                add(where, "authorship", "duplicate pair")
-            seen.add((a.pub_id, a.professor_id))
+            pair = (a.pub_id, a.professor_id)
+            if pair in seen:
+                add("authorships", i, "authorship", "duplicate pair",
+                    "/".join(pair))
+            seen.add(pair)
             # a dangling row is reported once and counts toward no total
             if a.pub_id not in self.publications:
-                add(where, "pub_id", f"unknown publication {_quote(a.pub_id)}")
+                add("authorships", i, "pub_id",
+                    f"unknown publication {_quote(a.pub_id)}", "/".join(pair))
             elif a.professor_id in self.professors:
                 per_pub[a.pub_id] = per_pub.get(a.pub_id, 0) + 1
             if a.professor_id not in self.professors:
-                add(where, "professor_id",
-                    f"unknown professor {_quote(a.professor_id)}")
+                add("authorships", i, "professor_id",
+                    f"unknown professor {_quote(a.professor_id)}", "/".join(pair))
         for pub_id, count in per_pub.items():
             pub = self.publications[pub_id]
             if count > pub.n_authors_total >= 1:    # < 1 is reported above
-                add(lines.get(("publications", pub_id), pub_id), "n_authors_total",
+                add("publications", pub_id, "n_authors_total",
                     f"{count} authorships exceed n_authors_total={pub.n_authors_total}")
         for rank, salary in self.salary_table.items():
             if not 0 < salary < math.inf:
-                add(lines.get(("salaries", rank), "salary_table"), "avg_yearly_salary",
-                    f"must be finite and > 0, got {salary}")
+                add("salaries", rank, "avg_yearly_salary",
+                    f"must be finite and > 0, got {salary}", "salary_table")
         return v
 
     def counts(self) -> dict[str, int]:
@@ -324,8 +344,8 @@ FIELD_COLUMNS = {"sds_code": str, "sds_name": str, "uda_code": str,
 SALARY_COLUMNS = {"academic_rank": str, "avg_yearly_salary": float}
 
 
-# a numeric cell's exclusive bound on magnitude, by type
-_BOUNDS = {int: 2**53 + 1, float: math.inf}
+# an integer cell's exclusive bound on magnitude; a number must be finite
+_INT_BOUND = 2**53 + 1
 
 
 def _quote(text: str) -> str:
@@ -348,26 +368,47 @@ def _cell_problem(cell: str, kind: type) -> str:
     return f"not a finite number: {_quote(cell)}"
 
 
+def _typed_column(cells: list[str], kind: type) -> list | None:
+    """The stripped ``cells`` as values of ``kind``, or None when one is not
+    a value of ``kind`` within its bound."""
+    try:
+        values = list(map(kind, cells))
+    except ValueError:
+        return None
+    if not values:
+        return values
+    if kind is int:
+        in_bound = -_INT_BOUND < min(values) and max(values) < _INT_BOUND
+        return values if in_bound else None
+    # a nan or an infinity makes the sum one; an overflowing sum of finite
+    # values only sends the column to the cell-by-cell walk
+    return values if math.isfinite(sum(values)) else None
+
+
 def read_csv(path: str | Path, columns: dict[str, type],
              problems: list[Violation] | None = None, label: str | None = None,
              extra_columns: bool = False, key: tuple[str, ...] = ()
-             ) -> list[tuple[str, tuple]]:
-    """Rows of a UTF-8 CSV file as ("<label>:<line>", values) pairs.
+             ) -> tuple[list[int], list[list]]:
+    """The rows of a UTF-8 CSV file, column by column: (lines, cells).
 
     ``columns`` maps each column to the type of its cells, ``str``, ``int``
-    or ``float``; ``values`` holds the typed cells in that order. The header
-    must be those columns, or include them with ``extra_columns``. Every cell
-    is stripped; an integer must be at most 2**53 in magnitude, a number
+    or ``float``. ``cells`` holds one list of typed cells per column, in that
+    order, and ``lines`` the line each kept row ends on. The header must be
+    those columns, or include them with ``extra_columns``. Every cell is
+    stripped; an integer must be at most 2**53 in magnitude, a number
     finite, and the ``key`` columns non-empty and unique together.
 
     A missing file, an undecodable byte or a bad header is one problem and
     yields no rows; a row with the wrong number of fields or a bad cell is a
     problem and is skipped; a row the csv module cannot parse is a problem
-    and ends the file. Problems are appended to ``problems``; without it,
-    the first raises ValueError("<label>:<line>: ..."). ``label`` names the
-    file; it defaults to the path as given.
+    and ends the file. Problems come in file order, by line and then by
+    column, and are appended to ``problems``; without it, the first raises
+    ValueError("<label>:<line>: ..."). ``label`` names the file; it defaults
+    to the path as given.
     """
     label = str(path) if label is None else label
+    names = list(columns)
+    nothing: tuple[list[int], list[list]] = ([], [[] for _ in names])
 
     def problem(where: str, fld: str, message: str) -> None:
         if problems is None:
@@ -379,65 +420,83 @@ def read_csv(path: str | Path, columns: dict[str, type],
         text = Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
         problem(str(path), "-", "file not found")
-        return []
+        return nothing
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         problem(f"{label}:{line}", "-",
                 f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})")
-        return []
+        return nothing
     reader = csv.reader(io.StringIO(text, newline=""))
-    names = list(columns)
-    rows = []
+    # (line, column number, field, message): a row problem has column -1, a
+    # key problem comes after every column and a parse error after that
+    found: list[tuple[int, int, str, str]] = []
+    header = names          # stays so only if the header cannot be parsed
+    rows: list[list[str]] = []
+    lines: list[int] = []
     try:
         header = [c.strip() for c in next(reader, [])]
         if header != names and not (extra_columns and set(names) <= set(header)):
             including = " including" if extra_columns else ""
             problem(f"{label}:1", "header", f"expected columns{including} "
                     f"{','.join(names)}, got {_quote(','.join(header))}")
-            return []
-        # (column, field index, type, exclusive bound on magnitude)
-        cells = [(name, header.index(name), kind, _BOUNDS.get(kind))
-                 for name, kind in columns.items()]
-        key_at = [names.index(name) for name in key]
-        seen: set[tuple] = set()
+            return nothing
+        width = len(header)
         for fields in reader:
-            if not fields:
-                continue
-            where = f"{label}:{reader.line_num}"
-            if len(fields) != len(header):
-                problem(where, "-", f"wrong number of fields: {len(fields)}, "
-                        f"expected {len(header)}")
-                continue
-            values = []
-            for name, i, kind, bound in cells:
-                cell = fields[i].strip()
-                if kind is str:
-                    values.append(cell)
-                    continue
-                try:
-                    value = kind(cell)
-                except ValueError:
-                    value = math.nan        # within no bound
-                if -bound < value < bound:
-                    values.append(value)
-                else:
-                    problem(where, name, _cell_problem(cell, kind))
-            if len(values) < len(cells):
-                continue
-            if key_at:
-                k = tuple([values[j] for j in key_at])
-                if "" in k:
-                    problem(where, key[k.index("")], "empty")
-                    continue
-                if k in seen:
-                    problem(where, ",".join(key), "duplicate key "
-                            + ", ".join(_quote(str(v)) for v in k))
-                    continue
-                seen.add(k)
-            rows.append((where, tuple(values)))
+            if len(fields) == width:
+                rows.append(fields)
+                lines.append(reader.line_num)
+            elif fields:
+                found.append((reader.line_num, -1, "-", f"wrong number of "
+                              f"fields: {len(fields)}, expected {width}"))
     except csv.Error as exc:        # e.g. a field over the size limit
-        problem(f"{label}:{reader.line_num}", "-", str(exc))
-    return rows
+        found.append((reader.line_num, len(names) + 1, "-", str(exc)))
+
+    # each column is typed at once; only a column that fails is walked
+    # cell by cell, to name its bad cells
+    by_field = list(zip(*rows)) or [()] * len(header)
+    cells: list[list] = []
+    bad_rows: set[int] = set()
+    for number, (name, kind) in enumerate(columns.items()):
+        column = list(map(str.strip, by_field[header.index(name)]))
+        if kind is not str:
+            values = _typed_column(column, kind)
+            if values is None:
+                values = []
+                for i, cell in enumerate(column):
+                    value = _typed_column([cell], kind)
+                    if value is None:
+                        found.append((lines[i], number, name,
+                                      _cell_problem(cell, kind)))
+                        bad_rows.add(i)
+                    values.extend(value or [None])
+            column = values
+        cells.append(column)
+
+    key_columns = [cells[names.index(name)] for name in key]
+    keys = list(zip(*key_columns))
+    if len(set(keys)) < len(keys) or any("" in c for c in key_columns):
+        seen: set[tuple] = set()
+        for i, k in enumerate(keys):
+            if i in bad_rows:       # a row with a bad cell is not key-checked
+                continue
+            if "" in k:
+                found.append((lines[i], len(names), key[k.index("")], "empty"))
+            elif k in seen:
+                found.append((lines[i], len(names), ",".join(key),
+                              "duplicate key "
+                              + ", ".join(_quote(str(v)) for v in k)))
+            else:
+                seen.add(k)
+                continue
+            bad_rows.add(i)
+    if bad_rows:
+        kept = [i for i in range(len(lines)) if i not in bad_rows]
+        lines = [lines[i] for i in kept]
+        cells = [[column[i] for i in kept] for column in cells]
+
+    for line, _, fld, message in sorted(found, key=lambda p: p[:2]):
+        problem(f"{label}:{line}", fld, message)
+    return lines, cells
 
 
 def write_csv(path: str | Path, columns: Iterable[str],
@@ -461,59 +520,60 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
     violations: list[Violation] = []
-    lines: dict[tuple[str, object], str] = {}
 
-    def rows(path: Path, columns: dict[str, type],
-             key: tuple[str, ...] = ()) -> list[tuple[str, tuple]]:
+    def read(path: Path, columns: dict[str, type], key: tuple[str, ...] = ()
+             ) -> tuple[list[int], list[list]]:
         return read_csv(path, columns, violations, label=path.name, key=key)
 
-    publications: dict[str, Publication] = {}
-    for where, (pub_id, year, doc_type, cats, citations, n_authors) in rows(
-            paths.publications, PUBLICATION_COLUMNS, ("pub_id",)):
-        cats = tuple(c.strip() for c in cats.split("|") if c.strip())
-        publications[pub_id] = Publication(pub_id, year, doc_type, cats,
-                                           citations, n_authors)
-        lines["publications", pub_id] = where
+    pub_lines, (pub_ids, years, doc_types, cats, citations, n_authors) = read(
+        paths.publications, PUBLICATION_COLUMNS, ("pub_id",))
+    cats = [tuple(filter(None, map(str.strip, c.split("|")))) for c in cats]
+    publications = dict(zip(pub_ids, map(Publication, pub_ids, years, doc_types,
+                                         cats, citations, n_authors)))
 
-    sds_to_uda: dict[str, str] = {}
-    sds_names: dict[str, str] = {}
-    uda_names: dict[str, str] = {}
-    for where, (code, sds_name, uda, uda_name) in rows(
-            paths.fields, FIELD_COLUMNS, ("sds_code",)):
-        if uda in uda_names and uda_names[uda] != uda_name:
-            violations.append(Violation(where, "uda_name",
+    field_lines, (codes, sds_names, udas, uda_names) = read(
+        paths.fields, FIELD_COLUMNS, ("sds_code",))
+    uda_name_of: dict[str, str] = {}
+    for line, uda, uda_name in zip(field_lines, udas, uda_names):
+        if uda_name_of.get(uda, uda_name) != uda_name:
+            violations.append(Violation(f"{paths.fields.name}:{line}", "uda_name",
                                         f"conflicting names for UDA {_quote(uda)}"))
-        sds_to_uda[code] = uda
-        sds_names[code] = sds_name
-        uda_names[uda] = uda_name
-    scheme = FieldScheme(sds_to_uda, sds_names, uda_names)
+        uda_name_of[uda] = uda_name
+    scheme = FieldScheme(dict(zip(codes, udas)), dict(zip(codes, sds_names)),
+                         uda_name_of)
 
-    salary_table: dict[str, float] = {}
-    for where, (rank, salary) in rows(paths.salaries, SALARY_COLUMNS,
-                                      ("academic_rank",)):
-        salary_table[rank] = salary
-        lines["salaries", rank] = where
+    salary_lines, (ranks, salaries) = read(paths.salaries, SALARY_COLUMNS,
+                                           ("academic_rank",))
+    salary_table = dict(zip(ranks, salaries))
 
-    professors: dict[str, Professor] = {}
-    for where, row in rows(paths.professors, PROFESSOR_COLUMNS,
-                           ("professor_id",)):
-        professors[row[0]] = Professor(*row)
-        lines["professors", row[0]] = where
+    prof_lines, prof_columns = read(paths.professors, PROFESSOR_COLUMNS,
+                                    ("professor_id",))
+    professors = dict(zip(prof_columns[0], map(Professor, *prof_columns)))
 
-    authorships: list[Authorship] = []
-    for where, row in rows(paths.authorships, AUTHORSHIP_COLUMNS):
-        lines["authorships", len(authorships)] = where
-        authorships.append(Authorship(*row))
+    auth_lines, auth_columns = read(paths.authorships, AUTHORSHIP_COLUMNS)
+    authorships = list(map(Authorship, *auth_columns))
 
     if not violations:
         corpus = Corpus(window, publications, authorships, professors, scheme,
                         salary_table, validate=False)
-        violations = corpus.check(lines)
+        violations = corpus.check()
+        if violations:      # check again, naming the line of each record
+            lines: dict[tuple[str, object], str] = {}
+            for file, path, keys, numbers in [
+                    ("publications", paths.publications, pub_ids, pub_lines),
+                    ("salaries", paths.salaries, ranks, salary_lines),
+                    ("professors", paths.professors, prof_columns[0], prof_lines),
+                    ("authorships", paths.authorships, range(len(auth_lines)),
+                     auth_lines)]:
+                lines.update(((file, k), f"{path.name}:{n}")
+                             for k, n in zip(keys, numbers))
+            violations = corpus.check(lines)
     if violations:
         raise CorpusLoadError(violations)
-    n_outside = sum(1 for p in publications.values() if not window.contains(p.year))
-    log.info("loaded corpus: %s (%d publications outside window, kept until filtering)",
-             corpus.counts(), n_outside)
+    if log.isEnabledFor(logging.INFO):
+        n_outside = sum(1 for y in years if not window.contains(y))
+        log.info("loaded corpus: %s (%d publications outside window, kept "
+                 "until filtering)", corpus.counts(), n_outside)
     return corpus
 
 

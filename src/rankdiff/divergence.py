@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -46,9 +47,17 @@ def _mean(values: list[float]) -> float:
     return _fsum(values) / len(values)
 
 
+def _scaled(deviations: list[float]) -> list[float]:
+    """``deviations`` divided by their largest magnitude: squares that
+    would underflow below the smallest normal float keep their precision."""
+    top = max(map(abs, deviations))
+    return [d / top for d in deviations]
+
+
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation of two equal-length sequences; nan if
-    the sums of squares overflow."""
+    the sums of squares overflow. Deviations whose squares underflow are
+    rescaled first, which leaves the correlation unchanged."""
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]
     if len(x) != len(y):
@@ -59,7 +68,11 @@ def pearson(xs, ys) -> float:
     my = _mean(y)
     xc = [v - mx for v in x]
     yc = [v - my for v in y]
-    denom = math.sqrt(_fsum(a * a for a in xc) * _fsum(b * b for b in yc))
+    sxx, syy = _fsum(a * a for a in xc), _fsum(b * b for b in yc)
+    if min(sxx, syy, sxx * syy) < sys.float_info.min and any(xc) and any(yc):
+        xc, yc = _scaled(xc), _scaled(yc)
+        sxx, syy = _fsum(a * a for a in xc), _fsum(b * b for b in yc)
+    denom = math.sqrt(sxx * syy)
     if denom == 0.0:
         raise DegenerateVariance("zero variance in at least one input")
     if denom == math.inf:
@@ -167,7 +180,8 @@ class DispersionStats:
 
 
 def dispersion(board: ScoreBoard) -> DispersionStats:
-    """Mean, sample standard deviation, and CV of a board's score column."""
+    """Mean, sample standard deviation, and CV of a board's score column.
+    Deviations whose squares underflow are rescaled first."""
     values = [float(e.score) for e in board.entries]
     n = len(values)
     if n < 2:
@@ -175,7 +189,13 @@ def dispersion(board: ScoreBoard) -> DispersionStats:
     mean = _mean(values)
     if mean == 0.0:
         raise ZeroMean("coefficient of variation undefined for zero mean")
-    std = math.sqrt(_fsum((v - mean) * (v - mean) for v in values) / (n - 1))
+    deviations = [v - mean for v in values]
+    scale = 1.0
+    squares = _fsum(d * d for d in deviations)
+    if squares < sys.float_info.min and any(deviations):
+        scale = max(map(abs, deviations))
+        squares = _fsum(d * d for d in _scaled(deviations))
+    std = scale * math.sqrt(squares / (n - 1))
     return DispersionStats(
         scope_code=board.scope_code or "overall",
         indicator=board.indicator,

@@ -13,7 +13,7 @@ import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .baselines import ScalingFactorTable, normalized_impact
+from .baselines import ScalingFactorTable, scaling_factor
 from .corpus import Corpus, FilterConfig, LEVEL_SDS, eligible_units
 from .errors import MissingBaseline
 
@@ -45,13 +45,24 @@ class ScoreBoard:
 
 
 def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | None]:
-    """Normalized impact per publication; None marks a missing baseline."""
+    """Normalized impact per publication; None marks a missing baseline.
+
+    The scaling factor is found once per distinct (year, categories); each
+    impact is then what ``normalized_impact`` gives.
+    """
+    factors: dict[tuple[int, tuple[str, ...]], float | None] = {}
     impacts: dict[str, float | None] = {}
     for pub_id in sorted(corpus.publications):
-        try:
-            impacts[pub_id] = normalized_impact(corpus.publications[pub_id], table)
-        except MissingBaseline:
-            impacts[pub_id] = None
+        pub = corpus.publications[pub_id]
+        cell = (pub.year, pub.subject_categories)
+        if cell not in factors:
+            try:
+                factors[cell] = scaling_factor(pub, table)
+            except MissingBaseline:
+                factors[cell] = None
+        factor = factors[cell]
+        impacts[pub_id] = (None if factor is None else
+                           pub.citations / factor if pub.citations else 0.0)
     return impacts
 
 

@@ -663,7 +663,27 @@ def test_from_scores_overflowing_statistics_fail(tmp_path, capsys, n,
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {big}: scope scores: {statistic}; ")
-    assert not (tmp_path / "out" / "manifest" / "run_manifest.json").exists()
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+def test_from_scores_tiny_scores_keep_their_statistics(tmp_path):
+    # the squares of deviations near 1e-200 underflow to 0
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("unit,fss_score,mncs_score\n" + "".join(
+        f"U{i},{i}e-200,{i}\n" for i in range(1, 5)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--from-scores", str(tiny), "--out", str(out)]) == 0
+
+    def rows(name):
+        text = (out / "summaries" / name).read_text(encoding="utf-8")
+        return list(csv.DictReader(text.splitlines()))
+    (fss, _) = rows("dispersion_replay.csv")
+    assert (fss["indicator"], fss["coefficient_of_variation"]) == \
+        ("fss", "0.516398")
+    (shift,) = rows("shift_summary_replay.csv")
+    assert (shift["pearson"], shift["spearman"]) == ("1.000000", "1.000000")
+    manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
+    assert not [w for w in manifest["warnings"] if "omitted" in w]
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
-                      apply_filters, eligible_units, load_corpus, read_config,
-                      write_corpus_csvs)
+                      apply_filters, compute_scaling_factors, eligible_units,
+                      load_corpus, read_config, scoreboards, write_corpus_csvs)
 from rankdiff.cli import main
+from rankdiff.corpus import LEVELS
 from rankdiff.errors import MAX_VIOLATIONS
-from helpers import random_corpus
+from helpers import RELAXED_CFG, WINDOW, random_corpus
 
 
 def test_load_minimal_fixture(corpus_dir, window):
@@ -157,6 +163,172 @@ def test_violations_capped(corpus_dir, window, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "INVALID: first 100 of 500 violation(s)"
     assert len(out) == 1 + MAX_VIOLATIONS
+
+
+# Two broken corpora. "cells" has problems that reading finds: bad integer,
+# number and bound cells, two in one row, a quoted cell over two lines, a
+# short and a long row, an empty and a duplicate key (a row with a bad cell
+# is not key-checked, so the later "w1" and "w2" rows do not clash with it),
+# a UDA name conflict, a field over the csv module's limit (it ends its
+# file) and an undecodable byte. "references" reads cleanly and fails the
+# corpus invariants.
+BROKEN_CORPORA = {
+    "cells": {
+        "publications.csv": (
+            "pub_id,year,doc_type,subject_categories,citations,n_authors_total\n"
+            "w1,20x8,article,C1,4,2\n"
+            'w2,2009,"article\nreview",C1,0,1\n'
+            "w3,2008,article,C1|C2,99999999999999999999,abc\n"
+            "w4,2008,article,C2,2\n"
+            " ,2008,article,C2,2,1\n"
+            "w2,2010,article,C1,9,1\n"
+            "w7,1e3,article,C1,1,1\n"
+            "w2,2011,article,C1,-5x,1\n"
+            "w1,2008,article,C1,3,1\n"),
+        "fields.csv": (
+            "sds_code,sds_name,uda_code,uda_name\n"
+            "S1,Field one,U1,Discipline one\n"
+            "S2,Field two,U1,Discipline uno\n"),
+        "salaries.csv": (
+            "academic_rank,avg_yearly_salary\n"
+            "assistant,1\n"
+            "full,nan\n"
+            f"dean,{'x' * 140_000}\n"
+            "rector,x\n"),
+        "professors.csv": (
+            "professor_id,university_id,sds_code,academic_rank,years_on_staff\n"
+            "p1,A,S1,full,five\n"
+            "p2,A,S1,assistant,inf\n"
+            "p3,B,S1,assistant,5,extra\n"
+            "p4,B,S2,assistant,2.5\n"
+            "p4,B,S2,full,3\n"),
+        "authorships.csv": b"pub_id,professor_id\nw1,p1\nw2,p\xe92\n",
+    },
+    "references": {
+        "publications.csv": (
+            "pub_id,year,doc_type,subject_categories,citations,n_authors_total\n"
+            "w1,2008,article,C1,4,2\n"
+            "w2,2009,article,C1,0,1\n"
+            "w3,2008,article, | ,-3,0\n"),
+        "fields.csv": (
+            "sds_code,sds_name,uda_code,uda_name\n"
+            "S1,Field one,U1,Discipline one\n"),
+        "salaries.csv": "academic_rank,avg_yearly_salary\nassistant,1\nfull,0\n",
+        "professors.csv": (
+            "professor_id,university_id,sds_code,academic_rank,years_on_staff\n"
+            'p1,"Uni\nA",S9,full,5\n'
+            "p2,A,S1,dean,5\n"
+            "p3,B,S1,assistant,7\n"
+            "p4,B,S1,assistant,2.5\n"),
+        "authorships.csv": (
+            "pub_id,professor_id\n"
+            "w1,p1\nw9,p2\nw1,GHOST\nw1,p1\nw2,p3\nw2,p4\nw9,NOBODY\n"),
+    },
+}
+
+BROKEN_REPORTS = {
+    "cells": """\
+INVALID: 16 violation(s)
+  publications.csv:2 [year]: not an integer: '20x8'
+  publications.csv:5 [citations]: must be at most 2**53 in magnitude
+  publications.csv:5 [n_authors_total]: not an integer: 'abc'
+  publications.csv:6 [-]: wrong number of fields: 5, expected 6
+  publications.csv:7 [pub_id]: empty
+  publications.csv:8 [pub_id]: duplicate key 'w2'
+  publications.csv:9 [year]: not an integer: '1e3'
+  publications.csv:10 [citations]: not an integer: '-5x'
+  fields.csv:3 [uda_name]: conflicting names for UDA 'U1'
+  salaries.csv:3 [avg_yearly_salary]: not a finite number: 'nan'
+  salaries.csv:4 [-]: field larger than field limit (131072)
+  professors.csv:2 [years_on_staff]: not a number: 'five'
+  professors.csv:3 [years_on_staff]: not a finite number: 'inf'
+  professors.csv:4 [-]: wrong number of fields: 6, expected 5
+  professors.csv:6 [professor_id]: duplicate key 'p4'
+  authorships.csv:3 [-]: not valid UTF-8 (byte 0xe9)
+""",
+    "references": """\
+INVALID: 13 violation(s)
+  publications.csv:4 [subject_categories]: must be non-empty
+  publications.csv:4 [citations]: must be >= 0, got -3
+  publications.csv:4 [n_authors_total]: must be >= 1, got 0
+  professors.csv:3 [sds_code]: unknown SDS 'S9'
+  professors.csv:4 [academic_rank]: rank 'dean' missing from salary table
+  professors.csv:5 [years_on_staff]: 7.0 exceeds window length 5
+  authorships.csv:3 [pub_id]: unknown publication 'w9'
+  authorships.csv:4 [professor_id]: unknown professor 'GHOST'
+  authorships.csv:5 [authorship]: duplicate pair
+  authorships.csv:8 [pub_id]: unknown publication 'w9'
+  authorships.csv:8 [professor_id]: unknown professor 'NOBODY'
+  publications.csv:3 [n_authors_total]: 2 authorships exceed n_authors_total=1
+  salaries.csv:3 [avg_yearly_salary]: must be finite and > 0, got 0.0
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CORPORA))
+def test_broken_corpus_report_is_pinned(tmp_path, capsys, case):
+    """validate lists every problem of a broken corpus by file, then line,
+    then column, with the exact text recorded from an earlier reader."""
+    data_dir = tmp_path / case
+    data_dir.mkdir()
+    for name, text in BROKEN_CORPORA[case].items():
+        (data_dir / name).write_bytes(
+            text if isinstance(text, bytes) else text.encode())
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text("start_year=2008\nend_year=2012\n", encoding="utf-8")
+    assert main(["validate", str(data_dir), "--config", str(run_cfg)]) == 1
+    assert capsys.readouterr().out == BROKEN_REPORTS[case]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("unit,fss_score,mncs_score\nA,1,1\nB,2,x\nC,y,3\n",
+     ":3: mncs_score: not a number: 'x'"),
+    ("unit,fss_score,mncs_score\nA,1,1\nA,2,2\nB,x,1\n",
+     ":3: unit: duplicate key 'A'"),
+], ids=["later_column_first", "key_before_later_cell"])
+def test_first_table_problem_is_the_first_by_line(tmp_path, capsys, text,
+                                                  error):
+    table = tmp_path / "scores.csv"
+    table.write_text(text, encoding="utf-8")
+    assert main(["compare", "--from-scores", str(table),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {table}{error}\n"
+
+
+def _boards_and_indexes(data_dir: Path):
+    corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
+    # the indexes are built on first use, by scoring
+    assert not {"pubs_by_professor", "professors_by_pub"} & set(vars(corpus))
+    table = compute_scaling_factors(corpus)
+    boards = [scoreboards(corpus, table, level, RELAXED_CFG) for level in LEVELS]
+    indexes = [{k: sorted(v) for k, v in index.items()}
+               for index in (corpus.pubs_by_professor, corpus.professors_by_pub)]
+    return boards, indexes, corpus.universities
+
+
+ROW_ORDER_CORPUS = random_corpus(np.random.default_rng(5), n_universities=6,
+                                 n_sds=4, profs_per=(1, 4),
+                                 multi_category_share=0.3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_order_changes_no_board_or_index(seed):
+    """Shuffling the data rows of all five corpus files, each under its
+    header, changes no scoreboard at any level and no index."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        ordered, shuffled = Path(tmp) / "ordered", Path(tmp) / "shuffled"
+        paths = write_corpus_csvs(ROW_ORDER_CORPUS, ordered)
+        shuffled.mkdir()
+        for path in paths.all():
+            header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+            rng.shuffle(rows)
+            (shuffled / path.name).write_text(header + "".join(rows),
+                                              encoding="utf-8")
+        expected = _boards_and_indexes(ordered)
+        assert all(board_set.pairs for board_set in expected[0])
+        assert _boards_and_indexes(shuffled) == expected
 
 
 @pytest.mark.parametrize("years, salary", [

@@ -39,6 +39,22 @@ def test_pearson_overflow_is_nan():
     assert math.isnan(pearson([1e200, 2e200, 3e200, 4e200], [1, 2, 3, 4]))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-310])
+def test_tiny_deviations_keep_their_correlation_and_dispersion(scale):
+    # squares of 1e-200 underflow to 0 and those of 1e-160 to subnormals;
+    # 1e-160 in both columns makes the product of the sums underflow
+    xs = [v * scale for v in (1.0, 2.0, 3.0, 4.0)]
+    ys = [v * min(scale, 1e-160) for v in (1.0, 2.0, 4.0, 3.0)]
+    assert pearson(xs, xs[::-1]) == pytest.approx(-1.0)
+    assert pearson(xs, [1, 2, 4, 3]) == pytest.approx(0.8)
+    assert pearson(xs, ys) == pytest.approx(0.8)
+    assert spearman(xs, ys) == pytest.approx(0.8)
+    stats = dispersion(ScoreBoard("overall", None, FSS, [
+        UnitScore(f"U{i}", FSS, x) for i, x in enumerate(xs)]))
+    assert stats.coefficient_of_variation == pytest.approx(
+        math.sqrt(5 / 3) / 2.5, rel=1e-12 if scale > 1e-300 else 1e-6)
+
+
 def test_pearson_rejects_short_or_mismatched_input():
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [1.0, 2.0])
