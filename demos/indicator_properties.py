@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from rankdiff import (FSS, MNCS, Authorship, Corpus, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
-                      compute_scaling_factors, impact_map, professor_scores,
-                      scoreboards, sds_averages, unit_scores)
+                      compute_scaling_factors, eligible_units, impact_map,
+                      professor_scores, scoreboards, sds_averages, unit_scores)
 
 WINDOW = ObservationWindow(2008, 2012)
 # every university of these tiny corpora is eligible
@@ -100,8 +100,9 @@ mncs_small = alpha_score(base, MNCS)
 # the doubled unit is standardized by the original national SDS averages
 averages = sds_averages(base, fss_p(base))
 doubled = build_corpus(cloned=True)
-fss_big = unit_scores(doubled, "overall", fss_p(doubled), averages)(
-    "ALPHA", None)[0].score
+alpha_staff = eligible_units(doubled, "overall", ALL_UNITS)[None]["ALPHA"]
+fss_big = unit_scores(doubled, "ALPHA", None, alpha_staff, fss_p(doubled),
+                      averages)[0].score
 mncs_big = alpha_score(doubled, MNCS)
 print(f"ALPHA with 2 professors : FSS {fss_small:.6f}  MNCS {mncs_small:.6f}")
 print(f"ALPHA doubled to 4 staff: FSS {fss_big:.6f}  MNCS {mncs_big:.6f}")

@@ -3,12 +3,11 @@ analytics over publication/staff corpora."""
 
 from .baselines import (CellStats, ScalingFactorTable, compute_scaling_factors,
                         normalized_impact, scaling_factor)
-from .corpus import (Authorship, Corpus, CorpusPaths, EligibleUnit,
-                     FieldScheme, FilterConfig, FilterReport, LEVEL_OVERALL,
-                     LEVEL_SDS, LEVEL_UDA, LEVELS, ObservationWindow,
-                     Professor, Publication, RunConfig, apply_filters,
-                     eligible_units, load_corpus, read_config, scope_codes,
-                     write_corpus_csvs)
+from .corpus import (Authorship, Corpus, CorpusPaths, FieldScheme,
+                     FilterConfig, FilterReport, LEVEL_OVERALL, LEVEL_SDS,
+                     LEVEL_UDA, LEVELS, ObservationWindow, Professor,
+                     Publication, RunConfig, apply_filters, eligible_units,
+                     load_corpus, read_config, write_corpus_csvs)
 from .divergence import (DispersionStats, DivergenceSummary, QuartileSummary,
                          RangeSummary, average_ranks, dispersion, pearson,
                          quartile_stats, range_summary, shift_stats, spearman)

@@ -135,23 +135,10 @@ def _input_digests(args: argparse.Namespace) -> dict[str, str]:
 
 def _load(args: argparse.Namespace, run_cfg: RunConfig,
           filtered: bool = True) -> Corpus:
-    """Load the corpus and, if ``filtered``, filter it.
-
-    The cyclic garbage collector is paused meanwhile and the survivors are
-    then frozen out of its scans: loading creates tens of thousands of
-    records and no reference cycle, so the collections they would trigger
-    find nothing to free.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        corpus = load_corpus(args.data_dir, run_cfg.window)
-        if filtered:
-            corpus = apply_filters(corpus, run_cfg.filters)
-    finally:
-        if enabled:
-            gc.enable()
-    gc.freeze()
+    """Load the corpus and, if ``filtered``, filter it."""
+    corpus = load_corpus(args.data_dir, run_cfg.window)
+    if filtered:
+        corpus = apply_filters(corpus, run_cfg.filters)
     return corpus
 
 
@@ -441,6 +428,11 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the cyclic garbage collector is paused while the command runs: a run
+    # creates tens of thousands of records and no reference cycle, so the
+    # collections they would trigger find nothing to free
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except SystemExitWithCode as exc:
@@ -455,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -129,13 +129,6 @@ class FilterReport:
     authorships_removed: int = 0
 
 
-@dataclass(frozen=True)
-class EligibleUnit:
-    university_id: str
-    scope_code: str | None      # None at overall level
-    professor_count: int
-
-
 class Corpus:
     """Validated, immutable-by-convention snapshot of the dataset.
 
@@ -612,31 +605,29 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
                   validate=False)
 
 
-def scope_codes(corpus: Corpus, level: str) -> list[str | None]:
-    """Scope codes populated by at least one professor, sorted; [None] overall."""
-    if level == LEVEL_OVERALL:
-        return [None]
-    return sorted({corpus.scope_of(p, level) for p in corpus.professors.values()})
-
-
-def eligible_units(corpus: Corpus, level: str,
-                   cfg: FilterConfig) -> list[EligibleUnit]:
-    """Universities meeting the per-scope headcount threshold.
+def eligible_units(corpus: Corpus, level: str, cfg: FilterConfig
+                   ) -> dict[str | None, dict[str, list[str]]]:
+    """The units meeting the level's headcount threshold, with their staff:
+    ``scope_code -> university_id -> [professor ids]``.
 
     The unit is (university, scope_code); at overall level the scope code is
-    None and the unit is the university itself.
+    None and the unit is the university itself. Scopes come in code order,
+    universities in id order within a scope, and professors in id order.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    headcount: dict[tuple[str, str | None], int] = {}
-    for prof in corpus.professors.values():
-        key = (prof.university_id, corpus.scope_of(prof, level))
-        headcount[key] = headcount.get(key, 0) + 1
+    members: dict[tuple[str | None, str], list[str]] = {}
+    for pid in sorted(corpus.professors):
+        prof = corpus.professors[pid]
+        key = (corpus.scope_of(prof, level), prof.university_id)
+        members.setdefault(key, []).append(pid)
     threshold = cfg.min_professors(level)
-    return [EligibleUnit(univ, scope, n)
-            for (univ, scope), n in sorted(headcount.items(),
-                                           key=lambda kv: (kv[0][1] or "", kv[0][0]))
-            if n >= threshold]
+    units: dict[str | None, dict[str, list[str]]] = {}
+    for (scope, univ), pids in sorted(members.items(),
+                                      key=lambda kv: (kv[0][0] or "", kv[0][1])):
+        if len(pids) >= threshold:
+            units.setdefault(scope, {})[univ] = pids
+    return units
 
 
 # ---------------------------------------------------------------------------

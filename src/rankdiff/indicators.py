@@ -10,7 +10,6 @@ fractional-authorship weights.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .baselines import ScalingFactorTable, scaling_factor
@@ -116,74 +115,63 @@ def sds_averages(corpus: Corpus, scores: dict[str, float]) -> dict[str, float]:
     return averages
 
 
-_UnitPair = tuple[UnitScore | None, UnitScore | None]
-
-
-def unit_scores(corpus: Corpus, level: str,
-                scores: dict[str, float] | None = None,
+def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
+                members: list[str], scores: dict[str, float] | None = None,
                 averages: dict[str, float] | None = None,
                 impacts: dict[str, float | None] | None = None
-                ) -> Callable[[str, str | None], _UnitPair]:
-    """Group the professors of every unit at ``level`` in one pass.
+                ) -> tuple[UnitScore | None, UnitScore | None]:
+    """(fss, mncs) of the unit (university_id, scope_code) whose professors
+    are ``members``; None where not asked or undefined.
 
     FSS needs ``scores`` and ``averages``, MNCS needs ``impacts``; None
-    leaves that indicator out. Returns ``unit(university_id, scope_code) ->
-    (fss, mncs)``: one unit's scores, None where not asked or undefined. It
-    logs the unit's dropped professors and skipped publications.
+    leaves that indicator out. It logs the unit's dropped professors and
+    skipped publications.
 
     FSS is the mean of SDS-standardized professor values, zeros included;
     a professor whose SDS has no average leaves numerator and staff. MNCS
     weights publication i by m_i / n_i, the unit's in-scope authors over all
     co-authors; an uncited one adds weight only, one without a baseline
-    nothing. FSS ratios are summed in professor-id order and MNCS terms in
-    publication-id order, so no score depends on input row order.
+    nothing. FSS ratios are summed in ``members`` order, which
+    ``eligible_units`` gives by id, and MNCS terms in publication-id order,
+    so no score depends on input row order.
     """
-    members: dict[tuple[str, str | None], list[str]] = {}
-    for pid in sorted(corpus.professors):
-        prof = corpus.professors[pid]
-        key = (prof.university_id, corpus.scope_of(prof, level))
-        members.setdefault(key, []).append(pid)
-
-    def unit(university_id: str, scope_code: str | None) -> _UnitPair:
-        pids = members.get((university_id, scope_code), [])
-        fss = mncs = None
-        if scores is not None:
-            ratios = []
-            for pid in pids:
-                avg = averages.get(corpus.professors[pid].sds_code)
-                if avg is not None:
-                    ratios.append(scores[pid] / avg)
-            if len(ratios) < len(pids):
-                log.warning("fss_unit %s/%s: %d professors dropped "
-                            "(unstandardizable SDS)",
-                            university_id, scope_code, len(pids) - len(ratios))
-            if ratios:
-                fss = UnitScore(university_id, FSS, sum(ratios) / len(ratios),
-                                research_staff=len(ratios))
-        if impacts is not None:
-            m_by_pub: dict[str, int] = {}       # the unit's authors per pub
-            for pid in pids:
-                for pub_id in corpus.pubs_by_professor.get(pid, []):
-                    m_by_pub[pub_id] = m_by_pub.get(pub_id, 0) + 1
-            numerator = weight_sum = 0.0
-            skipped = 0
-            for pub_id, m in sorted(m_by_pub.items()):
-                impact = impacts[pub_id]
-                if impact is None:
-                    skipped += 1
-                    continue
-                weight = m / corpus.publications[pub_id].n_authors_total
-                numerator += impact * weight
-                weight_sum += weight
-            if skipped:
-                log.warning("mncs_unit %s/%s: %d publications skipped "
-                            "(missing baseline)",
-                            university_id, scope_code, skipped)
-            if weight_sum > 0:
-                mncs = UnitScore(university_id, MNCS, numerator / weight_sum,
-                                 publication_weight=weight_sum)
-        return fss, mncs
-    return unit
+    fss = mncs = None
+    if scores is not None:
+        ratios = []
+        for pid in members:
+            avg = averages.get(corpus.professors[pid].sds_code)
+            if avg is not None:
+                ratios.append(scores[pid] / avg)
+        if len(ratios) < len(members):
+            log.warning("fss_unit %s/%s: %d professors dropped "
+                        "(unstandardizable SDS)",
+                        university_id, scope_code, len(members) - len(ratios))
+        if ratios:
+            fss = UnitScore(university_id, FSS, sum(ratios) / len(ratios),
+                            research_staff=len(ratios))
+    if impacts is not None:
+        m_by_pub: dict[str, int] = {}       # the unit's authors per pub
+        for pid in members:
+            for pub_id in corpus.pubs_by_professor.get(pid, []):
+                m_by_pub[pub_id] = m_by_pub.get(pub_id, 0) + 1
+        numerator = weight_sum = 0.0
+        skipped = 0
+        for pub_id, m in sorted(m_by_pub.items()):
+            impact = impacts[pub_id]
+            if impact is None:
+                skipped += 1
+                continue
+            weight = m / corpus.publications[pub_id].n_authors_total
+            numerator += impact * weight
+            weight_sum += weight
+        if skipped:
+            log.warning("mncs_unit %s/%s: %d publications skipped "
+                        "(missing baseline)",
+                        university_id, scope_code, skipped)
+        if weight_sum > 0:
+            mncs = UnitScore(university_id, MNCS, numerator / weight_sum,
+                             publication_weight=weight_sum)
+    return fss, mncs
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +206,15 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
     want_fss = indicator in (FSS, BOTH)
     want_mncs = indicator in (MNCS, BOTH)
 
-    by_scope: dict[str | None, list] = {}
-    for u in eligible_units(corpus, level, cfg):
-        by_scope.setdefault(u.scope_code, []).append(u)
-
+    units = eligible_units(corpus, level, cfg)
     impacts = impact_map(corpus, table)
     scores = averages = None
     if want_fss:
         scores = professor_scores(corpus, impacts)
         averages = sds_averages(corpus, scores)
-    unit = unit_scores(corpus, level, scores, averages,
-                       impacts if want_mncs else None)
 
     result = ScoreboardSet(level=level, pairs={})
-    for scope in sorted(by_scope, key=lambda s: s or ""):
-        scope_units = by_scope[scope]
+    for scope, scope_units in units.items():
         if level == LEVEL_SDS and len(scope_units) < cfg.min_units_to_rank:
             result.not_rankable.append(scope)
             result.warnings.append(
@@ -242,10 +224,12 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
         fss_entries: list[UnitScore] = []
         mncs_entries: list[UnitScore] = []
         dropped: list[str] = []
-        for u in scope_units:       # eligible_units sorts them by id
-            fss_score, mncs_score = unit(u.university_id, scope)
+        for univ, members in scope_units.items():
+            fss_score, mncs_score = unit_scores(
+                corpus, univ, scope, members, scores, averages,
+                impacts if want_mncs else None)
             if indicator == BOTH and (fss_score is None or mncs_score is None):
-                dropped.append(u.university_id)
+                dropped.append(univ)
                 continue
             if fss_score is not None:
                 fss_entries.append(fss_score)

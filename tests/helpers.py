@@ -11,7 +11,7 @@ import numpy as np
 
 from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
                       ObservationWindow, Professor, Publication, ScoreBoard,
-                      compare, rank, scoreboards)
+                      compare, eligible_units, rank, scoreboards)
 from rankdiff.indicators import FSS, MNCS, UnitScore
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -317,6 +317,13 @@ def overall_scores(corpus: Corpus, table, indicator: str) -> dict[str, float]:
     pair = scoreboards(corpus, table, "overall", RELAXED_CFG, indicator).pairs[None]
     board = pair.fss if indicator == FSS else pair.mncs
     return {e.university_id: e.score for e in board.entries}
+
+
+def staff_of(corpus: Corpus, univ: str, level: str = "overall",
+             scope: str | None = None) -> list[str]:
+    """The professor ids of the unit (univ, scope), as ``scoreboards`` gets
+    them from ``eligible_units``."""
+    return eligible_units(corpus, level, RELAXED_CFG)[scope][univ]
 
 
 def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:

@@ -34,7 +34,8 @@ from rankdiff import (FSS, MNCS, FilterConfig, ObservationWindow, Publication,
 from helpers import (add_publication, boards_from_columns, clone_university,
                      comparison_from_ranks, expected_replay_table, load_ref,
                      oracle_quartile_stats, oracle_shift_stats,
-                     overall_scores, random_corpus, replay_compare, tie_blocks)
+                     overall_scores, random_corpus, replay_compare, staff_of,
+                     tie_blocks)
 
 
 def _criterion(name: str, failures: list[str]) -> None:
@@ -327,8 +328,9 @@ def test_criterion_08_size_independence_under_cloning():
             corpus, impact_map(corpus, table)))
         cloned = clone_university(corpus, "UNIV1")
         cloned_scores = professor_scores(cloned, impact_map(cloned, table))
-        fss_after = unit_scores(cloned, "overall", cloned_scores, averages)(
-            "UNIV1", None)[0].score
+        fss_after = unit_scores(cloned, "UNIV1", None,
+                                staff_of(cloned, "UNIV1"), cloned_scores,
+                                averages)[0].score
         mncs_after = overall_scores(cloned, table, MNCS)["UNIV1"]
         if abs(fss_after - fss_before) > 1e-9:
             failures.append(f"case {checked}: fss {fss_before} -> {fss_after}")

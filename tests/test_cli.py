@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -201,6 +202,31 @@ def test_score_single_indicator(synth_setup):
         rows = list(csv.DictReader(f))
     assert rows
     assert {r["indicator"] for r in rows} == {"fss"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_and_freezes_nothing(synth_setup, enabled):
+    # the collector is paused while a command runs and left as it was found,
+    # whatever the exit code; no object is moved to the permanent generation
+    tmp_path, data_dir, run_cfg = synth_setup
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    runs = [(["compare", str(data_dir), "--config", str(run_cfg),
+              "--level", "overall", "--out", str(tmp_path / f"cmp{i}")], 0)
+            for i in range(3)]
+    runs += [(["score", str(empty), "--config", str(run_cfg), "--level", "sds",
+               "--out", str(tmp_path / "bad")], 1),
+             (["score", str(data_dir), "--level", "sds",
+               "--out", str(tmp_path / "no_config")], 2)]
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_validate_empty_directory_fails(tmp_path):

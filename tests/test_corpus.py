@@ -416,14 +416,14 @@ def _headcount_corpus(window, counts: dict[str, int]) -> Corpus:
 def test_eligible_units_threshold(window):
     corpus = _headcount_corpus(window, {"A": 3, "B": 1, "C": 2})
     units = eligible_units(corpus, "sds", FilterConfig(min_professors_sds=2))
-    assert [(u.university_id, u.professor_count) for u in units] == \
-        [("A", 3), ("C", 2)]
+    assert units == {"S": {"A": ["p1", "p2", "p3"], "C": ["p5", "p6"]}}
 
 
 def test_overall_threshold_excludes_29(window):
     corpus = _headcount_corpus(window, {"A": 29, "B": 30})
     units = eligible_units(corpus, "overall", FilterConfig())
-    assert [(u.university_id, u.scope_code) for u in units] == [("B", None)]
+    assert list(units) == [None]
+    assert list(units[None]) == ["B"]
 
 
 def test_eligibility_monotone_in_threshold(window):
@@ -436,8 +436,9 @@ def test_eligibility_monotone_in_threshold(window):
                 cfg = FilterConfig(min_professors_sds=threshold,
                                    min_professors_uda=threshold,
                                    min_professors_overall=threshold)
-                units = {(u.university_id, u.scope_code)
-                         for u in eligible_units(corpus, level, cfg)}
+                units = {(univ, scope) for scope, members
+                         in eligible_units(corpus, level, cfg).items()
+                         for univ in members}
                 if previous is not None:
                     assert units <= previous
                 previous = units
@@ -449,7 +450,14 @@ def test_unknown_level_rejected(tiny_corpus):
 
 
 def test_scope_codes_per_level(tiny_corpus):
-    from rankdiff import scope_codes
+    # with zero thresholds, the scopes of the eligible units are the
+    # populated scopes, sorted
+    cfg = FilterConfig(min_professors_sds=0, min_professors_uda=0,
+                       min_professors_overall=0)
+
+    def scope_codes(corpus, level):
+        return list(eligible_units(corpus, level, cfg))
+
     assert scope_codes(tiny_corpus, "sds") == ["S1", "S2"]
     assert scope_codes(tiny_corpus, "uda") == ["U1"]
     assert scope_codes(tiny_corpus, "overall") == [None]

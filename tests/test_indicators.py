@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankdiff import (FSS, MNCS, Authorship, Corpus, CorpusLoadError,
+from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
                       FieldScheme, FilterConfig, ObservationWindow, Professor,
                       Publication, ScalingFactorTable, compute_scaling_factors,
-                      impact_map, professor_scores, scoreboards, sds_averages,
-                      unit_scores)
+                      impact_map, professor_scores, rank, scoreboards,
+                      sds_averages, unit_scores)
 from rankdiff.baselines import CellStats
 from helpers import (RELAXED_CFG, add_publication, clone_university,
-                     oracle_unit_scores, overall_scores, random_corpus)
+                     oracle_unit_scores, overall_scores, random_corpus,
+                     staff_of)
 
 WINDOW = ObservationWindow(2008, 2012)
 
@@ -89,8 +94,9 @@ def test_fss_skips_missing_baseline_terms(caplog):
 
 def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
-    unit = unit_scores(corpus, level, scores, sds_averages(corpus, scores))
-    fss, _ = unit(univ, scope)
+    staff = staff_of(corpus, univ, level, scope)
+    fss, _ = unit_scores(corpus, univ, scope, staff, scores,
+                         sds_averages(corpus, scores))
     return fss
 
 
@@ -238,8 +244,8 @@ def test_mncs_no_publications():
     corpus = _corpus([], [], profs)
     table = ScalingFactorTable({})
     assert _mncs(corpus, table) is None
-    unit = unit_scores(corpus, "overall", impacts=impact_map(corpus, table))
-    assert unit("A", None) == (None, None)
+    assert unit_scores(corpus, "A", None, ["p"],
+                       impacts=impact_map(corpus, table)) == (None, None)
 
 
 def test_mncs_weights_in_unit_interval():
@@ -417,8 +423,8 @@ def test_size_independence_under_cloning():
             continue
         # the clone is standardized by the original national averages
         cloned = clone_university(corpus, univ)
-        unit = unit_scores(cloned, "overall", _fss_p(cloned, table), averages)
-        fss_after = unit(univ, None)[0].score
+        fss_after = unit_scores(cloned, univ, None, staff_of(cloned, univ),
+                                _fss_p(cloned, table), averages)[0].score
         mncs_after = _unit_mncs(cloned, table, univ)
         assert fss_after == pytest.approx(fss_before, abs=1e-9)
         assert mncs_after == pytest.approx(mncs_before, abs=1e-9)
@@ -483,3 +489,73 @@ def test_scores_invariant_under_input_permutation():
     for indicator in (FSS, MNCS):
         assert overall_scores(shuffled, table, indicator) == \
             overall_scores(corpus, table, indicator)
+
+
+def _entries(board):
+    return {e.university_id: (e.score, e.research_staff, e.publication_weight)
+            for e in board.entries}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(4)))
+def test_renaming_universities_permutes_board_entries(seed, order):
+    # a bijection of university ids moves no professor between units, so
+    # each renamed unit keeps its score, staff and weight, and its rank
+    # wherever the board has no tie
+    corpus = random_corpus(np.random.default_rng(seed), n_universities=4,
+                           n_sds=3)
+    new_name = {f"UNIV{i + 1}": f"UNIV{j + 1}" for i, j in enumerate(order)}
+    renamed = Corpus(corpus.window, corpus.publications, corpus.authorships,
+                     {pid: dataclasses.replace(
+                         p, university_id=new_name[p.university_id])
+                      for pid, p in corpus.professors.items()},
+                     corpus.field_scheme, corpus.salary_table)
+    table = compute_scaling_factors(corpus)
+    for level in LEVELS:
+        before = scoreboards(corpus, table, level, RELAXED_CFG)
+        after = scoreboards(renamed, table, level, RELAXED_CFG)
+        assert after.pairs.keys() == before.pairs.keys()
+        for scope, pair in before.pairs.items():
+            assert sorted(after.pairs[scope].dropped_units) == \
+                sorted(new_name[u] for u in pair.dropped_units)
+            for old, new in [(pair.fss, after.pairs[scope].fss),
+                             (pair.mncs, after.pairs[scope].mncs)]:
+                assert _entries(new) == {new_name[u]: v for u, v
+                                         in _entries(old).items()}
+                scores = [e.score for e in old.entries]
+                if scores and len(set(scores)) == len(scores):
+                    assert {e.unit_id: e.rank for e in rank(new).entries} == \
+                        {new_name[e.unit_id]: e.rank for e in rank(old).entries}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10**6))
+def test_citation_scale_leaves_impacts_and_unit_scores(seed, k):
+    # every baseline mean scales with the citations, so each normalized
+    # impact, and every score built on them, stays where it was
+    corpus = random_corpus(np.random.default_rng(seed), n_universities=3,
+                           n_sds=3)
+    scaled = Corpus(corpus.window,
+                    {w: dataclasses.replace(p, citations=p.citations * k)
+                     for w, p in corpus.publications.items()},
+                    corpus.authorships, corpus.professors, corpus.field_scheme,
+                    corpus.salary_table)
+    table = compute_scaling_factors(corpus)
+    table_k = compute_scaling_factors(scaled)
+    impacts = impact_map(corpus, table)
+    impacts_k = impact_map(scaled, table_k)
+    assert impacts_k.keys() == impacts.keys()
+    for pub_id, impact in impacts.items():
+        assert impacts_k[pub_id] == pytest.approx(impact, rel=1e-12, abs=0)
+    for level in LEVELS:
+        before = scoreboards(corpus, table, level, RELAXED_CFG)
+        after = scoreboards(scaled, table_k, level, RELAXED_CFG)
+        assert after.pairs.keys() == before.pairs.keys()
+        for scope, pair in before.pairs.items():
+            for old, new in [(pair.fss, after.pairs[scope].fss),
+                             (pair.mncs, after.pairs[scope].mncs)]:
+                assert [e.university_id for e in new.entries] == \
+                    [e.university_id for e in old.entries]
+                for e_old, e_new in zip(old.entries, new.entries):
+                    assert e_new.score == pytest.approx(e_old.score, rel=1e-12,
+                                                        abs=0)
