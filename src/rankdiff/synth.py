@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -65,12 +67,31 @@ class SynthConfig:
     window: ObservationWindow
 
     def __post_init__(self) -> None:
-        if self.n_universities < 1:
-            raise SynthConfigError("n_universities must be >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise SynthConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.n_universities) or self.n_universities < 1:
+            raise SynthConfigError(
+                f"n_universities must be an integer >= 1, "
+                f"got {self.n_universities!r}")
+        for name in ("start_year", "end_year"):
+            year = getattr(self.window, name)
+            if not _is_int(year):
+                raise SynthConfigError(
+                    f"window {name} must be an integer, got {year!r}")
         if not self.sds_spec:
             raise SynthConfigError("sds_spec must name at least one SDS")
         first_code: dict[str, str] = {}
-        for code, _ in self.sds_spec:
+        for code, uda in self.sds_spec:
+            # codes go to the corpus CSVs as they are: a padded code would
+            # load back stripped, and '|' separates a publication's categories
+            for kind, value in (("SDS", code), ("UDA", uda)):
+                if not value or value != value.strip():
+                    raise SynthConfigError(
+                        f"{kind} code {value!r} must be non-empty and have "
+                        f"no surrounding spaces")
+            if "|" in code:
+                raise SynthConfigError(f"SDS code {code!r} must not contain '|'")
             cat = _primary_category(code)
             if cat in first_code:
                 if first_code[cat] == code:
@@ -79,6 +100,11 @@ class SynthConfig:
                     f"SDS codes {first_code[cat]!r} and {code!r} share "
                     f"subject category {cat!r}")
             first_code[cat] = code
+        if (len(self.professors_per_sds) != 2
+                or not all(map(_is_int, self.professors_per_sds))):
+            raise SynthConfigError(
+                f"professors_per_sds must be two integers, "
+                f"got {self.professors_per_sds!r}")
         lo, hi = self.professors_per_sds
         if lo < 0 or hi < lo:
             raise SynthConfigError(f"bad professors_per_sds range ({lo}, {hi})")
@@ -105,25 +131,38 @@ class SynthConfig:
             raise SynthConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:
             window = ObservationWindow(
-                start_year=int(raw["window"]["start_year"]),
-                end_year=int(raw["window"]["end_year"]),
+                start_year=raw["window"]["start_year"],
+                end_year=raw["window"]["end_year"],
                 citation_snapshot_label=raw["window"].get("label", ""),
             )
+            salaries = raw["salaries"]
+            if not isinstance(salaries, dict):
+                raise SynthConfigError(
+                    f"salaries must be an object of rank: salary, "
+                    f"got {salaries!r}")
+            # integer settings are taken as they are: SynthConfig rejects a
+            # float, a boolean or a string instead of truncating it
             return cls(
-                seed=int(raw["seed"]),
-                n_universities=int(raw["n_universities"]),
+                seed=raw["seed"],
+                n_universities=raw["n_universities"],
                 sds_spec=tuple((str(e["sds"]), str(e["uda"])) for e in raw["sds"]),
-                professors_per_sds=(int(raw["professors_per_sds"][0]),
-                                    int(raw["professors_per_sds"][1])),
+                professors_per_sds=tuple(raw["professors_per_sds"]),
                 pubs_per_professor=float(raw["pubs_per_professor"]),
                 citation_dispersion=float(raw["citation_dispersion"]),
                 quantity_impact_corr=float(raw["quantity_impact_corr"]),
                 salary_levels=tuple(sorted(
-                    (str(k), float(v)) for k, v in raw["salaries"].items())),
+                    (str(k), float(v)) for k, v in salaries.items())),
                 window=window,
             )
+        except SynthConfigError as exc:
+            raise SynthConfigError(f"{path}: {exc}") from exc
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise SynthConfigError(f"{path}: bad synth config: {exc}") from exc
+
+
+def _is_int(value: object) -> bool:
+    """An integer setting: an int (numpy's too), never a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _primary_category(sds_code: str) -> str:
@@ -145,20 +184,31 @@ def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:
     return special.gammaincinv(shape, u) / shape
 
 
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The cdf that ``rng.choice(len(p), p=p)`` builds on every call.
+
+    ``bisect_right(cdf, rng.random())`` picks the same index from the same
+    one-double draw, without choice's argument checks.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate(cfg: SynthConfig) -> Corpus:
     """Build a validated corpus from the config; deterministic per seed."""
     import numpy as np
     rng = np.random.default_rng(cfg.seed)
+    # a scalar pick makes the draw rng.choice makes internally, without its
+    # per-call argument checks: a uniform pick is rng.integers(0, n) into a
+    # list, a weighted pick one rng.random() searched in the cdf choice
+    # builds; the stream, and every output byte, stay the same
     window = cfg.window
     years = list(range(window.start_year, window.end_year + 1))
     n_years = len(years)
-    # pick lists as arrays, built once: rng.choice draws the same stream from
-    # an equal array, without converting a list on every call
-    year_choices = np.array(years)
-    doc_type_p = np.array(DOC_TYPE_WEIGHTS)
+    doc_type_cdf = _choice_cdf(np.array(DOC_TYPE_WEIGHTS))
 
     sds_codes = [code for code, _ in cfg.sds_spec]
-    sds_choices = np.array(sds_codes)
     scheme = FieldScheme(
         sds_to_uda={code: uda for code, uda in cfg.sds_spec},
         sds_names={code: f"Field {code}" for code, _ in cfg.sds_spec},
@@ -167,7 +217,7 @@ def generate(cfg: SynthConfig) -> Corpus:
     salary_table = dict(cfg.salary_levels)
     ranks = sorted(salary_table)
     rank_p = np.array([RANK_WEIGHTS.get(r, 1.0) for r in ranks])
-    rank_p = rank_p / rank_p.sum()
+    rank_cdf = _choice_cdf(rank_p / rank_p.sum())
 
     # one primary subject category per SDS; citation behavior varies by field
     primary_of = {code: _primary_category(code) for code in sds_codes}
@@ -179,7 +229,7 @@ def generate(cfg: SynthConfig) -> Corpus:
     for code, uda in cfg.sds_spec:
         uda_cats.setdefault(uda, []).append(primary_of[code])
     second_choices = {
-        code: np.array([c for c in uda_cats[uda] if c != primary_of[code]])
+        code: [c for c in uda_cats[uda] if c != primary_of[code]]
         for code, uda in cfg.sds_spec}
     yr_factor = {y: 1.0 - 0.45 * i / max(1, n_years - 1)
                  for i, y in enumerate(years)}
@@ -195,7 +245,7 @@ def generate(cfg: SynthConfig) -> Corpus:
             for _ in range(int(rng.integers(lo, hi + 1))):
                 pid += 1
                 name = f"PROF_{pid:05d}"
-                rank_name = ranks[int(rng.choice(len(ranks), p=rank_p))]
+                rank_name = ranks[bisect_right(rank_cdf, rng.random())]
                 if rng.random() < SHORT_TENURE_SHARE:
                     tenure = round(float(rng.uniform(1.0, n_years)), 1)
                 else:
@@ -213,7 +263,8 @@ def generate(cfg: SynthConfig) -> Corpus:
                                  method="cholesky")
     out_mult = _gamma_from_normal(uv[:, 0], shape=OUTPUT_MIX_SHAPE)
     cite_mult = _gamma_from_normal(uv[:, 1], shape=CITE_MIX_SHAPE)
-    pub_counts = rng.poisson(cfg.pubs_per_professor * out_mult)
+    pub_counts = rng.poisson(cfg.pubs_per_professor * out_mult).tolist()
+    cite_mults = cite_mult.tolist()
 
     publications: dict[str, Publication] = {}
     authorships: list[Authorship] = []
@@ -223,14 +274,14 @@ def generate(cfg: SynthConfig) -> Corpus:
         pool = prof_sds[prof.sds_code]
         primary = primary_of[prof.sds_code]
         seconds = second_choices[prof.sds_code]
-        for _ in range(int(pub_counts[idx])):
+        for _ in range(pub_counts[idx]):
             pub_no += 1
             pub_id = f"PUB_{pub_no:06d}"
-            year = int(rng.choice(year_choices))
-            doc_type = DOC_TYPES[int(rng.choice(len(DOC_TYPES), p=doc_type_p))]
+            year = years[rng.integers(0, n_years)]
+            doc_type = DOC_TYPES[bisect_right(doc_type_cdf, rng.random())]
             cats = [primary]
-            if len(seconds) and rng.random() < SECOND_CATEGORY_SHARE:
-                cats.append(str(rng.choice(seconds)))
+            if seconds and rng.random() < SECOND_CATEGORY_SHARE:
+                cats.append(seconds[rng.integers(0, len(seconds))])
             authors = [name]
             if len(pool) > 1 and rng.random() < COLLAB_SHARE:
                 others = [p for p in pool if p != name]
@@ -239,7 +290,7 @@ def generate(cfg: SynthConfig) -> Corpus:
                 authors += [others[i] for i in sorted(picked)]
             externals = int(rng.poisson(3.0))
             n_authors = len(authors) + externals
-            mean_c = (BASE_CITATION_MEAN * cite_mult[idx]
+            mean_c = (BASE_CITATION_MEAN * cite_mults[idx]
                       * cat_factor[primary] * yr_factor[year])
             noise = float(rng.gamma(cfg.citation_dispersion,
                                     1.0 / cfg.citation_dispersion))
@@ -256,8 +307,8 @@ def generate(cfg: SynthConfig) -> Corpus:
     for _ in range(n_extra):
         pub_no += 1
         pub_id = f"PUB_{pub_no:06d}"
-        year = int(rng.choice(year_choices))
-        cat = primary_of[str(rng.choice(sds_choices))]
+        year = years[rng.integers(0, n_years)]
+        cat = primary_of[sds_codes[rng.integers(0, len(sds_codes))]]
         mean_c = BASE_CITATION_MEAN * mean_cite_mult * cat_factor[cat] * yr_factor[year]
         noise = float(rng.gamma(cfg.citation_dispersion,
                                 1.0 / cfg.citation_dispersion))

@@ -294,6 +294,38 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"salaries": [1, 2]}, "salaries must be an object of rank: salary"),
+    ({"seed": 1.7}, "seed must be a non-negative integer, got 1.7"),
+    ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ({"n_universities": 2.9}, "n_universities must be an integer >= 1"),
+    ({"professors_per_sds": "13"}, "professors_per_sds must be two integers"),
+    ({"professors_per_sds": [2, 5.5]},
+     "professors_per_sds must be two integers"),
+    ({"window": {"start_year": True, "end_year": 2012}},
+     "window start_year must be an integer, got True"),
+    ({"window": {"start_year": 2008, "end_year": 2012.0}},
+     "window end_year must be an integer, got 2012.0"),
+    ({"sds": [{"sds": "", "uda": "1"}]}, "SDS code '' must be non-empty"),
+    ({"sds": [{"sds": " A ", "uda": "1"}]}, "SDS code ' A ' must be"),
+    ({"sds": [{"sds": "A|B", "uda": "1"}]}, "must not contain '|'"),
+], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
+        "float_n_universities", "string_professors_per_sds",
+        "float_professors_per_sds", "bool_start_year", "float_end_year",
+        "empty_sds", "padded_sds", "pipe_sds"])
+def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
+                                                   message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SYNTH_CFG, **override}), encoding="utf-8")
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [1e20, MAX_PUBS_PER_PROFESSOR + 1],
                          ids=["1e20", "bound_plus_one"])
 def test_synth_huge_pubs_per_professor_is_config_error(tmp_path, capsys, value):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import logging
+import re
+from bisect import bisect_right
 
 import pytest
 
@@ -9,7 +12,8 @@ from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       compute_scaling_factors, generate,
                       measure_quantity_impact_correlation, scoreboards,
                       write_corpus_csvs)
-from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
+from rankdiff.synth import (DOC_TYPE_WEIGHTS, MAX_PUBS_PER_PROFESSOR,
+                            _choice_cdf)
 
 
 def small_cfg(seed=7, **overrides) -> SynthConfig:
@@ -37,6 +41,13 @@ def multi_uda_cfg(seed=4) -> SynthConfig:
         window=ObservationWindow(2006, 2012, "synthetic snapshot"))
 
 
+def redraw_cfg() -> SynthConfig:
+    """Heavy-tailed citations leave populated cells uncited, so
+    _ensure_cited_cells re-draws."""
+    return small_cfg(seed=1, n_universities=12, pubs_per_professor=8.0,
+                     citation_dispersion=1e-3)
+
+
 def test_same_seed_same_corpus():
     assert generate(small_cfg()).digest() == generate(small_cfg()).digest()
 
@@ -60,9 +71,28 @@ def test_same_seed_byte_identical_files(tmp_path):
      "77c392353050c3e11ddc20447be41b83c318c0d7f0f30a89e2b5fe0ed9df7fe8"),
     (multi_uda_cfg,
      "4c1d2a0abd5c2ec2cfa4dfe5d4212240683809110cfc696fd77ea4b668f8194d"),
-], ids=["small_seed1", "small_seed2", "small_seed7", "multi_uda"])
+    (redraw_cfg,
+     "0004b369858dcc6a81fc9aa7b0380005524e1065e51ff5de9c4f10dc98ac9082"),
+], ids=["small_seed1", "small_seed2", "small_seed7", "multi_uda", "redraw"])
 def test_stream_pinned(make_cfg, digest):
     assert generate(make_cfg()).digest() == digest
+
+
+def test_redraw_cfg_reaches_redraw(caplog):
+    caplog.set_level(logging.INFO, logger="rankdiff.synth")
+    generate(redraw_cfg())
+    assert "had no cited publication" in caplog.text
+
+
+def test_scalar_picks_draw_what_rng_choice_draws():
+    import numpy as np
+    p = np.array(DOC_TYPE_WEIGHTS)
+    cdf = _choice_cdf(p)
+    choice_rng, pick_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for n in range(1, 300):
+        assert bisect_right(cdf, pick_rng.random()) == \
+            choice_rng.choice(len(p), p=p)
+        assert pick_rng.integers(0, n) == choice_rng.choice(n)
 
 
 def test_multi_uda_cfg_draws_second_categories_and_coauthors():
@@ -169,6 +199,15 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
     {"sds_spec": (("SDS/01", "1"), ("SDS/02", "1"), ("SDS/01", "1"))},
     {"pubs_per_professor": 1e20},
     {"pubs_per_professor": MAX_PUBS_PER_PROFESSOR + 1},
+    {"seed": -1},
+    {"seed": 1.7},
+    {"seed": True},
+    {"n_universities": 2.9},
+    {"professors_per_sds": "13"},
+    {"professors_per_sds": (2, 5.0)},
+    {"professors_per_sds": (2, 4, 5)},
+    {"window": ObservationWindow(2008.0, 2012)},
+    {"window": ObservationWindow(True, 2012)},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(SynthConfigError):
@@ -187,6 +226,20 @@ def test_pubs_per_professor_bound_is_inclusive():
 ], ids=["repeated", "shared_category"])
 def test_sds_code_clash_named(sds_spec, message):
     with pytest.raises(SynthConfigError, match=message):
+        small_cfg(sds_spec=sds_spec)
+
+
+@pytest.mark.parametrize("sds_spec, message", [
+    ((("", "1"),), "SDS code '' must be non-empty"),
+    ((("SDS/01", "1"), (" A ", "1")), "SDS code ' A ' must be non-empty and "
+                                      "have no surrounding spaces"),
+    ((("A|B", "1"),), "SDS code 'A|B' must not contain '|'"),
+    ((("SDS/01", ""),), "UDA code '' must be non-empty"),
+    ((("SDS/01", "1 "),), "UDA code '1 ' must be non-empty and have no "
+                          "surrounding spaces"),
+], ids=["empty_sds", "padded_sds", "pipe_sds", "empty_uda", "padded_uda"])
+def test_code_that_would_not_load_back_rejected(sds_spec, message):
+    with pytest.raises(SynthConfigError, match=re.escape(message)):
         small_cfg(sds_spec=sds_spec)
 
 
