@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, Publication, read_csv, write_csv
 from .errors import MissingBaseline
@@ -22,8 +22,7 @@ CSV_COLUMNS = {"year": int, "category": str, "mean": float, "cited_count": int,
                "total_count": int}
 
 
-@dataclass(frozen=True)
-class CellStats:
+class CellStats(NamedTuple):
     mean: float
     cited_count: int
     total_count: int

@@ -8,7 +8,6 @@ RANKDIFF_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import hashlib
 import json
@@ -108,8 +107,8 @@ def _config_or_exit(path: str | None, include_all: bool = False) -> RunConfig:
     except (OSError, ValueError) as exc:
         raise SystemExitWithCode(EXIT_CONFIG, f"bad config: {exc}") from exc
     if include_all:
-        run_cfg = dataclasses.replace(run_cfg, filters=dataclasses.replace(
-            run_cfg.filters, baseline_include_all_doctypes=True))
+        run_cfg = run_cfg._replace(filters=run_cfg.filters._replace(
+            baseline_include_all_doctypes=True))
     return run_cfg
 
 
@@ -124,7 +123,7 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
 
 def _input_digests(args: argparse.Namespace) -> dict[str, str]:
     """sha256 of every file the run read: the corpus and any --baselines."""
-    paths = [p for p in CorpusPaths.from_dir(args.data_dir).all() if p.exists()]
+    paths = [p for p in CorpusPaths.from_dir(args.data_dir) if p.exists()]
     if args.baselines:
         paths.append(Path(args.baselines))
     return {str(p): _sha256(p) for p in paths}
@@ -212,7 +211,7 @@ def _slug(scope: str | None) -> str:
 
 def _require_finite(source: str, label: str, stats) -> None:
     """Exit 1 when a statistic of ``stats`` overflowed to inf or nan."""
-    for name, value in vars(stats).items():
+    for name, value in stats._asdict().items():
         if isinstance(value, float) and not math.isfinite(value):
             what = f"{getattr(stats, 'indicator', '')} {name}".lstrip()
             raise SystemExitWithCode(
@@ -361,7 +360,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
     out = OutputDir(args.out, args.force)
     paths = write_corpus_csvs(corpus, out.root)
-    out.outputs.extend(p.name for p in paths.all())
+    out.outputs.extend(p.name for p in paths)
     out.write_manifest("synth", sys.argv[1:],
                        json.loads(Path(args.config_file).read_text()),
                        {str(args.config_file): _sha256(Path(args.config_file))})

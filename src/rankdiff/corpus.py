@@ -14,9 +14,10 @@ import io
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields as dc_fields
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import CorpusLoadError, Violation
 
@@ -31,13 +32,33 @@ DEFAULT_EXCLUDED_DOC_TYPES = frozenset(
     {"editorial material", "meeting abstract", "reply to letter"}
 )
 
-@dataclass(frozen=True)
-class ObservationWindow:
+
+class Checked:
+    """Base, before a NamedTuple, of a record whose ``_check`` raises on bad
+    values: it runs on every construction, ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Window(NamedTuple):
     start_year: int
     end_year: int
     citation_snapshot_label: str = ""
 
-    def __post_init__(self) -> None:
+
+class ObservationWindow(Checked, _Window):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.end_year < self.start_year:
             raise ValueError(
                 f"window end {self.end_year} precedes start {self.start_year}"
@@ -51,8 +72,7 @@ class ObservationWindow:
         return self.start_year <= year <= self.end_year
 
 
-@dataclass(frozen=True)
-class Publication:
+class Publication(NamedTuple):
     pub_id: str
     year: int
     doc_type: str
@@ -61,14 +81,12 @@ class Publication:
     n_authors_total: int
 
 
-@dataclass(frozen=True)
-class Authorship:
+class Authorship(NamedTuple):
     pub_id: str
     professor_id: str
 
 
-@dataclass(frozen=True)
-class Professor:
+class Professor(NamedTuple):
     professor_id: str
     university_id: str
     sds_code: str
@@ -76,13 +94,13 @@ class Professor:
     years_on_staff: float
 
 
-@dataclass(frozen=True)
-class FieldScheme:
-    """sds_code -> (name, uda_code) plus uda_code -> name."""
+class FieldScheme(NamedTuple):
+    """sds_code -> (name, uda_code) plus uda_code -> name; a name map left
+    out is empty and read-only, so schemes never share a mutable one."""
 
     sds_to_uda: dict[str, str]
-    sds_names: dict[str, str] = field(default_factory=dict)
-    uda_names: dict[str, str] = field(default_factory=dict)
+    sds_names: dict[str, str] = MappingProxyType({})
+    uda_names: dict[str, str] = MappingProxyType({})
 
     def __contains__(self, sds_code: str) -> bool:
         return sds_code in self.sds_to_uda
@@ -91,8 +109,7 @@ class FieldScheme:
         return self.sds_to_uda[sds_code]
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class _Filters(NamedTuple):
     min_years_on_staff: float = 3.0
     excluded_doc_types: frozenset[str] = DEFAULT_EXCLUDED_DOC_TYPES
     min_professors_sds: int = 2
@@ -101,28 +118,27 @@ class FilterConfig:
     min_units_to_rank: int = 5          # applies at SDS level only
     baseline_include_all_doctypes: bool = False
 
-    def __post_init__(self) -> None:
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) in (int, float) and not 0 <= value < math.inf:
-                raise ValueError(f"{f.name}: must be finite and >= 0, got {value!r}")
+
+class FilterConfig(Checked, _Filters):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        for name, default in self._field_defaults.items():
+            value = getattr(self, name)
+            if type(default) in (int, float) and not 0 <= value < math.inf:
+                raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot of every setting, for the run manifest."""
-        snapshot = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        snapshot = self._asdict()
         snapshot["excluded_doc_types"] = sorted(self.excluded_doc_types)
         return snapshot
 
     def min_professors(self, level: str) -> int:
-        return {
-            LEVEL_SDS: self.min_professors_sds,
-            LEVEL_UDA: self.min_professors_uda,
-            LEVEL_OVERALL: self.min_professors_overall,
-        }[level]
+        return getattr(self, f"min_professors_{level}")
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     professors_removed_tenure: int = 0
     publications_removed_doctype: int = 0
     publications_removed_window: int = 0
@@ -301,8 +317,9 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # CSV loading
 
-@dataclass(frozen=True)
-class CorpusPaths:
+class CorpusPaths(NamedTuple):
+    """The five corpus files, each named after its field."""
+
     publications: Path
     authorships: Path
     professors: Path
@@ -311,18 +328,7 @@ class CorpusPaths:
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "CorpusPaths":
-        d = Path(directory)
-        return cls(
-            publications=d / "publications.csv",
-            authorships=d / "authorships.csv",
-            professors=d / "professors.csv",
-            fields=d / "fields.csv",
-            salaries=d / "salaries.csv",
-        )
-
-    def all(self) -> list[Path]:
-        return [self.publications, self.authorships, self.professors,
-                self.fields, self.salaries]
+        return cls._make(Path(directory) / f"{name}.csv" for name in cls._fields)
 
 
 # the columns of each corpus file, in order, with the type of their cells
@@ -643,8 +649,7 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
               ([p.pub_id, p.year, p.doc_type, "|".join(p.subject_categories),
                 p.citations, p.n_authors_total]
                for _, p in sorted(corpus.publications.items())))
-    write_csv(paths.authorships, AUTHORSHIP_COLUMNS,
-              sorted((a.pub_id, a.professor_id) for a in corpus.authorships))
+    write_csv(paths.authorships, AUTHORSHIP_COLUMNS, sorted(corpus.authorships))
     write_csv(paths.professors, PROFESSOR_COLUMNS,
               ([p.professor_id, p.university_id, p.sds_code, p.academic_rank,
                 f"{p.years_on_staff:g}"]
@@ -662,8 +667,7 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
 # ---------------------------------------------------------------------------
 # Run configuration file (key=value lines)
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     window: ObservationWindow
     filters: FilterConfig
 
@@ -700,7 +704,7 @@ def read_config(path: str | Path) -> RunConfig:
     (a set is comma separated). A key may appear once. A bad value or a
     repeated key raises ValueError("<file>:<line>: <key>: ...").
     """
-    settings = dict(_WINDOW_KEYS, **{f.name: f.default for f in dc_fields(FilterConfig)})
+    settings = dict(_WINDOW_KEYS, **FilterConfig._field_defaults)
     raw: dict[str, tuple[int, str]] = {}
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()

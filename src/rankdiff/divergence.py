@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import logging
 import math
-import statistics
 import sys
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import DegenerateVariance, NoRankableSds, ZeroMean
 from .indicators import ScoreBoard
@@ -89,17 +88,17 @@ def _correlations(cmp: ComparisonTable) -> tuple[float | None, float | None]:
     if cmp.n < 3:
         log.warning("%s: fewer than 3 units, correlations omitted", cmp.label)
         return None, None
+    fss = [r.fss_score for r in cmp.rows]
+    mncs = [r.mncs_score for r in cmp.rows]
     try:
-        p = pearson(cmp.fss_scores(), cmp.mncs_scores())
-        s = spearman(cmp.fss_scores(), cmp.mncs_scores())
+        p, s = pearson(fss, mncs), spearman(fss, mncs)
     except DegenerateVariance:
         log.warning("%s: degenerate variance, correlations omitted", cmp.label)
         return None, None
     return p, s
 
 
-@dataclass(frozen=True)
-class DivergenceSummary:
+class DivergenceSummary(NamedTuple):
     scope_code: str
     n_units: int
     pct_shifting_rank: float
@@ -118,11 +117,13 @@ def shift_stats(cmp: ComparisonTable) -> DivergenceSummary:
     if not cmp.rows:
         raise ValueError("empty comparison table")
     n = cmp.n
-    # integer shifts: the sum is exact, so mean and median are the
+    # integer shifts: the sums are exact, so mean and median are the
     # correctly rounded quotients
-    shifts = [abs(r.rank_shift) for r in cmp.rows]
+    shifts = sorted(abs(r.rank_shift) for r in cmp.rows)
     mean = sum(shifts) / n
-    median = float(statistics.median(shifts))
+    mid = len(shifts) // 2
+    median = (float(shifts[mid]) if len(shifts) % 2
+              else (shifts[mid - 1] + shifts[mid]) / 2)
     top = max(shifts)
     to_pct = 100.0 / (n - 1) if n > 1 else 0.0
     p, s = _correlations(cmp)
@@ -141,8 +142,7 @@ def shift_stats(cmp: ComparisonTable) -> DivergenceSummary:
     )
 
 
-@dataclass(frozen=True)
-class QuartileSummary:
+class QuartileSummary(NamedTuple):
     scope_code: str
     n_units: int
     pct_shifting_quartile: float
@@ -169,8 +169,7 @@ def quartile_stats(cmp: ComparisonTable) -> QuartileSummary:
     )
 
 
-@dataclass(frozen=True)
-class DispersionStats:
+class DispersionStats(NamedTuple):
     scope_code: str
     indicator: str
     n_units: int
@@ -211,8 +210,7 @@ RANGE_STATS = ("pct_shifting_rank", "mean_abs_shift", "median_abs_shift",
                "max_pct_shift", "pearson", "spearman")
 
 
-@dataclass(frozen=True)
-class RangeSummary:
+class RangeSummary(NamedTuple):
     uda_code: str
     n_sds: int
     ranges: dict[str, tuple[float, float]]     # statistic -> (min, max)

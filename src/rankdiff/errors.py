@@ -1,15 +1,14 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class RankdiffError(Exception):
     """Base class for all rankdiff errors."""
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     """One validation failure, located as precisely as the input allows."""
 
     where: str      # "publications.csv:17" or a record id for in-memory data

@@ -10,7 +10,7 @@ fractional-authorship weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .baselines import ScalingFactorTable, scaling_factor
 from .corpus import Corpus, FilterConfig, LEVEL_SDS, eligible_units
@@ -23,8 +23,7 @@ MNCS = "mncs"
 BOTH = "both"
 
 
-@dataclass(frozen=True)
-class UnitScore:
+class UnitScore(NamedTuple):
     university_id: str
     indicator: str
     score: float
@@ -32,8 +31,7 @@ class UnitScore:
     publication_weight: float | None = None  # MNCS weight sum
 
 
-@dataclass
-class ScoreBoard:
+class ScoreBoard(NamedTuple):
     level: str
     scope_code: str | None
     indicator: str
@@ -177,20 +175,18 @@ def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
 # ---------------------------------------------------------------------------
 # Scoreboards
 
-@dataclass
-class ScopePair:
+class ScopePair(NamedTuple):
     scope_code: str | None
     fss: ScoreBoard | None
     mncs: ScoreBoard | None
-    dropped_units: list[str] = field(default_factory=list)
+    dropped_units: list[str]
 
 
-@dataclass
-class ScoreboardSet:
+class ScoreboardSet(NamedTuple):
     level: str
     pairs: dict[str | None, ScopePair]
-    not_rankable: list[str | None] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    not_rankable: list[str | None]
+    warnings: list[str]
 
 
 def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
@@ -213,7 +209,7 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
         scores = professor_scores(corpus, impacts)
         averages = sds_averages(corpus, scores)
 
-    result = ScoreboardSet(level=level, pairs={})
+    result = ScoreboardSet(level, {}, [], [])
     for scope, scope_units in units.items():
         if level == LEVEL_SDS and len(scope_units) < cfg.min_units_to_rank:
             result.not_rankable.append(scope)

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from typing import NamedTuple
 
 from .errors import DegeneratePopulation, EmptyBoard, UnitSetMismatch
 from .indicators import ScoreBoard
@@ -45,23 +45,18 @@ def quartile(rank: int, n: int) -> int:
     return -((-4 * rank) // n)
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     unit_id: str
     score: float
     rank: int
     percentile: float
 
 
-@dataclass
-class RankedList:
+class RankedList(NamedTuple):
     entries: list[RankEntry]            # in rank order
     n: int
     ties: list[tuple[float, tuple[str, ...]]]
     degenerate: bool = False            # n == 1, percentile 100 by convention
-
-    def by_unit(self) -> dict[str, RankEntry]:
-        return {e.unit_id: e for e in self.entries}
 
 
 def rank(board: ScoreBoard) -> RankedList:
@@ -98,8 +93,7 @@ def rank(board: ScoreBoard) -> RankedList:
     return RankedList(entries, n, ties, degenerate)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     unit_id: str
     staff: int | None
     fss_score: float
@@ -114,19 +108,10 @@ class ComparisonRow:
     quartile_mncs: int
 
 
-@dataclass
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: list[ComparisonRow]           # sorted by FSS rank
     n: int
     label: str = ""
-
-    def fss_scores(self) -> list[float]:
-        """FSS scores in row (FSS rank) order."""
-        return [r.fss_score for r in self.rows]
-
-    def mncs_scores(self) -> list[float]:
-        """MNCS scores in row (FSS rank) order."""
-        return [r.mncs_score for r in self.rows]
 
     def by_unit(self) -> dict[str, ComparisonRow]:
         return {r.unit_id: r for r in self.rows}
@@ -144,7 +129,7 @@ def compare(fss: RankedList, mncs: RankedList,
         raise UnitSetMismatch(
             f"rankings cover different units (fss-only: {only_f}, "
             f"mncs-only: {only_m})")
-    m_by_unit = mncs.by_unit()
+    m_by_unit = {e.unit_id: e for e in mncs.entries}
     n = fss.n
     rows = []
     for e in fss.entries:

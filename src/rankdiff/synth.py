@@ -14,13 +14,12 @@ import logging
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .baselines import ScalingFactorTable
-from .corpus import (Authorship, Corpus, FieldScheme, ObservationWindow,
-                     Professor, Publication)
+from .corpus import (Authorship, Checked, Corpus, FieldScheme,
+                     ObservationWindow, Professor, Publication)
 from .divergence import pearson
 from .errors import SynthConfigError
 from .indicators import impact_map
@@ -54,8 +53,7 @@ MAX_PUBS_PER_PROFESSOR = 1000.0
 LATENT_CORR_GAIN = 1.6
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class _Synth(NamedTuple):
     seed: int
     n_universities: int
     sds_spec: tuple[tuple[str, str], ...]       # (sds_code, uda_code)
@@ -66,7 +64,11 @@ class SynthConfig:
     salary_levels: tuple[tuple[str, float], ...]
     window: ObservationWindow
 
-    def __post_init__(self) -> None:
+
+class SynthConfig(Checked, _Synth):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not _is_int(self.seed) or self.seed < 0:
             raise SynthConfigError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
@@ -74,11 +76,7 @@ class SynthConfig:
             raise SynthConfigError(
                 f"n_universities must be an integer >= 1, "
                 f"got {self.n_universities!r}")
-        for name in ("start_year", "end_year"):
-            year = getattr(self.window, name)
-            if not _is_int(year):
-                raise SynthConfigError(
-                    f"window {name} must be an integer, got {year!r}")
+        _check_years(self.window._asdict())
         if not self.sds_spec:
             raise SynthConfigError("sds_spec must name at least one SDS")
         first_code: dict[str, str] = {}
@@ -86,6 +84,9 @@ class SynthConfig:
             # codes go to the corpus CSVs as they are: a padded code would
             # load back stripped, and '|' separates a publication's categories
             for kind, value in (("SDS", code), ("UDA", uda)):
+                if not isinstance(value, str):
+                    raise SynthConfigError(
+                        f"{kind} code {value!r} must be a string")
                 if not value or value != value.strip():
                     raise SynthConfigError(
                         f"{kind} code {value!r} must be non-empty and have "
@@ -127,37 +128,53 @@ class SynthConfig:
     def from_json(cls, path: str | Path) -> "SynthConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
             raise SynthConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:
-            window = ObservationWindow(
-                start_year=raw["window"]["start_year"],
-                end_year=raw["window"]["end_year"],
-                citation_snapshot_label=raw["window"].get("label", ""),
-            )
+            years = raw["window"]
+            _check_years(years)     # before ObservationWindow compares them
+            window = ObservationWindow(years["start_year"], years["end_year"],
+                                       years.get("label", ""))
             salaries = raw["salaries"]
             if not isinstance(salaries, dict):
                 raise SynthConfigError(
                     f"salaries must be an object of rank: salary, "
                     f"got {salaries!r}")
-            # integer settings are taken as they are: SynthConfig rejects a
-            # float, a boolean or a string instead of truncating it
+            # codes and integer settings keep their JSON type, which
+            # SynthConfig checks; _number takes only numbers
             return cls(
                 seed=raw["seed"],
                 n_universities=raw["n_universities"],
-                sds_spec=tuple((str(e["sds"]), str(e["uda"])) for e in raw["sds"]),
+                sds_spec=tuple((e["sds"], e["uda"]) for e in raw["sds"]),
                 professors_per_sds=tuple(raw["professors_per_sds"]),
-                pubs_per_professor=float(raw["pubs_per_professor"]),
-                citation_dispersion=float(raw["citation_dispersion"]),
-                quantity_impact_corr=float(raw["quantity_impact_corr"]),
+                **{name: _number(name, raw[name]) for name in (
+                    "pubs_per_professor", "citation_dispersion",
+                    "quantity_impact_corr")},
                 salary_levels=tuple(sorted(
-                    (str(k), float(v)) for k, v in salaries.items())),
+                    (k, _number(f"salary for rank {k!r}", v))
+                    for k, v in salaries.items())),
                 window=window,
             )
         except SynthConfigError as exc:
             raise SynthConfigError(f"{path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError,
+                OverflowError) as exc:
             raise SynthConfigError(f"{path}: bad synth config: {exc}") from exc
+
+
+def _check_years(window: dict) -> None:
+    """Both years of a window, given as a mapping, must be integers."""
+    for name in ("start_year", "end_year"):
+        if not _is_int(window[name]):
+            raise SynthConfigError(
+                f"window {name} must be an integer, got {window[name]!r}")
+
+
+def _number(name: str, value: object) -> float:
+    """A number setting as a float: a JSON number, not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SynthConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _is_int(value: object) -> bool:
@@ -341,9 +358,8 @@ def _ensure_cited_cells(publications: dict[str, Publication],
         if len(cells[key]) >= MIN_CELL_FOR_CITED_GUARANTEE and key not in cited:
             pub_id = cells[key][int(rng.integers(len(cells[key])))]
             pub = publications[pub_id]
-            publications[pub_id] = Publication(
-                pub.pub_id, pub.year, pub.doc_type, pub.subject_categories,
-                1 + int(rng.poisson(2.0)), pub.n_authors_total)
+            publications[pub_id] = pub._replace(
+                citations=1 + int(rng.poisson(2.0)))
             log.info("cell %s had no cited publication; re-drew %s", key, pub_id)
 
 

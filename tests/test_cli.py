@@ -310,10 +310,22 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     ({"sds": [{"sds": "", "uda": "1"}]}, "SDS code '' must be non-empty"),
     ({"sds": [{"sds": " A ", "uda": "1"}]}, "SDS code ' A ' must be"),
     ({"sds": [{"sds": "A|B", "uda": "1"}]}, "must not contain '|'"),
+    ({"sds": [{"sds": None, "uda": "1"}]}, "SDS code None must be a string"),
+    ({"sds": [{"sds": "A", "uda": 1}]}, "UDA code 1 must be a string"),
+    ({"pubs_per_professor": True},
+     "pubs_per_professor must be a number, got True"),
+    ({"pubs_per_professor": "5"},
+     "pubs_per_professor must be a number, got '5'"),
+    ({"salaries": {"assistant": "45000"}},
+     "salary for rank 'assistant' must be a number, got '45000'"),
+    ({"window": {"start_year": 2008, "end_year": "2012"}},
+     "window end_year must be an integer, got '2012'"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
-        "empty_sds", "padded_sds", "pipe_sds"])
+        "empty_sds", "padded_sds", "pipe_sds", "null_sds", "number_uda",
+        "bool_pubs_per_professor", "string_pubs_per_professor",
+        "string_salary", "string_end_year"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -324,6 +336,25 @@ def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # a Latin-1 byte in the window label
+    (json.dumps(SYNTH_CFG).encode().replace(b'"synthetic"', b'"caf\xe9"'),
+     "invalid JSON"),
+    (json.dumps(SYNTH_CFG).replace('"seed": 13', '"seed": ' + "9" * 5000)
+     .encode(), "invalid JSON"),
+    (json.dumps({**SYNTH_CFG, "citation_dispersion": 10**400}).encode(),
+     "int too large to convert to float"),
+], ids=["not_utf8", "5000_digit_seed", "huge_integer"])
+def test_synth_unreadable_config_is_config_error(tmp_path, capsys, text,
+                                                 message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [1e20, MAX_PUBS_PER_PROFESSOR + 1],
@@ -429,6 +460,20 @@ def test_cli_import_skips_module(module):
         [sys.executable, "-c",
          f"import rankdiff.cli, sys; assert {module!r} not in sys.modules"],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
+
+
+def test_cli_import_is_lean():
+    # -S keeps the environment's site hooks, and what they import, out
+    root = Path(__file__).resolve().parents[1]
+    heavy = ["dataclasses", "inspect", "statistics", "fractions", "numpy",
+             "scipy"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import rankdiff.cli, sys; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_analysis_commands_skip_numpy(synth_setup):

@@ -321,7 +321,7 @@ def test_row_order_changes_no_board_or_index(seed):
         ordered, shuffled = Path(tmp) / "ordered", Path(tmp) / "shuffled"
         paths = write_corpus_csvs(ROW_ORDER_CORPUS, ordered)
         shuffled.mkdir()
-        for path in paths.all():
+        for path in paths:
             header, *rows = path.read_text(encoding="utf-8").splitlines(True)
             rng.shuffle(rows)
             (shuffled / path.name).write_text(header + "".join(rows),

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -450,6 +450,29 @@ def test_uniform_salary_scaling_leaves_units_unchanged():
             assert after[univ] == pytest.approx(value, abs=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_universities=st.integers(1, 4),
+       n_sds=st.integers(1, 4), pubs_mean=st.floats(0.2, 4.0),
+       p_uncited=st.floats(0.0, 1.0), multi=st.floats(0.0, 0.5))
+def test_finite_corpus_gives_finite_scores_at_every_level(
+        seed, n_universities, n_sds, pubs_mean, p_uncited, multi):
+    # sparse output leaves professors, units and whole SDSs without a
+    # productive professor or a cited publication; none of them may end in
+    # a division by zero, an infinity or a nan
+    corpus = random_corpus(np.random.default_rng(seed), n_universities, n_sds,
+                           pubs_mean=pubs_mean, p_uncited=p_uncited,
+                           multi_category_share=multi)
+    table = compute_scaling_factors(corpus)
+    for level in LEVELS:
+        for indicator in (FSS, MNCS):
+            board_set = scoreboards(corpus, table, level, RELAXED_CFG,
+                                    indicator)
+            for pair in board_set.pairs.values():
+                board = pair.fss if indicator == FSS else pair.mncs
+                assert all(math.isfinite(e.score) and e.score >= 0
+                           for e in board.entries), board
+
+
 @pytest.mark.parametrize("factor", [0.37, 1e3])
 @pytest.mark.parametrize("level", ["sds", "uda", "overall"])
 def test_scoreboards_invariant_under_salary_scaling(level, factor, relaxed_cfg):
@@ -506,8 +529,8 @@ def test_renaming_universities_permutes_board_entries(seed, order):
                            n_sds=3)
     new_name = {f"UNIV{i + 1}": f"UNIV{j + 1}" for i, j in enumerate(order)}
     renamed = Corpus(corpus.window, corpus.publications, corpus.authorships,
-                     {pid: dataclasses.replace(
-                         p, university_id=new_name[p.university_id])
+                     {pid: p._replace(
+                         university_id=new_name[p.university_id])
                       for pid, p in corpus.professors.items()},
                      corpus.field_scheme, corpus.salary_table)
     table = compute_scaling_factors(corpus)
@@ -536,7 +559,7 @@ def test_citation_scale_leaves_impacts_and_unit_scores(seed, k):
     corpus = random_corpus(np.random.default_rng(seed), n_universities=3,
                            n_sds=3)
     scaled = Corpus(corpus.window,
-                    {w: dataclasses.replace(p, citations=p.citations * k)
+                    {w: p._replace(citations=p.citations * k)
                      for w, p in corpus.publications.items()},
                     corpus.authorships, corpus.professors, corpus.field_scheme,
                     corpus.salary_table)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rankdiff import (DegeneratePopulation, EmptyBoard, ScoreBoard,
                       UnitSetMismatch, compare, natural_key, percentile,
                       quartile, rank, round_half_away, shift_glyph)
-from rankdiff.indicators import FSS, UnitScore
+from rankdiff.indicators import FSS, MNCS, UnitScore
 from helpers import boards_from_columns
 
 
@@ -126,6 +126,44 @@ def test_rank_invariant_under_increasing_affine_transform(scores, a, b):
     after = rank(_board({u: a * s + b for u, s in zip(units, scores)}))
     assert [e.unit_id for e in before.entries] == \
         [e.unit_id for e in after.entries]
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=25),
+       st.randoms(use_true_random=False),
+       st.lists(st.floats(-1e9, 1e9), min_size=5, max_size=5, unique=True),
+       st.lists(st.floats(-1e9, 1e9), min_size=5, max_size=5, unique=True))
+def test_increasing_transform_keeps_ranks_percentiles_and_ties(
+        levels, rnd, fss_targets, mncs_targets):
+    # scores take one of five levels, so ties are common; a transform sends
+    # the k-th level to the k-th smallest target, so it is strictly
+    # increasing; units come in a random order and their ids order
+    # naturally otherwise than as strings (U9 < U10)
+    units = [f"U{i}" for i in range(len(levels))]
+    rnd.shuffle(units)
+    fss_targets, mncs_targets = sorted(fss_targets), sorted(mncs_targets)
+
+    def boards(fss_of, mncs_of):
+        pairs = list(zip(units, levels))
+        return (ScoreBoard("replay", None, FSS, [
+                    UnitScore(u, FSS, fss_of(f)) for u, (f, _) in pairs]),
+                ScoreBoard("replay", None, MNCS, [
+                    UnitScore(u, MNCS, mncs_of(m)) for u, (_, m) in pairs]))
+
+    before = boards(float, float)
+    after = boards(fss_targets.__getitem__, mncs_targets.__getitem__)
+    for old, new in zip(map(rank, before), map(rank, after)):
+        assert [e._replace(score=0.0) for e in new.entries] == \
+            [e._replace(score=0.0) for e in old.entries]
+        assert [g for _, g in new.ties] == [g for _, g in old.ties]
+        assert (new.n, new.degenerate) == (old.n, old.degenerate)
+        # the documented tie rule: a tie block is in natural unit-id order
+        for _, group in old.ties:
+            assert list(group) == sorted(group, key=natural_key)
+    scoreless = {"fss_score": 0.0, "mncs_score": 0.0}
+    assert [r._replace(**scoreless) for r in compare(*map(rank, after)).rows] \
+        == [r._replace(**scoreless) for r in compare(*map(rank, before)).rows]
 
 
 def test_round_half_away():

@@ -55,7 +55,7 @@ def test_same_seed_same_corpus():
 def test_same_seed_byte_identical_files(tmp_path):
     paths_a = write_corpus_csvs(generate(small_cfg()), tmp_path / "a")
     paths_b = write_corpus_csvs(generate(small_cfg()), tmp_path / "b")
-    for pa, pb in zip(paths_a.all(), paths_b.all()):
+    for pa, pb in zip(paths_a, paths_b):
         assert pa.read_bytes() == pb.read_bytes()
 
 
