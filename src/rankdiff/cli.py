@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors
-from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
+from .corpus import (Corpus, LEVEL_SDS, LEVELS, RunConfig,
                      apply_filters, load_corpus, read_config, read_csv,
                      write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
@@ -121,12 +121,14 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
     }
 
 
-def _input_digests(args: argparse.Namespace) -> dict[str, str]:
-    """sha256 of every file the run read: the corpus and any --baselines."""
-    paths = [p for p in CorpusPaths.from_dir(args.data_dir) if p.exists()]
+def _input_digests(args: argparse.Namespace, corpus: Corpus) -> dict[str, str]:
+    """sha256 of every file the run read: the corpus files, as they were
+    loaded, and any --baselines."""
+    digests = dict(corpus.file_digests)
     if args.baselines:
-        paths.append(Path(args.baselines))
-    return {str(p): _sha256(p) for p in paths}
+        path = Path(args.baselines)
+        digests[str(path)] = _sha256(path)
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def _score_corpus(args: argparse.Namespace, indicator: str
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    run_cfg, out, _, board_set = _score_corpus(args, args.indicator)
+    run_cfg, out, corpus, board_set = _score_corpus(args, args.indicator)
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
         name = f"scoreboard_{args.level}_{_slug(scope)}.csv"
@@ -200,7 +202,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         out.warnings.append(
             "not rankable: " + ", ".join(str(s) for s in board_set.not_rankable))
     out.write_manifest("score", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args))
+                       _input_digests(args, corpus))
     print(f"wrote {len(board_set.pairs)} scope scoreboard(s) to {out.root}")
     return EXIT_OK
 
@@ -316,7 +318,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rankable(),
         corpus.field_scheme.uda_of if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args))
+                       _input_digests(args, corpus))
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")
     return EXIT_OK
 

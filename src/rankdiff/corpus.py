@@ -12,7 +12,10 @@ import csv
 import hashlib
 import io
 import logging
+import marshal
 import math
+import os
+import sys
 from collections.abc import Iterable
 from functools import cached_property
 from pathlib import Path
@@ -164,6 +167,7 @@ class Corpus:
         baseline_publications: dict[str, Publication] | None = None,
         filter_report: FilterReport | None = None,
         validate: bool = True,
+        file_digests: dict[str, str] | None = None,
     ):
         self.window = window
         self.publications = publications
@@ -175,6 +179,7 @@ class Corpus:
             publications if baseline_publications is None else baseline_publications
         )
         self.filter_report = filter_report
+        self.file_digests = {} if file_digests is None else file_digests
         if validate:
             violations = self.check()
             if violations:
@@ -188,13 +193,6 @@ class Corpus:
         index: dict[str, list[str]] = {}
         for a in self.authorships:
             index.setdefault(a.professor_id, []).append(a.pub_id)
-        return index
-
-    @cached_property
-    def professors_by_pub(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for a in self.authorships:
-            index.setdefault(a.pub_id, []).append(a.professor_id)
         return index
 
     @cached_property
@@ -386,8 +384,8 @@ def _typed_column(cells: list[str], kind: type) -> list | None:
 
 def read_csv(path: str | Path, columns: dict[str, type],
              problems: list[Violation] | None = None, label: str | None = None,
-             extra_columns: bool = False, key: tuple[str, ...] = ()
-             ) -> tuple[list[int], list[list]]:
+             extra_columns: bool = False, key: tuple[str, ...] = (),
+             data: bytes | None = None) -> tuple[list[int], list[list]]:
     """The rows of a UTF-8 CSV file, column by column: (lines, cells).
 
     ``columns`` maps each column to the type of its cells, ``str``, ``int``
@@ -403,7 +401,8 @@ def read_csv(path: str | Path, columns: dict[str, type],
     and ends the file. Problems come in file order, by line and then by
     column, and are appended to ``problems``; without it, the first raises
     ValueError("<label>:<line>: ..."). ``label`` names the file; it defaults
-    to the path as given.
+    to the path as given. ``data``, when given, is the file's bytes, read
+    already.
     """
     label = str(path) if label is None else label
     names = list(columns)
@@ -416,7 +415,9 @@ def read_csv(path: str | Path, columns: dict[str, type],
         problems.append(Violation(where, fld, message))
 
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        if data is None:
+            data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
         problem(str(path), "-", "file not found")
         return nothing
@@ -515,65 +516,179 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     checked once by ``Corpus.check``. Raises CorpusLoadError counting every
     violation found and naming file, line and field for the first
     MAX_VIOLATIONS; nothing is silently dropped.
+
+    Each file is read once, and the bytes read are both parsed and hashed.
+    A corpus that passes every check is kept as a ``marshal`` entry in the
+    user's cache directory, ``$XDG_CACHE_HOME/rankdiff`` or
+    ``~/.cache/rankdiff``: one entry per corpus location, at most
+    CACHE_ENTRIES in all. The entry holds its key, the sha256 of this
+    module's source, the interpreter's cache tag, the marshal version, the
+    window and the five file digests. A later load with the same key
+    rebuilds the same corpus from the entry, without parsing or checking.
+    An entry that cannot be read is a miss, and one that cannot be written
+    is skipped; the result is the same either way.
     """
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
+    data = [_read_if_present(path) for path in paths]
+    digests = [None if d is None else hashlib.sha256(d).hexdigest()
+               for d in data]
+    entry = None if None in digests else _cache_entry(paths, window, digests)
+    file_digests = {str(path): digest for path, digest in zip(paths, digests)
+                    if digest is not None}
+    corpus = _load_entry(entry, window, file_digests)
+    if corpus is None:
+        corpus, columns = _parse_corpus(paths, data, window, file_digests)
+        if entry is not None:
+            _store_entry(entry, columns)
+    if log.isEnabledFor(logging.INFO):
+        n_outside = sum(1 for p in corpus.publications.values()
+                        if not window.contains(p.year))
+        log.info("loaded corpus: %s (%d publications outside window, kept "
+                 "until filtering)", corpus.counts(), n_outside)
+    return corpus
+
+
+def _read_if_present(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:       # read_csv reports it
+        return None
+
+
+def _parse_corpus(paths: CorpusPaths, data: list[bytes | None],
+                  window: ObservationWindow, file_digests: dict[str, str]
+                  ) -> tuple[Corpus, tuple]:
+    """The corpus parsed from ``data``, the bytes of ``paths``, and the
+    columns it was built from; raises CorpusLoadError."""
     violations: list[Violation] = []
+    contents = dict(zip(CorpusPaths._fields, data))
 
-    def read(path: Path, columns: dict[str, type], key: tuple[str, ...] = ()
+    def read(name: str, columns: dict[str, type], key: tuple[str, ...] = ()
              ) -> tuple[list[int], list[list]]:
-        return read_csv(path, columns, violations, label=path.name, key=key)
+        path = getattr(paths, name)
+        return read_csv(path, columns, violations, label=path.name, key=key,
+                        data=contents[name])
 
-    pub_lines, (pub_ids, years, doc_types, cats, citations, n_authors) = read(
-        paths.publications, PUBLICATION_COLUMNS, ("pub_id",))
-    cats = [tuple(filter(None, map(str.strip, c.split("|")))) for c in cats]
-    publications = dict(zip(pub_ids, map(Publication, pub_ids, years, doc_types,
-                                         cats, citations, n_authors)))
+    pub_lines, pub_columns = read("publications", PUBLICATION_COLUMNS,
+                                  ("pub_id",))
+    pub_columns[3] = [tuple(filter(None, map(str.strip, c.split("|"))))
+                      for c in pub_columns[3]]
 
     field_lines, (codes, sds_names, udas, uda_names) = read(
-        paths.fields, FIELD_COLUMNS, ("sds_code",))
+        "fields", FIELD_COLUMNS, ("sds_code",))
     uda_name_of: dict[str, str] = {}
     for line, uda, uda_name in zip(field_lines, udas, uda_names):
         if uda_name_of.get(uda, uda_name) != uda_name:
             violations.append(Violation(f"{paths.fields.name}:{line}", "uda_name",
                                         f"conflicting names for UDA {_quote(uda)}"))
         uda_name_of[uda] = uda_name
-    scheme = FieldScheme(dict(zip(codes, udas)), dict(zip(codes, sds_names)),
-                         uda_name_of)
+    scheme = (dict(zip(codes, udas)), dict(zip(codes, sds_names)), uda_name_of)
 
-    salary_lines, (ranks, salaries) = read(paths.salaries, SALARY_COLUMNS,
+    salary_lines, (ranks, salaries) = read("salaries", SALARY_COLUMNS,
                                            ("academic_rank",))
-    salary_table = dict(zip(ranks, salaries))
-
-    prof_lines, prof_columns = read(paths.professors, PROFESSOR_COLUMNS,
+    prof_lines, prof_columns = read("professors", PROFESSOR_COLUMNS,
                                     ("professor_id",))
-    professors = dict(zip(prof_columns[0], map(Professor, *prof_columns)))
-
-    auth_lines, auth_columns = read(paths.authorships, AUTHORSHIP_COLUMNS)
-    authorships = list(map(Authorship, *auth_columns))
-
-    if not violations:
-        corpus = Corpus(window, publications, authorships, professors, scheme,
-                        salary_table, validate=False)
-        violations = corpus.check()
-        if violations:      # check again, naming the line of each record
-            lines: dict[tuple[str, object], str] = {}
-            for file, path, keys, numbers in [
-                    ("publications", paths.publications, pub_ids, pub_lines),
-                    ("salaries", paths.salaries, ranks, salary_lines),
-                    ("professors", paths.professors, prof_columns[0], prof_lines),
-                    ("authorships", paths.authorships, range(len(auth_lines)),
-                     auth_lines)]:
-                lines.update(((file, k), f"{path.name}:{n}")
-                             for k, n in zip(keys, numbers))
-            violations = corpus.check(lines)
+    auth_lines, auth_columns = read("authorships", AUTHORSHIP_COLUMNS)
     if violations:
         raise CorpusLoadError(violations)
-    if log.isEnabledFor(logging.INFO):
-        n_outside = sum(1 for y in years if not window.contains(y))
-        log.info("loaded corpus: %s (%d publications outside window, kept "
-                 "until filtering)", corpus.counts(), n_outside)
-    return corpus
+
+    columns = (pub_columns, auth_columns, prof_columns, scheme,
+               dict(zip(ranks, salaries)))
+    corpus = _assemble(window, columns, file_digests)
+    violations = corpus.check()
+    if violations:      # check again, naming the line of each record
+        lines: dict[tuple[str, object], str] = {}
+        for file, path, keys, numbers in [
+                ("publications", paths.publications, pub_columns[0], pub_lines),
+                ("salaries", paths.salaries, ranks, salary_lines),
+                ("professors", paths.professors, prof_columns[0], prof_lines),
+                ("authorships", paths.authorships, range(len(auth_lines)),
+                 auth_lines)]:
+            lines.update(((file, k), f"{path.name}:{n}")
+                         for k, n in zip(keys, numbers))
+        raise CorpusLoadError(corpus.check(lines))
+    return corpus, columns
+
+
+def _assemble(window: ObservationWindow, columns: tuple,
+              file_digests: dict[str, str]) -> Corpus:
+    """The unchecked corpus of loaded ``columns``: those of publications,
+    authorships and professors, the three field scheme maps and the salary
+    table."""
+    pubs, auths, profs, scheme, salary_table = columns
+    return Corpus(window, dict(zip(pubs[0], map(Publication, *pubs))),
+                  list(map(Authorship, *auths)),
+                  dict(zip(profs[0], map(Professor, *profs))),
+                  FieldScheme(*scheme), salary_table, validate=False,
+                  file_digests=file_digests)
+
+
+# how many validated corpora the cache directory keeps: the latest written
+CACHE_ENTRIES = 8
+# what reading or writing a cache entry may raise; each makes a miss, or
+# skips the write
+_CACHE_ERRORS = (OSError, EOFError, ValueError, TypeError)
+
+
+def _cache_entry(paths: CorpusPaths, window: ObservationWindow,
+                 digests: list[str]) -> tuple[str, bytes] | None:
+    """The cache file of the corpus at ``paths``, named by their resolved
+    form, and the key an entry there must hold to stand for files with
+    ``digests`` loaded in ``window``; None without a cache directory."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser(os.path.join("~", ".cache"))
+        if not os.path.isabs(base):     # no home directory
+            return None
+    try:
+        key = hashlib.sha256(Path(__file__).read_bytes())
+    except OSError:
+        return None
+    key.update(repr((sys.implementation.cache_tag, marshal.version,
+                     tuple(window), digests)).encode())
+    where = os.fsencode("\0".join(map(os.path.realpath, paths)))
+    name = hashlib.sha256(where).hexdigest()[:32] + ".marshal"
+    return os.path.join(base, "rankdiff", name), key.digest()
+
+
+def _load_entry(entry: tuple[str, bytes] | None, window: ObservationWindow,
+                file_digests: dict[str, str]) -> Corpus | None:
+    """The corpus of a cache entry holding the key; None on a miss."""
+    if entry is None:
+        return None
+    path, key = entry
+    try:
+        with open(path, "rb") as f:
+            stored_key, columns = marshal.loads(f.read())
+        if stored_key == key:
+            return _assemble(window, columns, file_digests)
+    except _CACHE_ERRORS:
+        pass
+    return None
+
+
+def _store_entry(entry: tuple[str, bytes], columns: tuple) -> None:
+    """Write a cache entry, through a temporary file, and remove the oldest
+    others beyond CACHE_ENTRIES; an error skips the write."""
+    path, key = entry
+    directory, name = os.path.split(path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        with open(os.open(temporary, flags, 0o600), "wb") as f:
+            f.write(marshal.dumps((key, columns)))
+        others = sorted((e.stat().st_mtime, e.path) for e in os.scandir(directory)
+                        if e.name.endswith(".marshal") and e.name != name)
+        for _, old in others[:max(0, len(others) + 1 - CACHE_ENTRIES)]:
+            os.remove(old)
+        os.replace(temporary, path)
+    except _CACHE_ERRORS:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +723,7 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
     return Corpus(corpus.window, keep_pub, keep_auth, keep_prof,
                   corpus.field_scheme, corpus.salary_table,
                   baseline_publications=baseline, filter_report=report,
-                  validate=False)
+                  validate=False, file_digests=corpus.file_digests)
 
 
 def eligible_units(corpus: Corpus, level: str, cfg: FilterConfig

@@ -37,9 +37,6 @@ class ScoreBoard(NamedTuple):
     indicator: str
     entries: list[UnitScore]
 
-    def unit_ids(self) -> list[str]:
-        return [e.university_id for e in self.entries]
-
 
 def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | None]:
     """Normalized impact per publication; None marks a missing baseline.

@@ -131,10 +131,18 @@ class SynthConfig(Checked, _Synth):
         except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
             raise SynthConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:
+            if not isinstance(raw, dict):
+                raise SynthConfigError(f"must be a JSON object, got {raw!r}")
             years = raw["window"]
+            if not isinstance(years, dict):
+                raise SynthConfigError(f"window must be an object, got {years!r}")
             _check_years(years)     # before ObservationWindow compares them
+            label = years.get("label", "")
+            if not isinstance(label, str):
+                raise SynthConfigError(
+                    f"window label must be a string, got {label!r}")
             window = ObservationWindow(years["start_year"], years["end_year"],
-                                       years.get("label", ""))
+                                       label)
             salaries = raw["salaries"]
             if not isinstance(salaries, dict):
                 raise SynthConfigError(
@@ -145,7 +153,7 @@ class SynthConfig(Checked, _Synth):
             return cls(
                 seed=raw["seed"],
                 n_universities=raw["n_universities"],
-                sds_spec=tuple((e["sds"], e["uda"]) for e in raw["sds"]),
+                sds_spec=_sds_spec(raw["sds"]),
                 professors_per_sds=tuple(raw["professors_per_sds"]),
                 **{name: _number(name, raw[name]) for name in (
                     "pubs_per_professor", "citation_dispersion",
@@ -170,11 +178,26 @@ def _check_years(window: dict) -> None:
                 f"window {name} must be an integer, got {window[name]!r}")
 
 
+def _sds_spec(entries: object) -> tuple[tuple[object, object], ...]:
+    """The ``sds`` setting, a list of objects each with an SDS and a UDA
+    code, as (sds, uda) pairs."""
+    if not isinstance(entries, list):
+        raise SynthConfigError(f"sds must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SynthConfigError(
+                f"sds entries must be objects with sds and uda, got {entry!r}")
+    return tuple((e["sds"], e["uda"]) for e in entries)
+
+
 def _number(name: str, value: object) -> float:
     """A number setting as a float: a JSON number, not a boolean or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SynthConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SynthConfigError(f"{name}: {exc}") from exc
 
 
 def _is_int(value: object) -> bool:

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from rankdiff import (Authorship, Corpus, FieldScheme, ObservationWindow,
                       Professor, Publication, write_corpus_csvs)
 from helpers import RELAXED_CFG
+
+
+@pytest.fixture(autouse=True, scope="session")
+def cache_home(tmp_path_factory):
+    """The corpus cache of every test, subprocesses and demos included, is
+    in a temporary directory, never in the user's home."""
+    with pytest.MonkeyPatch.context() as patch:
+        home = tmp_path_factory.mktemp("cache")
+        patch.setitem(os.environ, "XDG_CACHE_HOME", str(home))
+        yield home
 
 
 @pytest.fixture

@@ -220,6 +220,18 @@ def _densify(publications: dict[str, Publication]) -> None:
         cited.add(key)
 
 
+def professors_by_pub(corpus: Corpus) -> dict[str, list[str]]:
+    """pub_id -> the ids of its professors, in authorship order."""
+    index: dict[str, list[str]] = {}
+    for a in corpus.authorships:
+        index.setdefault(a.pub_id, []).append(a.professor_id)
+    return index
+
+
+def unit_ids(board: ScoreBoard) -> list[str]:
+    return [e.university_id for e in board.entries]
+
+
 def clone_university(corpus: Corpus, university_id: str) -> Corpus:
     """Double a university: twin professors authoring duplicated publications.
 
@@ -238,9 +250,9 @@ def clone_university(corpus: Corpus, university_id: str) -> Corpus:
                                          prof.years_on_staff)
     publications = dict(corpus.publications)
     authorships = list(corpus.authorships)
+    authors = professors_by_pub(corpus)
     for pub_id in sorted(corpus.publications):
-        members = [p for p in corpus.professors_by_pub.get(pub_id, [])
-                   if p in twins]
+        members = [p for p in authors.get(pub_id, []) if p in twins]
         if not members:
             continue
         pub = corpus.publications[pub_id]

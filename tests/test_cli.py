@@ -320,12 +320,21 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
      "salary for rank 'assistant' must be a number, got '45000'"),
     ({"window": {"start_year": 2008, "end_year": "2012"}},
      "window end_year must be an integer, got '2012'"),
+    ({"sds": ["A"]}, "sds entries must be objects with sds and uda, got 'A'"),
+    ({"pubs_per_professor": 10**400},
+     "pubs_per_professor: int too large to convert to float"),
+    ({"window": {"start_year": 2008, "end_year": 2012, "label": 5}},
+     "window label must be a string, got 5"),
+    ({"sds": 5}, "sds must be a list, got 5"),
+    ({"window": 5}, "window must be an object, got 5"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
         "empty_sds", "padded_sds", "pipe_sds", "null_sds", "number_uda",
         "bool_pubs_per_professor", "string_pubs_per_professor",
-        "string_salary", "string_end_year"])
+        "string_salary", "string_end_year", "string_sds_entry",
+        "400_digit_pubs_per_professor", "number_label", "number_sds",
+        "number_window"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -346,7 +355,8 @@ def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
      .encode(), "invalid JSON"),
     (json.dumps({**SYNTH_CFG, "citation_dispersion": 10**400}).encode(),
      "int too large to convert to float"),
-], ids=["not_utf8", "5000_digit_seed", "huge_integer"])
+    (b"[1, 2]", "must be a JSON object, got [1, 2]"),
+], ids=["not_utf8", "5000_digit_seed", "huge_integer", "json_array"])
 def test_synth_unreadable_config_is_config_error(tmp_path, capsys, text,
                                                  message):
     bad = tmp_path / "bad.json"
@@ -602,7 +612,8 @@ def test_fuzzed_cell_gives_located_result(fuzz_corpus, name, row, column,
                                           cell):
     """One cell of the corpus replaced by drawn text: validate and compare
     end in exit 0, 1 or 2 with no traceback, and validate lists at most
-    MAX_VIOLATIONS violations, each on a line under 200 characters."""
+    MAX_VIOLATIONS violations, each on a line under 200 characters. A second
+    validate, which may read the corpus cache, gives the same result."""
     data_dir, run_cfg = fuzz_corpus
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus"
@@ -618,6 +629,10 @@ def test_fuzzed_cell_gives_located_result(fuzz_corpus, name, row, column,
         with redirect_stdout(out), redirect_stderr(err):
             validated = main(["validate", *args])
             listed = out.getvalue().splitlines()
+            again = StringIO()
+            with redirect_stdout(again):
+                assert main(["validate", *args]) == validated
+            assert again.getvalue().splitlines() == listed
             compared = main(["compare", *args, "--level", "overall",
                              "--out", str(Path(tmp) / "out")])
     assert validated in (0, 1) and compared in (0, 1, 2)

@@ -17,7 +17,7 @@ from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
 from rankdiff.cli import main
 from rankdiff.corpus import LEVELS
 from rankdiff.errors import MAX_VIOLATIONS
-from helpers import RELAXED_CFG, WINDOW, random_corpus
+from helpers import RELAXED_CFG, WINDOW, professors_by_pub, random_corpus
 
 
 def test_load_minimal_fixture(corpus_dir, window):
@@ -302,7 +302,7 @@ def _boards_and_indexes(data_dir: Path):
     table = compute_scaling_factors(corpus)
     boards = [scoreboards(corpus, table, level, RELAXED_CFG) for level in LEVELS]
     indexes = [{k: sorted(v) for k, v in index.items()}
-               for index in (corpus.pubs_by_professor, corpus.professors_by_pub)]
+               for index in (corpus.pubs_by_professor, professors_by_pub(corpus))]
     return boards, indexes, corpus.universities
 
 

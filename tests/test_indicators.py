@@ -15,7 +15,7 @@ from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
 from rankdiff.baselines import CellStats
 from helpers import (RELAXED_CFG, add_publication, clone_university,
                      oracle_unit_scores, overall_scores, random_corpus,
-                     staff_of)
+                     staff_of, unit_ids)
 
 WINDOW = ObservationWindow(2008, 2012)
 
@@ -277,7 +277,7 @@ def test_scoreboards_same_unit_sets(tiny_corpus, relaxed_cfg):
     table = compute_scaling_factors(filtered)
     boards = scoreboards(filtered, table, "sds", relaxed_cfg)
     pair = boards.pairs["S1"]
-    assert pair.fss.unit_ids() == pair.mncs.unit_ids() == ["A", "B"]
+    assert unit_ids(pair.fss) == unit_ids(pair.mncs) == ["A", "B"]
 
 
 def test_scoreboard_empty_scope(tiny_corpus, relaxed_cfg):
@@ -316,7 +316,7 @@ def test_scoreboards_drop_units_missing_one_indicator(relaxed_cfg):
     table = compute_scaling_factors(corpus)
     boards = scoreboards(corpus, table, "sds", relaxed_cfg)
     pair = boards.pairs["S"]
-    assert pair.fss.unit_ids() == pair.mncs.unit_ids() == ["A"]
+    assert unit_ids(pair.fss) == unit_ids(pair.mncs) == ["A"]
     assert pair.dropped_units == ["B"]
 
 

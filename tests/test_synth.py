@@ -14,6 +14,7 @@ from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       write_corpus_csvs)
 from rankdiff.synth import (DOC_TYPE_WEIGHTS, MAX_PUBS_PER_PROFESSOR,
                             _choice_cdf)
+from helpers import professors_by_pub, unit_ids
 
 
 def small_cfg(seed=7, **overrides) -> SynthConfig:
@@ -99,7 +100,7 @@ def test_multi_uda_cfg_draws_second_categories_and_coauthors():
     corpus = generate(multi_uda_cfg())
     assert any(len(pub.subject_categories) > 1
                for pub in corpus.publications.values())
-    assert any(len(authors) > 1 for authors in corpus.professors_by_pub.values())
+    assert any(len(authors) > 1 for authors in professors_by_pub(corpus).values())
 
 
 def test_different_seed_different_corpus():
@@ -118,11 +119,12 @@ def test_cross_university_coauthorship_and_external_authors():
     corpus = generate(small_cfg(seed=3, n_universities=10,
                                 professors_per_sds=(4, 8)))
     profs = corpus.professors
+    by_pub = professors_by_pub(corpus)
     cross = any(
         len({profs[a].university_id for a in authors}) > 1
-        for authors in corpus.professors_by_pub.values())
+        for authors in by_pub.values())
     fractional = any(
-        len(corpus.professors_by_pub.get(pub_id, [])) <
+        len(by_pub.get(pub_id, [])) <
         corpus.publications[pub_id].n_authors_total
         for pub_id in corpus.publications)
     assert cross
@@ -175,7 +177,7 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
         board_set = scoreboards(filtered, table, level, FilterConfig())
         assert board_set.pairs, level
         for pair in board_set.pairs.values():
-            assert pair.fss.unit_ids() == pair.mncs.unit_ids()
+            assert unit_ids(pair.fss) == unit_ids(pair.mncs)
 
 
 # ---------------------------------------------------------------------------
