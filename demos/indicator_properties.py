@@ -14,7 +14,8 @@ from __future__ import annotations
 from rankdiff import (FSS, MNCS, Authorship, Corpus, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
                       compute_scaling_factors, eligible_units, impact_map,
-                      professor_scores, scoreboards, sds_averages, unit_scores)
+                      professor_pass, professor_scores, scoreboards,
+                      sds_averages, unit_scores)
 
 WINDOW = ObservationWindow(2008, 2012)
 # every university of these tiny corpora is eligible
@@ -59,7 +60,8 @@ def build_corpus(extra_pub: Publication | None = None,
 
 def alpha_score(corpus: Corpus, indicator: str) -> float:
     """ALPHA's overall score of one indicator from the full scoring pass."""
-    pair = scoreboards(corpus, table, "overall", ALL_UNITS, indicator).pairs[None]
+    pair = scoreboards(professor_pass(corpus, table), ALL_UNITS, "overall",
+                       indicator).pairs[None]
     board = pair.fss if indicator == FSS else pair.mncs
     return next(e.score for e in board.entries if e.university_id == "ALPHA")
 

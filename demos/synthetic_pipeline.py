@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       apply_filters, compare, compute_scaling_factors,
-                      dispersion, generate, quartile_stats, rank, scoreboards,
-                      shift_stats)
+                      dispersion, generate, professor_pass, quartile_stats,
+                      rank, scoreboards, shift_stats)
 from rankdiff.report import shift_summary_markdown
 
 cfg = SynthConfig(
@@ -40,8 +40,10 @@ print(f"after filters: {filtered.filter_report}")
 table = compute_scaling_factors(filtered)
 print(f"citation baselines: {len(table)} (year, category) cells")
 
+# every professor is scored once; each level then scores its units
+pass_ = professor_pass(filtered, table)
 for level in ("sds", "uda", "overall"):
-    board_set = scoreboards(filtered, table, level, filters)
+    board_set = scoreboards(pass_, filters, level)
     summaries = []
     for scope, pair in board_set.pairs.items():
         if len(pair.fss.entries) < 3:
@@ -56,7 +58,7 @@ for level in ("sds", "uda", "overall"):
         print(shift_summary_markdown(summaries))
 
 # dispersion: MNCS typically discriminates less than FSS
-board_set = scoreboards(filtered, table, "overall", filters)
+board_set = scoreboards(pass_, filters, "overall")
 pair = board_set.pairs[None]
 cmp = compare(rank(pair.fss), rank(pair.mncs), label="overall")
 d_fss = dispersion(pair.fss)

@@ -15,8 +15,9 @@ from .errors import (CorpusLoadError, DegeneratePopulation,
                      DegenerateVariance, EmptyBoard, MissingBaseline,
                      NoRankableSds, RankdiffError, SynthConfigError,
                      UnitSetMismatch, Violation, ZeroMean)
-from .indicators import (BOTH, FSS, MNCS, ScoreBoard, ScoreboardSet, ScopePair,
-                         UnitScore, impact_map, professor_scores, scoreboards,
+from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
+                         ScoreboardSet, ScopePair, UnitScore, impact_map,
+                         professor_pass, professor_scores, scoreboards,
                          sds_averages, unit_scores)
 from .ranking import (ComparisonRow, ComparisonTable, RankEntry, RankedList,
                       compare, natural_key, percentile, quartile, rank,

@@ -56,15 +56,17 @@ class ScalingFactorTable:
                    for (year, cat), s in self.items()))
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "ScalingFactorTable":
-        """Read a table written by ``to_csv``.
+    def from_csv(cls, path: str | Path, data: bytes | None = None
+                 ) -> "ScalingFactorTable":
+        """Read a table written by ``to_csv``; ``data``, when given, is the
+        file's bytes, read already.
 
         Raises ValueError naming the file and line of the first bad header,
         cell, duplicate (year, category) or empty category, or of an
         undecodable byte.
         """
         lines, (years, categories, *counts) = read_csv(
-            path, CSV_COLUMNS, key=("year", "category"))
+            path, CSV_COLUMNS, key=("year", "category"), data=data)
         cells = dict(zip(zip(years, categories), map(CellStats, *counts)))
         for line, (key, stats) in zip(lines, cells.items()):
             problem = _cell_problem(key, stats)
@@ -98,9 +100,13 @@ def compute_scaling_factors(corpus: Corpus) -> ScalingFactorTable:
     cells = {key: CellStats(mean=sums[key] / cited[key], cited_count=cited[key],
                             total_count=total[key])
              for key in cited}
-    log.info("scaling factors: %d cells from %d baseline publications",
-             len(cells), len(corpus.baseline_publications))
+    log_computed(len(cells), len(corpus.baseline_publications))
     return ScalingFactorTable(cells)
+
+
+def log_computed(cells: int, population: int) -> None:
+    log.info("scaling factors: %d cells from %d baseline publications",
+             cells, population)
 
 
 def scaling_factor(pub: Publication, table: ScalingFactorTable) -> float:

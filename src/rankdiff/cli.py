@@ -20,13 +20,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import divergence, report
-from .baselines import ScalingFactorTable, compute_scaling_factors
-from .corpus import (Corpus, LEVEL_SDS, LEVELS, RunConfig,
-                     apply_filters, load_corpus, read_config, read_csv,
-                     write_corpus_csvs)
+from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
+from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
+                     apply_filters, load_corpus, log_filtered, log_loaded,
+                     read_config, read_csv, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
-from .indicators import (BOTH, FSS, MNCS, ScoreBoard, ScoreboardSet, UnitScore,
-                         scoreboards)
+from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
+                         ScoreboardSet, UnitScore, cached_pass, log_fss,
+                         professor_pass, scoreboards, store_pass)
 from .ranking import ComparisonTable, compare, rank
 from .synth import SynthConfig, generate
 
@@ -47,12 +48,20 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read(path: str | Path) -> bytes | None:
+    """The bytes of an input file, read once to be both parsed and hashed;
+    None when it cannot be read, which its parser then reports."""
+    try:
+        return Path(path).read_bytes()
+    except OSError:
+        return None
+
+
+def _digest(path: str | Path, data: bytes | None) -> str:
+    """sha256 of ``data``, the bytes of ``path`` that were parsed; of the
+    file as it is now when it could not be read before it was parsed."""
+    return hashlib.sha256(Path(path).read_bytes() if data is None
+                          else data).hexdigest()
 
 
 class OutputDir:
@@ -121,32 +130,23 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
     }
 
 
-def _input_digests(args: argparse.Namespace, corpus: Corpus) -> dict[str, str]:
+def _input_digests(args: argparse.Namespace, pass_: ProfessorPass,
+                   baselines: bytes | None) -> dict[str, str]:
     """sha256 of every file the run read: the corpus files, as they were
-    loaded, and any --baselines."""
-    digests = dict(corpus.file_digests)
+    loaded, and any --baselines, whose bytes were ``baselines``."""
+    digests = dict(pass_.file_digests)
     if args.baselines:
-        path = Path(args.baselines)
-        digests[str(path)] = _sha256(path)
+        digests[str(Path(args.baselines))] = _digest(args.baselines, baselines)
     return digests
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _load(args: argparse.Namespace, run_cfg: RunConfig,
-          filtered: bool = True) -> Corpus:
-    """Load the corpus and, if ``filtered``, filter it."""
-    corpus = load_corpus(args.data_dir, run_cfg.window)
-    if filtered:
-        corpus = apply_filters(corpus, run_cfg.filters)
-    return corpus
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _config_or_exit(args.config)
     try:
-        corpus = _load(args, run_cfg, filtered=False)
+        corpus = load_corpus(args.data_dir, run_cfg.window)
     except CorpusLoadError as exc:
         shown = len(exc.violations)
         print(f"INVALID: {exc.total} violation(s)" if exc.total == shown else
@@ -161,39 +161,78 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _baseline_table(args: argparse.Namespace, corpus: Corpus,
-                    out: OutputDir) -> ScalingFactorTable:
-    if args.baselines:
-        try:
-            table = ScalingFactorTable.from_csv(args.baselines)
-        except ValueError as exc:
-            raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
-        log.info("baselines imported from %s (%d cells)", args.baselines,
-                 len(table))
-    else:
-        table = compute_scaling_factors(corpus)
-    if args.export_baselines:
-        table.to_csv(out.path("summaries", "baselines.csv"))
+                    baselines: bytes | None) -> ScalingFactorTable:
+    """The --baselines table, parsed from its bytes ``baselines``, or the
+    table computed from the corpus."""
+    if not args.baselines:
+        return compute_scaling_factors(corpus)
+    try:
+        table = ScalingFactorTable.from_csv(args.baselines, data=baselines)
+    except ValueError as exc:
+        raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
+    _log_imported(args, len(table))
     return table
 
 
+def _log_imported(args: argparse.Namespace, cells: int) -> None:
+    log.info("baselines imported from %s (%d cells)", args.baselines, cells)
+
+
 def _score_corpus(args: argparse.Namespace, indicator: str
-                  ) -> tuple[RunConfig, OutputDir, Corpus, ScoreboardSet]:
-    """Load, filter and score the corpus at ``args.level``; the output
-    directory holds the scoring warnings."""
+                  ) -> tuple[RunConfig, OutputDir, ProfessorPass,
+                             dict[str, str], ScoreboardSet]:
+    """Score the corpus at ``args.level``; the output directory holds the
+    scoring warnings. Also returns the professor pass and the digests of
+    the files read.
+
+    The professor pass comes from the cache, or from loading and filtering
+    the corpus, building or importing the baselines and scoring the
+    professors, and is then kept there. A cached pass logs from its
+    counters what those stages logged, so both ways log the same lines in
+    the same order around the same output directory check.
+    """
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    corpus = _load(args, run_cfg)
+    fss = indicator != MNCS
+    paths = CorpusPaths.from_dir(args.data_dir)
+    baselines = _read(args.baselines) if args.baselines else None
+    # an unreadable --baselines is reported where it is parsed, uncached
+    cached = not args.baselines or baselines is not None
+    pass_ = (cached_pass(paths, run_cfg.window, run_cfg.filters, baselines, fss)
+             if cached else None)
+    if pass_ is None:
+        loaded = load_corpus(paths, run_cfg.window)
+        corpus = apply_filters(loaded, run_cfg.filters)
+    else:
+        log_loaded(pass_.corpus_counts,
+                   pass_.filter_report.publications_removed_window)
+        log_filtered(pass_.filter_report)
     out = OutputDir(args.out, args.force)
-    table = _baseline_table(args, corpus, out)
-    board_set = scoreboards(corpus, table, args.level, run_cfg.filters,
-                            indicator)
+    if pass_ is None:
+        table = _baseline_table(args, corpus, baselines)
+    else:
+        table = pass_.table
+        if args.baselines:
+            _log_imported(args, len(table))
+        else:
+            log_computed(len(table), pass_.baseline_population)
+    if args.export_baselines:
+        table.to_csv(out.path("summaries", "baselines.csv"))
+    if pass_ is None:
+        pass_ = professor_pass(corpus, table, fss, loaded.counts())
+        if cached:
+            store_pass(paths, run_cfg.window, run_cfg.filters, baselines, pass_)
+    elif fss:
+        log_fss(pass_)
+    board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
-    return run_cfg, out, corpus, board_set
+    return run_cfg, out, pass_, _input_digests(args, pass_, baselines), \
+        board_set
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    run_cfg, out, corpus, board_set = _score_corpus(args, args.indicator)
+    run_cfg, out, _, inputs, board_set = _score_corpus(args, args.indicator)
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
         name = f"scoreboard_{args.level}_{_slug(scope)}.csv"
@@ -202,7 +241,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         out.warnings.append(
             "not rankable: " + ", ".join(str(s) for s in board_set.not_rankable))
     out.write_manifest("score", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args, corpus))
+                       inputs)
     print(f"wrote {len(board_set.pairs)} scope scoreboard(s) to {out.root}")
     return EXIT_OK
 
@@ -296,7 +335,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.data_dir:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "either DATA_DIR or --from-scores is required")
-    run_cfg, out, corpus, board_set = _score_corpus(args, BOTH)
+    run_cfg, out, pass_, inputs, board_set = _score_corpus(args, BOTH)
 
     # lazy, so each skip warning keeps its scope-order place in the manifest
     def rankable():
@@ -316,18 +355,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out, args.data_dir, args.level,
         f"FSS vs MNCS comparison ({args.level} level)",
         rankable(),
-        corpus.field_scheme.uda_of if args.level == LEVEL_SDS else None)
+        pass_.field_scheme.uda_of if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
-                       _input_digests(args, corpus))
+                       inputs)
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")
     return EXIT_OK
 
 
-def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
+def _read_scores_csv(path: Path, data: bytes | None
+                     ) -> tuple[ScoreBoard, ScoreBoard]:
     try:
         _, (units, fss_scores, mncs_scores) = read_csv(
             path, {"unit": str, "fss_score": float, "mncs_score": float},
-            extra_columns=True, key=("unit",))
+            extra_columns=True, key=("unit",), data=data)
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
     fss_entries = [UnitScore(u, FSS, s) for u, s in zip(units, fss_scores)]
@@ -340,7 +380,8 @@ def _read_scores_csv(path: Path) -> tuple[ScoreBoard, ScoreBoard]:
 
 def _compare_from_scores(args: argparse.Namespace) -> int:
     path = Path(args.from_scores)
-    fss_board, mncs_board = _read_scores_csv(path)
+    data = _read(path)
+    fss_board, mncs_board = _read_scores_csv(path, data)
     out = OutputDir(args.out, args.force)
     if len(fss_board.entries) < 2:
         out.warnings.append("single unit: percentile set to 100 by convention")
@@ -349,23 +390,23 @@ def _compare_from_scores(args: argparse.Namespace) -> int:
         f"FSS vs MNCS comparison (replay: {args.label})",
         [(args.label, fss_board, mncs_board, None)])
     out.write_manifest("compare", sys.argv[1:], None,
-                       {str(path): _sha256(path)})
+                       {str(path): _digest(path, data)})
     print(f"compared {cmp.n} units; outputs in {out.root}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    data = Path(args.config_file).read_bytes()
     try:
-        cfg = SynthConfig.from_json(args.config_file)
+        cfg = SynthConfig.from_json(args.config_file, data)
         corpus = generate(cfg)
     except SynthConfigError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
     out = OutputDir(args.out, args.force)
     paths = write_corpus_csvs(corpus, out.root)
     out.outputs.extend(p.name for p in paths)
-    out.write_manifest("synth", sys.argv[1:],
-                       json.loads(Path(args.config_file).read_text()),
-                       {str(args.config_file): _sha256(Path(args.config_file))})
+    out.write_manifest("synth", sys.argv[1:], json.loads(data),
+                       {str(args.config_file): hashlib.sha256(data).hexdigest()})
     print(f"synthesized corpus: {corpus.counts()} -> {out.root}")
     return EXIT_OK
 

@@ -12,16 +12,15 @@ import csv
 import hashlib
 import io
 import logging
-import marshal
 import math
-import os
-import sys
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import cache
 from .errors import CorpusLoadError, Violation
 
 log = logging.getLogger("rankdiff.corpus")
@@ -196,6 +195,11 @@ class Corpus:
         return index
 
     @cached_property
+    def n_authors_total(self) -> dict[str, int]:
+        return {pub_id: p.n_authors_total
+                for pub_id, p in self.publications.items()}
+
+    @cached_property
     def universities(self) -> list[str]:
         return sorted({p.university_id for p in self.professors.values()})
 
@@ -303,13 +307,17 @@ class Corpus:
 
     def scope_of(self, prof: Professor, level: str) -> str | None:
         """The professor's scope code at a level: SDS, UDA, or None overall."""
-        if level == LEVEL_SDS:
-            return prof.sds_code
-        if level == LEVEL_UDA:
-            return self.field_scheme.uda_of(prof.sds_code)
-        if level == LEVEL_OVERALL:
-            return None
-        raise ValueError(f"unknown level {level!r}")
+        return _scope_of(self.field_scheme, prof, level)
+
+
+def _scope_of(scheme: FieldScheme, prof: Professor, level: str) -> str | None:
+    if level == LEVEL_SDS:
+        return prof.sds_code
+    if level == LEVEL_UDA:
+        return scheme.uda_of(prof.sds_code)
+    if level == LEVEL_OVERALL:
+        return None
+    raise ValueError(f"unknown level {level!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -518,35 +526,50 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     MAX_VIOLATIONS; nothing is silently dropped.
 
     Each file is read once, and the bytes read are both parsed and hashed.
-    A corpus that passes every check is kept as a ``marshal`` entry in the
-    user's cache directory, ``$XDG_CACHE_HOME/rankdiff`` or
-    ``~/.cache/rankdiff``: one entry per corpus location, at most
-    CACHE_ENTRIES in all. The entry holds its key, the sha256 of this
-    module's source, the interpreter's cache tag, the marshal version, the
-    window and the five file digests. A later load with the same key
-    rebuilds the same corpus from the entry, without parsing or checking.
-    An entry that cannot be read is a miss, and one that cannot be written
-    is skipped; the result is the same either way.
+    A corpus that passes every check is kept as a ``cache`` entry, one per
+    corpus location. Its key adds the window and the five file digests to
+    the source fingerprint, the interpreter's cache tag and the marshal
+    version. A later load with the same key rebuilds the same corpus from
+    the entry, without parsing or checking. An entry that cannot be read is
+    a miss, and one that cannot be written is skipped; the result is the
+    same either way.
     """
+    paths, data, file_digests = _read_files(paths)
+    entry = (cache.entry(paths, cache.CORPUS, tuple(window),
+                         list(file_digests.values()))
+             if len(file_digests) == len(paths) else None)
+    corpus = cache.load(entry, lambda columns: _assemble(window, columns,
+                                                         file_digests))
+    if corpus is None:
+        corpus, columns = _parse_corpus(paths, data, window, file_digests)
+        cache.store(entry, columns)
+    if log.isEnabledFor(logging.INFO):
+        log_loaded(corpus.counts(), sum(1 for p in corpus.publications.values()
+                                        if not window.contains(p.year)))
+    return corpus
+
+
+def log_loaded(counts: dict[str, int], outside_window: int) -> None:
+    log.info("loaded corpus: %s (%d publications outside window, kept until "
+             "filtering)", counts, outside_window)
+
+
+def corpus_digests(paths: CorpusPaths | str | Path) -> dict[str, str] | None:
+    """sha256 of each corpus file, by path, as ``load_corpus`` would record
+    them; None when one is missing."""
+    _, data, file_digests = _read_files(paths)
+    return None if None in data else file_digests
+
+
+def _read_files(paths: CorpusPaths | str | Path
+                ) -> tuple[CorpusPaths, list[bytes | None], dict[str, str]]:
+    """The corpus paths, the bytes of each file, None for a missing one, and
+    the sha256 of each file read, by path."""
     if not isinstance(paths, CorpusPaths):
         paths = CorpusPaths.from_dir(paths)
     data = [_read_if_present(path) for path in paths]
-    digests = [None if d is None else hashlib.sha256(d).hexdigest()
-               for d in data]
-    entry = None if None in digests else _cache_entry(paths, window, digests)
-    file_digests = {str(path): digest for path, digest in zip(paths, digests)
-                    if digest is not None}
-    corpus = _load_entry(entry, window, file_digests)
-    if corpus is None:
-        corpus, columns = _parse_corpus(paths, data, window, file_digests)
-        if entry is not None:
-            _store_entry(entry, columns)
-    if log.isEnabledFor(logging.INFO):
-        n_outside = sum(1 for p in corpus.publications.values()
-                        if not window.contains(p.year))
-        log.info("loaded corpus: %s (%d publications outside window, kept "
-                 "until filtering)", corpus.counts(), n_outside)
-    return corpus
+    return paths, data, {str(path): hashlib.sha256(d).hexdigest()
+                         for path, d in zip(paths, data) if d is not None}
 
 
 def _read_if_present(path: Path) -> bytes | None:
@@ -617,78 +640,19 @@ def _assemble(window: ObservationWindow, columns: tuple,
     authorships and professors, the three field scheme maps and the salary
     table."""
     pubs, auths, profs, scheme, salary_table = columns
-    return Corpus(window, dict(zip(pubs[0], map(Publication, *pubs))),
-                  list(map(Authorship, *auths)),
-                  dict(zip(profs[0], map(Professor, *profs))),
+    return Corpus(window, dict(zip(pubs[0], records(Publication, zip(*pubs)))),
+                  list(records(Authorship, zip(*auths))),
+                  dict(zip(profs[0], records(Professor, zip(*profs)))),
                   FieldScheme(*scheme), salary_table, validate=False,
                   file_digests=file_digests)
 
 
-# how many validated corpora the cache directory keeps: the latest written
-CACHE_ENTRIES = 8
-# what reading or writing a cache entry may raise; each makes a miss, or
-# skips the write
-_CACHE_ERRORS = (OSError, EOFError, ValueError, TypeError)
-
-
-def _cache_entry(paths: CorpusPaths, window: ObservationWindow,
-                 digests: list[str]) -> tuple[str, bytes] | None:
-    """The cache file of the corpus at ``paths``, named by their resolved
-    form, and the key an entry there must hold to stand for files with
-    ``digests`` loaded in ``window``; None without a cache directory."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.expanduser(os.path.join("~", ".cache"))
-        if not os.path.isabs(base):     # no home directory
-            return None
-    try:
-        key = hashlib.sha256(Path(__file__).read_bytes())
-    except OSError:
-        return None
-    key.update(repr((sys.implementation.cache_tag, marshal.version,
-                     tuple(window), digests)).encode())
-    where = os.fsencode("\0".join(map(os.path.realpath, paths)))
-    name = hashlib.sha256(where).hexdigest()[:32] + ".marshal"
-    return os.path.join(base, "rankdiff", name), key.digest()
-
-
-def _load_entry(entry: tuple[str, bytes] | None, window: ObservationWindow,
-                file_digests: dict[str, str]) -> Corpus | None:
-    """The corpus of a cache entry holding the key; None on a miss."""
-    if entry is None:
-        return None
-    path, key = entry
-    try:
-        with open(path, "rb") as f:
-            stored_key, columns = marshal.loads(f.read())
-        if stored_key == key:
-            return _assemble(window, columns, file_digests)
-    except _CACHE_ERRORS:
-        pass
-    return None
-
-
-def _store_entry(entry: tuple[str, bytes], columns: tuple) -> None:
-    """Write a cache entry, through a temporary file, and remove the oldest
-    others beyond CACHE_ENTRIES; an error skips the write."""
-    path, key = entry
-    directory, name = os.path.split(path)
-    temporary = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-        with open(os.open(temporary, flags, 0o600), "wb") as f:
-            f.write(marshal.dumps((key, columns)))
-        others = sorted((e.stat().st_mtime, e.path) for e in os.scandir(directory)
-                        if e.name.endswith(".marshal") and e.name != name)
-        for _, old in others[:max(0, len(others) + 1 - CACHE_ENTRIES)]:
-            os.remove(old)
-        os.replace(temporary, path)
-    except _CACHE_ERRORS:
-        try:
-            os.remove(temporary)
-        except OSError:
-            pass
+def records(cls: type, rows: Iterable[tuple]) -> Iterable:
+    """The records of the NamedTuple ``cls`` whose fields are ``rows``, made
+    by ``tuple.__new__``: a loaded value is already of its field's type, so
+    the generated ``__new__`` and its argument handling are skipped. Not for
+    a ``Checked`` record."""
+    return map(tuple.__new__, repeat(cls), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +683,15 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
         publications_removed_window=len(corpus.publications) - len(in_window),
         authorships_removed=len(corpus.authorships) - len(keep_auth),
     )
-    log.info("filters: %s", report)
+    log_filtered(report)
     return Corpus(corpus.window, keep_pub, keep_auth, keep_prof,
                   corpus.field_scheme, corpus.salary_table,
                   baseline_publications=baseline, filter_report=report,
                   validate=False, file_digests=corpus.file_digests)
+
+
+def log_filtered(report: FilterReport) -> None:
+    log.info("filters: %s", report)
 
 
 def eligible_units(corpus: Corpus, level: str, cfg: FilterConfig
@@ -734,13 +702,15 @@ def eligible_units(corpus: Corpus, level: str, cfg: FilterConfig
     The unit is (university, scope_code); at overall level the scope code is
     None and the unit is the university itself. Scopes come in code order,
     universities in id order within a scope, and professors in id order.
+    ``corpus`` may also be a professor pass: only its ``professors`` and
+    ``field_scheme`` are read.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     members: dict[tuple[str | None, str], list[str]] = {}
     for pid in sorted(corpus.professors):
         prof = corpus.professors[pid]
-        key = (corpus.scope_of(prof, level), prof.university_id)
+        key = (_scope_of(corpus.field_scheme, prof, level), prof.university_id)
         members.setdefault(key, []).append(pid)
     threshold = cfg.min_professors(level)
     units: dict[str | None, dict[str, list[str]]] = {}

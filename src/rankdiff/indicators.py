@@ -9,11 +9,16 @@ fractional-authorship weights.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from typing import NamedTuple
 
-from .baselines import ScalingFactorTable, scaling_factor
-from .corpus import Corpus, FilterConfig, LEVEL_SDS, eligible_units
+from . import cache
+from .baselines import CellStats, ScalingFactorTable, scaling_factor
+from .corpus import (Corpus, CorpusPaths, FieldScheme, FilterConfig,
+                     FilterReport, LEVEL_SDS, ObservationWindow, Professor,
+                     corpus_digests, eligible_units, records)
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.indicators")
@@ -83,10 +88,14 @@ def professor_scores(corpus: Corpus,
                 total += impact / corpus.publications[pub_id].n_authors_total
         salary = corpus.salary_table[prof.academic_rank]
         scores[pid] = total / (salary * prof.years_on_staff)
+    log_fss_skipped(skipped)
+    return scores
+
+
+def log_fss_skipped(skipped: int) -> None:
     if skipped:
         log.warning("fss: %d publication terms skipped for missing baselines",
                     skipped)
-    return scores
 
 
 def sds_averages(corpus: Corpus, scores: dict[str, float]) -> dict[str, float]:
@@ -105,9 +114,134 @@ def sds_averages(corpus: Corpus, scores: dict[str, float]) -> dict[str, float]:
         if values:
             averages[code] = sum(values) / len(values)
         else:
-            log.warning("SDS %s has no productive professor; its staff are "
-                        "excluded from unit FSS", code)
+            log_unproductive(code)
     return averages
+
+
+def log_unproductive(sds_code: str) -> None:
+    log.warning("SDS %s has no productive professor; its staff are "
+                "excluded from unit FSS", sds_code)
+
+
+# ---------------------------------------------------------------------------
+# The professor pass
+
+class ProfessorPass(NamedTuple):
+    """What the unit pass and the outputs read of a filtered corpus scored
+    against a baseline table, and the counters its stages log.
+
+    ``professors`` are the kept professors, and ``field_scheme`` holds the
+    SDS-to-UDA map only. ``impacts`` is ``impact_map``'s. ``scores`` (FSS_P
+    per professor), ``averages`` (``sds_averages``), ``fss_skipped`` (the
+    publication terms ``professor_scores`` skipped) and ``unproductive``
+    (the SDS ``sds_averages`` has no mean for) are None in a pass made
+    without FSS. ``baseline_population`` counts the corpus's baseline
+    publications, and ``corpus_counts`` are the counts of the corpus as
+    loaded, before filtering.
+    """
+    professors: dict[str, Professor]
+    field_scheme: FieldScheme
+    pubs_by_professor: dict[str, list[str]]
+    n_authors_total: dict[str, int]
+    impacts: dict[str, float | None]
+    scores: dict[str, float] | None
+    averages: dict[str, float] | None
+    table: ScalingFactorTable
+    file_digests: dict[str, str]
+    filter_report: FilterReport | None
+    baseline_population: int
+    fss_skipped: int | None
+    unproductive: list[str] | None
+    corpus_counts: dict[str, int] | None
+
+
+def professor_pass(corpus: Corpus, table: ScalingFactorTable,
+                   fss: bool = True,
+                   corpus_counts: dict[str, int] | None = None
+                   ) -> ProfessorPass:
+    """The professor pass of a filtered corpus: the normalized impacts and,
+    with ``fss``, each professor's FSS_P and the SDS averages. It logs what
+    ``professor_scores`` and ``sds_averages`` log. ``corpus_counts`` are
+    the counts of the corpus before filtering, when known."""
+    impacts = impact_map(corpus, table)
+    scores = averages = skipped = unproductive = None
+    if fss:
+        scores = professor_scores(corpus, impacts)
+        averages = sds_averages(corpus, scores)
+        pubs = corpus.pubs_by_professor
+        skipped = sum(impacts[pub_id] is None for pid in corpus.professors
+                      for pub_id in pubs.get(pid, ()))
+        unproductive = sorted({p.sds_code for p in corpus.professors.values()}
+                              .difference(averages))
+    return ProfessorPass(
+        corpus.professors, FieldScheme(corpus.field_scheme.sds_to_uda),
+        corpus.pubs_by_professor, corpus.n_authors_total, impacts, scores,
+        averages, table, corpus.file_digests, corpus.filter_report,
+        len(corpus.baseline_publications), skipped, unproductive,
+        corpus_counts)
+
+
+def log_fss(pass_: ProfessorPass) -> None:
+    """Log what ``professor_scores`` and ``sds_averages`` logged when the
+    pass was made."""
+    log_fss_skipped(pass_.fss_skipped)
+    for code in pass_.unproductive:
+        log_unproductive(code)
+
+
+def cached_pass(paths: CorpusPaths, window: ObservationWindow,
+                cfg: FilterConfig, baselines: bytes | None, fss: bool
+                ) -> ProfessorPass | None:
+    """The cached professor pass of the corpus at ``paths``, loaded in
+    ``window``, filtered by ``cfg`` and scored against the baseline table
+    whose file holds ``baselines`` (None: computed from the corpus). None on
+    a miss, and when the pass lacks the FSS that ``fss`` asks for."""
+    file_digests = corpus_digests(paths)
+    if file_digests is None:
+        return None
+    pass_ = cache.load(_pass_entry(paths, window, cfg, baselines, file_digests),
+                       lambda payload: _unpack(payload, file_digests))
+    return None if pass_ is None or fss and pass_.scores is None else pass_
+
+
+def store_pass(paths: CorpusPaths, window: ObservationWindow,
+               cfg: FilterConfig, baselines: bytes | None,
+               pass_: ProfessorPass) -> None:
+    """Keep the professor pass of a corpus loaded from ``paths`` in the
+    cache, keyed by the digests of the bytes it was made from."""
+    cache.store(
+        _pass_entry(paths, window, cfg, baselines, pass_.file_digests),
+        (list(map(tuple, pass_.professors.values())),
+         pass_.field_scheme.sds_to_uda, pass_.pubs_by_professor,
+         pass_.n_authors_total, pass_.impacts, pass_.scores, pass_.averages,
+         {cell: tuple(stats) for cell, stats in pass_.table.items()},
+         tuple(pass_.filter_report), pass_.baseline_population,
+         pass_.fss_skipped, pass_.unproductive, pass_.corpus_counts))
+
+
+def _pass_entry(paths: CorpusPaths, window: ObservationWindow,
+                cfg: FilterConfig, baselines: bytes | None,
+                file_digests: dict[str, str]) -> tuple[str, bytes] | None:
+    return cache.entry(
+        paths, cache.PASS, tuple(window), list(file_digests.values()),
+        # sorted: the repr of a frozenset varies with the hash seed
+        json.dumps(cfg.as_dict(), sort_keys=True),
+        None if baselines is None else hashlib.sha256(baselines).hexdigest())
+
+
+def _unpack(payload: tuple, file_digests: dict[str, str]) -> ProfessorPass:
+    """The professor pass of a cache entry's payload."""
+    (rows, sds_to_uda, pubs_by_professor, n_authors_total, impacts, scores,
+     averages, cells, report, population, skipped, unproductive,
+     counts) = payload
+    return ProfessorPass(
+        dict(zip([row[0] for row in rows], records(Professor, rows))),
+        FieldScheme(sds_to_uda), pubs_by_professor, n_authors_total, impacts,
+        scores, averages,
+        ScalingFactorTable(dict(zip(cells, map(CellStats._make,
+                                               cells.values())))),
+        file_digests, FilterReport(*report), population, skipped, unproductive,
+        counts)
 
 
 def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
@@ -120,7 +254,8 @@ def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
 
     FSS needs ``scores`` and ``averages``, MNCS needs ``impacts``; None
     leaves that indicator out. It logs the unit's dropped professors and
-    skipped publications.
+    skipped publications. ``corpus`` may also be a professor pass: only its
+    ``professors``, ``pubs_by_professor`` and ``n_authors_total`` are read.
 
     FSS is the mean of SDS-standardized professor values, zeros included;
     a professor whose SDS has no average leaves numerator and staff. MNCS
@@ -156,7 +291,7 @@ def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
             if impact is None:
                 skipped += 1
                 continue
-            weight = m / corpus.publications[pub_id].n_authors_total
+            weight = m / corpus.n_authors_total[pub_id]
             numerator += impact * weight
             weight_sum += weight
         if skipped:
@@ -186,25 +321,25 @@ class ScoreboardSet(NamedTuple):
     warnings: list[str]
 
 
-def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
-                cfg: FilterConfig, indicator: str = BOTH) -> ScoreboardSet:
-    """Score every rankable scope at the given level.
+def scoreboards(pass_: ProfessorPass, cfg: FilterConfig, level: str,
+                indicator: str = BOTH) -> ScoreboardSet:
+    """Score every rankable scope at the given level from a professor pass:
+    the unit pass, ``eligible_units`` and then ``unit_scores`` per unit.
 
     When both indicators are requested, each scope's FSS and MNCS boards are
     restricted to the units that obtained both scores; the rest are dropped
-    and reported.
+    and reported. FSS needs a pass made with FSS.
     """
     if indicator not in (FSS, MNCS, BOTH):
         raise ValueError(f"unknown indicator {indicator!r}")
     want_fss = indicator in (FSS, BOTH)
     want_mncs = indicator in (MNCS, BOTH)
+    if want_fss and pass_.scores is None:
+        raise ValueError("FSS asked of a professor pass made without it")
 
-    units = eligible_units(corpus, level, cfg)
-    impacts = impact_map(corpus, table)
-    scores = averages = None
-    if want_fss:
-        scores = professor_scores(corpus, impacts)
-        averages = sds_averages(corpus, scores)
+    units = eligible_units(pass_, level, cfg)
+    scores = pass_.scores if want_fss else None
+    impacts = pass_.impacts if want_mncs else None
 
     result = ScoreboardSet(level, {}, [], [])
     for scope, scope_units in units.items():
@@ -219,8 +354,7 @@ def scoreboards(corpus: Corpus, table: ScalingFactorTable, level: str,
         dropped: list[str] = []
         for univ, members in scope_units.items():
             fss_score, mncs_score = unit_scores(
-                corpus, univ, scope, members, scores, averages,
-                impacts if want_mncs else None)
+                pass_, univ, scope, members, scores, pass_.averages, impacts)
             if indicator == BOTH and (fss_score is None or mncs_score is None):
                 dropped.append(univ)
                 continue

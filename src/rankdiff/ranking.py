@@ -4,6 +4,7 @@ from __future__ import annotations
 import logging
 import re
 from decimal import Decimal, ROUND_HALF_UP
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegeneratePopulation, EmptyBoard, UnitSetMismatch
@@ -12,6 +13,12 @@ from .indicators import ScoreBoard
 log = logging.getLogger("rankdiff.ranking")
 
 
+# a comparison sees few distinct unit ids and displayed values, so both
+# helpers below remember their latest results
+_MEMO = 4096
+
+
+@lru_cache(maxsize=_MEMO)
 def natural_key(unit_id: str) -> tuple:
     """Sort key treating digit runs numerically, so UNIV_9 < UNIV_10: a run
     (each odd part) compares by its length without leading zeros, then by
@@ -25,8 +32,15 @@ def natural_key(unit_id: str) -> tuple:
 
 def round_half_away(x: float, ndigits: int = 1) -> float:
     """Round with ties away from zero (display convention for percentiles)."""
+    return _round_half_away(repr(x), ndigits)
+
+
+@lru_cache(maxsize=_MEMO)
+def _round_half_away(text: str, ndigits: int) -> float:
+    """``round_half_away`` of the number whose repr is ``text``: the repr is
+    its real input, so -0.0 and 0.0 never share an entry."""
     q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(text).quantize(q, rounding=ROUND_HALF_UP))
 
 
 def percentile(rank: int, n: int) -> float:

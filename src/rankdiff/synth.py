@@ -9,6 +9,7 @@ steered. Same seed, same bytes.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -125,9 +126,16 @@ class SynthConfig(Checked, _Synth):
                     f"salary for rank {rank!r} must be finite and > 0")
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "SynthConfig":
+    def from_json(cls, path: str | Path, data: bytes | None = None
+                  ) -> "SynthConfig":
+        """The config in the JSON file at ``path``; ``data``, when given, is
+        the file's bytes, read already."""
+        if data is None:
+            data = Path(path).read_bytes()
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            # decoded as a UTF-8 text file is read, newlines translated
+            raw = json.loads(io.TextIOWrapper(io.BytesIO(data),
+                                              encoding="utf-8").read())
         except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
             raise SynthConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:

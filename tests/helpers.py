@@ -11,7 +11,8 @@ import numpy as np
 
 from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
                       ObservationWindow, Professor, Publication, ScoreBoard,
-                      compare, eligible_units, rank, scoreboards)
+                      compare, eligible_units, professor_pass, rank,
+                      scoreboards)
 from rankdiff.indicators import FSS, MNCS, UnitScore
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -326,7 +327,8 @@ def comparison_from_ranks(fss_ranks: list[int], mncs_ranks: list[int]):
 def overall_scores(corpus: Corpus, table, indicator: str) -> dict[str, float]:
     """University -> overall score of one indicator, from ``scoreboards``
     with every unit eligible; a university without that score is absent."""
-    pair = scoreboards(corpus, table, "overall", RELAXED_CFG, indicator).pairs[None]
+    pair = scoreboards(professor_pass(corpus, table), RELAXED_CFG, "overall",
+                       indicator).pairs[None]
     board = pair.fss if indicator == FSS else pair.mncs
     return {e.university_id: e.score for e in board.entries}
 

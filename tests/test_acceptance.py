@@ -28,7 +28,7 @@ from rankdiff import (FSS, MNCS, FilterConfig, ObservationWindow, Publication,
                       SynthConfig, apply_filters, compare,
                       compute_scaling_factors, dispersion, generate,
                       impact_map, normalized_impact, pearson, percentile,
-                      professor_scores, quartile_stats, rank,
+                      professor_pass, professor_scores, quartile_stats, rank,
                       round_half_away, scoreboards, sds_averages, shift_stats,
                       spearman, unit_scores)
 from helpers import (add_publication, boards_from_columns, clone_university,
@@ -479,7 +479,8 @@ def test_criterion_12_pipeline_scale_and_determinism():
         table = compute_scaling_factors(filtered)
         results = {}
         for level in ("sds", "uda", "overall"):
-            board_set = scoreboards(filtered, table, level, FilterConfig())
+            board_set = scoreboards(professor_pass(filtered, table),
+                                    FilterConfig(), level)
             for scope, pair in board_set.pairs.items():
                 if len(pair.fss.entries) < 2:
                     continue

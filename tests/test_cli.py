@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankdiff import apply_filters, cli
 from rankdiff.cli import main
 from rankdiff.errors import MAX_VIOLATIONS
 from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
@@ -88,34 +89,58 @@ def test_synth_validate_score_compare_pipeline(synth_setup):
     assert (cmp_out / "comparisons" / "report.md").exists()
 
 
-def test_outputs_match_golden_digests(synth_setup):
+def test_outputs_match_golden_digests(synth_setup, tmp_path, monkeypatch):
     """Every output byte of synth, score and compare on the fixture corpus,
     of score with the exported baselines pinned, and of compare --from-scores
     on the reference tables, pinned by sha256 (the manifest, which holds a
-    timestamp, excepted)."""
-    tmp_path, data_dir, run_cfg = synth_setup
+    timestamp, excepted). The commands run twice in one cache directory:
+    first on an empty cache, then on the entries the first run left, where
+    no compare filters the corpus."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    _, data_dir, run_cfg = synth_setup
     corpus_args = [str(data_dir), "--config", str(run_cfg)]
-    assert main(["score", *corpus_args, "--level", "sds", "--export-baselines",
-                 "--out", str(tmp_path / "score")]) == 0
-    for level in ("sds", "uda", "overall"):
-        assert main(["compare", *corpus_args, "--level", level,
-                     "--out", str(tmp_path / f"cmp_{level}")]) == 0
-    assert main(["score", *corpus_args, "--level", "overall", "--baselines",
-                 str(tmp_path / "score" / "summaries" / "baselines.csv"),
-                 "--out", str(tmp_path / "score_pinned")]) == 0
-    for ref in REF_SCORE_TABLES:
-        assert main(["compare", "--from-scores", str(DATA_DIR / f"ref_{ref}.csv"),
-                     "--out", str(tmp_path / f"replay_{ref}")]) == 0
-    got = {}
-    for name in ("corpus", "score", "cmp_sds", "cmp_uda", "cmp_overall",
-                 "score_pinned", *(f"replay_{ref}" for ref in REF_SCORE_TABLES)):
-        for path in (tmp_path / name).rglob("*"):
-            if path.is_file() and path.name != "run_manifest.json":
-                got[path.relative_to(tmp_path).as_posix()] = \
-                    hashlib.sha256(path.read_bytes()).hexdigest()
+    filtered = []       # the command of each apply_filters call
+    monkeypatch.setattr(cli, "apply_filters", lambda *args: filtered.append(
+        command) or apply_filters(*args))
+
+    def run(root: Path) -> dict[str, str]:
+        nonlocal command
+        command = "score"
+        assert main(["score", *corpus_args, "--level", "sds",
+                     "--export-baselines", "--out", str(root / "score")]) == 0
+        command = "compare"
+        for level in ("sds", "uda", "overall"):
+            assert main(["compare", *corpus_args, "--level", level,
+                         "--out", str(root / f"cmp_{level}")]) == 0
+        command = "score"
+        assert main(["score", *corpus_args, "--level", "overall",
+                     "--baselines",
+                     str(root / "score" / "summaries" / "baselines.csv"),
+                     "--out", str(root / "score_pinned")]) == 0
+        for ref in REF_SCORE_TABLES:
+            assert main(["compare", "--from-scores",
+                         str(DATA_DIR / f"ref_{ref}.csv"),
+                         "--out", str(root / f"replay_{ref}")]) == 0
+        got = {}
+        for name in ("corpus", "score", "cmp_sds", "cmp_uda", "cmp_overall",
+                     "score_pinned",
+                     *(f"replay_{ref}" for ref in REF_SCORE_TABLES)):
+            base = data_dir.parent if name == "corpus" else root
+            for path in (base / name).rglob("*"):
+                if path.is_file() and path.name != "run_manifest.json":
+                    got[path.relative_to(base).as_posix()] = \
+                        hashlib.sha256(path.read_bytes()).hexdigest()
+        return got
+
+    command = None
     golden = (DATA_DIR / "golden_outputs.sha256").read_text(encoding="utf-8")
-    assert got == {rel: digest for digest, rel in
-                   (line.split("  ") for line in golden.splitlines())}
+    golden = {rel: digest for digest, rel in
+              (line.split("  ") for line in golden.splitlines())}
+    assert run(tmp_path / "cold") == golden
+    assert filtered == ["score", "score"]
+    filtered.clear()
+    assert run(tmp_path / "warm") == golden
+    assert "compare" not in filtered
 
 
 def test_score_matches_hand_computed_fixture(tmp_path):
@@ -522,6 +547,28 @@ def test_synth_skips_scipy_stats(tmp_path):
     subprocess.run(
         [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"}, check=True)
+
+
+def test_synth_config_read_as_utf8_under_any_locale(tmp_path):
+    """A config that is UTF-8, read under a locale that is not, gives the
+    same corpus and a manifest holding the config as written."""
+    root = Path(__file__).resolve().parents[1]
+    config = {**SYNTH_CFG, "window": {**SYNTH_CFG["window"],
+                                      "label": "citazioni \u00e8"}}
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_bytes(json.dumps(config, ensure_ascii=False).encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankdiff", "synth", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src", "PYTHONUTF8": "0",
+             "LC_ALL": "C"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    manifest = json.loads((tmp_path / "out" / "manifest" /
+                           "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == config
+    assert manifest["inputs"] == {
+        str(cfg_path): hashlib.sha256(cfg_path.read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("text, line", [

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
                       apply_filters, compute_scaling_factors, eligible_units,
-                      load_corpus, read_config, scoreboards, write_corpus_csvs)
+                      load_corpus, professor_pass, read_config, scoreboards,
+                      write_corpus_csvs)
 from rankdiff.cli import main
 from rankdiff.corpus import LEVELS
 from rankdiff.errors import MAX_VIOLATIONS
@@ -300,7 +301,8 @@ def _boards_and_indexes(data_dir: Path):
     # the indexes are built on first use, by scoring
     assert not {"pubs_by_professor", "professors_by_pub"} & set(vars(corpus))
     table = compute_scaling_factors(corpus)
-    boards = [scoreboards(corpus, table, level, RELAXED_CFG) for level in LEVELS]
+    boards = [scoreboards(professor_pass(corpus, table), RELAXED_CFG, level)
+              for level in LEVELS]
     indexes = [{k: sorted(v) for k, v in index.items()}
                for index in (corpus.pubs_by_professor, professors_by_pub(corpus))]
     return boards, indexes, corpus.universities

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
                       FieldScheme, FilterConfig, ObservationWindow, Professor,
                       Publication, ScalingFactorTable, compute_scaling_factors,
-                      impact_map, professor_scores, rank, scoreboards,
-                      sds_averages, unit_scores)
+                      impact_map, professor_pass, professor_scores, rank,
+                      scoreboards, sds_averages, unit_scores)
 from rankdiff.baselines import CellStats
 from helpers import (RELAXED_CFG, add_publication, clone_university,
                      oracle_unit_scores, overall_scores, random_corpus,
@@ -191,7 +191,8 @@ def test_fss_unit_standardizes_by_own_sds_at_uda_level():
 
 def _mncs(corpus, table, level="overall", scope=None):
     """Unit A's MNCS entry from the scoring pass; None when it has none."""
-    pair = scoreboards(corpus, table, level, RELAXED_CFG, MNCS).pairs[scope]
+    pair = scoreboards(professor_pass(corpus, table), RELAXED_CFG, level,
+                       MNCS).pairs[scope]
     return next((e for e in pair.mncs.entries if e.university_id == "A"), None)
 
 
@@ -275,14 +276,15 @@ def test_scoreboards_same_unit_sets(tiny_corpus, relaxed_cfg):
     from rankdiff import apply_filters
     filtered = apply_filters(tiny_corpus, relaxed_cfg)
     table = compute_scaling_factors(filtered)
-    boards = scoreboards(filtered, table, "sds", relaxed_cfg)
+    boards = scoreboards(professor_pass(filtered, table), relaxed_cfg, "sds")
     pair = boards.pairs["S1"]
     assert unit_ids(pair.fss) == unit_ids(pair.mncs) == ["A", "B"]
 
 
 def test_scoreboard_empty_scope(tiny_corpus, relaxed_cfg):
     table = compute_scaling_factors(tiny_corpus)
-    boards = scoreboards(tiny_corpus, table, "sds", relaxed_cfg, "fss")
+    boards = scoreboards(professor_pass(tiny_corpus, table), relaxed_cfg,
+                         "sds", "fss")
     assert "S99" not in boards.pairs
 
 
@@ -290,10 +292,12 @@ def test_scoreboards_single_indicator_request(tiny_corpus, relaxed_cfg):
     from rankdiff import apply_filters
     filtered = apply_filters(tiny_corpus, relaxed_cfg)
     table = compute_scaling_factors(filtered)
-    fss_only = scoreboards(filtered, table, "sds", relaxed_cfg, "fss")
+    fss_only = scoreboards(professor_pass(filtered, table), relaxed_cfg,
+                           "sds", "fss")
     assert all(p.mncs is None and p.fss is not None
                for p in fss_only.pairs.values())
-    mncs_only = scoreboards(filtered, table, "sds", relaxed_cfg, "mncs")
+    mncs_only = scoreboards(professor_pass(filtered, table), relaxed_cfg,
+                            "sds", "mncs")
     assert all(p.fss is None and p.mncs is not None
                for p in mncs_only.pairs.values())
 
@@ -302,7 +306,7 @@ def test_scoreboards_flag_not_rankable_sds_scopes(tiny_corpus):
     # S1 has 2 eligible universities, below the 5-unit ranking floor
     cfg = FilterConfig(min_professors_sds=1, min_units_to_rank=5)
     table = compute_scaling_factors(tiny_corpus)
-    boards = scoreboards(tiny_corpus, table, "sds", cfg)
+    boards = scoreboards(professor_pass(tiny_corpus, table), cfg, "sds")
     assert "S1" in boards.not_rankable
     assert "S1" not in boards.pairs
     assert any("S1" in w for w in boards.warnings)
@@ -314,7 +318,7 @@ def test_scoreboards_drop_units_missing_one_indicator(relaxed_cfg):
              Professor("p2", "B", "S", "r", 5.0)]
     corpus = _corpus([_pub("w", 2, 1)], [Authorship("w", "p1")], profs)
     table = compute_scaling_factors(corpus)
-    boards = scoreboards(corpus, table, "sds", relaxed_cfg)
+    boards = scoreboards(professor_pass(corpus, table), relaxed_cfg, "sds")
     pair = boards.pairs["S"]
     assert unit_ids(pair.fss) == unit_ids(pair.mncs) == ["A"]
     assert pair.dropped_units == ["B"]
@@ -337,7 +341,7 @@ def test_scoreboards_match_naive_oracle(level, relaxed_cfg, caplog):
             skipped.setdefault(unit, set()).add(a.pub_id)
     assert skipped
     caplog.clear()
-    boards = scoreboards(corpus, table, level, relaxed_cfg)
+    boards = scoreboards(professor_pass(corpus, table), relaxed_cfg, level)
     logged = sorted(r.getMessage() for r in caplog.records
                     if r.getMessage().startswith("mncs_unit"))
     assert logged == sorted(
@@ -465,8 +469,8 @@ def test_finite_corpus_gives_finite_scores_at_every_level(
     table = compute_scaling_factors(corpus)
     for level in LEVELS:
         for indicator in (FSS, MNCS):
-            board_set = scoreboards(corpus, table, level, RELAXED_CFG,
-                                    indicator)
+            board_set = scoreboards(professor_pass(corpus, table),
+                                    RELAXED_CFG, level, indicator)
             for pair in board_set.pairs.values():
                 board = pair.fss if indicator == FSS else pair.mncs
                 assert all(math.isfinite(e.score) and e.score >= 0
@@ -485,8 +489,10 @@ def test_scoreboards_invariant_under_salary_scaling(level, factor, relaxed_cfg):
                         corpus.professors, corpus.field_scheme,
                         {r: factor * s for r, s in corpus.salary_table.items()})
         table = compute_scaling_factors(corpus)
-        before = scoreboards(corpus, table, level, relaxed_cfg, "both")
-        after = scoreboards(scaled, table, level, relaxed_cfg, "both")
+        before = scoreboards(professor_pass(corpus, table), relaxed_cfg,
+                             level, "both")
+        after = scoreboards(professor_pass(scaled, table), relaxed_cfg,
+                            level, "both")
         assert after.pairs.keys() == before.pairs.keys()
         for scope, pair in before.pairs.items():
             assert after.pairs[scope].mncs == pair.mncs
@@ -535,8 +541,9 @@ def test_renaming_universities_permutes_board_entries(seed, order):
                      corpus.field_scheme, corpus.salary_table)
     table = compute_scaling_factors(corpus)
     for level in LEVELS:
-        before = scoreboards(corpus, table, level, RELAXED_CFG)
-        after = scoreboards(renamed, table, level, RELAXED_CFG)
+        before = scoreboards(professor_pass(corpus, table), RELAXED_CFG, level)
+        after = scoreboards(professor_pass(renamed, table), RELAXED_CFG,
+                            level)
         assert after.pairs.keys() == before.pairs.keys()
         for scope, pair in before.pairs.items():
             assert sorted(after.pairs[scope].dropped_units) == \
@@ -571,8 +578,9 @@ def test_citation_scale_leaves_impacts_and_unit_scores(seed, k):
     for pub_id, impact in impacts.items():
         assert impacts_k[pub_id] == pytest.approx(impact, rel=1e-12, abs=0)
     for level in LEVELS:
-        before = scoreboards(corpus, table, level, RELAXED_CFG)
-        after = scoreboards(scaled, table_k, level, RELAXED_CFG)
+        before = scoreboards(professor_pass(corpus, table), RELAXED_CFG, level)
+        after = scoreboards(professor_pass(scaled, table_k), RELAXED_CFG,
+                            level)
         assert after.pairs.keys() == before.pairs.keys()
         for scope, pair in before.pairs.items():
             for old, new in [(pair.fss, after.pairs[scope].fss),

@@ -1,8 +1,10 @@
-"""The on-disk cache of validated corpora behind ``load_corpus``.
+"""The on-disk cache of validated corpora behind ``load_corpus``, and of
+professor passes behind ``score`` and ``compare``.
 
-A hit must rebuild the corpus a miss builds, record for record and in the
-same order; an unreadable, stale or foreign entry must be a miss; and no
-state of the cache may change what a command prints, writes or returns.
+A hit must rebuild the corpus or pass a miss builds, record for record and
+in the same order; an unreadable, stale or foreign entry must be a miss; and
+no state of the cache may change what a command prints, logs, writes or
+returns.
 """
 from __future__ import annotations
 
@@ -12,16 +14,25 @@ import logging
 import marshal
 import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdiff import (CorpusLoadError, ObservationWindow, apply_filters,
-                      load_corpus, write_corpus_csvs)
+from rankdiff import (LEVELS, CorpusLoadError, FilterConfig,
+                      ObservationWindow, ScalingFactorTable, apply_filters,
+                      compute_scaling_factors, load_corpus, professor_pass,
+                      scoreboards, write_corpus_csvs)
+from rankdiff import cache as cache_module
+from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
 from rankdiff.cli import main
-from rankdiff.corpus import CACHE_ENTRIES, CorpusPaths
+from rankdiff.cache import CACHE_ENTRIES
+from rankdiff.corpus import CorpusPaths
+from rankdiff.indicators import cached_pass, store_pass
 from helpers import RELAXED_CFG, WINDOW, random_corpus
 
 RUN_CFG = ("start_year=2008\nend_year=2012\nmin_professors_sds=1\n"
@@ -248,3 +259,326 @@ def test_synth_writes_no_entry(cache, tmp_path):
         "window": {"start_year": 2008, "end_year": 2012}}), encoding="utf-8")
     assert main(["synth", str(config), "--out", str(tmp_path / "out")]) == 0
     assert not cache.exists()
+
+
+# ---------------------------------------------------------------------------
+# The professor pass: kept beside the corpus entry, keyed by the corpus
+# bytes, the window, the filters and the baseline table's source
+
+def _pass_entries(cache: Path) -> list[Path]:
+    return sorted(cache.glob("*.pass")) if cache.exists() else []
+
+
+def _add_unproductive_sds(data_dir: Path) -> None:
+    """An SDS whose two professors have no publication: its average is
+    undefined, so FSS drops them and logs it."""
+    with open(data_dir / "fields.csv", "a", encoding="utf-8") as f:
+        f.write("S9,S9,U1,U1\n")
+    with open(data_dir / "professors.csv", "a", encoding="utf-8") as f:
+        f.write("P9001,UNIV1,S9,a,5\nP9002,UNIV2,S9,a,5\n")
+
+
+def _pruned_baselines(data_dir: Path, path: Path) -> Path:
+    """The corpus's baseline table without its 2010 cells, so some
+    publications have no baseline and are skipped, with warnings."""
+    table = compute_scaling_factors(load_corpus(data_dir, WINDOW))
+    ScalingFactorTable({cell: stats for cell, stats in table.items()
+                        if cell[0] != 2010}).to_csv(path)
+    return path
+
+
+# every stage a hit skips, by the module that calls it
+SKIPPED_ON_A_HIT = [(cli, "load_corpus"), (cli, "apply_filters"),
+                    (cli, "compute_scaling_factors"),
+                    (indicators, "impact_map"),
+                    (indicators, "professor_scores"),
+                    (indicators, "sds_averages")]
+
+
+def _refuse_scoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage of the professor pass ran on a hit")
+    for module, name in SKIPPED_ON_A_HIT:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _logged(caplog) -> list[tuple[str, str, str]]:
+    lines = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    caplog.clear()
+    return lines
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["computed", "pinned"])
+@pytest.mark.parametrize("indicator", ["fss", "mncs", "both"])
+@pytest.mark.parametrize("level", ["sds", "uda", "overall"])
+def test_pass_hit_equals_miss(level, indicator, pinned, data_dir, tmp_path,
+                              capsys, caplog, monkeypatch):
+    """A hit writes the files, prints the lines and logs the records, at
+    every level, that the miss before it did, and runs none of the stages
+    of the professor pass."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    _add_unproductive_sds(data_dir)
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    argv = ["score", str(data_dir), "--config", str(tmp_path / "run.cfg"),
+            "--level", level, "--indicator", indicator, "--export-baselines"]
+    if pinned:
+        argv += ["--baselines",
+                 str(_pruned_baselines(data_dir, tmp_path / "pinned.csv"))]
+    runs = []
+    with caplog.at_level(logging.DEBUG):
+        for tag in ("miss", "hit"):
+            with monkeypatch.context() as patch:
+                if tag == "hit":
+                    _refuse_scoring(patch)
+                code, out, err = _run(argv + ["--out", str(tmp_path / tag)],
+                                      capsys)
+            runs.append((code, out.replace(str(tmp_path / tag), "OUT"), err,
+                         _logged(caplog), _outputs(tmp_path / tag)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    logged = [message for _, _, message in runs[0][3]]
+    assert any(m.startswith("loaded corpus: ") for m in logged)
+    assert any(m.startswith("filters: ") for m in logged)
+    if indicator != "mncs":
+        assert "SDS S9 has no productive professor; its staff are " \
+            "excluded from unit FSS" in logged
+    if pinned:
+        assert any("skipped" in m for m in logged)
+
+
+def test_pass_hit_prints_what_a_miss_prints(data_dir, tmp_path):
+    """The same stdout and stderr from a fresh interpreter, at the default
+    log level and at debug, on a miss and on a hit."""
+    _add_unproductive_sds(data_dir)
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    results = {}
+    for level in ("", "debug"):
+        env = {**os.environ, "PYTHONPATH": "src",
+               "XDG_CACHE_HOME": str(tmp_path / f"xdg{level}")}
+        env.pop("RANKDIFF_LOG", None)
+        if level:
+            env["RANKDIFF_LOG"] = level
+        for tag in ("miss", "hit"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rankdiff", "compare", str(data_dir),
+                 "--config", str(tmp_path / "run.cfg"), "--level", "sds",
+                 "--out", str(tmp_path / f"{tag}{level}")],
+                cwd=root, env=env, capture_output=True, text=True)
+            results[level, tag] = (
+                proc.returncode,
+                proc.stdout.replace(str(tmp_path / f"{tag}{level}"), "OUT"),
+                proc.stderr)
+    assert results["", "miss"] == results["", "hit"]
+    assert results["debug", "miss"] == results["debug", "hit"]
+    assert "WARNING rankdiff.indicators: SDS S9" in results["", "hit"][2]
+    assert "INFO rankdiff.corpus: loaded corpus" in results["debug", "hit"][2]
+
+
+def _pass_snapshot(pass_) -> list:
+    """Every field of a professor pass, with its order and value types."""
+    def typed(mapping):
+        return None if mapping is None else \
+            [(k, v, type(v)) for k, v in mapping.items()]
+    return [
+        [(k, list(p), [type(v) for v in p], type(p))
+         for k, p in pass_.professors.items()],
+        type(pass_.field_scheme), typed(pass_.field_scheme.sds_to_uda),
+        typed(pass_.pubs_by_professor), typed(pass_.n_authors_total),
+        typed(pass_.impacts), typed(pass_.scores), typed(pass_.averages),
+        [(cell, tuple(stats), type(stats)) for cell, stats in
+         pass_.table.items()],
+        *pass_[pass_._fields.index("file_digests"):],
+    ]
+
+
+def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
+               baselines: bytes | None = None):
+    loaded = load_corpus(data_dir, window)
+    corpus = apply_filters(loaded, cfg)
+    table = (compute_scaling_factors(corpus) if baselines is None else
+             ScalingFactorTable.from_csv("pinned.csv", data=baselines))
+    return professor_pass(corpus, table, corpus_counts=loaded.counts())
+
+
+def test_cached_pass_equals_the_pass_made(cache, data_dir):
+    paths = CorpusPaths.from_dir(data_dir)
+    made = _made_pass(data_dir)
+    store_pass(paths, WINDOW, RELAXED_CFG, None, made)
+    hit = cached_pass(paths, WINDOW, RELAXED_CFG, None, True)
+    assert _pass_snapshot(hit) == _pass_snapshot(made)
+    for level in LEVELS:
+        assert scoreboards(hit, RELAXED_CFG, level) == \
+            scoreboards(made, RELAXED_CFG, level)
+
+
+def test_pass_without_fss_misses_for_fss(cache, data_dir):
+    paths = CorpusPaths.from_dir(data_dir)
+    corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
+    made = professor_pass(corpus, compute_scaling_factors(corpus), fss=False)
+    store_pass(paths, WINDOW, RELAXED_CFG, None, made)
+    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, False) is not None
+    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, True) is None
+    with pytest.raises(ValueError, match="without it"):
+        scoreboards(made, RELAXED_CFG, "sds", "fss")
+
+
+# a different valid value for every setting of FilterConfig
+FILTER_CHANGES = {
+    "min_years_on_staff": 2.5, "excluded_doc_types": frozenset({"letter"}),
+    "min_professors_sds": 2, "min_professors_uda": 2,
+    "min_professors_overall": 2, "min_units_to_rank": 2,
+    "baseline_include_all_doctypes": True,
+}
+
+
+def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
+                                               monkeypatch):
+    assert set(FILTER_CHANGES) == set(FilterConfig._fields)
+    paths = CorpusPaths.from_dir(data_dir)
+    baselines = _pruned_baselines(data_dir, tmp_path / "b.csv").read_bytes()
+    for pinned in (None, baselines):
+        store_pass(paths, WINDOW, RELAXED_CFG, pinned,
+                   _made_pass(data_dir, baselines=pinned))
+        assert cached_pass(paths, WINDOW, RELAXED_CFG, pinned, True)
+    # the entry now stands for the pinned table: computed baselines miss
+    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, True) is None
+    edited = bytes([baselines[0] ^ 1]) + baselines[1:]     # one bit
+    assert cached_pass(paths, WINDOW, RELAXED_CFG, edited, True) is None
+
+    for name, value in FILTER_CHANGES.items():
+        assert getattr(RELAXED_CFG, name) != value
+        cfg = RELAXED_CFG._replace(**{name: value})
+        assert cached_pass(paths, WINDOW, cfg, baselines, True) is None, name
+    for name, value in [("start_year", 2007), ("end_year", 2013),
+                        ("citation_snapshot_label", "other")]:
+        window = WINDOW._replace(**{name: value})
+        assert cached_pass(paths, window, RELAXED_CFG, baselines, True) \
+            is None, name
+
+    # a module's source: the same key from a copy of the sources, another
+    # once one module differs by a byte
+    copy = tmp_path / "sources"
+    copy.mkdir()
+    for name in cache_module.SOURCES:
+        shutil.copy(Path(cache_module.__file__).with_name(f"{name}.py"), copy)
+    monkeypatch.setattr(cache_module, "__file__", str(copy / "cache.py"))
+    for name in ("indicators", "cli", "baselines"):
+        cache_module._fingerprint.cache_clear()
+        assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True)
+        with open(copy / f"{name}.py", "a", encoding="utf-8") as f:
+            f.write("\n")
+        cache_module._fingerprint.cache_clear()
+        assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True) \
+            is None, name
+        store_pass(paths, WINDOW, RELAXED_CFG, baselines,
+                   _made_pass(data_dir, baselines=baselines))
+    cache_module._fingerprint.cache_clear()
+
+    # the corpus bytes last: an edited citation count
+    path = data_dir / "publications.csv"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(True)
+    fields = first.split(",")
+    fields[4] = str(int(fields[4]) + 1)
+    path.write_text(header + ",".join(fields) + "".join(rest),
+                    encoding="utf-8")
+    assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True) is None
+
+
+def test_include_all_doctypes_flag_misses(cache, data_dir, tmp_path,
+                                          monkeypatch, capsys):
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    argv = ["compare", str(data_dir), "--config", str(tmp_path / "run.cfg")]
+    filtered = []
+    monkeypatch.setattr(cli, "apply_filters", lambda *args: filtered.append(
+        args[1]) or apply_filters(*args))
+    for i, extra in enumerate([[], [], ["--baseline-include-all-doctypes"],
+                               ["--baseline-include-all-doctypes"]]):
+        assert _run(argv + extra + ["--out", str(tmp_path / f"o{i}")],
+                    capsys)[0] == 0
+    assert [cfg.baseline_include_all_doctypes for cfg in filtered] == \
+        [False, True]
+
+
+def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+
+    def score(tag: str):
+        result = _run(["score", str(data_dir), "--config",
+                       str(tmp_path / "run.cfg"), "--level", "uda",
+                       "--out", str(tmp_path / tag)], capsys)
+        return result[0], result[1].replace(str(tmp_path / tag), "OUT"), \
+            result[2], _outputs(tmp_path / tag)
+    expected = score("first")
+    (entry,) = _pass_entries(cache)
+    good = entry.read_bytes()
+    key, payload = marshal.loads(good)
+    damages = [good[:len(good) // 2], b"", b"\x00garbage" * 50,
+               marshal.dumps((b"another key", payload)),
+               marshal.dumps((key, payload[:-1])),
+               marshal.dumps((key, ("x",) * len(payload))), marshal.dumps([key])]
+    for i, damaged in enumerate(damages):
+        entry.write_bytes(damaged)
+        filtered = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "apply_filters", lambda *args: filtered.append(
+                1) or apply_filters(*args))
+            assert score(f"again{i}") == expected
+        assert filtered == [1], i           # a miss
+        assert _pass_entries(cache) == [entry]
+        assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+
+
+def test_cap_counts_both_kinds_of_entry(cache, tmp_path, capsys):
+    """A corpus entry and a pass entry per location, and CACHE_ENTRIES in
+    all, the latest written."""
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    corpus = random_corpus(np.random.default_rng(4))
+    written = []
+    for i in range(CACHE_ENTRIES):
+        before = set(cache.glob("*")) if cache.exists() else set()
+        write_corpus_csvs(corpus, tmp_path / f"copy{i}")
+        assert _run(["score", str(tmp_path / f"copy{i}"), "--config",
+                     str(tmp_path / "run.cfg"), "--level", "sds",
+                     "--out", str(tmp_path / f"out{i}")], capsys)[0] == 0
+        new = sorted(set(cache.glob("*")) - before)
+        assert [p.suffix for p in new] == [".marshal", ".pass"]
+        for j, path in enumerate(new):
+            os.utime(path, (1000 + 2 * i + j, 1000 + 2 * i + j))
+            written.append(path)
+        assert set(cache.glob("*")) == set(written[-CACHE_ENTRIES:])
+
+
+def test_pass_is_keyed_by_the_bytes_it_was_made_from(cache, data_dir,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    """A file edited between the pass lookup and the load is stored under
+    the edited bytes' digest, so the original bytes never hit the pass
+    made from the edited ones."""
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    path = data_dir / "publications.csv"
+    original = path.read_bytes()
+    header, first, *rest = original.decode().splitlines(True)
+    fields = first.split(",")
+    fields[4] = str(int(fields[4]) + 7)         # more citations
+    edited = (header + ",".join(fields) + "".join(rest)).encode()
+
+    def score(tag: str):
+        code, out, err = _run(["score", str(data_dir), "--config",
+                               str(tmp_path / "run.cfg"), "--level", "sds",
+                               "--out", str(tmp_path / tag)], capsys)
+        return code, err, _outputs(tmp_path / tag)
+
+    def load_edited(*args):
+        path.write_bytes(edited)
+        return load_corpus(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_corpus", load_edited)
+        score("edited")
+    path.write_bytes(original)
+    again = score("again")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty_cache"))
+    assert again == score("fresh")
+    assert _outputs(tmp_path / "edited") != _outputs(tmp_path / "fresh")

@@ -174,6 +174,13 @@ def test_round_half_away():
     assert round_half_away(2.5, 0) == 3.0
 
 
+def test_round_half_away_keeps_the_sign_of_zero():
+    # 0.0 == -0.0, so results remembered by value would mix the two
+    assert [repr(round_half_away(x, n)) for x, n in
+            [(0.0, 1), (-0.0, 1), (0.0, 1), (-0.04, 1), (0.04, 1), (-0.0, 3)]
+            ] == ["0.0", "-0.0", "0.0", "-0.0", "0.0", "-0.0"]
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 

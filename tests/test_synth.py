@@ -10,8 +10,8 @@ import pytest
 from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       SynthConfigError, apply_filters,
                       compute_scaling_factors, generate,
-                      measure_quantity_impact_correlation, scoreboards,
-                      write_corpus_csvs)
+                      measure_quantity_impact_correlation, professor_pass,
+                      scoreboards, write_corpus_csvs)
 from rankdiff.synth import (DOC_TYPE_WEIGHTS, MAX_PUBS_PER_PROFESSOR,
                             _choice_cdf)
 from helpers import professors_by_pub, unit_ids
@@ -174,7 +174,8 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
     filtered = apply_filters(corpus, FilterConfig())
     table = compute_scaling_factors(filtered)
     for level in ("sds", "uda", "overall"):
-        board_set = scoreboards(filtered, table, level, FilterConfig())
+        board_set = scoreboards(professor_pass(filtered, table),
+                                FilterConfig(), level)
         assert board_set.pairs, level
         for pair in board_set.pairs.values():
             assert unit_ids(pair.fss) == unit_ids(pair.mncs)
