@@ -79,6 +79,8 @@ def _cell_problem(key: tuple[int, str], stats: CellStats) -> str | None:
     if stats.cited_count < 1 or not 0 < stats.mean < math.inf:
         return (f"cell {key} must contain >= 1 cited publication "
                 f"and a finite positive mean")
+    if stats.total_count < stats.cited_count:
+        return f"cell {key} must have total_count >= cited_count"
     return None
 
 

@@ -19,15 +19,15 @@ from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import divergence, report
+from . import cache, divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
 from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
                      apply_filters, load_corpus, log_filtered, log_loaded,
                      read_config, read_csv, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
-                         ScoreboardSet, UnitScore, cached_pass, log_fss,
-                         professor_pass, scoreboards, store_pass)
+                         ScoreboardSet, UnitScore, log_fss, professor_pass,
+                         scoreboards)
 from .ranking import ComparisonTable, compare, rank
 from .synth import SynthConfig, generate
 
@@ -145,17 +145,24 @@ def _input_digests(args: argparse.Namespace, pass_: ProfessorPass,
 
 def cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _config_or_exit(args.config)
-    try:
-        corpus = load_corpus(args.data_dir, run_cfg.window)
-    except CorpusLoadError as exc:
-        shown = len(exc.violations)
-        print(f"INVALID: {exc.total} violation(s)" if exc.total == shown else
-              f"INVALID: first {shown} of {exc.total} violation(s)")
-        for v in exc.violations:
-            print(f"  {v}")
-        return EXIT_VALIDATION
+    kept = cache.verdict(args.data_dir, run_cfg.window)
+    if kept is None:
+        try:
+            corpus = load_corpus(args.data_dir, run_cfg.window)
+        except CorpusLoadError as exc:
+            shown = len(exc.violations)
+            print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
+                  else f"INVALID: first {shown} of {exc.total} violation(s)")
+            for v in exc.violations:
+                print(f"  {v}")
+            return EXIT_VALIDATION
+        cache.store_verdict(corpus)
+        counts = corpus.counts()
+    else:
+        counts, outside = kept
+        log_loaded(counts, outside)
     print("VALID")
-    for entity, count in corpus.counts().items():
+    for entity, count in counts.items():
         print(f"  {entity}: {count}")
     return EXIT_OK
 
@@ -197,8 +204,8 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     baselines = _read(args.baselines) if args.baselines else None
     # an unreadable --baselines is reported where it is parsed, uncached
     cached = not args.baselines or baselines is not None
-    pass_ = (cached_pass(paths, run_cfg.window, run_cfg.filters, baselines, fss)
-             if cached else None)
+    pass_ = (cache.cached_pass(paths, run_cfg.window, run_cfg.filters,
+                               baselines, fss) if cached else None)
     if pass_ is None:
         loaded = load_corpus(paths, run_cfg.window)
         corpus = apply_filters(loaded, run_cfg.filters)
@@ -220,7 +227,8 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     if pass_ is None:
         pass_ = professor_pass(corpus, table, fss, loaded.counts())
         if cached:
-            store_pass(paths, run_cfg.window, run_cfg.filters, baselines, pass_)
+            cache.store_pass(run_cfg.window, run_cfg.filters, baselines,
+                             pass_)
     elif fss:
         log_fss(pass_)
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)

@@ -20,7 +20,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import cache
 from .errors import CorpusLoadError, Violation
 
 log = logging.getLogger("rankdiff.corpus")
@@ -281,6 +280,11 @@ class Corpus:
             "uda": len(set(self.field_scheme.sds_to_uda.values())),
         }
 
+    def outside_window(self) -> int:
+        """How many publications fall outside the window."""
+        return sum(1 for p in self.publications.values()
+                   if not self.window.contains(p.year))
+
     def digest(self) -> str:
         """Stable content hash of the corpus, independent of row order."""
         h = hashlib.sha256()
@@ -523,67 +527,10 @@ def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> C
     ``read_csv`` checks every cell and key; the corpus invariants are then
     checked once by ``Corpus.check``. Raises CorpusLoadError counting every
     violation found and naming file, line and field for the first
-    MAX_VIOLATIONS; nothing is silently dropped.
-
-    Each file is read once, and the bytes read are both parsed and hashed.
-    A corpus that passes every check is kept as a ``cache`` entry, one per
-    corpus location. Its key adds the window and the five file digests to
-    the source fingerprint, the interpreter's cache tag and the marshal
-    version. A later load with the same key rebuilds the same corpus from
-    the entry, without parsing or checking. An entry that cannot be read is
-    a miss, and one that cannot be written is skipped; the result is the
-    same either way.
+    MAX_VIOLATIONS; nothing is silently dropped. Each file is read once, and
+    the bytes read are both parsed and hashed.
     """
     paths, data, file_digests = _read_files(paths)
-    entry = (cache.entry(paths, cache.CORPUS, tuple(window),
-                         list(file_digests.values()))
-             if len(file_digests) == len(paths) else None)
-    corpus = cache.load(entry, lambda columns: _assemble(window, columns,
-                                                         file_digests))
-    if corpus is None:
-        corpus, columns = _parse_corpus(paths, data, window, file_digests)
-        cache.store(entry, columns)
-    if log.isEnabledFor(logging.INFO):
-        log_loaded(corpus.counts(), sum(1 for p in corpus.publications.values()
-                                        if not window.contains(p.year)))
-    return corpus
-
-
-def log_loaded(counts: dict[str, int], outside_window: int) -> None:
-    log.info("loaded corpus: %s (%d publications outside window, kept until "
-             "filtering)", counts, outside_window)
-
-
-def corpus_digests(paths: CorpusPaths | str | Path) -> dict[str, str] | None:
-    """sha256 of each corpus file, by path, as ``load_corpus`` would record
-    them; None when one is missing."""
-    _, data, file_digests = _read_files(paths)
-    return None if None in data else file_digests
-
-
-def _read_files(paths: CorpusPaths | str | Path
-                ) -> tuple[CorpusPaths, list[bytes | None], dict[str, str]]:
-    """The corpus paths, the bytes of each file, None for a missing one, and
-    the sha256 of each file read, by path."""
-    if not isinstance(paths, CorpusPaths):
-        paths = CorpusPaths.from_dir(paths)
-    data = [_read_if_present(path) for path in paths]
-    return paths, data, {str(path): hashlib.sha256(d).hexdigest()
-                         for path, d in zip(paths, data) if d is not None}
-
-
-def _read_if_present(path: Path) -> bytes | None:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:       # read_csv reports it
-        return None
-
-
-def _parse_corpus(paths: CorpusPaths, data: list[bytes | None],
-                  window: ObservationWindow, file_digests: dict[str, str]
-                  ) -> tuple[Corpus, tuple]:
-    """The corpus parsed from ``data``, the bytes of ``paths``, and the
-    columns it was built from; raises CorpusLoadError."""
     violations: list[Violation] = []
     contents = dict(zip(CorpusPaths._fields, data))
 
@@ -606,7 +553,8 @@ def _parse_corpus(paths: CorpusPaths, data: list[bytes | None],
             violations.append(Violation(f"{paths.fields.name}:{line}", "uda_name",
                                         f"conflicting names for UDA {_quote(uda)}"))
         uda_name_of[uda] = uda_name
-    scheme = (dict(zip(codes, udas)), dict(zip(codes, sds_names)), uda_name_of)
+    scheme = FieldScheme(dict(zip(codes, udas)), dict(zip(codes, sds_names)),
+                         uda_name_of)
 
     salary_lines, (ranks, salaries) = read("salaries", SALARY_COLUMNS,
                                            ("academic_rank",))
@@ -616,9 +564,13 @@ def _parse_corpus(paths: CorpusPaths, data: list[bytes | None],
     if violations:
         raise CorpusLoadError(violations)
 
-    columns = (pub_columns, auth_columns, prof_columns, scheme,
-               dict(zip(ranks, salaries)))
-    corpus = _assemble(window, columns, file_digests)
+    pubs = records(Publication, zip(*pub_columns))
+    profs = records(Professor, zip(*prof_columns))
+    corpus = Corpus(window, dict(zip(pub_columns[0], pubs)),
+                    list(records(Authorship, zip(*auth_columns))),
+                    dict(zip(prof_columns[0], profs)), scheme,
+                    dict(zip(ranks, salaries)), validate=False,
+                    file_digests=file_digests)
     violations = corpus.check()
     if violations:      # check again, naming the line of each record
         lines: dict[tuple[str, object], str] = {}
@@ -631,20 +583,38 @@ def _parse_corpus(paths: CorpusPaths, data: list[bytes | None],
             lines.update(((file, k), f"{path.name}:{n}")
                          for k, n in zip(keys, numbers))
         raise CorpusLoadError(corpus.check(lines))
-    return corpus, columns
+    if log.isEnabledFor(logging.INFO):
+        log_loaded(corpus.counts(), corpus.outside_window())
+    return corpus
 
 
-def _assemble(window: ObservationWindow, columns: tuple,
-              file_digests: dict[str, str]) -> Corpus:
-    """The unchecked corpus of loaded ``columns``: those of publications,
-    authorships and professors, the three field scheme maps and the salary
-    table."""
-    pubs, auths, profs, scheme, salary_table = columns
-    return Corpus(window, dict(zip(pubs[0], records(Publication, zip(*pubs)))),
-                  list(records(Authorship, zip(*auths))),
-                  dict(zip(profs[0], records(Professor, zip(*profs)))),
-                  FieldScheme(*scheme), salary_table, validate=False,
-                  file_digests=file_digests)
+def log_loaded(counts: dict[str, int], outside_window: int) -> None:
+    log.info("loaded corpus: %s (%d publications outside window, kept until "
+             "filtering)", counts, outside_window)
+
+
+def corpus_digests(paths: CorpusPaths | str | Path) -> dict[str, str]:
+    """sha256 of each corpus file, by path, as ``load_corpus`` would record
+    them; a missing file has none."""
+    return _read_files(paths)[2]
+
+
+def _read_files(paths: CorpusPaths | str | Path
+                ) -> tuple[CorpusPaths, list[bytes | None], dict[str, str]]:
+    """The corpus paths, the bytes of each file, None for a missing one, and
+    the sha256 of each file read, by path."""
+    if not isinstance(paths, CorpusPaths):
+        paths = CorpusPaths.from_dir(paths)
+    data = [_read_if_present(path) for path in paths]
+    return paths, data, {str(path): hashlib.sha256(d).hexdigest()
+                         for path, d in zip(paths, data) if d is not None}
+
+
+def _read_if_present(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:       # read_csv reports it
+        return None
 
 
 def records(cls: type, rows: Iterable[tuple]) -> Iterable:

@@ -9,16 +9,12 @@ fractional-authorship weights.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from typing import NamedTuple
 
-from . import cache
-from .baselines import CellStats, ScalingFactorTable, scaling_factor
-from .corpus import (Corpus, CorpusPaths, FieldScheme, FilterConfig,
-                     FilterReport, LEVEL_SDS, ObservationWindow, Professor,
-                     corpus_digests, eligible_units, records)
+from .baselines import ScalingFactorTable, scaling_factor
+from .corpus import (Corpus, FieldScheme, FilterConfig, FilterReport,
+                     LEVEL_SDS, Professor, eligible_units)
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.indicators")
@@ -187,61 +183,6 @@ def log_fss(pass_: ProfessorPass) -> None:
     log_fss_skipped(pass_.fss_skipped)
     for code in pass_.unproductive:
         log_unproductive(code)
-
-
-def cached_pass(paths: CorpusPaths, window: ObservationWindow,
-                cfg: FilterConfig, baselines: bytes | None, fss: bool
-                ) -> ProfessorPass | None:
-    """The cached professor pass of the corpus at ``paths``, loaded in
-    ``window``, filtered by ``cfg`` and scored against the baseline table
-    whose file holds ``baselines`` (None: computed from the corpus). None on
-    a miss, and when the pass lacks the FSS that ``fss`` asks for."""
-    file_digests = corpus_digests(paths)
-    if file_digests is None:
-        return None
-    pass_ = cache.load(_pass_entry(paths, window, cfg, baselines, file_digests),
-                       lambda payload: _unpack(payload, file_digests))
-    return None if pass_ is None or fss and pass_.scores is None else pass_
-
-
-def store_pass(paths: CorpusPaths, window: ObservationWindow,
-               cfg: FilterConfig, baselines: bytes | None,
-               pass_: ProfessorPass) -> None:
-    """Keep the professor pass of a corpus loaded from ``paths`` in the
-    cache, keyed by the digests of the bytes it was made from."""
-    cache.store(
-        _pass_entry(paths, window, cfg, baselines, pass_.file_digests),
-        (list(map(tuple, pass_.professors.values())),
-         pass_.field_scheme.sds_to_uda, pass_.pubs_by_professor,
-         pass_.n_authors_total, pass_.impacts, pass_.scores, pass_.averages,
-         {cell: tuple(stats) for cell, stats in pass_.table.items()},
-         tuple(pass_.filter_report), pass_.baseline_population,
-         pass_.fss_skipped, pass_.unproductive, pass_.corpus_counts))
-
-
-def _pass_entry(paths: CorpusPaths, window: ObservationWindow,
-                cfg: FilterConfig, baselines: bytes | None,
-                file_digests: dict[str, str]) -> tuple[str, bytes] | None:
-    return cache.entry(
-        paths, cache.PASS, tuple(window), list(file_digests.values()),
-        # sorted: the repr of a frozenset varies with the hash seed
-        json.dumps(cfg.as_dict(), sort_keys=True),
-        None if baselines is None else hashlib.sha256(baselines).hexdigest())
-
-
-def _unpack(payload: tuple, file_digests: dict[str, str]) -> ProfessorPass:
-    """The professor pass of a cache entry's payload."""
-    (rows, sds_to_uda, pubs_by_professor, n_authors_total, impacts, scores,
-     averages, cells, report, population, skipped, unproductive,
-     counts) = payload
-    return ProfessorPass(
-        dict(zip([row[0] for row in rows], records(Professor, rows))),
-        FieldScheme(sds_to_uda), pubs_by_professor, n_authors_total, impacts,
-        scores, averages,
-        ScalingFactorTable(dict(zip(cells, map(CellStats._make,
-                                               cells.values())))),
-        file_digests, FilterReport(*report), population, skipped, unproductive,
-        counts)
 
 
 def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,

@@ -84,6 +84,8 @@ def test_normalized_impact_propagates_missing_baseline():
 def test_table_rejects_invalid_cells():
     with pytest.raises(ValueError):
         ScalingFactorTable({(2008, "C1"): CellStats(0.0, 0, 3)})
+    with pytest.raises(ValueError, match="total_count >= cited_count"):
+        ScalingFactorTable({(2008, "C1"): CellStats(2.0, 3, 2)})
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_outputs_match_golden_digests(synth_setup, tmp_path, monkeypatch):
     on the reference tables, pinned by sha256 (the manifest, which holds a
     timestamp, excepted). The commands run twice in one cache directory:
     first on an empty cache, then on the entries the first run left, where
-    no compare filters the corpus."""
+    no command filters the corpus."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     _, data_dir, run_cfg = synth_setup
     corpus_args = [str(data_dir), "--config", str(run_cfg)]
@@ -140,7 +140,7 @@ def test_outputs_match_golden_digests(synth_setup, tmp_path, monkeypatch):
     assert filtered == ["score", "score"]
     filtered.clear()
     assert run(tmp_path / "warm") == golden
-    assert "compare" not in filtered
+    assert filtered == []
 
 
 def test_score_matches_hand_computed_fixture(tmp_path):
@@ -509,6 +509,13 @@ def test_cli_import_is_lean():
         cwd=root, env={**os.environ, "PYTHONPATH": "src"},
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    # the library caches nothing: only the CLI imports the cache
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import rankdiff, sys; print('rankdiff.cache' in sys.modules)"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_analysis_commands_skip_numpy(synth_setup):
@@ -577,6 +584,10 @@ def test_synth_config_read_as_utf8_under_any_locale(tmp_path):
     ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
      "2008, C ,3.0,1,1\n", 3),
     ("year,category,mean,cited_count,total_count\n2008, ,2.0,1,1\n", 2),
+    # fewer publications in a cell than cited ones
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,16,-7\n", 2),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
+     "2009,C,3.0,26,0\n", 3),
 ])
 def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line):
     tmp_path, data_dir, run_cfg = synth_setup

@@ -1,10 +1,11 @@
-"""The on-disk cache of validated corpora behind ``load_corpus``, and of
-professor passes behind ``score`` and ``compare``.
+"""The on-disk cache behind the CLI: the verdict of ``validate`` and the
+professor pass of ``score`` and ``compare``, one entry format named by the
+digest of its key; ``load_corpus`` itself keeps nothing.
 
-A hit must rebuild the corpus or pass a miss builds, record for record and
-in the same order; an unreadable, stale or foreign entry must be a miss; and
-no state of the cache may change what a command prints, logs, writes or
-returns.
+A hit must print, log and write what a miss does, without parsing the
+corpus or running a stage of the professor pass; an unreadable, stale or
+foreign entry must be a miss; and no state of the cache may change what a
+command prints, logs, writes or returns.
 """
 from __future__ import annotations
 
@@ -22,22 +23,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankdiff import (LEVELS, CorpusLoadError, FilterConfig,
-                      ObservationWindow, ScalingFactorTable, apply_filters,
+from rankdiff import (LEVELS, FilterConfig, ScalingFactorTable, apply_filters,
                       compute_scaling_factors, load_corpus, professor_pass,
                       scoreboards, write_corpus_csvs)
 from rankdiff import cache as cache_module
 from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
 from rankdiff.cli import main
-from rankdiff.cache import CACHE_ENTRIES
+from rankdiff.cache import CACHE_ENTRIES, cached_pass, store_pass
 from rankdiff.corpus import CorpusPaths
-from rankdiff.indicators import cached_pass, store_pass
 from helpers import RELAXED_CFG, WINDOW, random_corpus
 
 RUN_CFG = ("start_year=2008\nend_year=2012\nmin_professors_sds=1\n"
            "min_professors_uda=1\nmin_professors_overall=1\n"
            "min_units_to_rank=1\n")
+# the default log level and debug, as RANKDIFF_LOG names them
+LOG_LEVELS = ("warn", "debug")
 
 
 @pytest.fixture
@@ -71,58 +72,121 @@ def _no_parsing(monkeypatch):
 
 
 def _entries(cache: Path) -> list[Path]:
-    return sorted(cache.glob("*.marshal")) if cache.exists() else []
+    return sorted(cache.glob("*")) if cache.exists() else []
 
 
-def _snapshot(corpus) -> list:
-    """Every field of the corpus with its order and the type of each value."""
-    def typed(record):
-        return [(type(record), value, type(value)) for value in record]
-    scheme = corpus.field_scheme
-    return [
-        corpus.window,
-        [(k, typed(p)) for k, p in corpus.publications.items()],
-        [typed(a) for a in corpus.authorships],
-        [(k, typed(p)) for k, p in corpus.professors.items()],
-        type(scheme), [list(m.items()) for m in scheme],
-        [(k, v, type(v)) for k, v in corpus.salary_table.items()],
-        corpus.baseline_publications is corpus.publications,
-        corpus.filter_report, corpus.file_digests,
-    ]
+def _run(argv: list[str], capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def test_hit_rebuilds_the_corpus_of_a_miss(cache, data_dir, monkeypatch,
-                                          caplog):
-    with caplog.at_level(logging.INFO, logger="rankdiff.corpus"):
-        missed = load_corpus(data_dir, WINDOW)
-        assert len(_entries(cache)) == 1
-        with monkeypatch.context() as patch:
+def _run_at(level: str, argv: list[str], capsys, caplog
+            ) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an in-process run at RANKDIFF_LOG
+    ``level``: stderr ends with the log lines the CLI's handler would write
+    at that level, in its format."""
+    caplog.clear()
+    with caplog.at_level(cli.LOG_LEVELS[level]):
+        code, out, err = _run(argv, capsys)
+    return code, out, err + "".join(
+        f"{r.levelname} {r.name}: {r.getMessage()}\n" for r in caplog.records)
+
+
+def _validate(level: str, data_dir: Path, config: Path, capsys, caplog,
+              monkeypatch, hit: bool = False) -> tuple[int, str, str]:
+    """``validate`` at RANKDIFF_LOG ``level``; with ``hit``, parsing or
+    checking the corpus fails the run."""
+    with monkeypatch.context() as patch:
+        if hit:
             _no_parsing(patch)
-            hit = load_corpus(data_dir, WINDOW)
-    assert _snapshot(hit) == _snapshot(missed)
-    # both keep the row order of the files
-    for name, records in [("publications", hit.publications),
-                          ("professors", hit.professors)]:
-        rows = (data_dir / f"{name}.csv").read_text(encoding="utf-8")
-        assert list(records) == [r.split(",")[0] for r in rows.split()[1:]]
-    assert [type(c) for c in hit.publications["W00001"].subject_categories] \
-        == [str]
-    # the same info line, once per load
-    first, second = [r.getMessage() for r in caplog.records]
-    assert first == second and first.startswith("loaded corpus: ")
-    # filtering works the same on both
-    assert _snapshot(apply_filters(hit, RELAXED_CFG)) == \
-        _snapshot(apply_filters(missed, RELAXED_CFG))
+        return _run_at(level, ["validate", str(data_dir), "--config",
+                               str(config)], capsys, caplog)
+
+
+def _validate_levels(*args, hit: bool = False) -> dict[str, tuple]:
+    """``_validate`` at each of LOG_LEVELS, in turn."""
+    return {level: _validate(level, *args, hit=hit) for level in LOG_LEVELS}
+
+
+def _count_loads(monkeypatch) -> list[str]:
+    """The corpus directory of every load_corpus call of the CLI."""
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus", lambda paths, window: loads.append(
+        str(paths)) or load_corpus(paths, window))
+    return loads
+
+
+@pytest.fixture
+def run_cfg(tmp_path):
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+    return tmp_path / "run.cfg"
+
+
+# ---------------------------------------------------------------------------
+# load_corpus and the verdict of validate
+
+def test_load_corpus_keeps_no_entry(cache, data_dir, monkeypatch):
+    """Every load reads and checks the five files again, and writes
+    nothing to the cache."""
+    read_csv, check = corpus_module.read_csv, corpus_module.Corpus.check
+    calls = []
+    monkeypatch.setattr(corpus_module, "read_csv", lambda path, *args, **kw:
+                        calls.append(Path(path).name) or
+                        read_csv(path, *args, **kw))
+    monkeypatch.setattr(corpus_module.Corpus, "check", lambda *args:
+                        calls.append("check") or check(*args))
+    first = load_corpus(data_dir, WINDOW)
+    second = load_corpus(data_dir, WINDOW)
+    assert not cache.exists()
+    once = [f"{name}.csv" for name in ("publications", "fields", "salaries",
+                                       "professors", "authorships")]
+    assert calls == 2 * [*once, "check"]
+    assert second.publications == first.publications
+    assert second.professors == first.professors
 
 
 def test_file_digests_are_of_the_bytes_loaded(cache, data_dir):
     paths = CorpusPaths.from_dir(data_dir)
     expected = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in paths}
-    for _ in range(2):          # a miss, then a hit
-        corpus = load_corpus(data_dir, WINDOW)
-        assert corpus.file_digests == expected
-        assert apply_filters(corpus, RELAXED_CFG).file_digests == expected
+    corpus = load_corpus(data_dir, WINDOW)
+    assert corpus.file_digests == expected
+    assert apply_filters(corpus, RELAXED_CFG).file_digests == expected
+
+
+def _outside_window(data_dir: Path) -> None:
+    """A publication from 2001, before the window, which the loaded-corpus
+    line counts."""
+    with open(data_dir / "publications.csv", "a", encoding="utf-8") as f:
+        f.write("W99001,2001,article,C_S0,3,1\n")
+
+
+def test_validate_hit_prints_what_a_miss_prints(cache, data_dir, run_cfg,
+                                                capsys, caplog, monkeypatch):
+    """At each level, a verdict hit prints VALID and the counts, and logs
+    the loaded-corpus line, as the miss before it did, without parsing or
+    checking the corpus."""
+    _outside_window(data_dir)
+    loads = _count_loads(monkeypatch)
+    args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
+    missed = {}
+    for level in LOG_LEVELS:
+        shutil.rmtree(cache, ignore_errors=True)
+        missed[level] = _validate(level, *args)
+        assert len(_entries(cache)) == 1
+        assert _validate(level, *args, hit=True) == missed[level]
+    assert loads == 2 * [str(data_dir)]
+    code, out, err = missed["warn"]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["VALID", "  universities: 4",
+                                "  professors: 22", "  publications: 61",
+                                "  authorships: 74", "  sds: 3", "  uda: 2"]
+    assert missed["debug"] == (0, out, (
+        "INFO rankdiff.corpus: loaded corpus: {'universities': 4, "
+        "'professors': 22, 'publications': 61, 'authorships': 74, "
+        "'sds': 3, 'uda': 2} (1 publications outside window, kept until "
+        "filtering)\n"))
 
 
 @pytest.mark.parametrize("damage", [
@@ -134,61 +198,87 @@ def test_file_digests_are_of_the_bytes_loaded(cache, data_dir):
     lambda data, key: marshal.dumps([key]),
 ], ids=["truncated", "empty", "garbage", "wrong_key", "wrong_columns",
         "wrong_shape"])
-def test_damaged_entry_is_a_miss_and_is_rewritten(cache, data_dir, damage):
-    expected = _snapshot(load_corpus(data_dir, WINDOW))
+def test_damaged_entry_is_a_miss_and_is_rewritten(cache, data_dir, run_cfg,
+                                                  damage, capsys, caplog,
+                                                  monkeypatch):
+    args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
+    expected = _validate_levels(*args)
     (entry,) = _entries(cache)
     good = entry.read_bytes()
     key = marshal.loads(good)[0]
-    entry.write_bytes(damage(good, key))
-    assert _snapshot(load_corpus(data_dir, WINDOW)) == expected
-    assert _entries(cache) == [entry]
-    assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+    loads = _count_loads(monkeypatch)
+    for level in LOG_LEVELS:
+        entry.write_bytes(damage(good, key))
+        assert _validate(level, *args) == expected[level]
+        assert _entries(cache) == [entry]
+        assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+        assert _validate(level, *args, hit=True) == expected[level]
+    assert len(loads) == 2                  # each damaged entry missed
 
 
-def test_edited_byte_misses(cache, data_dir, monkeypatch):
-    load_corpus(data_dir, WINDOW)
+def test_edited_byte_misses(cache, data_dir, run_cfg, capsys, caplog,
+                            monkeypatch):
+    """A corpus byte is in the key: an edit misses, and the verdict on the
+    edited bytes is kept beside the original's."""
+    args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
+    original = _validate_levels(*args)
     path = data_dir / "professors.csv"
     data = path.read_bytes()
     # one professor's tenure, 5 years, becomes 6: over the window's length
     assert data.count(b",5\n") > 1
+    loads = _count_loads(monkeypatch)
     path.write_bytes(data.replace(b",5\n", b",6\n", 1))
-    with pytest.raises(CorpusLoadError, match="exceeds window length 5"):
-        load_corpus(data_dir, WINDOW)
-    path.write_bytes(data.replace(b",5\n", b",4\n", 1))
-    edited = load_corpus(data_dir, WINDOW)
-    assert sorted(p.years_on_staff for p in edited.professors.values())[0] \
-        == 4.0
-    # the edit replaced the location's one entry, which now hits
-    assert len(_entries(cache)) == 1
-    _no_parsing(monkeypatch)
-    assert load_corpus(data_dir, WINDOW).professors == edited.professors
+    for level in LOG_LEVELS:
+        code, out, err = _validate(level, *args)
+        assert code == 1 and "exceeds window length 5" in out and err == ""
+    shorter = data.replace(b",5\n", b",4\n", 1)
+    path.write_bytes(shorter)
+    assert _validate_levels(*args) == original     # the same counts
+    assert len(loads) == 3 and len(_entries(cache)) == 2
+    for contents in (shorter, data):
+        path.write_bytes(contents)
+        assert _validate_levels(*args, hit=True) == original
 
 
-def test_changed_window_misses(cache, data_dir):
-    load_corpus(data_dir, WINDOW)
-    relabelled = WINDOW._replace(citation_snapshot_label="other")
-    assert load_corpus(data_dir, relabelled).window == relabelled
+def test_changed_window_misses(cache, data_dir, tmp_path, run_cfg, capsys,
+                               caplog, monkeypatch):
+    """Each setting of the window is in the key."""
+    args = (capsys, caplog, monkeypatch)
+    original = _validate_levels(data_dir, run_cfg, *args)
+    loads = _count_loads(monkeypatch)
+    for i, text in enumerate([
+            RUN_CFG + "citation_snapshot_label=other\n",
+            RUN_CFG.replace("start_year=2008", "start_year=2007"),
+            RUN_CFG.replace("end_year=2012", "end_year=2013")]):
+        config = tmp_path / f"window{i}.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert _validate_levels(data_dir, config, *args) == original, text
+        assert len(loads) == i + 1 and len(_entries(cache)) == i + 2, text
+        assert _validate_levels(data_dir, config, *args, hit=True) == \
+            original, text
     # every professor has 5 years on staff, too many for a 2-year window
-    with pytest.raises(CorpusLoadError, match="exceeds window length 2"):
-        load_corpus(data_dir, ObservationWindow(2011, 2012))
-
-
-def _run(argv: list[str], capsys) -> tuple[int, str, str]:
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(RUN_CFG.replace("start_year=2008", "start_year=2011"),
+                      encoding="utf-8")
+    for level in LOG_LEVELS:
+        code, out, err = _validate(level, data_dir, narrow, *args)
+        assert code == 1 and "exceeds window length 2" in out and err == ""
 
 
 def test_invalid_corpus_fails_twice_and_leaves_no_entry(cache, data_dir,
-                                                       tmp_path, capsys):
-    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+                                                       run_cfg, capsys,
+                                                       caplog, monkeypatch):
     path = data_dir / "authorships.csv"
     path.write_text(path.read_text(encoding="utf-8") + "W99999,P0001\n",
                     encoding="utf-8")
-    argv = ["validate", str(data_dir), "--config", str(tmp_path / "run.cfg")]
-    first = _run(argv, capsys)
-    assert first[0] == 1 and "unknown publication 'W99999'" in first[1]
-    assert _run(argv, capsys) == first
+    args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
+    loads = _count_loads(monkeypatch)
+    first = _validate_levels(*args)
+    code, out, err = first["warn"]
+    assert code == 1 and "unknown publication 'W99999'" in out and err == ""
+    assert first["debug"] == first["warn"]
+    assert _validate_levels(*args) == first
+    assert len(loads) == 4
     assert _entries(cache) == []
 
 
@@ -224,7 +314,7 @@ def test_outputs_independent_of_the_cache(cache, data_dir, tmp_path, capsys,
             _outputs(out)
 
     missed = commands("miss")
-    assert len(_entries(cache)) == 1
+    assert len(_entries(cache)) == 2        # the verdict and the pass
     hit = commands("hit")
     blocked = tmp_path / "blocked"
     blocked.write_text("a file where the cache directory would be")
@@ -234,19 +324,30 @@ def test_outputs_independent_of_the_cache(cache, data_dir, tmp_path, capsys,
     assert all(code == 0 for code, _, _ in missed[0])
 
 
-def test_entries_stay_within_the_cap(cache, tmp_path):
-    """Each load of a new location adds its entry; past the cap, the one
-    written longest ago goes."""
-    corpus = random_corpus(np.random.default_rng(4))
-    written = []
+def test_entries_stay_within_the_cap(cache, data_dir, tmp_path, capsys,
+                                     caplog, monkeypatch):
+    """Each validate with a new key adds its entry; past the cap, the one
+    written longest ago goes, and only the entries kept still hit."""
+    args = (capsys, caplog, monkeypatch)
+    loads = _count_loads(monkeypatch)
+    configs, written = [], []
     for i in range(CACHE_ENTRIES + 3):
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(RUN_CFG + f"citation_snapshot_label=run {i}\n",
+                          encoding="utf-8")
         before = set(_entries(cache))
-        write_corpus_csvs(corpus, tmp_path / f"copy{i}")
-        load_corpus(tmp_path / f"copy{i}", WINDOW)
+        expected = _validate_levels(data_dir, config, *args)
         (new,) = set(_entries(cache)) - before
         os.utime(new, (1000 + i, 1000 + i))     # distinct, increasing times
+        configs.append(config)
         written.append(new)
         assert set(_entries(cache)) == set(written[-CACHE_ENTRIES:])
+    assert len(loads) == CACHE_ENTRIES + 3
+    for config in configs[3:]:
+        assert _validate_levels(data_dir, config, *args, hit=True) == expected
+    for config in configs[:3]:
+        assert _validate_levels(data_dir, config, *args) == expected
+    assert len(loads) == CACHE_ENTRIES + 6
 
 
 def test_synth_writes_no_entry(cache, tmp_path):
@@ -262,12 +363,8 @@ def test_synth_writes_no_entry(cache, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The professor pass: kept beside the corpus entry, keyed by the corpus
-# bytes, the window, the filters and the baseline table's source
-
-def _pass_entries(cache: Path) -> list[Path]:
-    return sorted(cache.glob("*.pass")) if cache.exists() else []
-
+# The professor pass: keyed by the corpus bytes, the window, the filters and
+# the baseline table's source
 
 def _add_unproductive_sds(data_dir: Path) -> None:
     """An SDS whose two professors have no publication: its average is
@@ -404,7 +501,7 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
 def test_cached_pass_equals_the_pass_made(cache, data_dir):
     paths = CorpusPaths.from_dir(data_dir)
     made = _made_pass(data_dir)
-    store_pass(paths, WINDOW, RELAXED_CFG, None, made)
+    store_pass(WINDOW, RELAXED_CFG, None, made)
     hit = cached_pass(paths, WINDOW, RELAXED_CFG, None, True)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
     for level in LEVELS:
@@ -416,7 +513,7 @@ def test_pass_without_fss_misses_for_fss(cache, data_dir):
     paths = CorpusPaths.from_dir(data_dir)
     corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
     made = professor_pass(corpus, compute_scaling_factors(corpus), fss=False)
-    store_pass(paths, WINDOW, RELAXED_CFG, None, made)
+    store_pass(WINDOW, RELAXED_CFG, None, made)
     assert cached_pass(paths, WINDOW, RELAXED_CFG, None, False) is not None
     assert cached_pass(paths, WINDOW, RELAXED_CFG, None, True) is None
     with pytest.raises(ValueError, match="without it"):
@@ -437,12 +534,15 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     assert set(FILTER_CHANGES) == set(FilterConfig._fields)
     paths = CorpusPaths.from_dir(data_dir)
     baselines = _pruned_baselines(data_dir, tmp_path / "b.csv").read_bytes()
-    for pinned in (None, baselines):
-        store_pass(paths, WINDOW, RELAXED_CFG, pinned,
-                   _made_pass(data_dir, baselines=pinned))
-        assert cached_pass(paths, WINDOW, RELAXED_CFG, pinned, True)
-    # the entry now stands for the pinned table: computed baselines miss
-    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, True) is None
+    made = {pinned: _made_pass(data_dir, baselines=pinned)
+            for pinned in (None, baselines)}
+    for pinned, pass_ in made.items():
+        store_pass(WINDOW, RELAXED_CFG, pinned, pass_)
+    # each table keeps its own entry
+    assert _pass_snapshot(made[None]) != _pass_snapshot(made[baselines])
+    for pinned, pass_ in made.items():
+        assert _pass_snapshot(cached_pass(
+            paths, WINDOW, RELAXED_CFG, pinned, True)) == _pass_snapshot(pass_)
     edited = bytes([baselines[0] ^ 1]) + baselines[1:]     # one bit
     assert cached_pass(paths, WINDOW, RELAXED_CFG, edited, True) is None
 
@@ -471,7 +571,7 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
         cache_module._fingerprint.cache_clear()
         assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True) \
             is None, name
-        store_pass(paths, WINDOW, RELAXED_CFG, baselines,
+        store_pass(WINDOW, RELAXED_CFG, baselines,
                    _made_pass(data_dir, baselines=baselines))
     cache_module._fingerprint.cache_clear()
 
@@ -512,7 +612,7 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
         return result[0], result[1].replace(str(tmp_path / tag), "OUT"), \
             result[2], _outputs(tmp_path / tag)
     expected = score("first")
-    (entry,) = _pass_entries(cache)
+    (entry,) = _entries(cache)
     good = entry.read_bytes()
     key, payload = marshal.loads(good)
     damages = [good[:len(good) // 2], b"", b"\x00garbage" * 50,
@@ -527,28 +627,86 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
                 1) or apply_filters(*args))
             assert score(f"again{i}") == expected
         assert filtered == [1], i           # a miss
-        assert _pass_entries(cache) == [entry]
+        assert _entries(cache) == [entry]
         assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
 
 
-def test_cap_counts_both_kinds_of_entry(cache, tmp_path, capsys):
-    """A corpus entry and a pass entry per location, and CACHE_ENTRIES in
-    all, the latest written."""
-    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
-    corpus = random_corpus(np.random.default_rng(4))
+def test_cap_counts_verdicts_and_passes(cache, data_dir, tmp_path, capsys):
+    """A verdict and a pass per window, each a file named by its key's
+    digest with the one suffix, and CACHE_ENTRIES in all, the latest
+    written."""
     written = []
     for i in range(CACHE_ENTRIES):
-        before = set(cache.glob("*")) if cache.exists() else set()
-        write_corpus_csvs(corpus, tmp_path / f"copy{i}")
-        assert _run(["score", str(tmp_path / f"copy{i}"), "--config",
-                     str(tmp_path / "run.cfg"), "--level", "sds",
-                     "--out", str(tmp_path / f"out{i}")], capsys)[0] == 0
-        new = sorted(set(cache.glob("*")) - before)
-        assert [p.suffix for p in new] == [".marshal", ".pass"]
-        for j, path in enumerate(new):
-            os.utime(path, (1000 + 2 * i + j, 1000 + 2 * i + j))
-            written.append(path)
-        assert set(cache.glob("*")) == set(written[-CACHE_ENTRIES:])
+        config = tmp_path / f"run{i}.cfg"
+        config.write_text(RUN_CFG + f"citation_snapshot_label=run {i}\n",
+                          encoding="utf-8")
+        args = [str(data_dir), "--config", str(config)]
+        for argv in (["validate", *args],
+                     ["score", *args, "--level", "sds",
+                      "--out", str(tmp_path / f"out{i}")]):
+            before = set(_entries(cache))
+            assert _run(argv, capsys)[0] == 0
+            (new,) = set(_entries(cache)) - before
+            assert new.suffix == ".marshal" and len(new.stem) == 32
+            int(new.stem, 16)
+            os.utime(new, (1000 + len(written), 1000 + len(written)))
+            written.append(new)
+            assert set(_entries(cache)) == set(written[-CACHE_ENTRIES:])
+
+
+def test_alternating_settings_each_hit(cache, data_dir, tmp_path, run_cfg,
+                                       capsys, monkeypatch):
+    """Computed baselines, a --baselines table and
+    --baseline-include-all-doctypes each keep their own pass: a second
+    round of the three runs no stage of the professor pass and gives what
+    the first gave."""
+    pinned = _pruned_baselines(data_dir, tmp_path / "pinned.csv")
+    settings = {"computed": [], "pinned": ["--baselines", str(pinned)],
+                "all_doctypes": ["--baseline-include-all-doctypes"]}
+    rounds = []
+    for i in range(2):
+        with monkeypatch.context() as patch:
+            if i:
+                _refuse_scoring(patch)
+            results = {}
+            for name, extra in settings.items():
+                out = tmp_path / f"round{i}" / name
+                code, stdout, err = _run(
+                    ["score", str(data_dir), "--config", str(run_cfg),
+                     "--level", "uda", *extra, "--out", str(out)], capsys)
+                results[name] = (code, stdout.replace(str(out), "OUT"), err,
+                                 _outputs(out))
+            rounds.append(results)
+    assert rounds[1] == rounds[0]
+    assert [code for code, *_ in rounds[0].values()] == [0, 0, 0]
+    assert len(_entries(cache)) == 3
+
+
+def test_same_bytes_at_two_paths_share_entries(cache, data_dir, tmp_path,
+                                               run_cfg, capsys, caplog,
+                                               monkeypatch):
+    """Entries are named by content: a copy of the corpus elsewhere hits
+    the verdict and the pass of the original, and its manifest names the
+    copy's files."""
+    score = ["score", "--config", str(run_cfg), "--level", "sds"]
+    args = (run_cfg, capsys, caplog, monkeypatch)
+    original = _validate_levels(data_dir, *args)
+    assert _run([*score, str(data_dir), "--out", str(tmp_path / "a")],
+                capsys)[0] == 0
+    copy = tmp_path / "elsewhere" / "corpus"
+    shutil.copytree(data_dir, copy)
+    assert _validate_levels(copy, *args, hit=True) == original
+    with monkeypatch.context() as patch:
+        _refuse_scoring(patch)
+        assert _run([*score, str(copy), "--out", str(tmp_path / "b")],
+                    capsys)[0] == 0
+    assert len(_entries(cache)) == 2
+    assert _outputs(tmp_path / "b").keys() == _outputs(tmp_path / "a").keys()
+    manifest = json.loads((tmp_path / "b" / "manifest" / "run_manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in CorpusPaths.from_dir(copy)}
 
 
 def test_pass_is_keyed_by_the_bytes_it_was_made_from(cache, data_dir,
