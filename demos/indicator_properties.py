@@ -102,9 +102,9 @@ mncs_small = alpha_score(base, MNCS)
 # the doubled unit is standardized by the original national SDS averages
 averages = sds_averages(base, fss_p(base))
 doubled = build_corpus(cloned=True)
-alpha_staff = eligible_units(doubled, "overall", ALL_UNITS)[None]["ALPHA"]
-fss_big = unit_scores(doubled, "ALPHA", None, alpha_staff, fss_p(doubled),
-                      averages)[0].score
+doubled_pass = professor_pass(doubled, table)._replace(averages=averages)
+alpha_staff = eligible_units(doubled_pass, "overall", ALL_UNITS)[None]["ALPHA"]
+fss_big = unit_scores(doubled_pass, "ALPHA", None, alpha_staff, FSS)[0].score
 mncs_big = alpha_score(doubled, MNCS)
 print(f"ALPHA with 2 professors : FSS {fss_small:.6f}  MNCS {mncs_small:.6f}")
 print(f"ALPHA doubled to 4 staff: FSS {fss_big:.6f}  MNCS {mncs_big:.6f}")

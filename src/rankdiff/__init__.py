@@ -6,8 +6,8 @@ from .baselines import (CellStats, ScalingFactorTable, compute_scaling_factors,
 from .corpus import (Authorship, Corpus, CorpusPaths, FieldScheme,
                      FilterConfig, FilterReport, LEVEL_OVERALL, LEVEL_SDS,
                      LEVEL_UDA, LEVELS, ObservationWindow, Professor,
-                     Publication, RunConfig, apply_filters, eligible_units,
-                     load_corpus, read_config, write_corpus_csvs)
+                     Publication, RunConfig, apply_filters, load_corpus,
+                     read_config, write_corpus_csvs)
 from .divergence import (DispersionStats, DivergenceSummary, QuartileSummary,
                          RangeSummary, average_ranks, dispersion, pearson,
                          quartile_stats, range_summary, shift_stats, spearman)
@@ -16,9 +16,9 @@ from .errors import (CorpusLoadError, DegeneratePopulation,
                      NoRankableSds, RankdiffError, SynthConfigError,
                      UnitSetMismatch, Violation, ZeroMean)
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
-                         ScoreboardSet, ScopePair, UnitScore, impact_map,
-                         professor_pass, professor_scores, scoreboards,
-                         sds_averages, unit_scores)
+                         ScoreboardSet, ScopePair, UnitScore, eligible_units,
+                         impact_map, professor_pass, professor_scores,
+                         scoreboards, sds_averages, unit_scores)
 from .ranking import (ComparisonRow, ComparisonTable, RankEntry, RankedList,
                       compare, natural_key, percentile, quartile, rank,
                       round_half_away, shift_glyph)

@@ -20,12 +20,11 @@ import marshal
 import os
 import sys
 from collections.abc import Callable
+from itertools import chain
 from pathlib import Path
 
-from .baselines import CellStats, ScalingFactorTable
-from .corpus import (Corpus, CorpusPaths, FieldScheme, FilterConfig,
-                     FilterReport, ObservationWindow, Professor,
-                     corpus_digests, records)
+from .corpus import (Corpus, CorpusPaths, FilterConfig, ObservationWindow,
+                     corpus_digests)
 from .indicators import ProfessorPass
 
 # how many entries the cache directory keeps: the latest written
@@ -85,7 +84,8 @@ def load(entry: tuple[str, bytes] | None, build: Callable[[object], object]
 
 def store(entry: tuple[str, bytes] | None, payload: object) -> None:
     """Write an entry, through a temporary file, and remove the oldest others
-    beyond CACHE_ENTRIES; an error skips the write."""
+    beyond CACHE_ENTRIES and every ``.pass`` file, which earlier versions
+    wrote; an error skips the write."""
     if entry is None:
         return
     path, key = entry
@@ -96,9 +96,14 @@ def store(entry: tuple[str, bytes] | None, payload: object) -> None:
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         with open(os.open(temporary, flags, 0o600), "wb") as f:
             f.write(marshal.dumps((key, payload)))
-        others = sorted((e.stat().st_mtime, e.path) for e in os.scandir(directory)
+        found = list(os.scandir(directory))
+        others = sorted((e.stat().st_mtime, e.path) for e in found
                         if e.name.endswith(".marshal") and e.name != name)
-        for _, old in others[:max(0, len(others) + 1 - CACHE_ENTRIES)]:
+        stale = [old for _, old in
+                 others[:max(0, len(others) + 1 - CACHE_ENTRIES)]]
+        # earlier versions kept passes in .pass files
+        stale += [e.path for e in found if e.name.endswith(".pass")]
+        for old in stale:
             os.remove(old)
         os.replace(temporary, path)
     except _ERRORS:
@@ -140,22 +145,16 @@ def cached_pass(paths: CorpusPaths, window: ObservationWindow,
     a miss, and when the pass lacks the FSS that ``fss`` asks for."""
     file_digests = corpus_digests(paths)
     pass_ = load(_pass_entry(window, cfg, baselines, file_digests),
-                 lambda payload: _unpack(payload, file_digests))
+                 lambda payload: _checked(ProfessorPass(*payload,
+                                                        file_digests)))
     return None if pass_ is None or fss and pass_.scores is None else pass_
 
 
 def store_pass(window: ObservationWindow, cfg: FilterConfig,
                baselines: bytes | None, pass_: ProfessorPass) -> None:
-    """Keep a professor pass, keyed by the digests of the bytes it was made
-    from."""
-    store(
-        _pass_entry(window, cfg, baselines, pass_.file_digests),
-        (list(map(tuple, pass_.professors.values())),
-         pass_.field_scheme.sds_to_uda, pass_.pubs_by_professor,
-         pass_.n_authors_total, pass_.impacts, pass_.scores, pass_.averages,
-         {cell: tuple(stats) for cell, stats in pass_.table.items()},
-         tuple(pass_.filter_report), pass_.baseline_population,
-         pass_.fss_skipped, pass_.unproductive, pass_.corpus_counts))
+    """Keep a professor pass, every field but its last, ``file_digests``, as
+    it is, keyed by the digests of the bytes it was made from."""
+    store(_pass_entry(window, cfg, baselines, pass_.file_digests), pass_[:-1])
 
 
 def _pass_entry(window: ObservationWindow, cfg: FilterConfig,
@@ -168,16 +167,24 @@ def _pass_entry(window: ObservationWindow, cfg: FilterConfig,
         None if baselines is None else hashlib.sha256(baselines).hexdigest())
 
 
-def _unpack(payload: tuple, file_digests: dict[str, str]) -> ProfessorPass:
-    """The professor pass of a cache entry's payload."""
-    (rows, sds_to_uda, pubs_by_professor, n_authors_total, impacts, scores,
-     averages, cells, report, population, skipped, unproductive,
-     counts) = payload
-    return ProfessorPass(
-        dict(zip([row[0] for row in rows], records(Professor, rows))),
-        FieldScheme(sds_to_uda), pubs_by_professor, n_authors_total, impacts,
-        scores, averages,
-        ScalingFactorTable(dict(zip(cells, map(CellStats._make,
-                                               cells.values())))),
-        file_digests, FilterReport(*report), population, skipped, unproductive,
-        counts)
+def _checked(pass_: ProfessorPass) -> ProfessorPass:
+    """``pass_`` when each column is a list of one value of its type per
+    professor or publication, each mapping a dict and each publication
+    index in range; ValueError otherwise."""
+    n, m = len(pass_.professor_ids), len(pass_.impacts)
+    indices = list(chain.from_iterable(pass_.pubs))
+    scores = [] if pass_.scores is None else [(pass_.scores, n, {float})]
+    for column, length, kinds in [
+            (pass_.professor_ids, n, {str}), (pass_.universities, n, {str}),
+            (pass_.sds, n, {str}), (pass_.pubs, n, {list}),
+            (pass_.impacts, m, {float, type(None)}),
+            (pass_.n_authors, m, {int}), (indices, len(indices), {int}),
+            *scores]:
+        if (type(column) is not list or len(column) != length
+                or not set(map(type, column)) <= kinds):
+            raise ValueError("damaged professor pass")
+    mappings = (pass_.sds_to_uda, pass_.cells, pass_.averages or {})
+    if ({type(x) for x in mappings} != {dict}
+            or indices and not 0 <= min(indices) <= max(indices) < m):
+        raise ValueError("damaged professor pass")
+    return pass_

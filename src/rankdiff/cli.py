@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import cache, divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
-from .corpus import (Corpus, CorpusPaths, LEVEL_SDS, LEVELS, RunConfig,
-                     apply_filters, load_corpus, log_filtered, log_loaded,
-                     read_config, read_csv, write_corpus_csvs)
+from .corpus import (Corpus, CorpusPaths, FilterReport, LEVEL_SDS, LEVELS,
+                     RunConfig, apply_filters, load_corpus, log_filtered,
+                     log_loaded, read_config, read_csv, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
                          ScoreboardSet, UnitScore, log_fss, professor_pass,
@@ -65,18 +65,37 @@ def _digest(path: str | Path, data: bytes | None) -> str:
 
 
 class OutputDir:
-    """Standard output layout with overwrite protection and a manifest."""
+    """Standard output layout with overwrite protection and a manifest.
+    With ``force``, the outputs a readable manifest lists, each inside the
+    directory, and that manifest are removed first; nothing else is."""
 
     def __init__(self, root: str | Path, force: bool):
         self.root = Path(root)
-        if self.root.exists() and any(self.root.iterdir()) and not force:
-            raise SystemExitWithCode(
-                EXIT_CONFIG,
-                f"output directory {self.root} is not empty; use --force")
+        if self.root.exists() and any(self.root.iterdir()):
+            if not force:
+                raise SystemExitWithCode(
+                    EXIT_CONFIG,
+                    f"output directory {self.root} is not empty; use --force")
+            self._remove_previous_outputs()
         for sub in ("scoreboards", "comparisons", "summaries", "manifest"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.warnings: list[str] = []
+
+    def _remove_previous_outputs(self) -> None:
+        manifest = self.root / "manifest" / "run_manifest.json"
+        root = self.root.resolve()
+        try:
+            outputs = json.loads(manifest.read_bytes())["outputs"]
+            if not isinstance(outputs, list):
+                return
+            paths = [(root / name).resolve() for name in outputs]
+        except (OSError, ValueError, TypeError, LookupError, RuntimeError):
+            return
+        for path in paths:
+            if path.is_relative_to(root) and path.is_file():
+                path.unlink()
+        manifest.unlink()
 
     def path(self, sub: str, name: str) -> Path:
         p = self.root / sub / name
@@ -190,14 +209,11 @@ def _score_corpus(args: argparse.Namespace, indicator: str
                              dict[str, str], ScoreboardSet]:
     """Score the corpus at ``args.level``; the output directory holds the
     scoring warnings. Also returns the professor pass and the digests of
-    the files read.
-
-    The professor pass comes from the cache, or from loading and filtering
-    the corpus, building or importing the baselines and scoring the
-    professors, and is then kept there. A cached pass logs from its
-    counters what those stages logged, so both ways log the same lines in
-    the same order around the same output directory check.
-    """
+    the files read. The pass comes from the cache, or from loading and
+    filtering the corpus, building or importing the baselines and scoring
+    the professors, and is then kept there; a cached pass logs from its
+    counters what those stages logged, in the same order around the same
+    output directory check."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
     fss = indicator != MNCS
     paths = CorpusPaths.from_dir(args.data_dir)
@@ -210,27 +226,25 @@ def _score_corpus(args: argparse.Namespace, indicator: str
         loaded = load_corpus(paths, run_cfg.window)
         corpus = apply_filters(loaded, run_cfg.filters)
     else:
-        log_loaded(pass_.corpus_counts,
-                   pass_.filter_report.publications_removed_window)
-        log_filtered(pass_.filter_report)
+        report = FilterReport(*pass_.filter_report)
+        log_loaded(pass_.corpus_counts, report.publications_removed_window)
+        log_filtered(report)
     out = OutputDir(args.out, args.force)
     if pass_ is None:
-        table = _baseline_table(args, corpus, baselines)
-    else:
-        table = pass_.table
-        if args.baselines:
-            _log_imported(args, len(table))
-        else:
-            log_computed(len(table), pass_.baseline_population)
-    if args.export_baselines:
-        table.to_csv(out.path("summaries", "baselines.csv"))
-    if pass_ is None:
-        pass_ = professor_pass(corpus, table, fss, loaded.counts())
+        pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
+                               fss, loaded.counts())
         if cached:
             cache.store_pass(run_cfg.window, run_cfg.filters, baselines,
                              pass_)
-    elif fss:
-        log_fss(pass_)
+    else:
+        if args.baselines:
+            _log_imported(args, len(pass_.cells))
+        else:
+            log_computed(len(pass_.cells), pass_.baseline_population)
+        if fss:
+            log_fss(pass_)
+    if args.export_baselines:
+        pass_.table().to_csv(out.path("summaries", "baselines.csv"))
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
@@ -363,7 +377,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out, args.data_dir, args.level,
         f"FSS vs MNCS comparison ({args.level} level)",
         rankable(),
-        pass_.field_scheme.uda_of if args.level == LEVEL_SDS else None)
+        pass_.sds_to_uda.__getitem__ if args.level == LEVEL_SDS else None)
     out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
                        inputs)
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")

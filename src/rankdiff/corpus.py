@@ -1,4 +1,4 @@
-"""Publication/staff corpus: loading, validation, filtering, unit eligibility.
+"""Publication/staff corpus: loading, validation, filtering.
 
 The corpus is a closed world: publications, authorships linking them to
 professors, professors assigned to exactly one SDS within a university, a
@@ -103,12 +103,6 @@ class FieldScheme(NamedTuple):
     sds_names: dict[str, str] = MappingProxyType({})
     uda_names: dict[str, str] = MappingProxyType({})
 
-    def __contains__(self, sds_code: str) -> bool:
-        return sds_code in self.sds_to_uda
-
-    def uda_of(self, sds_code: str) -> str:
-        return self.sds_to_uda[sds_code]
-
 
 class _Filters(NamedTuple):
     min_years_on_staff: float = 3.0
@@ -194,11 +188,6 @@ class Corpus:
         return index
 
     @cached_property
-    def n_authors_total(self) -> dict[str, int]:
-        return {pub_id: p.n_authors_total
-                for pub_id, p in self.publications.items()}
-
-    @cached_property
     def universities(self) -> list[str]:
         return sorted({p.university_id for p in self.professors.values()})
 
@@ -231,7 +220,7 @@ class Corpus:
         n_years = self.window.n_years
         for prof in self.professors.values():
             pid = prof.professor_id
-            if prof.sds_code not in self.field_scheme:
+            if prof.sds_code not in self.field_scheme.sds_to_uda:
                 add("professors", pid, "sds_code",
                     f"unknown SDS {_quote(prof.sds_code)}")
             if prof.academic_rank not in self.salary_table:
@@ -308,20 +297,6 @@ class Corpus:
         for rank in sorted(self.salary_table):
             h.update(f"S|{rank}|{self.salary_table[rank]!r}\n".encode())
         return h.hexdigest()
-
-    def scope_of(self, prof: Professor, level: str) -> str | None:
-        """The professor's scope code at a level: SDS, UDA, or None overall."""
-        return _scope_of(self.field_scheme, prof, level)
-
-
-def _scope_of(scheme: FieldScheme, prof: Professor, level: str) -> str | None:
-    if level == LEVEL_SDS:
-        return prof.sds_code
-    if level == LEVEL_UDA:
-        return scheme.uda_of(prof.sds_code)
-    if level == LEVEL_OVERALL:
-        return None
-    raise ValueError(f"unknown level {level!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +601,7 @@ def records(cls: type, rows: Iterable[tuple]) -> Iterable:
 
 
 # ---------------------------------------------------------------------------
-# Filtering and eligibility
+# Filtering
 
 def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
     """Drop short-tenure professors and excluded/out-of-window publications.
@@ -662,33 +637,6 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
 
 def log_filtered(report: FilterReport) -> None:
     log.info("filters: %s", report)
-
-
-def eligible_units(corpus: Corpus, level: str, cfg: FilterConfig
-                   ) -> dict[str | None, dict[str, list[str]]]:
-    """The units meeting the level's headcount threshold, with their staff:
-    ``scope_code -> university_id -> [professor ids]``.
-
-    The unit is (university, scope_code); at overall level the scope code is
-    None and the unit is the university itself. Scopes come in code order,
-    universities in id order within a scope, and professors in id order.
-    ``corpus`` may also be a professor pass: only its ``professors`` and
-    ``field_scheme`` are read.
-    """
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
-    members: dict[tuple[str | None, str], list[str]] = {}
-    for pid in sorted(corpus.professors):
-        prof = corpus.professors[pid]
-        key = (_scope_of(corpus.field_scheme, prof, level), prof.university_id)
-        members.setdefault(key, []).append(pid)
-    threshold = cfg.min_professors(level)
-    units: dict[str | None, dict[str, list[str]]] = {}
-    for (scope, univ), pids in sorted(members.items(),
-                                      key=lambda kv: (kv[0][0] or "", kv[0][1])):
-        if len(pids) >= threshold:
-            units.setdefault(scope, {})[univ] = pids
-    return units
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ fractional-authorship weights.
 from __future__ import annotations
 
 import logging
+from collections import Counter
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .baselines import ScalingFactorTable, scaling_factor
-from .corpus import (Corpus, FieldScheme, FilterConfig, FilterReport,
-                     LEVEL_SDS, Professor, eligible_units)
+from .baselines import CellStats, ScalingFactorTable, scaling_factor
+from .corpus import (Corpus, FilterConfig, LEVEL_OVERALL, LEVEL_SDS,
+                     LEVEL_UDA)
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.indicators")
@@ -123,32 +125,39 @@ def log_unproductive(sds_code: str) -> None:
 # The professor pass
 
 class ProfessorPass(NamedTuple):
-    """What the unit pass and the outputs read of a filtered corpus scored
-    against a baseline table, and the counters its stages log.
+    """The columns the unit pass reads of a filtered corpus scored against a
+    baseline table, and the counters its stages log.
 
-    ``professors`` are the kept professors, and ``field_scheme`` holds the
-    SDS-to-UDA map only. ``impacts`` is ``impact_map``'s. ``scores`` (FSS_P
-    per professor), ``averages`` (``sds_averages``), ``fss_skipped`` (the
-    publication terms ``professor_scores`` skipped) and ``unproductive``
-    (the SDS ``sds_averages`` has no mean for) are None in a pass made
-    without FSS. ``baseline_population`` counts the corpus's baseline
-    publications, and ``corpus_counts`` are the counts of the corpus as
-    loaded, before filtering.
+    Professors and publications are in id order, each named by its index.
+    Per professor: ``professor_ids``, ``universities``, ``sds``, ``pubs``
+    (the ascending indices of their publications) and ``scores`` (FSS_P);
+    per publication: ``impacts`` (None without a baseline) and
+    ``n_authors``. ``cells`` maps (year, category) to (mean, cited_count,
+    total_count). ``scores``, ``averages``, ``fss_skipped`` and
+    ``unproductive`` are None without FSS. Every field but the last,
+    ``file_digests``, is of builtin types, stored by ``marshal`` as is.
     """
-    professors: dict[str, Professor]
-    field_scheme: FieldScheme
-    pubs_by_professor: dict[str, list[str]]
-    n_authors_total: dict[str, int]
-    impacts: dict[str, float | None]
-    scores: dict[str, float] | None
+    professor_ids: list[str]
+    universities: list[str]
+    sds: list[str]
+    pubs: list[list[int]]
+    scores: list[float] | None
+    impacts: list[float | None]
+    n_authors: list[int]
+    sds_to_uda: dict[str, str]
     averages: dict[str, float] | None
-    table: ScalingFactorTable
-    file_digests: dict[str, str]
-    filter_report: FilterReport | None
+    cells: dict[tuple[int, str], tuple[float, int, int]]
+    filter_report: tuple[int, ...] | None
     baseline_population: int
     fss_skipped: int | None
     unproductive: list[str] | None
     corpus_counts: dict[str, int] | None
+    file_digests: dict[str, str]
+
+    def table(self) -> ScalingFactorTable:
+        """The baseline table the pass was scored against."""
+        return ScalingFactorTable(dict(zip(
+            self.cells, map(CellStats._make, self.cells.values()))))
 
 
 def professor_pass(corpus: Corpus, table: ScalingFactorTable,
@@ -160,21 +169,29 @@ def professor_pass(corpus: Corpus, table: ScalingFactorTable,
     ``professor_scores`` and ``sds_averages`` log. ``corpus_counts`` are
     the counts of the corpus before filtering, when known."""
     impacts = impact_map(corpus, table)
+    index = dict(zip(impacts, range(len(impacts))))
+    ids = sorted(corpus.professors)
+    profs = list(map(corpus.professors.__getitem__, ids))
+    pubs_of = corpus.pubs_by_professor.get
+    pubs = [sorted(map(index.__getitem__, pubs_of(pid, ()))) for pid in ids]
+    sds = [p.sds_code for p in profs]
+    impact_column = list(impacts.values())
     scores = averages = skipped = unproductive = None
     if fss:
         scores = professor_scores(corpus, impacts)
         averages = sds_averages(corpus, scores)
-        pubs = corpus.pubs_by_professor
-        skipped = sum(impacts[pub_id] is None for pid in corpus.professors
-                      for pub_id in pubs.get(pid, ()))
-        unproductive = sorted({p.sds_code for p in corpus.professors.values()}
-                              .difference(averages))
+        scores = list(scores.values())
+        skipped = sum(impact_column[j] is None for ps in pubs for j in ps)
+        unproductive = sorted(set(sds).difference(averages))
     return ProfessorPass(
-        corpus.professors, FieldScheme(corpus.field_scheme.sds_to_uda),
-        corpus.pubs_by_professor, corpus.n_authors_total, impacts, scores,
-        averages, table, corpus.file_digests, corpus.filter_report,
+        ids, [p.university_id for p in profs], sds, pubs, scores,
+        impact_column,
+        [corpus.publications[pub_id].n_authors_total for pub_id in impacts],
+        dict(corpus.field_scheme.sds_to_uda), averages,
+        {cell: tuple(stats) for cell, stats in table.items()},
+        None if corpus.filter_report is None else tuple(corpus.filter_report),
         len(corpus.baseline_publications), skipped, unproductive,
-        corpus_counts)
+        corpus_counts, corpus.file_digests)
 
 
 def log_fss(pass_: ProfessorPass) -> None:
@@ -185,34 +202,57 @@ def log_fss(pass_: ProfessorPass) -> None:
         log_unproductive(code)
 
 
-def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
-                members: list[str], scores: dict[str, float] | None = None,
-                averages: dict[str, float] | None = None,
-                impacts: dict[str, float | None] | None = None
+# ---------------------------------------------------------------------------
+# The unit pass: eligible units, unit scores and the scoreboards
+
+def eligible_units(pass_: ProfessorPass, level: str, cfg: FilterConfig
+                   ) -> dict[str | None, dict[str, list[int]]]:
+    """The units meeting the level's headcount threshold, with their staff:
+    ``scope_code -> university_id -> [professor indices]``.
+
+    A professor's scope code is their SDS, its UDA, or None at overall
+    level, where the unit is the university. Scopes come in code order,
+    universities in id order and professors in index order, which is id
+    order."""
+    if level == LEVEL_SDS:
+        scopes = pass_.sds
+    elif level == LEVEL_UDA:
+        scopes = map(pass_.sds_to_uda.__getitem__, pass_.sds)
+    elif level == LEVEL_OVERALL:
+        scopes = repeat(None)
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    members: dict[tuple[str | None, str], list[int]] = {}
+    for i, key in enumerate(zip(scopes, pass_.universities)):
+        members.setdefault(key, []).append(i)
+    threshold = cfg.min_professors(level)
+    units: dict[str | None, dict[str, list[int]]] = {}
+    for (scope, univ), staff in sorted(members.items()):
+        if len(staff) >= threshold:
+            units.setdefault(scope, {})[univ] = staff
+    return units
+
+
+def unit_scores(pass_: ProfessorPass, university_id: str,
+                scope_code: str | None, members: list[int], indicator: str
                 ) -> tuple[UnitScore | None, UnitScore | None]:
     """(fss, mncs) of the unit (university_id, scope_code) whose professors
-    are ``members``; None where not asked or undefined.
-
-    FSS needs ``scores`` and ``averages``, MNCS needs ``impacts``; None
-    leaves that indicator out. It logs the unit's dropped professors and
-    skipped publications. ``corpus`` may also be a professor pass: only its
-    ``professors``, ``pubs_by_professor`` and ``n_authors_total`` are read.
+    are the pass's ``members``, by index; None where not asked by
+    ``indicator`` or undefined. It logs the unit's dropped professors and
+    skipped publications.
 
     FSS is the mean of SDS-standardized professor values, zeros included;
     a professor whose SDS has no average leaves numerator and staff. MNCS
     weights publication i by m_i / n_i, the unit's in-scope authors over all
     co-authors; an uncited one adds weight only, one without a baseline
-    nothing. FSS ratios are summed in ``members`` order, which
-    ``eligible_units`` gives by id, and MNCS terms in publication-id order,
-    so no score depends on input row order.
+    nothing. FSS ratios are summed in ``members`` order and MNCS terms in
+    publication index order, which is id order, as in ``professor_pass``.
     """
     fss = mncs = None
-    if scores is not None:
-        ratios = []
-        for pid in members:
-            avg = averages.get(corpus.professors[pid].sds_code)
-            if avg is not None:
-                ratios.append(scores[pid] / avg)
+    if indicator != MNCS:
+        scores, averages, sds = pass_.scores, pass_.averages, pass_.sds
+        ratios = [scores[i] / averages[sds[i]] for i in members
+                  if sds[i] in averages]
         if len(ratios) < len(members):
             log.warning("fss_unit %s/%s: %d professors dropped "
                         "(unstandardizable SDS)",
@@ -220,19 +260,19 @@ def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
         if ratios:
             fss = UnitScore(university_id, FSS, sum(ratios) / len(ratios),
                             research_staff=len(ratios))
-    if impacts is not None:
-        m_by_pub: dict[str, int] = {}       # the unit's authors per pub
-        for pid in members:
-            for pub_id in corpus.pubs_by_professor.get(pid, []):
-                m_by_pub[pub_id] = m_by_pub.get(pub_id, 0) + 1
+    if indicator != FSS:
+        impacts, n_authors = pass_.impacts, pass_.n_authors
+        # the unit's authors per publication
+        m_by_pub = Counter(chain.from_iterable(map(pass_.pubs.__getitem__,
+                                                   members)))
         numerator = weight_sum = 0.0
         skipped = 0
-        for pub_id, m in sorted(m_by_pub.items()):
-            impact = impacts[pub_id]
+        for j, m in sorted(m_by_pub.items()):
+            impact = impacts[j]
             if impact is None:
                 skipped += 1
                 continue
-            weight = m / corpus.n_authors_total[pub_id]
+            weight = m / n_authors[j]
             numerator += impact * weight
             weight_sum += weight
         if skipped:
@@ -244,9 +284,6 @@ def unit_scores(corpus: Corpus, university_id: str, scope_code: str | None,
                              publication_weight=weight_sum)
     return fss, mncs
 
-
-# ---------------------------------------------------------------------------
-# Scoreboards
 
 class ScopePair(NamedTuple):
     scope_code: str | None
@@ -277,13 +314,8 @@ def scoreboards(pass_: ProfessorPass, cfg: FilterConfig, level: str,
     want_mncs = indicator in (MNCS, BOTH)
     if want_fss and pass_.scores is None:
         raise ValueError("FSS asked of a professor pass made without it")
-
-    units = eligible_units(pass_, level, cfg)
-    scores = pass_.scores if want_fss else None
-    impacts = pass_.impacts if want_mncs else None
-
     result = ScoreboardSet(level, {}, [], [])
-    for scope, scope_units in units.items():
+    for scope, scope_units in eligible_units(pass_, level, cfg).items():
         if level == LEVEL_SDS and len(scope_units) < cfg.min_units_to_rank:
             result.not_rankable.append(scope)
             result.warnings.append(
@@ -294,8 +326,8 @@ def scoreboards(pass_: ProfessorPass, cfg: FilterConfig, level: str,
         mncs_entries: list[UnitScore] = []
         dropped: list[str] = []
         for univ, members in scope_units.items():
-            fss_score, mncs_score = unit_scores(
-                pass_, univ, scope, members, scores, pass_.averages, impacts)
+            fss_score, mncs_score = unit_scores(pass_, univ, scope, members,
+                                                indicator)
             if indicator == BOTH and (fss_score is None or mncs_score is None):
                 dropped.append(univ)
                 continue

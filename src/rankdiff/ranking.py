@@ -127,9 +127,6 @@ class ComparisonTable(NamedTuple):
     n: int
     label: str = ""
 
-    def by_unit(self) -> dict[str, ComparisonRow]:
-        return {r.unit_id: r for r in self.rows}
-
 
 def compare(fss: RankedList, mncs: RankedList,
             staff: dict[str, int] | None = None,

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from rankdiff import (Authorship, Corpus, FieldScheme, FilterConfig,
-                      ObservationWindow, Professor, Publication, ScoreBoard,
-                      compare, eligible_units, professor_pass, rank,
-                      scoreboards)
+from rankdiff import (LEVEL_OVERALL, LEVEL_SDS, LEVEL_UDA, Authorship,
+                      ComparisonRow, ComparisonTable, Corpus, FieldScheme,
+                      FilterConfig, ObservationWindow, Professor,
+                      ProfessorPass, Publication, ScoreBoard, compare,
+                      compute_scaling_factors, eligible_units, professor_pass,
+                      rank, scoreboards)
 from rankdiff.indicators import FSS, MNCS, UnitScore
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -35,6 +37,10 @@ def boards_from_columns(units: list[str], fss_scores: list[float],
     mncs = ScoreBoard("replay", label, MNCS,
                       [UnitScore(u, MNCS, s) for u, s in zip(units, mncs_scores)])
     return fss, mncs
+
+
+def by_unit(cmp: ComparisonTable) -> dict[str, ComparisonRow]:
+    return {r.unit_id: r for r in cmp.rows}
 
 
 def replay_compare(rows: list[dict[str, str]], label: str = "replay"):
@@ -229,6 +235,27 @@ def professors_by_pub(corpus: Corpus) -> dict[str, list[str]]:
     return index
 
 
+def scope_of(corpus: Corpus, prof: Professor, level: str) -> str | None:
+    """The professor's scope code at a level: SDS, UDA, or None overall."""
+    if level == LEVEL_SDS:
+        return prof.sds_code
+    if level == LEVEL_UDA:
+        return corpus.field_scheme.sds_to_uda[prof.sds_code]
+    if level == LEVEL_OVERALL:
+        return None
+    raise ValueError(f"unknown level {level!r}")
+
+
+def eligible_ids(corpus: Corpus, level: str, cfg: FilterConfig
+                 ) -> dict[str | None, dict[str, list[str]]]:
+    """``eligible_units`` of the corpus's professor pass, each unit's staff
+    named by professor id."""
+    pass_ = professor_pass(corpus, compute_scaling_factors(corpus), fss=False)
+    return {scope: {univ: [pass_.professor_ids[i] for i in members]
+                    for univ, members in units.items()}
+            for scope, units in eligible_units(pass_, level, cfg).items()}
+
+
 def unit_ids(board: ScoreBoard) -> list[str]:
     return [e.university_id for e in board.entries]
 
@@ -333,11 +360,11 @@ def overall_scores(corpus: Corpus, table, indicator: str) -> dict[str, float]:
     return {e.university_id: e.score for e in board.entries}
 
 
-def staff_of(corpus: Corpus, univ: str, level: str = "overall",
-             scope: str | None = None) -> list[str]:
-    """The professor ids of the unit (univ, scope), as ``scoreboards`` gets
-    them from ``eligible_units``."""
-    return eligible_units(corpus, level, RELAXED_CFG)[scope][univ]
+def staff_of(pass_: ProfessorPass, univ: str, level: str = "overall",
+             scope: str | None = None) -> list[int]:
+    """The professor indices of the unit (univ, scope), as ``scoreboards``
+    gets them from ``eligible_units``."""
+    return eligible_units(pass_, level, RELAXED_CFG)[scope][univ]
 
 
 def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
@@ -372,12 +399,12 @@ def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
                   if p.sds_code == code and fss_p(p) > 0]
         return sum(values) / len(values) if values else None
 
-    units = {(p.university_id, corpus.scope_of(p, level))
+    units = {(p.university_id, scope_of(corpus, p, level))
              for p in corpus.professors.values()}
     result = {}
     for univ, scope in units:
         staff = [p for p in corpus.professors.values()
-                 if (p.university_id, corpus.scope_of(p, level)) == (univ, scope)]
+                 if (p.university_id, scope_of(corpus, p, level)) == (univ, scope)]
         ratios = [fss_p(p) / sds_mean(p.sds_code) for p in staff
                   if sds_mean(p.sds_code) is not None]
         fss = sum(ratios) / len(ratios) if ratios else None

@@ -1,0 +1,164 @@
+"""Byte-identity sweep: run one command matrix in two checkouts and print
+every difference.
+
+    python tests/sweep_outputs.py BASE CHANGE DATA_DIR RUN_CFG
+
+BASE and CHANGE are the roots of two rankdiff checkouts, DATA_DIR a corpus
+directory and RUN_CFG a run config. Every command of the matrix runs as
+``python -m rankdiff`` from each checkout's ``src``:
+
+- ``validate``;
+- ``score`` at each level and indicator with ``--export-baselines``, and
+  again with ``--baselines``, the table that checkout exported;
+- ``compare`` at each level, with and without
+  ``--baseline-include-all-doctypes``;
+- ``compare --from-scores`` on the three score tables in ``tests/data``.
+
+Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in three cache states:
+an empty cache, the warm cache that first run leaves, and
+``XDG_CACHE_HOME`` a regular file. The exit code, stdout, stderr and every
+output file are compared between the two checkouts; only the manifest's
+``timestamp`` and the output path, the run's own work directory, are
+ignored. The script prints each difference and exits 1 if there is any,
+else 0. Pytest does not collect it.
+"""
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LEVELS = ("sds", "uda", "overall")
+INDICATORS = ("fss", "mncs", "both")
+LOG_LEVELS = ("error", "debug")
+CACHE_STATES = ("empty", "warm", "file")
+SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
+WORK = "<WORK>"
+# the exported table every --baselines run reads
+EXPORTED = "out/score-sds-both-export/summaries/baselines.csv"
+
+
+def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every command, exports before the runs reading them;
+    ``{out}`` stands for the output directory, ``{work}`` for the work
+    directory of the checkout."""
+    corpus = [str(data_dir), "--config", str(run_cfg)]
+    commands = [("validate", ["validate", *corpus])]
+    for pinned in (False, True):
+        for level in LEVELS:
+            for indicator in INDICATORS:
+                extra = (["--baselines", "{work}/" + EXPORTED] if pinned
+                         else ["--export-baselines"])
+                name = (f"score-{level}-{indicator}-"
+                        f"{'pinned' if pinned else 'export'}")
+                commands.append((name, ["score", *corpus, "--level", level,
+                                        "--indicator", indicator, *extra,
+                                        "--out", "{out}"]))
+    for level in LEVELS:
+        for include_all in (False, True):
+            extra = ["--baseline-include-all-doctypes"] if include_all else []
+            name = f"compare-{level}{'-all-doctypes' if include_all else ''}"
+            commands.append((name, ["compare", *corpus, "--level", level,
+                                    *extra, "--out", "{out}"]))
+    data = Path(__file__).resolve().parent / "data"
+    for table in SCORE_TABLES:
+        commands.append((f"replay-{table}", [
+            "compare", "--from-scores", str(data / f"ref_{table}.csv"),
+            "--label", table, "--out", "{out}"]))
+    return commands
+
+
+def run(checkout: Path, work: Path, name: str, argv: list[str],
+        log_level: str, cache: Path) -> dict[str, bytes]:
+    """Run one command in one checkout with the cache at ``cache``; its exit
+    code, stdout, stderr and output files, by name, with the work directory
+    written as WORK."""
+    out = work / "out" / name
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               RANKDIFF_LOG=log_level, XDG_CACHE_HOME=str(cache))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankdiff",
+         *(a.format(out=out, work=work) for a in argv)],
+        cwd=checkout, env=env, capture_output=True)
+
+    def hide(data: bytes) -> bytes:
+        return data.replace(str(work).encode(), WORK.encode())
+    result = {"exit code": str(proc.returncode).encode(),
+              "stdout": hide(proc.stdout), "stderr": hide(proc.stderr)}
+    for path in sorted(out.rglob("*")) if out.is_dir() else ():
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "run_manifest.json":
+                manifest = json.loads(data)
+                manifest.pop("timestamp")
+                data = json.dumps(manifest, indent=1, sort_keys=True).encode()
+            result[f"file {path.relative_to(out).as_posix()}"] = hide(data)
+    return result
+
+
+def differences(name: str, base: dict[str, bytes],
+                change: dict[str, bytes]) -> list[str]:
+    """One report per part that differs: missing on a side, or its diff."""
+    reports = []
+    for part in sorted(base.keys() | change.keys()):
+        old, new = base.get(part), change.get(part)
+        if old == new:
+            continue
+        if old is None or new is None:
+            side = "base" if old is None else "change"
+            reports.append(f"DIFF {name}: {part}: missing in {side}")
+            continue
+        diff = difflib.unified_diff(
+            old.decode(errors="replace").splitlines(),
+            new.decode(errors="replace").splitlines(),
+            "base", "change", lineterm="", n=1)
+        lines = list(diff)
+        shown = "\n".join(lines[:40] + (["..."] if len(lines) > 40 else []))
+        reports.append(f"DIFF {name}: {part}\n{shown}")
+    return reports
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    base, change, data_dir, run_cfg = (Path(a).resolve() for a in argv)
+    found = runs = files = 0
+    with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+        checkouts = [(base, Path(tmp) / "base"),
+                     (change, Path(tmp) / "change")]
+        for _, work in checkouts:
+            work.mkdir()
+            (work / "cache-file").write_text("not a directory")
+        for name, command in matrix(data_dir, run_cfg):
+            for log_level in LOG_LEVELS:
+                for _, work in checkouts:
+                    shutil.rmtree(work / "cache", ignore_errors=True)
+                for state in CACHE_STATES:
+                    label = f"{name} RANKDIFF_LOG={log_level} cache={state}"
+                    # the empty cache, then the one it left, then a file
+                    cache = "cache-file" if state == "file" else "cache"
+                    results = [run(checkout, work, name, command, log_level,
+                                   work / cache)
+                               for checkout, work in checkouts]
+                    runs += 1
+                    files += len(results[1]) - 3
+                    for report in differences(label, *results):
+                        print(report, flush=True)
+                        found += 1
+            if name != "score-sds-both-export":
+                for _, work in checkouts:
+                    shutil.rmtree(work / "out" / name, ignore_errors=True)
+    print(f"{runs} runs in each checkout, {files} output files compared, "
+          f"{found} difference(s)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

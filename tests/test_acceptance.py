@@ -31,8 +31,9 @@ from rankdiff import (FSS, MNCS, FilterConfig, ObservationWindow, Publication,
                       professor_pass, professor_scores, quartile_stats, rank,
                       round_half_away, scoreboards, sds_averages, shift_stats,
                       spearman, unit_scores)
-from helpers import (add_publication, boards_from_columns, clone_university,
-                     comparison_from_ranks, expected_replay_table, load_ref,
+from helpers import (add_publication, boards_from_columns, by_unit,
+                     clone_university, comparison_from_ranks,
+                     expected_replay_table, load_ref,
                      oracle_quartile_stats, oracle_shift_stats,
                      overall_scores, random_corpus, replay_compare, staff_of,
                      tie_blocks)
@@ -52,10 +53,10 @@ def _check_cells(rows, cmp, failures, mncs_pct_integer=False) -> set[str]:
     """Compare every cell with the published table, printed-score tie blocks
     re-ranked by the documented tie rule; return the re-ranked units."""
     expected, reordered = expected_replay_table(rows)
-    by_unit = cmp.by_unit()
+    rows_by_unit = by_unit(cmp)
     for row in expected:
         unit = row["unit"]
-        got = by_unit[unit]
+        got = rows_by_unit[unit]
         if got.fss_rank != int(row["fss_rank"]):
             failures.append(f"{unit}: fss rank {got.fss_rank} != "
                             f"{row['fss_rank']}")
@@ -327,10 +328,10 @@ def test_criterion_08_size_independence_under_cloning():
         averages = sds_averages(corpus, professor_scores(
             corpus, impact_map(corpus, table)))
         cloned = clone_university(corpus, "UNIV1")
-        cloned_scores = professor_scores(cloned, impact_map(cloned, table))
-        fss_after = unit_scores(cloned, "UNIV1", None,
-                                staff_of(cloned, "UNIV1"), cloned_scores,
-                                averages)[0].score
+        cloned_pass = professor_pass(cloned, table)._replace(
+            averages=averages)
+        fss_after = unit_scores(cloned_pass, "UNIV1", None,
+                                staff_of(cloned_pass, "UNIV1"), FSS)[0].score
         mncs_after = overall_scores(cloned, table, MNCS)["UNIV1"]
         if abs(fss_after - fss_before) > 1e-9:
             failures.append(f"case {checked}: fss {fss_before} -> {fss_after}")

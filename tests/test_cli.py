@@ -23,7 +23,7 @@ from rankdiff.cli import main
 from rankdiff.errors import MAX_VIOLATIONS
 from rankdiff.synth import MAX_PUBS_PER_PROFESSOR
 from rankdiff import round_half_away
-from helpers import DATA_DIR, load_ref, replay_compare
+from helpers import DATA_DIR, by_unit, load_ref, replay_compare
 
 RUN_CFG = ("start_year=2008\nend_year=2012\n"
            "min_professors_sds=1\nmin_professors_uda=1\n"
@@ -290,6 +290,49 @@ def test_output_dir_overwrite_requires_force(synth_setup):
     assert main(args) == 0
     assert main(args) == 2
     assert main(args + ["--force"]) == 0
+
+
+def _files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def _manifest(out: Path) -> dict:
+    return json.loads((out / "manifest" / "run_manifest.json")
+                      .read_text(encoding="utf-8"))
+
+
+def test_force_removes_the_outputs_its_manifest_lists(synth_setup):
+    """--force first removes the files the previous manifest lists, each
+    inside the directory, and that manifest; any other file stays, and
+    without a readable manifest, every file does."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    out = tmp_path / "scores"
+    args = ["score", str(data_dir), "--config", str(run_cfg),
+            "--out", str(out)]
+    assert main(args + ["--level", "sds", "--export-baselines"]) == 0
+    assert len(_files(out / "scoreboards")) > 1
+    assert main(args + ["--level", "overall", "--force"]) == 0
+    listed = {*_manifest(out)["outputs"], "manifest/run_manifest.json"}
+    assert _files(out) == listed
+    assert len(_files(out / "scoreboards")) == 1
+
+    outside = tmp_path / "outside.csv"
+    outside.write_text("not an output of this directory", encoding="utf-8")
+    (out / "notes.txt").write_text("not listed", encoding="utf-8")
+    manifest = _manifest(out)
+    manifest["outputs"] += ["../outside.csv", str(outside), "missing.csv"]
+    (out / "manifest" / "run_manifest.json").write_text(
+        json.dumps(manifest), encoding="utf-8")
+    assert main(args + ["--level", "uda", "--force"]) == 0
+    assert outside.exists()
+    assert _files(out) == {*_manifest(out)["outputs"], "notes.txt",
+                           "manifest/run_manifest.json"}
+
+    (out / "manifest" / "run_manifest.json").write_text("{", encoding="utf-8")
+    before = _files(out)
+    assert main(args + ["--level", "overall", "--force"]) == 0
+    assert _files(out) == before | set(_manifest(out)["outputs"])
 
 
 def test_missing_config_is_config_error(synth_setup):
@@ -737,7 +780,7 @@ def test_from_scores_replay_matches_in_library_composition(tmp_path):
     assert main(["compare", "--from-scores", str(scores_csv),
                  "--label", "CHIM_08", "--out", str(out)]) == 0
 
-    expected = replay_compare(rows).by_unit()
+    expected = by_unit(replay_compare(rows))
     with open(out / "comparisons" / "comparison_replay_CHIM_08.csv") as f:
         got = list(csv.DictReader(f))
     assert len(got) == len(expected)

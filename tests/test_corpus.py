@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       FilterConfig, ObservationWindow, Professor, Publication,
-                      apply_filters, compute_scaling_factors, eligible_units,
-                      load_corpus, professor_pass, read_config, scoreboards,
+                      apply_filters, compute_scaling_factors, load_corpus,
+                      professor_pass, read_config, scoreboards,
                       write_corpus_csvs)
 from rankdiff.cli import main
 from rankdiff.corpus import LEVELS
 from rankdiff.errors import MAX_VIOLATIONS
-from helpers import RELAXED_CFG, WINDOW, professors_by_pub, random_corpus
+from helpers import (RELAXED_CFG, WINDOW, eligible_ids, professors_by_pub,
+                     random_corpus, scope_of)
 
 
 def test_load_minimal_fixture(corpus_dir, window):
@@ -300,12 +301,14 @@ def _boards_and_indexes(data_dir: Path):
     corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
     # the indexes are built on first use, by scoring
     assert not {"pubs_by_professor", "professors_by_pub"} & set(vars(corpus))
-    table = compute_scaling_factors(corpus)
-    boards = [scoreboards(professor_pass(corpus, table), RELAXED_CFG, level)
-              for level in LEVELS]
+    pass_ = professor_pass(corpus, compute_scaling_factors(corpus))
+    boards = [scoreboards(pass_, RELAXED_CFG, level) for level in LEVELS]
     indexes = [{k: sorted(v) for k, v in index.items()}
                for index in (corpus.pubs_by_professor, professors_by_pub(corpus))]
-    return boards, indexes, corpus.universities
+    # every field of the pass but the digests of the bytes read
+    fields = pass_._asdict()
+    del fields["file_digests"]
+    return boards, indexes, corpus.universities, fields
 
 
 ROW_ORDER_CORPUS = random_corpus(np.random.default_rng(5), n_universities=6,
@@ -317,7 +320,8 @@ ROW_ORDER_CORPUS = random_corpus(np.random.default_rng(5), n_universities=6,
 @given(seed=st.integers(0, 2**32 - 1))
 def test_row_order_changes_no_board_or_index(seed):
     """Shuffling the data rows of all five corpus files, each under its
-    header, changes no scoreboard at any level and no index."""
+    header, changes no scoreboard at any level, no index and no field of the
+    professor pass."""
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         ordered, shuffled = Path(tmp) / "ordered", Path(tmp) / "shuffled"
@@ -417,13 +421,13 @@ def _headcount_corpus(window, counts: dict[str, int]) -> Corpus:
 
 def test_eligible_units_threshold(window):
     corpus = _headcount_corpus(window, {"A": 3, "B": 1, "C": 2})
-    units = eligible_units(corpus, "sds", FilterConfig(min_professors_sds=2))
+    units = eligible_ids(corpus, "sds", FilterConfig(min_professors_sds=2))
     assert units == {"S": {"A": ["p1", "p2", "p3"], "C": ["p5", "p6"]}}
 
 
 def test_overall_threshold_excludes_29(window):
     corpus = _headcount_corpus(window, {"A": 29, "B": 30})
-    units = eligible_units(corpus, "overall", FilterConfig())
+    units = eligible_ids(corpus, "overall", FilterConfig())
     assert list(units) == [None]
     assert list(units[None]) == ["B"]
 
@@ -439,7 +443,7 @@ def test_eligibility_monotone_in_threshold(window):
                                    min_professors_uda=threshold,
                                    min_professors_overall=threshold)
                 units = {(univ, scope) for scope, members
-                         in eligible_units(corpus, level, cfg).items()
+                         in eligible_ids(corpus, level, cfg).items()
                          for univ in members}
                 if previous is not None:
                     assert units <= previous
@@ -448,7 +452,7 @@ def test_eligibility_monotone_in_threshold(window):
 
 def test_unknown_level_rejected(tiny_corpus):
     with pytest.raises(ValueError, match="unknown level"):
-        eligible_units(tiny_corpus, "faculty", FilterConfig())
+        eligible_ids(tiny_corpus, "faculty", FilterConfig())
 
 
 def test_scope_codes_per_level(tiny_corpus):
@@ -458,7 +462,7 @@ def test_scope_codes_per_level(tiny_corpus):
                        min_professors_overall=0)
 
     def scope_codes(corpus, level):
-        return list(eligible_units(corpus, level, cfg))
+        return list(eligible_ids(corpus, level, cfg))
 
     assert scope_codes(tiny_corpus, "sds") == ["S1", "S2"]
     assert scope_codes(tiny_corpus, "uda") == ["U1"]
@@ -470,11 +474,11 @@ def test_scope_codes_per_level(tiny_corpus):
 
 def test_scope_of_per_level(tiny_corpus):
     p4 = tiny_corpus.professors["p4"]
-    assert tiny_corpus.scope_of(p4, "sds") == "S2"
-    assert tiny_corpus.scope_of(p4, "uda") == "U1"
-    assert tiny_corpus.scope_of(p4, "overall") is None
+    assert scope_of(tiny_corpus, p4, "sds") == "S2"
+    assert scope_of(tiny_corpus, p4, "uda") == "U1"
+    assert scope_of(tiny_corpus, p4, "overall") is None
     with pytest.raises(ValueError, match="unknown level"):
-        tiny_corpus.scope_of(p4, "faculty")
+        scope_of(tiny_corpus, p4, "faculty")
 
 
 def test_filter_config_snapshot_is_json_ready():

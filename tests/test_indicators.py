@@ -15,7 +15,7 @@ from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
 from rankdiff.baselines import CellStats
 from helpers import (RELAXED_CFG, add_publication, clone_university,
                      oracle_unit_scores, overall_scores, random_corpus,
-                     staff_of, unit_ids)
+                     scope_of, staff_of, unit_ids)
 
 WINDOW = ObservationWindow(2008, 2012)
 
@@ -94,9 +94,11 @@ def test_fss_skips_missing_baseline_terms(caplog):
 
 def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
-    staff = staff_of(corpus, univ, level, scope)
-    fss, _ = unit_scores(corpus, univ, scope, staff, scores,
-                         sds_averages(corpus, scores))
+    pass_ = professor_pass(corpus, ScalingFactorTable({}), fss=False)
+    pass_ = pass_._replace(scores=[scores[p] for p in pass_.professor_ids],
+                           averages=sds_averages(corpus, scores))
+    fss, _ = unit_scores(pass_, univ, scope,
+                         staff_of(pass_, univ, level, scope), FSS)
     return fss
 
 
@@ -245,8 +247,8 @@ def test_mncs_no_publications():
     corpus = _corpus([], [], profs)
     table = ScalingFactorTable({})
     assert _mncs(corpus, table) is None
-    assert unit_scores(corpus, "A", None, ["p"],
-                       impacts=impact_map(corpus, table)) == (None, None)
+    assert unit_scores(professor_pass(corpus, table), "A", None, [0],
+                       MNCS) == (None, None)
 
 
 def test_mncs_weights_in_unit_interval():
@@ -337,7 +339,7 @@ def test_scoreboards_match_naive_oracle(level, relaxed_cfg, caplog):
         pub = corpus.publications[a.pub_id]
         if (pub.year,) + pub.subject_categories == missing:
             prof = corpus.professors[a.professor_id]
-            unit = (prof.university_id, corpus.scope_of(prof, level))
+            unit = (prof.university_id, scope_of(corpus, prof, level))
             skipped.setdefault(unit, set()).add(a.pub_id)
     assert skipped
     caplog.clear()
@@ -427,8 +429,10 @@ def test_size_independence_under_cloning():
             continue
         # the clone is standardized by the original national averages
         cloned = clone_university(corpus, univ)
-        fss_after = unit_scores(cloned, univ, None, staff_of(cloned, univ),
-                                _fss_p(cloned, table), averages)[0].score
+        cloned_pass = professor_pass(cloned, table)._replace(
+            averages=averages)
+        fss_after = unit_scores(cloned_pass, univ, None,
+                                staff_of(cloned_pass, univ), FSS)[0].score
         mncs_after = _unit_mncs(cloned, table, univ)
         assert fss_after == pytest.approx(fss_before, abs=1e-9)
         assert mncs_after == pytest.approx(mncs_before, abs=1e-9)

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankdiff import (LEVELS, FilterConfig, ScalingFactorTable, apply_filters,
-                      compute_scaling_factors, load_corpus, professor_pass,
-                      scoreboards, write_corpus_csvs)
+from rankdiff import (LEVELS, FilterConfig, ProfessorPass, ScalingFactorTable,
+                      apply_filters, compute_scaling_factors, load_corpus,
+                      professor_pass, scoreboards, write_corpus_csvs)
 from rankdiff import cache as cache_module
 from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
@@ -474,19 +474,13 @@ def test_pass_hit_prints_what_a_miss_prints(data_dir, tmp_path):
 
 def _pass_snapshot(pass_) -> list:
     """Every field of a professor pass, with its order and value types."""
-    def typed(mapping):
-        return None if mapping is None else \
-            [(k, v, type(v)) for k, v in mapping.items()]
-    return [
-        [(k, list(p), [type(v) for v in p], type(p))
-         for k, p in pass_.professors.items()],
-        type(pass_.field_scheme), typed(pass_.field_scheme.sds_to_uda),
-        typed(pass_.pubs_by_professor), typed(pass_.n_authors_total),
-        typed(pass_.impacts), typed(pass_.scores), typed(pass_.averages),
-        [(cell, tuple(stats), type(stats)) for cell, stats in
-         pass_.table.items()],
-        *pass_[pass_._fields.index("file_digests"):],
-    ]
+    def typed(value):
+        if isinstance(value, dict):
+            return [(typed(k), typed(v)) for k, v in value.items()]
+        if isinstance(value, (list, tuple)):
+            return type(value), [typed(v) for v in value]
+        return type(value), value
+    return [typed(value) for value in pass_]
 
 
 def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
@@ -504,9 +498,23 @@ def test_cached_pass_equals_the_pass_made(cache, data_dir):
     store_pass(WINDOW, RELAXED_CFG, None, made)
     hit = cached_pass(paths, WINDOW, RELAXED_CFG, None, True)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
+    assert list(hit.table().items()) == list(made.table().items())
     for level in LEVELS:
         assert scoreboards(hit, RELAXED_CFG, level) == \
             scoreboards(made, RELAXED_CFG, level)
+
+
+@pytest.mark.parametrize("fss", [True, False], ids=["fss", "mncs_only"])
+def test_pass_marshals_as_it_is(data_dir, fss):
+    """Every field of a professor pass but its last, the file digests, is
+    of builtin types that marshal stores and loads back equal."""
+    corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
+    made = professor_pass(corpus, compute_scaling_factors(corpus), fss)
+    assert ProfessorPass._fields[-1] == "file_digests"
+    stored = made[:-1]
+    assert marshal.loads(marshal.dumps(stored)) == stored
+    assert ProfessorPass(*marshal.loads(marshal.dumps(stored)),
+                         made.file_digests) == made
 
 
 def test_pass_without_fss_misses_for_fss(cache, data_dir):
@@ -615,10 +623,20 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
     (entry,) = _entries(cache)
     good = entry.read_bytes()
     key, payload = marshal.loads(good)
+
+    def replaced(name: str, value) -> bytes:
+        damaged = list(payload)
+        damaged[ProfessorPass._fields.index(name)] = value
+        return marshal.dumps((key, tuple(damaged)))
+    fields = ProfessorPass(*payload, {})
+    pubs = [list(p) for p in fields.pubs]
+    next(p for p in pubs if p)[-1] = len(fields.impacts)
     damages = [good[:len(good) // 2], b"", b"\x00garbage" * 50,
                marshal.dumps((b"another key", payload)),
                marshal.dumps((key, payload[:-1])),
-               marshal.dumps((key, ("x",) * len(payload))), marshal.dumps([key])]
+               marshal.dumps((key, ("x",) * len(payload))), marshal.dumps([key]),
+               replaced("universities", fields.universities[:-1]),
+               replaced("pubs", pubs)]
     for i, damaged in enumerate(damages):
         entry.write_bytes(damaged)
         filtered = []
@@ -629,6 +647,20 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
         assert filtered == [1], i           # a miss
         assert _entries(cache) == [entry]
         assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+
+
+def test_store_removes_passes_of_the_earlier_format(cache, data_dir,
+                                                   run_cfg, tmp_path, capsys):
+    """Earlier versions kept passes in .pass files: one score removes them,
+    and no other file."""
+    cache.mkdir(parents=True)
+    (cache / "old.pass").write_bytes(b"a pass in the earlier format")
+    (cache / "notes.txt").write_text("not an entry", encoding="utf-8")
+    assert _run(["score", str(data_dir), "--config", str(run_cfg), "--level",
+                 "sds", "--out", str(tmp_path / "out")], capsys)[0] == 0
+    assert [p.name for p in _entries(cache) if p.suffix != ".marshal"] == \
+        ["notes.txt"]
+    assert len(_entries(cache)) == 2
 
 
 def test_cap_counts_verdicts_and_passes(cache, data_dir, tmp_path, capsys):

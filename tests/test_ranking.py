@@ -9,7 +9,7 @@ from rankdiff import (DegeneratePopulation, EmptyBoard, ScoreBoard,
                       UnitSetMismatch, compare, natural_key, percentile,
                       quartile, rank, round_half_away, shift_glyph)
 from rankdiff.indicators import FSS, MNCS, UnitScore
-from helpers import boards_from_columns
+from helpers import boards_from_columns, by_unit
 
 
 def _board(scores: dict[str, float]) -> ScoreBoard:
@@ -198,11 +198,11 @@ def test_compare_sign_conventions():
     # unit A leads on FSS but trails on MNCS
     fss, mncs = boards_from_columns(["A", "B"], [2.0, 1.0], [1.0, 2.0])
     cmp = compare(rank(fss), rank(mncs))
-    row_a = cmp.by_unit()["A"]
+    row_a = by_unit(cmp)["A"]
     assert row_a.rank_shift == -1            # worsens under MNCS
     assert row_a.pct_shift == -100.0
     assert shift_glyph(row_a.rank_shift) == "↓1"
-    row_b = cmp.by_unit()["B"]
+    row_b = by_unit(cmp)["B"]
     assert row_b.rank_shift == 1
     assert shift_glyph(row_b.rank_shift) == "↑1"
     assert shift_glyph(0) == "="
