@@ -23,8 +23,8 @@ pubs = [
     Publication("c2", 2008, "article", ("COLD",), 1, 2),
     Publication("x1", 2008, "article", ("HOT", "COLD"), 12, 4),
 ]
-corpus = Corpus(WINDOW, {p.pub_id: p for p in pubs}, [], {},
-                FieldScheme({"S": "U"}), {"r": 1.0})
+corpus = Corpus.from_records(WINDOW, {p.pub_id: p for p in pubs}, [], {},
+                             FieldScheme({"S": "U"}), {"r": 1.0})
 
 table = compute_scaling_factors(corpus)
 print("scaling factors (mean citations of cited publications per cell):")
@@ -34,8 +34,8 @@ for (year, cat), cell in table.items():
 
 print("\nper-publication normalized impact:")
 for p in pubs:
-    factor = scaling_factor(p, table)
-    impact = normalized_impact(p, table)
+    factor = scaling_factor(p.year, p.subject_categories, table)
+    impact = normalized_impact(p.year, p.subject_categories, p.citations, table)
     cats = "+".join(p.subject_categories)
     print(f"  {p.pub_id}: {p.citations:>2} citations / baseline {factor:5.2f} "
           f"({cats}) -> impact {impact:.3f}")
@@ -44,9 +44,9 @@ print("\nnote the cross-listed publication: its baseline is the arithmetic")
 print("mean of the two cell factors, so 12 citations land between the")
 print("hot-field and quiet-field interpretations.")
 
-hot = [normalized_impact(p, table) for p in pubs
-       if p.subject_categories == ("HOT",) and p.citations > 0]
-cold = [normalized_impact(p, table) for p in pubs
-        if p.subject_categories == ("COLD",) and p.citations > 0]
+hot = [normalized_impact(p.year, p.subject_categories, p.citations, table)
+       for p in pubs if p.subject_categories == ("HOT",) and p.citations > 0]
+cold = [normalized_impact(p.year, p.subject_categories, p.citations, table)
+        for p in pubs if p.subject_categories == ("COLD",) and p.citations > 0]
 print(f"\ncited single-category impact means: HOT {sum(hot)/len(hot):.3f}, "
       f"COLD {sum(cold)/len(cold):.3f}  (1.0 by construction)")

@@ -54,8 +54,8 @@ def build_corpus(extra_pub: Publication | None = None,
                 src.citations, src.n_authors_total)
         authorships += [Authorship("w1c", "p1c"), Authorship("w2c", "p2c")]
     salaries = {"full": 2.0 * salary_scale, "assistant": 1.0 * salary_scale}
-    return Corpus(WINDOW, publications, authorships, professors,
-                  FieldScheme({"S1": "U1"}), salaries)
+    return Corpus.from_records(WINDOW, publications, authorships, professors,
+                               FieldScheme({"S1": "U1"}), salaries)
 
 
 def alpha_score(corpus: Corpus, indicator: str) -> float:
@@ -67,8 +67,9 @@ def alpha_score(corpus: Corpus, indicator: str) -> float:
 
 
 def fss_p(corpus: Corpus) -> dict[str, float]:
-    """Every professor's FSS_P."""
-    return professor_scores(corpus, impact_map(corpus, table))
+    """Every professor's FSS_P, by id."""
+    return dict(zip(corpus.professor_ids,
+                    professor_scores(corpus, impact_map(corpus, table))))
 
 
 base = build_corpus()
@@ -100,7 +101,7 @@ fss_small = alpha_score(base, FSS)
 mncs_small = alpha_score(base, MNCS)
 
 # the doubled unit is standardized by the original national SDS averages
-averages = sds_averages(base, fss_p(base))
+averages = sds_averages(base, list(fss_p(base).values()))
 doubled = build_corpus(cloned=True)
 doubled_pass = professor_pass(doubled, table)._replace(averages=averages)
 alpha_staff = eligible_units(doubled_pass, "overall", ALL_UNITS)[None]["ALPHA"]

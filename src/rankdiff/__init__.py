@@ -22,7 +22,6 @@ from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
 from .ranking import (ComparisonRow, ComparisonTable, RankEntry, RankedList,
                       compare, natural_key, percentile, quartile, rank,
                       round_half_away, shift_glyph)
-from .synth import (SynthConfig, generate,
-                    measure_quantity_impact_correlation)
+from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"

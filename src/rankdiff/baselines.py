@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Publication, read_csv, write_csv
+from .corpus import Corpus, read_csv, write_csv
 from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.baselines")
@@ -85,24 +85,26 @@ def _cell_problem(key: tuple[int, str], stats: CellStats) -> str | None:
 
 
 def compute_scaling_factors(corpus: Corpus) -> ScalingFactorTable:
-    """Build the baseline table from the corpus's national population.
+    """Build the baseline table from the corpus's national population,
+    ``corpus.baseline``.
 
     A publication listed under k categories contributes to all k cells.
     """
     sums: dict[tuple[int, str], float] = {}
     cited: dict[tuple[int, str], int] = {}
     total: dict[tuple[int, str], int] = {}
-    for pub in corpus.baseline_publications.values():
-        for cat in pub.subject_categories:
-            key = (pub.year, cat)
+    years, categories, citations = corpus.baseline
+    for year, cats, cites in zip(years, categories, citations):
+        for cat in cats:
+            key = (year, cat)
             total[key] = total.get(key, 0) + 1
-            if pub.citations > 0:
-                sums[key] = sums.get(key, 0.0) + pub.citations
+            if cites > 0:
+                sums[key] = sums.get(key, 0.0) + cites
                 cited[key] = cited.get(key, 0) + 1
     cells = {key: CellStats(mean=sums[key] / cited[key], cited_count=cited[key],
                             total_count=total[key])
              for key in cited}
-    log_computed(len(cells), len(corpus.baseline_publications))
+    log_computed(len(cells), len(years))
     return ScalingFactorTable(cells)
 
 
@@ -111,23 +113,19 @@ def log_computed(cells: int, population: int) -> None:
              cells, population)
 
 
-def scaling_factor(pub: Publication, table: ScalingFactorTable) -> float:
-    """The publication's citation baseline; multi-category publications get
-    the arithmetic mean of their per-category cell means."""
-    means = []
-    for cat in pub.subject_categories:
-        stats = table.cell(pub.year, cat)
-        if stats is None:
-            raise MissingBaseline(
-                f"no baseline for publication {pub.pub_id} "
-                f"(year {pub.year}, category {cat!r})")
-        means.append(stats.mean)
-    return sum(means) / len(means)
+def scaling_factor(year: int, categories: tuple[str, ...],
+                   table: ScalingFactorTable) -> float:
+    """The citation baseline of a publication of ``year`` listed under
+    ``categories``: the arithmetic mean of their cell means."""
+    cells = [table.cell(year, cat) for cat in categories]
+    if None in cells:
+        raise MissingBaseline(f"no baseline for year {year}, category "
+                              f"{categories[cells.index(None)]!r}")
+    return sum(cell.mean for cell in cells) / len(cells)
 
 
-def normalized_impact(pub: Publication, table: ScalingFactorTable) -> float:
+def normalized_impact(year: int, categories: tuple[str, ...], citations: int,
+                      table: ScalingFactorTable) -> float:
     """Citations divided by the scaling factor; 0 for uncited publications."""
-    factor = scaling_factor(pub, table)
-    if pub.citations == 0:
-        return 0.0
-    return pub.citations / factor
+    factor = scaling_factor(year, categories, table)
+    return citations / factor if citations else 0.0

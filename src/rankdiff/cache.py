@@ -19,16 +19,18 @@ import json
 import marshal
 import os
 import sys
+import time
 from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusPaths, FilterConfig, ObservationWindow,
-                     corpus_digests)
+from .corpus import Corpus, FilterConfig, ObservationWindow
 from .indicators import ProfessorPass
 
 # how many entries the cache directory keeps: the latest written
 CACHE_ENTRIES = 8
+# the age past which a temporary file's writer is taken to be dead
+STALE_SECONDS = 3600
 # the modules whose source computes an entry
 SOURCES = ("baselines", "cache", "cli", "corpus", "indicators")
 # what reading or writing an entry may raise, a payload of the wrong shape
@@ -84,8 +86,9 @@ def load(entry: tuple[str, bytes] | None, build: Callable[[object], object]
 
 def store(entry: tuple[str, bytes] | None, payload: object) -> None:
     """Write an entry, through a temporary file, and remove the oldest others
-    beyond CACHE_ENTRIES and every ``.pass`` file, which earlier versions
-    wrote; an error skips the write."""
+    beyond CACHE_ENTRIES, every ``.pass`` file, which earlier versions
+    wrote, and every temporary file older than STALE_SECONDS, which a killed
+    writer left; an error skips the write."""
     if entry is None:
         return
     path, key = entry
@@ -103,6 +106,9 @@ def store(entry: tuple[str, bytes] | None, payload: object) -> None:
                  others[:max(0, len(others) + 1 - CACHE_ENTRIES)]]
         # earlier versions kept passes in .pass files
         stale += [e.path for e in found if e.name.endswith(".pass")]
+        abandoned = time.time() - STALE_SECONDS
+        stale += [e.path for e in found if e.name.endswith(".tmp")
+                  and e.stat().st_mtime < abandoned]
         for old in stale:
             os.remove(old)
         os.replace(temporary, path)
@@ -116,12 +122,11 @@ def store(entry: tuple[str, bytes] | None, payload: object) -> None:
 # ---------------------------------------------------------------------------
 # The verdict of validate: the counts of a corpus that passed every check
 
-def verdict(paths: CorpusPaths | str | Path, window: ObservationWindow
+def verdict(file_digests: dict[str, str], window: ObservationWindow
             ) -> tuple[dict[str, int], int] | None:
-    """The counts of the corpus at ``paths`` and its number of publications
+    """The counts of the corpus of ``file_digests`` and its publications
     outside ``window``, kept when the same bytes passed every check in
     ``window``; None on a miss, as when a file is missing."""
-    file_digests = corpus_digests(paths)
     return load(entry("validate", tuple(window), list(file_digests.values())),
                 lambda payload: (dict(payload[0]), int(payload[1])))
 
@@ -136,14 +141,13 @@ def store_verdict(corpus: Corpus) -> None:
 # ---------------------------------------------------------------------------
 # The professor pass, keyed also by the filters and the baselines' source
 
-def cached_pass(paths: CorpusPaths, window: ObservationWindow,
+def cached_pass(file_digests: dict[str, str], window: ObservationWindow,
                 cfg: FilterConfig, baselines: bytes | None, fss: bool
                 ) -> ProfessorPass | None:
-    """The cached professor pass of the corpus at ``paths``, loaded in
-    ``window``, filtered by ``cfg`` and scored against the baseline table
+    """The cached professor pass of the corpus of ``file_digests``, loaded
+    in ``window``, filtered by ``cfg`` and scored against the baseline table
     whose file holds ``baselines`` (None: computed from the corpus). None on
     a miss, and when the pass lacks the FSS that ``fss`` asks for."""
-    file_digests = corpus_digests(paths)
     pass_ = load(_pass_entry(window, cfg, baselines, file_digests),
                  lambda payload: _checked(ProfessorPass(*payload,
                                                         file_digests)))

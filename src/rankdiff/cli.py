@@ -21,9 +21,10 @@ from pathlib import Path
 
 from . import cache, divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
-from .corpus import (Corpus, CorpusPaths, FilterReport, LEVEL_SDS, LEVELS,
-                     RunConfig, apply_filters, load_corpus, log_filtered,
-                     log_loaded, read_config, read_csv, write_corpus_csvs)
+from .corpus import (Corpus, FilterReport, LEVEL_SDS, LEVELS, RunConfig,
+                     apply_filters, load_corpus, log_filtered, log_loaded,
+                     read_bytes, read_config, read_csv, read_files,
+                     write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
                          ScoreboardSet, UnitScore, log_fss, professor_pass,
@@ -46,15 +47,6 @@ def _setup_logging() -> None:
                            logging.WARNING)
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _read(path: str | Path) -> bytes | None:
-    """The bytes of an input file, read once to be both parsed and hashed;
-    None when it cannot be read, which its parser then reports."""
-    try:
-        return Path(path).read_bytes()
-    except OSError:
-        return None
 
 
 def _digest(path: str | Path, data: bytes | None) -> str:
@@ -164,10 +156,11 @@ def _input_digests(args: argparse.Namespace, pass_: ProfessorPass,
 
 def cmd_validate(args: argparse.Namespace) -> int:
     run_cfg = _config_or_exit(args.config)
-    kept = cache.verdict(args.data_dir, run_cfg.window)
+    files = read_files(args.data_dir)
+    kept = cache.verdict(files.digests, run_cfg.window)
     if kept is None:
         try:
-            corpus = load_corpus(args.data_dir, run_cfg.window)
+            corpus = load_corpus(files, run_cfg.window)
         except CorpusLoadError as exc:
             shown = len(exc.violations)
             print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
@@ -216,19 +209,20 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     output directory check."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
     fss = indicator != MNCS
-    paths = CorpusPaths.from_dir(args.data_dir)
-    baselines = _read(args.baselines) if args.baselines else None
+    files = read_files(args.data_dir)
+    baselines = read_bytes(args.baselines) if args.baselines else None
     # an unreadable --baselines is reported where it is parsed, uncached
     cached = not args.baselines or baselines is not None
-    pass_ = (cache.cached_pass(paths, run_cfg.window, run_cfg.filters,
+    pass_ = (cache.cached_pass(files.digests, run_cfg.window, run_cfg.filters,
                                baselines, fss) if cached else None)
     if pass_ is None:
-        loaded = load_corpus(paths, run_cfg.window)
+        loaded = load_corpus(files, run_cfg.window)
         corpus = apply_filters(loaded, run_cfg.filters)
     else:
         report = FilterReport(*pass_.filter_report)
         log_loaded(pass_.corpus_counts, report.publications_removed_window)
         log_filtered(report)
+    del files       # the bytes, parsed or hashed, are not needed again
     out = OutputDir(args.out, args.force)
     if pass_ is None:
         pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
@@ -402,7 +396,7 @@ def _read_scores_csv(path: Path, data: bytes | None
 
 def _compare_from_scores(args: argparse.Namespace) -> int:
     path = Path(args.from_scores)
-    data = _read(path)
+    data = read_bytes(path)
     fss_board, mncs_board = _read_scores_csv(path, data)
     out = OutputDir(args.out, args.force)
     if len(fss_board.entries) < 2:
@@ -493,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # the cyclic garbage collector is paused while the command runs: a run
-    # creates tens of thousands of records and no reference cycle, so the
+    # creates tens of thousands of objects and no reference cycle, so the
     # collections they would trigger find nothing to free
     enabled = gc.isenabled()
     gc.disable()

@@ -13,9 +13,9 @@ import hashlib
 import io
 import logging
 import math
+from collections import Counter
 from collections.abc import Iterable
-from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -141,162 +141,209 @@ class FilterReport(NamedTuple):
 
 
 class Corpus:
-    """Validated, immutable-by-convention snapshot of the dataset.
+    """Validated, immutable-by-convention snapshot of the dataset, as columns.
 
-    ``baseline_publications`` is the national population used for citation
-    baselines; after filtering it may differ from ``publications`` only when
-    doc-type-excluded records are deliberately kept for baselines.
+    Publications and professors are each in id order, a row named by its
+    index. Per publication: ``pub_ids``, ``years``, ``doc_types``,
+    ``categories`` (tuples), ``citations`` and ``n_authors``; per professor:
+    ``professor_ids``, ``universities``, ``sds``, ``ranks``,
+    ``years_on_staff`` and ``pubs``, the ascending indices of their
+    publications. ``baseline`` holds the years, categories and citations of
+    the national population of the citation baselines, which after
+    filtering differs from the publications only when doc-type-excluded ones
+    are kept for baselines. ``from_columns`` checks and indexes tables.
     """
 
-    def __init__(
-        self,
-        window: ObservationWindow,
-        publications: dict[str, Publication],
-        authorships: list[Authorship],
-        professors: dict[str, Professor],
-        field_scheme: FieldScheme,
-        salary_table: dict[str, float],
-        baseline_publications: dict[str, Publication] | None = None,
-        filter_report: FilterReport | None = None,
-        validate: bool = True,
-        file_digests: dict[str, str] | None = None,
-    ):
+    def __init__(self, window: ObservationWindow, publications: list[list],
+                 professors: list[list], pubs: list[list[int]],
+                 field_scheme: FieldScheme, salary_table: dict[str, float],
+                 baseline: tuple[list, list, list] | None = None,
+                 filter_report: FilterReport | None = None,
+                 file_digests: dict[str, str] | None = None):
         self.window = window
-        self.publications = publications
-        self.authorships = authorships
-        self.professors = professors
+        self.pub_columns, self.prof_columns = publications, professors
+        (self.pub_ids, self.years, self.doc_types, self.categories,
+         self.citations, self.n_authors) = publications
+        (self.professor_ids, self.universities, self.sds, self.ranks,
+         self.years_on_staff) = professors
+        self.pubs = pubs
         self.field_scheme = field_scheme
         self.salary_table = salary_table
-        self.baseline_publications = (
-            publications if baseline_publications is None else baseline_publications
-        )
+        self.baseline = ((self.years, self.categories, self.citations)
+                         if baseline is None else baseline)
         self.filter_report = filter_report
         self.file_digests = {} if file_digests is None else file_digests
-        if validate:
-            violations = self.check()
-            if violations:
-                raise CorpusLoadError(violations)
 
-    # the indexes are built on first use, so a corpus that is only validated
-    # or filtered never builds them
+    @classmethod
+    def from_columns(cls, window: ObservationWindow, publications: list[list],
+                     authorships: list[list], professors: list[list],
+                     field_scheme: FieldScheme, salary_table: dict[str, float],
+                     lines: dict[str, tuple[str, list[int]]] | None = None,
+                     file_digests: dict[str, str] | None = None) -> "Corpus":
+        """The corpus of the given columns, in the order of
+        PUBLICATION_COLUMNS, AUTHORSHIP_COLUMNS and PROFESSOR_COLUMNS, with
+        categories as tuples; raises CorpusLoadError with every violation
+        ``check`` finds. Rows are put in id order, and each authorship
+        becomes a publication index of its professor."""
+        violations = cls.check(window, publications, authorships, professors,
+                               field_scheme, salary_table, lines)
+        if violations:
+            raise CorpusLoadError(violations)
+        publications, pub_index = _by_id(publications)
+        professors, prof_index = _by_id(professors)
+        pubs: list[list[int]] = [[] for _ in professors[0]]
+        for i, j in zip(map(prof_index.__getitem__, authorships[1]),
+                        map(pub_index.__getitem__, authorships[0])):
+            pubs[i].append(j)
+        for indices in pubs:
+            indices.sort()
+        return cls(window, publications, professors, pubs, field_scheme,
+                   salary_table, file_digests=file_digests)
 
-    @cached_property
-    def pubs_by_professor(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for a in self.authorships:
-            index.setdefault(a.professor_id, []).append(a.pub_id)
-        return index
+    @classmethod
+    def from_records(cls, window: ObservationWindow,
+                     publications: dict[str, Publication],
+                     authorships: Iterable[Authorship],
+                     professors: dict[str, Professor],
+                     field_scheme: FieldScheme, salary_table: dict[str, float]
+                     ) -> "Corpus":
+        """The corpus of ``Publication``, ``Authorship`` and ``Professor``
+        records, through ``from_columns``; a violation is named by the key
+        of its record."""
+        def columns(rows: Iterable[tuple], record: type) -> list[list]:
+            return list(map(list, zip(*rows))) or [[] for _ in record._fields]
+        return cls.from_columns(
+            window, columns(publications.values(), Publication),
+            columns(authorships, Authorship),
+            columns(professors.values(), Professor), field_scheme, salary_table)
 
-    @cached_property
-    def universities(self) -> list[str]:
-        return sorted({p.university_id for p in self.professors.values()})
-
-    def check(self, lines: dict[tuple[str, object], str] | None = None
+    @staticmethod
+    def check(window: ObservationWindow, publications: list[list],
+              authorships: list[list], professors: list[list],
+              field_scheme: FieldScheme, salary_table: dict[str, float],
+              lines: dict[str, tuple[str, list[int]]] | None = None
               ) -> list[Violation]:
-        """Cross-reference and invariant checks; returns all violations found.
-
-        ``lines`` maps (file, key) to the "file:line" a record was loaded
-        from, keyed by id and by list index for authorships; a record
-        without one is named by its key.
-        """
+        """Cross-reference and invariant checks of the columns
+        ``from_columns`` takes: all violations found, table by table and row
+        by row. ``lines`` maps each table to its file's name and the line of
+        each row, which name a violation as "file:line"; without it, a
+        violation is named by the key of its row."""
         v: list[Violation] = []
-        lines = lines or {}
 
-        def add(file: str, key: object, fld: str, msg: str,
-                name: str | None = None) -> None:
-            where = lines.get((file, key), key if name is None else name)
-            v.append(Violation(where, fld, msg))
+        def add(table: str, row: int, key: str, fld: str, msg: str) -> None:
+            if lines is not None:
+                name, numbers = lines[table]
+                key = f"{name}:{numbers[row]}"
+            v.append(Violation(key, fld, msg))
 
-        for pub in self.publications.values():
-            if not pub.subject_categories:
-                add("publications", pub.pub_id, "subject_categories",
+        pub_ids, _, _, categories, citations, n_authors = publications
+        for i, (pub_id, cats, cites, n) in enumerate(
+                zip(pub_ids, categories, citations, n_authors)):
+            if not cats:
+                add("publications", i, pub_id, "subject_categories",
                     "must be non-empty")
-            if pub.citations < 0:
-                add("publications", pub.pub_id, "citations",
-                    f"must be >= 0, got {pub.citations}")
-            if pub.n_authors_total < 1:
-                add("publications", pub.pub_id, "n_authors_total",
-                    f"must be >= 1, got {pub.n_authors_total}")
-        n_years = self.window.n_years
-        for prof in self.professors.values():
-            pid = prof.professor_id
-            if prof.sds_code not in self.field_scheme.sds_to_uda:
-                add("professors", pid, "sds_code",
-                    f"unknown SDS {_quote(prof.sds_code)}")
-            if prof.academic_rank not in self.salary_table:
-                add("professors", pid, "academic_rank",
-                    f"rank {_quote(prof.academic_rank)} missing from salary table")
-            years = prof.years_on_staff
+            if cites < 0:
+                add("publications", i, pub_id, "citations",
+                    f"must be >= 0, got {cites}")
+            if n < 1:
+                add("publications", i, pub_id, "n_authors_total",
+                    f"must be >= 1, got {n}")
+        n_years = window.n_years
+        professor_ids, _, sds, ranks, years_on_staff = professors
+        for i, (pid, code, rank, years) in enumerate(
+                zip(professor_ids, sds, ranks, years_on_staff)):
+            if code not in field_scheme.sds_to_uda:
+                add("professors", i, pid, "sds_code",
+                    f"unknown SDS {_quote(code)}")
+            if rank not in salary_table:
+                add("professors", i, pid, "academic_rank",
+                    f"rank {_quote(rank)} missing from salary table")
             if not 0 < years <= n_years:
-                add("professors", pid, "years_on_staff",
+                add("professors", i, pid, "years_on_staff",
                     f"{years} exceeds window length {n_years}"
                     if years > n_years else f"must be > 0, got {years}")
-        seen: set[tuple[str, str]] = set()
-        per_pub: dict[str, int] = {}
-        for i, a in enumerate(self.authorships):
-            pair = (a.pub_id, a.professor_id)
-            if pair in seen:
-                add("authorships", i, "authorship", "duplicate pair",
-                    "/".join(pair))
-            seen.add(pair)
-            # a dangling row is reported once and counts toward no total
-            if a.pub_id not in self.publications:
-                add("authorships", i, "pub_id",
-                    f"unknown publication {_quote(a.pub_id)}", "/".join(pair))
-            elif a.professor_id in self.professors:
-                per_pub[a.pub_id] = per_pub.get(a.pub_id, 0) + 1
-            if a.professor_id not in self.professors:
-                add("authorships", i, "professor_id",
-                    f"unknown professor {_quote(a.professor_id)}", "/".join(pair))
+        pub_rows = dict(zip(pub_ids, range(len(pub_ids))))
+        known = set(professor_ids)
+        # the authorships, the costliest table, are walked row by row only
+        # when a test of their whole columns fails
+        a_pubs, a_profs = authorships
+        per_pub: dict[str, int] = Counter(a_pubs)
+        if not (len(set(zip(a_pubs, a_profs))) == len(a_pubs)
+                and pub_rows.keys() >= per_pub.keys() and known >= set(a_profs)):
+            seen: set[tuple[str, str]] = set()
+            per_pub = {}
+            for i, pair in enumerate(zip(a_pubs, a_profs)):
+                pub_id, pid = pair
+                if pair in seen:
+                    add("authorships", i, "/".join(pair), "authorship",
+                        "duplicate pair")
+                seen.add(pair)
+                # a dangling row is reported once and counts toward no total
+                if pub_id not in pub_rows:
+                    add("authorships", i, "/".join(pair), "pub_id",
+                        f"unknown publication {_quote(pub_id)}")
+                elif pid in known:
+                    per_pub[pub_id] = per_pub.get(pub_id, 0) + 1
+                if pid not in known:
+                    add("authorships", i, "/".join(pair), "professor_id",
+                        f"unknown professor {_quote(pid)}")
         for pub_id, count in per_pub.items():
-            pub = self.publications[pub_id]
-            if count > pub.n_authors_total >= 1:    # < 1 is reported above
-                add("publications", pub_id, "n_authors_total",
-                    f"{count} authorships exceed n_authors_total={pub.n_authors_total}")
-        for rank, salary in self.salary_table.items():
+            i = pub_rows[pub_id]
+            if count > n_authors[i] >= 1:       # < 1 is reported above
+                add("publications", i, pub_id, "n_authors_total",
+                    f"{count} authorships exceed n_authors_total={n_authors[i]}")
+        for i, salary in enumerate(salary_table.values()):
             if not 0 < salary < math.inf:
-                add("salaries", rank, "avg_yearly_salary",
-                    f"must be finite and > 0, got {salary}", "salary_table")
+                add("salaries", i, "salary_table", "avg_yearly_salary",
+                    f"must be finite and > 0, got {salary}")
         return v
+
+    def authorships(self) -> list[tuple[str, str]]:
+        """Every (pub_id, professor_id) pair, sorted."""
+        return sorted((self.pub_ids[j], pid)
+                      for pid, indices in zip(self.professor_ids, self.pubs)
+                      for j in indices)
 
     def counts(self) -> dict[str, int]:
         return {
-            "universities": len(self.universities),
-            "professors": len(self.professors),
-            "publications": len(self.publications),
-            "authorships": len(self.authorships),
+            "universities": len(set(self.universities)),
+            "professors": len(self.professor_ids),
+            "publications": len(self.pub_ids),
+            "authorships": sum(map(len, self.pubs)),
             "sds": len(self.field_scheme.sds_to_uda),
             "uda": len(set(self.field_scheme.sds_to_uda.values())),
         }
 
     def outside_window(self) -> int:
         """How many publications fall outside the window."""
-        return sum(1 for p in self.publications.values()
-                   if not self.window.contains(p.year))
+        return sum(not self.window.contains(year) for year in self.years)
 
     def digest(self) -> str:
         """Stable content hash of the corpus, independent of row order."""
         h = hashlib.sha256()
         h.update(f"{self.window.start_year},{self.window.end_year}".encode())
-        for pid in sorted(self.publications):
-            p = self.publications[pid]
-            h.update(
-                f"P|{p.pub_id}|{p.year}|{p.doc_type}|{'|'.join(p.subject_categories)}"
-                f"|{p.citations}|{p.n_authors_total}\n".encode()
-            )
-        for a in sorted(self.authorships, key=lambda a: (a.pub_id, a.professor_id)):
-            h.update(f"A|{a.pub_id}|{a.professor_id}\n".encode())
-        for pid in sorted(self.professors):
-            pr = self.professors[pid]
-            h.update(
-                f"R|{pr.professor_id}|{pr.university_id}|{pr.sds_code}"
-                f"|{pr.academic_rank}|{pr.years_on_staff!r}\n".encode()
-            )
+        for pub_id, year, doc_type, cats, cites, n in zip(*self.pub_columns):
+            h.update(f"P|{pub_id}|{year}|{doc_type}|{'|'.join(cats)}"
+                     f"|{cites}|{n}\n".encode())
+        for pub_id, pid in self.authorships():
+            h.update(f"A|{pub_id}|{pid}\n".encode())
+        for pid, univ, code, rank, years in zip(*self.prof_columns):
+            h.update(f"R|{pid}|{univ}|{code}|{rank}|{years!r}\n".encode())
         for code in sorted(self.field_scheme.sds_to_uda):
             h.update(f"F|{code}|{self.field_scheme.sds_to_uda[code]}\n".encode())
         for rank in sorted(self.salary_table):
             h.update(f"S|{rank}|{self.salary_table[rank]!r}\n".encode())
         return h.hexdigest()
+
+
+def _by_id(columns: list[list]) -> tuple[list[list], dict[str, int]]:
+    """The rows of a table whose first column holds unique ids, in id order,
+    and the index of each id."""
+    ids = columns[0]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    if order != list(range(len(order))):
+        columns = [list(map(column.__getitem__, order)) for column in columns]
+    return columns, dict(zip(columns[0], range(len(order))))
 
 
 # ---------------------------------------------------------------------------
@@ -496,68 +543,83 @@ def write_csv(path: str | Path, columns: Iterable[str],
         w.writerows(rows)
 
 
-def load_corpus(paths: CorpusPaths | str | Path, window: ObservationWindow) -> Corpus:
-    """Load and validate the five corpus CSV files.
+class CorpusFiles(NamedTuple):
+    """The five corpus files as read: their paths, the bytes of each, None
+    for a missing one, and the sha256 of each file read, by path."""
+
+    paths: CorpusPaths
+    data: list[bytes | None]
+    digests: dict[str, str]
+
+
+def read_files(paths: CorpusPaths | str | Path) -> CorpusFiles:
+    """Read the five corpus files once, to be both hashed and parsed."""
+    if not isinstance(paths, CorpusPaths):
+        paths = CorpusPaths.from_dir(paths)
+    data = list(map(read_bytes, paths))
+    return CorpusFiles(paths, data, {
+        str(path): hashlib.sha256(d).hexdigest()
+        for path, d in zip(paths, data) if d is not None})
+
+
+def read_bytes(path: str | Path) -> bytes | None:
+    """The bytes of an input file, read once to be both parsed and hashed;
+    None when it cannot be read, which its parser then reports."""
+    try:
+        return Path(path).read_bytes()
+    except OSError:
+        return None
+
+
+def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
+                window: ObservationWindow) -> Corpus:
+    """Load and validate the five corpus CSV files, each read once to be
+    both parsed and hashed; ``paths`` may be the files ``read_files`` read.
 
     ``read_csv`` checks every cell and key; the corpus invariants are then
-    checked once by ``Corpus.check``. Raises CorpusLoadError counting every
-    violation found and naming file, line and field for the first
-    MAX_VIOLATIONS; nothing is silently dropped. Each file is read once, and
-    the bytes read are both parsed and hashed.
+    checked once by ``Corpus.check``, which names the file and line of each
+    violation. Raises CorpusLoadError counting every violation found and
+    naming file, line and field for the first MAX_VIOLATIONS; nothing is
+    silently dropped.
     """
-    paths, data, file_digests = _read_files(paths)
+    files = paths if isinstance(paths, CorpusFiles) else read_files(paths)
     violations: list[Violation] = []
-    contents = dict(zip(CorpusPaths._fields, data))
+    contents = dict(zip(CorpusPaths._fields, files.data))
+    lines: dict[str, tuple[str, list[int]]] = {}
 
     def read(name: str, columns: dict[str, type], key: tuple[str, ...] = ()
-             ) -> tuple[list[int], list[list]]:
-        path = getattr(paths, name)
-        return read_csv(path, columns, violations, label=path.name, key=key,
-                        data=contents[name])
+             ) -> list[list]:
+        path = getattr(files.paths, name)
+        numbers, cells = read_csv(path, columns, violations, label=path.name,
+                                  key=key, data=contents[name])
+        lines[name] = (path.name, numbers)
+        return cells
 
-    pub_lines, pub_columns = read("publications", PUBLICATION_COLUMNS,
-                                  ("pub_id",))
+    pub_columns = read("publications", PUBLICATION_COLUMNS, ("pub_id",))
     pub_columns[3] = [tuple(filter(None, map(str.strip, c.split("|"))))
                       for c in pub_columns[3]]
 
-    field_lines, (codes, sds_names, udas, uda_names) = read(
-        "fields", FIELD_COLUMNS, ("sds_code",))
+    codes, sds_names, udas, uda_names = read("fields", FIELD_COLUMNS,
+                                             ("sds_code",))
     uda_name_of: dict[str, str] = {}
-    for line, uda, uda_name in zip(field_lines, udas, uda_names):
+    name, numbers = lines["fields"]
+    for line, uda, uda_name in zip(numbers, udas, uda_names):
         if uda_name_of.get(uda, uda_name) != uda_name:
-            violations.append(Violation(f"{paths.fields.name}:{line}", "uda_name",
+            violations.append(Violation(f"{name}:{line}", "uda_name",
                                         f"conflicting names for UDA {_quote(uda)}"))
         uda_name_of[uda] = uda_name
     scheme = FieldScheme(dict(zip(codes, udas)), dict(zip(codes, sds_names)),
                          uda_name_of)
 
-    salary_lines, (ranks, salaries) = read("salaries", SALARY_COLUMNS,
-                                           ("academic_rank",))
-    prof_lines, prof_columns = read("professors", PROFESSOR_COLUMNS,
-                                    ("professor_id",))
-    auth_lines, auth_columns = read("authorships", AUTHORSHIP_COLUMNS)
+    ranks, salaries = read("salaries", SALARY_COLUMNS, ("academic_rank",))
+    prof_columns = read("professors", PROFESSOR_COLUMNS, ("professor_id",))
+    auth_columns = read("authorships", AUTHORSHIP_COLUMNS)
     if violations:
         raise CorpusLoadError(violations)
-
-    pubs = records(Publication, zip(*pub_columns))
-    profs = records(Professor, zip(*prof_columns))
-    corpus = Corpus(window, dict(zip(pub_columns[0], pubs)),
-                    list(records(Authorship, zip(*auth_columns))),
-                    dict(zip(prof_columns[0], profs)), scheme,
-                    dict(zip(ranks, salaries)), validate=False,
-                    file_digests=file_digests)
-    violations = corpus.check()
-    if violations:      # check again, naming the line of each record
-        lines: dict[tuple[str, object], str] = {}
-        for file, path, keys, numbers in [
-                ("publications", paths.publications, pub_columns[0], pub_lines),
-                ("salaries", paths.salaries, ranks, salary_lines),
-                ("professors", paths.professors, prof_columns[0], prof_lines),
-                ("authorships", paths.authorships, range(len(auth_lines)),
-                 auth_lines)]:
-            lines.update(((file, k), f"{path.name}:{n}")
-                         for k, n in zip(keys, numbers))
-        raise CorpusLoadError(corpus.check(lines))
+    corpus = Corpus.from_columns(window, pub_columns, auth_columns,
+                                 prof_columns, scheme,
+                                 dict(zip(ranks, salaries)), lines,
+                                 files.digests)
     if log.isEnabledFor(logging.INFO):
         log_loaded(corpus.counts(), corpus.outside_window())
     return corpus
@@ -568,38 +630,6 @@ def log_loaded(counts: dict[str, int], outside_window: int) -> None:
              "filtering)", counts, outside_window)
 
 
-def corpus_digests(paths: CorpusPaths | str | Path) -> dict[str, str]:
-    """sha256 of each corpus file, by path, as ``load_corpus`` would record
-    them; a missing file has none."""
-    return _read_files(paths)[2]
-
-
-def _read_files(paths: CorpusPaths | str | Path
-                ) -> tuple[CorpusPaths, list[bytes | None], dict[str, str]]:
-    """The corpus paths, the bytes of each file, None for a missing one, and
-    the sha256 of each file read, by path."""
-    if not isinstance(paths, CorpusPaths):
-        paths = CorpusPaths.from_dir(paths)
-    data = [_read_if_present(path) for path in paths]
-    return paths, data, {str(path): hashlib.sha256(d).hexdigest()
-                         for path, d in zip(paths, data) if d is not None}
-
-
-def _read_if_present(path: Path) -> bytes | None:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:       # read_csv reports it
-        return None
-
-
-def records(cls: type, rows: Iterable[tuple]) -> Iterable:
-    """The records of the NamedTuple ``cls`` whose fields are ``rows``, made
-    by ``tuple.__new__``: a loaded value is already of its field's type, so
-    the generated ``__new__`` and its argument handling are skipped. Not for
-    a ``Checked`` record."""
-    return map(tuple.__new__, repeat(cls), rows)
-
-
 # ---------------------------------------------------------------------------
 # Filtering
 
@@ -608,31 +638,33 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
 
     Idempotent. Excluded doc types leave the baseline population too unless
     cfg.baseline_include_all_doctypes is set, in which case they stay in
-    baseline_publications only.
+    the baseline only.
     """
-    keep_prof = {pid: p for pid, p in corpus.professors.items()
-                 if p.years_on_staff >= cfg.min_years_on_staff}
-    in_window = {pid: p for pid, p in corpus.publications.items()
-                 if corpus.window.contains(p.year)}
-    keep_pub = {pid: p for pid, p in in_window.items()
-                if p.doc_type not in cfg.excluded_doc_types}
+    keep_prof = [years >= cfg.min_years_on_staff
+                 for years in corpus.years_on_staff]
+    in_window = list(map(corpus.window.contains, corpus.years))
+    keep_pub = [inside and doc_type not in cfg.excluded_doc_types
+                for inside, doc_type in zip(in_window, corpus.doc_types)]
+    baseline = None
     if cfg.baseline_include_all_doctypes:
-        baseline = dict(in_window)
-    else:
-        baseline = dict(keep_pub)
-    keep_auth = [a for a in corpus.authorships
-                 if a.pub_id in keep_pub and a.professor_id in keep_prof]
+        baseline = tuple(list(compress(column, in_window)) for column
+                         in (corpus.years, corpus.categories, corpus.citations))
+    # the index of each kept publication: the number kept before it
+    index = list(accumulate(keep_pub, initial=0))
+    pubs = [[index[j] for j in indices if keep_pub[j]]
+            for indices in compress(corpus.pubs, keep_prof)]
+    publications = [list(compress(c, keep_pub)) for c in corpus.pub_columns]
+    professors = [list(compress(c, keep_prof)) for c in corpus.prof_columns]
     report = FilterReport(
-        professors_removed_tenure=len(corpus.professors) - len(keep_prof),
-        publications_removed_doctype=len(in_window) - len(keep_pub),
-        publications_removed_window=len(corpus.publications) - len(in_window),
-        authorships_removed=len(corpus.authorships) - len(keep_auth),
+        professors_removed_tenure=len(keep_prof) - len(pubs),
+        publications_removed_doctype=sum(in_window) - index[-1],
+        publications_removed_window=len(in_window) - sum(in_window),
+        authorships_removed=sum(map(len, corpus.pubs)) - sum(map(len, pubs)),
     )
     log_filtered(report)
-    return Corpus(corpus.window, keep_pub, keep_auth, keep_prof,
-                  corpus.field_scheme, corpus.salary_table,
-                  baseline_publications=baseline, filter_report=report,
-                  validate=False, file_digests=corpus.file_digests)
+    return Corpus(corpus.window, publications, professors, pubs,
+                  corpus.field_scheme, corpus.salary_table, baseline, report,
+                  corpus.file_digests)
 
 
 def log_filtered(report: FilterReport) -> None:
@@ -648,15 +680,13 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
     d.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.from_dir(d)
     scheme = corpus.field_scheme
-    write_csv(paths.publications, PUBLICATION_COLUMNS,
-              ([p.pub_id, p.year, p.doc_type, "|".join(p.subject_categories),
-                p.citations, p.n_authors_total]
-               for _, p in sorted(corpus.publications.items())))
-    write_csv(paths.authorships, AUTHORSHIP_COLUMNS, sorted(corpus.authorships))
-    write_csv(paths.professors, PROFESSOR_COLUMNS,
-              ([p.professor_id, p.university_id, p.sds_code, p.academic_rank,
-                f"{p.years_on_staff:g}"]
-               for _, p in sorted(corpus.professors.items())))
+    publications = list(corpus.pub_columns)
+    publications[3] = ["|".join(cats) for cats in publications[3]]
+    write_csv(paths.publications, PUBLICATION_COLUMNS, zip(*publications))
+    write_csv(paths.authorships, AUTHORSHIP_COLUMNS, corpus.authorships())
+    *professors, years_on_staff = corpus.prof_columns
+    write_csv(paths.professors, PROFESSOR_COLUMNS, zip(
+        *professors, (f"{years:g}" for years in years_on_staff)))
     write_csv(paths.fields, FIELD_COLUMNS,
               ([code, scheme.sds_names.get(code, code), uda,
                 scheme.uda_names.get(uda, uda)]

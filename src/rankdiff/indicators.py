@@ -41,51 +41,50 @@ class ScoreBoard(NamedTuple):
     entries: list[UnitScore]
 
 
-def impact_map(corpus: Corpus, table: ScalingFactorTable) -> dict[str, float | None]:
-    """Normalized impact per publication; None marks a missing baseline.
+def impact_map(corpus: Corpus, table: ScalingFactorTable) -> list[float | None]:
+    """Normalized impact of each publication, by index; None: no baseline.
 
     The scaling factor is found once per distinct (year, categories); each
     impact is then what ``normalized_impact`` gives.
     """
     factors: dict[tuple[int, tuple[str, ...]], float | None] = {}
-    impacts: dict[str, float | None] = {}
-    for pub_id in sorted(corpus.publications):
-        pub = corpus.publications[pub_id]
-        cell = (pub.year, pub.subject_categories)
+    impacts: list[float | None] = []
+    for cell, cites in zip(zip(corpus.years, corpus.categories),
+                           corpus.citations):
         if cell not in factors:
             try:
-                factors[cell] = scaling_factor(pub, table)
+                factors[cell] = scaling_factor(*cell, table)
             except MissingBaseline:
                 factors[cell] = None
         factor = factors[cell]
-        impacts[pub_id] = (None if factor is None else
-                           pub.citations / factor if pub.citations else 0.0)
+        impacts.append(None if factor is None else
+                       cites / factor if cites else 0.0)
     return impacts
 
 
-def professor_scores(corpus: Corpus,
-                     impacts: dict[str, float | None]) -> dict[str, float]:
-    """Average yearly productivity (FSS_P) of every professor.
+def professor_scores(corpus: Corpus, impacts: list[float | None]
+                     ) -> list[float]:
+    """Average yearly productivity (FSS_P) of each professor, by index.
 
     score = (1 / salary) * (1 / t) * sum over authored publications of
     (normalized impact / total co-author count). A publication whose
     ``impacts`` entry is None (no baseline) is skipped and counted in one
-    warning. Terms are summed in publication-id order, so input row order
-    cannot change a score.
+    warning. Terms are summed in publication index order, which is id order,
+    so input row order cannot change a score.
     """
-    scores: dict[str, float] = {}
+    scores: list[float] = []
     skipped = 0
-    for pid in sorted(corpus.professors):
-        prof = corpus.professors[pid]
+    n_authors, salary_table = corpus.n_authors, corpus.salary_table
+    for indices, rank, years in zip(corpus.pubs, corpus.ranks,
+                                    corpus.years_on_staff):
         total = 0.0
-        for pub_id in sorted(corpus.pubs_by_professor.get(pid, [])):
-            impact = impacts[pub_id]
+        for j in indices:
+            impact = impacts[j]
             if impact is None:
                 skipped += 1
             else:
-                total += impact / corpus.publications[pub_id].n_authors_total
-        salary = corpus.salary_table[prof.academic_rank]
-        scores[pid] = total / (salary * prof.years_on_staff)
+                total += impact / n_authors[j]
+        scores.append(total / (salary_table[rank] * years))
     log_fss_skipped(skipped)
     return scores
 
@@ -96,17 +95,19 @@ def log_fss_skipped(skipped: int) -> None:
                     skipped)
 
 
-def sds_averages(corpus: Corpus, scores: dict[str, float]) -> dict[str, float]:
-    """National mean productivity of each SDS's productive professors.
+def sds_averages(corpus: Corpus, scores: list[float]) -> dict[str, float]:
+    """National mean productivity of each SDS's productive professors, from
+    the ``scores`` of the professors, by index.
 
     An SDS without a productive professor has no mean and is logged. Values
-    are summed in professor-id order, so input row order cannot change them.
+    are summed in professor index order, which is id order, so input row
+    order cannot change them.
     """
     productive: dict[str, list[float]] = {}
-    for pid in sorted(corpus.professors):
-        values = productive.setdefault(corpus.professors[pid].sds_code, [])
-        if scores[pid] > 0:
-            values.append(scores[pid])
+    for code, score in zip(corpus.sds, scores):
+        values = productive.setdefault(code, [])
+        if score > 0:
+            values.append(score)
     averages: dict[str, float] = {}
     for code, values in sorted(productive.items()):
         if values:
@@ -169,29 +170,20 @@ def professor_pass(corpus: Corpus, table: ScalingFactorTable,
     ``professor_scores`` and ``sds_averages`` log. ``corpus_counts`` are
     the counts of the corpus before filtering, when known."""
     impacts = impact_map(corpus, table)
-    index = dict(zip(impacts, range(len(impacts))))
-    ids = sorted(corpus.professors)
-    profs = list(map(corpus.professors.__getitem__, ids))
-    pubs_of = corpus.pubs_by_professor.get
-    pubs = [sorted(map(index.__getitem__, pubs_of(pid, ()))) for pid in ids]
-    sds = [p.sds_code for p in profs]
-    impact_column = list(impacts.values())
     scores = averages = skipped = unproductive = None
     if fss:
         scores = professor_scores(corpus, impacts)
         averages = sds_averages(corpus, scores)
-        scores = list(scores.values())
-        skipped = sum(impact_column[j] is None for ps in pubs for j in ps)
-        unproductive = sorted(set(sds).difference(averages))
+        skipped = sum(impacts[j] is None for ps in corpus.pubs for j in ps)
+        unproductive = sorted(set(corpus.sds).difference(averages))
     return ProfessorPass(
-        ids, [p.university_id for p in profs], sds, pubs, scores,
-        impact_column,
-        [corpus.publications[pub_id].n_authors_total for pub_id in impacts],
+        corpus.professor_ids, corpus.universities, corpus.sds, corpus.pubs,
+        scores, impacts, corpus.n_authors,
         dict(corpus.field_scheme.sds_to_uda), averages,
         {cell: tuple(stats) for cell, stats in table.items()},
         None if corpus.filter_report is None else tuple(corpus.filter_report),
-        len(corpus.baseline_publications), skipped, unproductive,
-        corpus_counts, corpus.file_digests)
+        len(corpus.baseline[0]), skipped, unproductive, corpus_counts,
+        corpus.file_digests)
 
 
 def log_fss(pass_: ProfessorPass) -> None:

@@ -18,12 +18,9 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .baselines import ScalingFactorTable
 from .corpus import (Authorship, Checked, Corpus, FieldScheme,
                      ObservationWindow, Professor, Publication)
-from .divergence import pearson
 from .errors import SynthConfigError
-from .indicators import impact_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -367,8 +364,8 @@ def generate(cfg: SynthConfig) -> Corpus:
 
     _ensure_cited_cells(publications, rng)
 
-    corpus = Corpus(window, publications, authorships, professors, scheme,
-                    salary_table)
+    corpus = Corpus.from_records(window, publications, authorships,
+                                 professors, scheme, salary_table)
     log.info("synthesized corpus (seed %d): %s", cfg.seed, corpus.counts())
     return corpus
 
@@ -393,18 +390,3 @@ def _ensure_cited_cells(publications: dict[str, Publication],
                 citations=1 + int(rng.poisson(2.0)))
             log.info("cell %s had no cited publication; re-drew %s", key, pub_id)
 
-
-def measure_quantity_impact_correlation(corpus: Corpus,
-                                        table: ScalingFactorTable) -> float:
-    """Pearson between per-professor output count and mean normalized impact,
-    over professors with at least one normalizable publication."""
-    impact = impact_map(corpus, table)
-    counts = []
-    impacts = []
-    for pid in sorted(corpus.professors):
-        pub_ids = corpus.pubs_by_professor.get(pid, [])
-        values = [impact[p] for p in pub_ids if impact[p] is not None]
-        if values:
-            counts.append(len(pub_ids))
-            impacts.append(sum(values) / len(values))
-    return pearson(counts, impacts)

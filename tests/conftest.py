@@ -47,7 +47,7 @@ def tiny_corpus(window):
     auths = [Authorship("w1", "p1"), Authorship("w1", "p3"),
              Authorship("w2", "p2"), Authorship("w3", "p2"),
              Authorship("w4", "p3"), Authorship("w5", "p1")]
-    return Corpus(window, pubs, auths, profs, fields, salaries)
+    return Corpus.from_records(window, pubs, auths, profs, fields, salaries)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from rankdiff import (LEVEL_OVERALL, LEVEL_SDS, LEVEL_UDA, Authorship,
                       ComparisonRow, ComparisonTable, Corpus, FieldScheme,
                       FilterConfig, ObservationWindow, Professor,
                       ProfessorPass, Publication, ScoreBoard, compare,
-                      compute_scaling_factors, eligible_units, professor_pass,
-                      rank, scoreboards)
+                      compute_scaling_factors, eligible_units, pearson,
+                      professor_pass, rank, scoreboards)
 from rankdiff.indicators import FSS, MNCS, UnitScore
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -201,8 +202,8 @@ def random_corpus(rng: np.random.Generator, n_universities: int = 3,
             authorships += [Authorship(pub_id, a) for a in authors]
     if densify_baselines:
         _densify(publications)
-    return Corpus(WINDOW, publications, authorships, professors, scheme,
-                  salaries)
+    return Corpus.from_records(WINDOW, publications, authorships, professors,
+                               scheme, salaries)
 
 
 def _densify(publications: dict[str, Publication]) -> None:
@@ -227,12 +228,59 @@ def _densify(publications: dict[str, Publication]) -> None:
         cited.add(key)
 
 
+class Records(NamedTuple):
+    """A corpus as the records ``Corpus.from_records`` takes."""
+
+    publications: dict[str, Publication]
+    authorships: list[Authorship]
+    professors: dict[str, Professor]
+
+
+def records(corpus: Corpus) -> Records:
+    """The rows of a corpus as records: publications and professors in id
+    order, authorships sorted."""
+    return Records(
+        {p[0]: Publication(*p) for p in zip(*corpus.pub_columns)},
+        [Authorship(*pair) for pair in corpus.authorships()],
+        {p[0]: Professor(*p) for p in zip(*corpus.prof_columns)})
+
+
+def rebuilt(corpus: Corpus, publications: dict[str, Publication] | None = None,
+            authorships: list[Authorship] | None = None,
+            professors: dict[str, Professor] | None = None,
+            salary_table: dict[str, float] | None = None) -> Corpus:
+    """The corpus with the records or salary table given in place of its
+    own, through ``Corpus.from_records``."""
+    rows = records(corpus)
+    return Corpus.from_records(
+        corpus.window,
+        rows.publications if publications is None else publications,
+        rows.authorships if authorships is None else authorships,
+        rows.professors if professors is None else professors,
+        corpus.field_scheme,
+        corpus.salary_table if salary_table is None else salary_table)
+
+
 def professors_by_pub(corpus: Corpus) -> dict[str, list[str]]:
     """pub_id -> the ids of its professors, in authorship order."""
     index: dict[str, list[str]] = {}
-    for a in corpus.authorships:
+    for a in records(corpus).authorships:
         index.setdefault(a.pub_id, []).append(a.professor_id)
     return index
+
+
+def measure_quantity_impact_correlation(pass_: ProfessorPass) -> float:
+    """Pearson between per-professor output count and mean normalized impact,
+    over professors with at least one normalizable publication."""
+    counts = []
+    impacts = []
+    for indices in pass_.pubs:
+        values = [pass_.impacts[j] for j in indices
+                  if pass_.impacts[j] is not None]
+        if values:
+            counts.append(len(indices))
+            impacts.append(sum(values) / len(values))
+    return pearson(counts, impacts)
 
 
 def scope_of(corpus: Corpus, prof: Professor, level: str) -> str | None:
@@ -267,41 +315,40 @@ def clone_university(corpus: Corpus, university_id: str) -> Corpus:
     count, so per-publication ratios are preserved while the unit's staff and
     output double.
     """
+    rows = records(corpus)
     twins = {}
-    professors = dict(corpus.professors)
-    for pid, prof in corpus.professors.items():
+    professors = dict(rows.professors)
+    for pid, prof in rows.professors.items():
         if prof.university_id == university_id:
             twin = f"{pid}_CLONE"
             twins[pid] = twin
             professors[twin] = Professor(twin, university_id, prof.sds_code,
                                          prof.academic_rank,
                                          prof.years_on_staff)
-    publications = dict(corpus.publications)
-    authorships = list(corpus.authorships)
+    publications = dict(rows.publications)
+    authorships = list(rows.authorships)
     authors = professors_by_pub(corpus)
-    for pub_id in sorted(corpus.publications):
+    for pub_id in sorted(rows.publications):
         members = [p for p in authors.get(pub_id, []) if p in twins]
         if not members:
             continue
-        pub = corpus.publications[pub_id]
+        pub = rows.publications[pub_id]
         dup = f"{pub_id}_CLONE"
         publications[dup] = Publication(dup, pub.year, pub.doc_type,
                                         pub.subject_categories, pub.citations,
                                         pub.n_authors_total)
         authorships += [Authorship(dup, twins[p]) for p in members]
-    return Corpus(corpus.window, publications, authorships, professors,
-                  corpus.field_scheme, corpus.salary_table)
+    return rebuilt(corpus, publications, authorships, professors)
 
 
 def add_publication(corpus: Corpus, pub: Publication,
                     author_ids: list[str]) -> Corpus:
-    publications = dict(corpus.publications)
+    rows = records(corpus)
+    publications = dict(rows.publications)
     publications[pub.pub_id] = pub
-    authorships = list(corpus.authorships)
-    authorships += [Authorship(pub.pub_id, a) for a in author_ids]
-    return Corpus(corpus.window, publications, authorships,
-                  dict(corpus.professors), corpus.field_scheme,
-                  corpus.salary_table)
+    authorships = rows.authorships + [Authorship(pub.pub_id, a)
+                                      for a in author_ids]
+    return rebuilt(corpus, publications, authorships)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +426,8 @@ def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
     has one. Unit MNCS is sum(impact * m/n) / sum(m/n) over the publications
     the unit's m professors author. An undefined score is None.
     """
+    rows = records(corpus)
+
     def impact(pub):
         cells = [table.cell(pub.year, c) for c in pub.subject_categories]
         if None in cells:
@@ -387,35 +436,35 @@ def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
 
     def fss_p(prof):
         total = 0.0
-        for a in corpus.authorships:
-            pub = corpus.publications[a.pub_id]
+        for a in rows.authorships:
+            pub = rows.publications[a.pub_id]
             if a.professor_id == prof.professor_id and impact(pub) is not None:
                 total += impact(pub) / pub.n_authors_total
         salary = corpus.salary_table[prof.academic_rank]
         return total / (salary * prof.years_on_staff)
 
     def sds_mean(code):
-        values = [fss_p(p) for p in corpus.professors.values()
+        values = [fss_p(p) for p in rows.professors.values()
                   if p.sds_code == code and fss_p(p) > 0]
         return sum(values) / len(values) if values else None
 
     units = {(p.university_id, scope_of(corpus, p, level))
-             for p in corpus.professors.values()}
+             for p in rows.professors.values()}
     result = {}
     for univ, scope in units:
-        staff = [p for p in corpus.professors.values()
+        staff = [p for p in rows.professors.values()
                  if (p.university_id, scope_of(corpus, p, level)) == (univ, scope)]
         ratios = [fss_p(p) / sds_mean(p.sds_code) for p in staff
                   if sds_mean(p.sds_code) is not None]
         fss = sum(ratios) / len(ratios) if ratios else None
         ids = {p.professor_id for p in staff}
         m: dict[str, int] = {}
-        for a in corpus.authorships:
+        for a in rows.authorships:
             if a.professor_id in ids:
                 m[a.pub_id] = m.get(a.pub_id, 0) + 1
         numerator = weights = 0.0
         for pub_id, count in m.items():
-            pub = corpus.publications[pub_id]
+            pub = rows.publications[pub_id]
             if impact(pub) is not None:
                 numerator += impact(pub) * count / pub.n_authors_total
                 weights += count / pub.n_authors_total

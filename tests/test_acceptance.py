@@ -35,8 +35,13 @@ from helpers import (add_publication, boards_from_columns, by_unit,
                      clone_university, comparison_from_ranks,
                      expected_replay_table, load_ref,
                      oracle_quartile_stats, oracle_shift_stats,
-                     overall_scores, random_corpus, replay_compare, staff_of,
-                     tie_blocks)
+                     overall_scores, random_corpus, rebuilt, records,
+                     replay_compare, staff_of, tie_blocks)
+
+
+def _impact(pub: Publication, table) -> float:
+    return normalized_impact(pub.year, pub.subject_categories, pub.citations,
+                             table)
 
 
 def _criterion(name: str, failures: list[str]) -> None:
@@ -289,7 +294,7 @@ def test_criterion_07_mncs_paradox():
         low_c = int(mean * before * 0.5)
         if low_c / mean >= before:
             continue
-        prof = next(p.professor_id for p in corpus.professors.values()
+        prof = next(p.professor_id for p in records(corpus).professors.values()
                     if p.university_id == "UNIV1")
         low = add_publication(corpus, Publication(
             "X_LOW", year, "article", (cat,), low_c, 2), [prof])
@@ -346,7 +351,6 @@ def test_criterion_08_size_independence_under_cloning():
 
 
 def test_criterion_09_uniform_salary_scaling():
-    from rankdiff import Corpus
     rng = np.random.default_rng(1009)
     failures: list[str] = []
     checked = 0
@@ -354,9 +358,8 @@ def test_criterion_09_uniform_salary_scaling():
         corpus = random_corpus(rng, n_universities=3, n_sds=2, pubs_mean=2.5)
         table = compute_scaling_factors(corpus)
         k = float(rng.uniform(0.1, 10.0))
-        scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
-                        corpus.professors, corpus.field_scheme,
-                        {r: s * k for r, s in corpus.salary_table.items()})
+        scaled = rebuilt(corpus, salary_table={
+            r: s * k for r, s in corpus.salary_table.items()})
         values = overall_scores(corpus, table, FSS)
         values_k = overall_scores(scaled, table, FSS)
         if values_k.keys() != values.keys():
@@ -375,7 +378,6 @@ def test_criterion_09_uniform_salary_scaling():
 
 
 def test_criterion_10_within_cell_citation_rescaling():
-    from rankdiff import Corpus
     rng = np.random.default_rng(1010)
     failures: list[str] = []
     checked = 0
@@ -390,27 +392,27 @@ def test_criterion_10_within_cell_citation_rescaling():
         year, cat = cells[int(rng.integers(len(cells)))]
         k = int(rng.integers(2, 7))
         pubs = {}
-        for pid, p in corpus.publications.items():
+        originals = records(corpus).publications
+        for pid, p in originals.items():
             if p.year == year and p.subject_categories == (cat,):
                 p = Publication(p.pub_id, p.year, p.doc_type,
                                 p.subject_categories, p.citations * k,
                                 p.n_authors_total)
             pubs[pid] = p
-        rescaled = Corpus(corpus.window, pubs, corpus.authorships,
-                          corpus.professors, corpus.field_scheme,
-                          corpus.salary_table)
+        rescaled = rebuilt(corpus, pubs)
         table2 = compute_scaling_factors(rescaled)
-        for pid in sorted(corpus.publications):
-            p = corpus.publications[pid]
+        rescaled_pubs = records(rescaled).publications
+        for pid in sorted(originals):
+            p = originals[pid]
             if p.year == year and p.subject_categories == (cat,):
-                before = normalized_impact(p, table)
-                after = normalized_impact(rescaled.publications[pid], table2)
+                before = _impact(p, table)
+                after = _impact(rescaled_pubs[pid], table2)
                 if abs(after - before) > 1e-12:
                     failures.append(f"case {checked}: impact {before} -> "
                                     f"{after} under k={k}")
         for (cy, cc) in table2:
-            impacts = [normalized_impact(p, table2)
-                       for p in rescaled.publications.values()
+            impacts = [_impact(p, table2)
+                       for p in rescaled_pubs.values()
                        if p.year == cy and p.subject_categories == (cc,)
                        and p.citations > 0]
             if abs(float(np.mean(impacts)) - 1.0) > 1e-12:
@@ -468,8 +470,8 @@ def test_criterion_12_pipeline_scale_and_determinism():
         window=ObservationWindow(2008, 2012, "synthetic snapshot"))
     corpus = generate(cfg)
     failures: list[str] = []
-    n_prof = len(corpus.professors)
-    n_pub = len(corpus.publications)
+    n_prof = len(corpus.professor_ids)
+    n_pub = len(corpus.pub_ids)
     if not 4000 <= n_prof <= 6000:
         failures.append(f"professor count {n_prof} not ~5000")
     if not 15000 <= n_pub <= 26000:

@@ -7,16 +7,26 @@ from rankdiff import (Corpus, FieldScheme, MissingBaseline, ObservationWindow,
                       Publication, ScalingFactorTable, compute_scaling_factors,
                       normalized_impact, scaling_factor)
 from rankdiff.baselines import CellStats
-from helpers import random_corpus
+from helpers import random_corpus, rebuilt, records
 
 
 def _corpus_of(pubs: list[Publication]) -> Corpus:
-    return Corpus(ObservationWindow(2008, 2012), {p.pub_id: p for p in pubs},
-                  [], {}, FieldScheme({"S": "U"}), {"r": 1.0})
+    return Corpus.from_records(ObservationWindow(2008, 2012),
+                               {p.pub_id: p for p in pubs}, [], {},
+                               FieldScheme({"S": "U"}), {"r": 1.0})
 
 
 def _pub(pub_id, year=2008, cats=("C1",), citations=0, n_authors=1):
     return Publication(pub_id, year, "article", cats, citations, n_authors)
+
+
+def _factor(pub: Publication, table: ScalingFactorTable) -> float:
+    return scaling_factor(pub.year, pub.subject_categories, table)
+
+
+def _impact(pub: Publication, table: ScalingFactorTable) -> float:
+    return normalized_impact(pub.year, pub.subject_categories, pub.citations,
+                             table)
 
 
 def test_cell_mean_excludes_uncited():
@@ -42,43 +52,42 @@ def test_two_category_publication_feeds_both_cells():
 
 def test_scaling_factor_single_category():
     table = ScalingFactorTable({(2008, "C1"): CellStats(4.0, 2, 3)})
-    assert scaling_factor(_pub("x"), table) == 4.0
+    assert _factor(_pub("x"), table) == 4.0
 
 
 def test_scaling_factor_multi_category_average():
     table = ScalingFactorTable({(2008, "C1"): CellStats(4.0, 1, 1),
                                 (2008, "C2"): CellStats(6.0, 1, 1)})
-    assert scaling_factor(_pub("x", cats=("C1", "C2")), table) == 5.0
+    assert _factor(_pub("x", cats=("C1", "C2")), table) == 5.0
 
 
 def test_scaling_factor_missing_cell():
     table = ScalingFactorTable({(2008, "C1"): CellStats(4.0, 1, 1)})
     with pytest.raises(MissingBaseline, match="C2"):
-        scaling_factor(_pub("x", cats=("C1", "C2")), table)
+        _factor(_pub("x", cats=("C1", "C2")), table)
 
 
 def test_normalized_impact_arithmetic():
     table = ScalingFactorTable({(2008, "C1"): CellStats(3.0, 1, 1)})
-    assert normalized_impact(_pub("x", citations=6), table) == 2.0
+    assert _impact(_pub("x", citations=6), table) == 2.0
 
 
 def test_normalized_impact_uncited_is_zero():
     table = ScalingFactorTable({(2008, "C1"): CellStats(3.0, 1, 1)})
-    assert normalized_impact(_pub("x", citations=0), table) == 0.0
+    assert _impact(_pub("x", citations=0), table) == 0.0
 
 
 def test_normalized_impact_multi_category():
     # c=5 over the mean of cell means (4.0, 6.0) -> 5 / 5.0
     table = ScalingFactorTable({(2008, "C1"): CellStats(4.0, 1, 1),
                                 (2008, "C2"): CellStats(6.0, 1, 1)})
-    assert normalized_impact(_pub("x", cats=("C1", "C2"), citations=5),
-                             table) == 1.0
+    assert _impact(_pub("x", cats=("C1", "C2"), citations=5), table) == 1.0
 
 
 def test_normalized_impact_propagates_missing_baseline():
     table = ScalingFactorTable({})
     with pytest.raises(MissingBaseline):
-        normalized_impact(_pub("x", citations=0), table)
+        _impact(_pub("x", citations=0), table)
 
 
 def test_table_rejects_invalid_cells():
@@ -93,13 +102,12 @@ def test_table_rejects_invalid_cells():
 
 def _rescale_cell(corpus: Corpus, year: int, cat: str, k: int) -> Corpus:
     pubs = {}
-    for pid, p in corpus.publications.items():
+    for pid, p in records(corpus).publications.items():
         if p.year == year and cat in p.subject_categories:
             p = Publication(p.pub_id, p.year, p.doc_type, p.subject_categories,
                             p.citations * k, p.n_authors_total)
         pubs[pid] = p
-    return Corpus(corpus.window, pubs, corpus.authorships, corpus.professors,
-                  corpus.field_scheme, corpus.salary_table)
+    return rebuilt(corpus, pubs)
 
 
 def test_scale_invariance_of_citation_unit():
@@ -113,11 +121,13 @@ def test_scale_invariance_of_citation_unit():
         table2 = compute_scaling_factors(rescaled)
         assert table2.cell(year, cat).mean == pytest.approx(
             k * table.cell(year, cat).mean, rel=1e-12)
-        for pid in sorted(corpus.publications):
-            p = corpus.publications[pid]
+        before_pubs = records(corpus).publications
+        after_pubs = records(rescaled).publications
+        for pid in sorted(before_pubs):
+            p = before_pubs[pid]
             if p.year == year and p.subject_categories == (cat,):
-                before = normalized_impact(p, table)
-                after = normalized_impact(rescaled.publications[pid], table2)
+                before = _impact(p, table)
+                after = _impact(after_pubs[pid], table2)
                 assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -127,8 +137,8 @@ def test_cell_mean_normalized_impact_is_one():
         corpus = random_corpus(rng, multi_category_share=0.0)
         table = compute_scaling_factors(corpus)
         for (year, cat) in table:
-            impacts = [normalized_impact(p, table)
-                       for p in corpus.publications.values()
+            impacts = [_impact(p, table)
+                       for p in records(corpus).publications.values()
                        if p.year == year and p.subject_categories == (cat,)
                        and p.citations > 0]
             assert np.mean(impacts) == pytest.approx(1.0, abs=1e-12)
@@ -138,8 +148,8 @@ def test_impact_nonnegative_zero_iff_uncited():
     rng = np.random.default_rng(5)
     corpus = random_corpus(rng, multi_category_share=0.3)
     table = compute_scaling_factors(corpus)
-    for p in corpus.publications.values():
-        impact = normalized_impact(p, table)
+    for p in records(corpus).publications.values():
+        impact = _impact(p, table)
         assert impact >= 0
         assert (impact == 0) == (p.citations == 0)
 

@@ -6,10 +6,12 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -161,8 +163,8 @@ def test_score_matches_hand_computed_fixture(tmp_path):
     auths = [Authorship("wA1", "a1"), Authorship("wA2", "a2"),
              Authorship("wB1", "b1"), Authorship("wB2", "b2"),
              Authorship("wC1", "c1"), Authorship("wC1", "c2")]
-    corpus = Corpus(ObservationWindow(2008, 2012), pubs, auths, profs,
-                    FieldScheme({"S": "U"}), {"r": 2.0})
+    corpus = Corpus.from_records(ObservationWindow(2008, 2012), pubs, auths,
+                                 profs, FieldScheme({"S": "U"}), {"r": 2.0})
     data_dir = tmp_path / "hand"
     write_corpus_csvs(corpus, data_dir)
     run_cfg = tmp_path / "hand.cfg"
@@ -201,8 +203,9 @@ def test_compare_skips_single_unit_scopes(tmp_path):
             for i in range(3)}
     auths = [Authorship("w0", "p1"), Authorship("w1", "p2"),
              Authorship("w2", "p3")]
-    corpus = Corpus(ObservationWindow(2008, 2012), pubs, auths, profs,
-                    FieldScheme({"S1": "U1", "S2": "U1"}), {"r": 1.0})
+    corpus = Corpus.from_records(ObservationWindow(2008, 2012), pubs, auths,
+                                 profs, FieldScheme({"S1": "U1", "S2": "U1"}),
+                                 {"r": 1.0})
     data_dir = tmp_path / "corpus"
     write_corpus_csvs(corpus, data_dir)
     cfg = tmp_path / "run.cfg"
@@ -705,6 +708,60 @@ FUZZ_CELLS = st.one_of(
     st.text(st.characters(codec="utf-8"), min_size=200, max_size=3000))
 
 
+def _outputs(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, the manifest without its timestamp."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "run_manifest.json":
+                manifest = json.loads(data)
+                manifest.pop("timestamp")
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+def _fuzzed_runs(fuzz_corpus, edits: dict[str, Callable[[list], None]]):
+    """Validate and compare a copy of the fuzz corpus whose files named in
+    ``edits`` each have their rows, header first, changed by their edit;
+    each command twice, first on an empty cache, then on the cache the
+    first run left.
+
+    Returns, per command, the exit code, stdout, stderr and outputs of
+    both runs."""
+    data_dir, run_cfg = fuzz_corpus
+    runs: dict[str, list[tuple]] = {"validate": [], "compare": []}
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(Path(tmp) / "cache"))
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(data_dir, corpus)
+        for name, edit in edits.items():
+            with open(corpus / name, newline="", encoding="utf-8") as f:
+                rows = list(csv.reader(f))
+            edit(rows)
+            with open(corpus / name, "w", newline="",
+                      encoding="utf-8") as f:
+                csv.writer(f).writerows(rows)
+        args = [str(corpus), "--config", str(run_cfg)]
+        out_dir = Path(tmp) / "out"
+        for command, argv in [
+                ("validate", ["validate", *args]),
+                ("validate", ["validate", *args]),
+                ("compare", ["compare", *args, "--level", "overall",
+                             "--out", str(out_dir)]),
+                ("compare", ["compare", *args, "--level", "overall",
+                             "--out", str(out_dir), "--force"])]:
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            runs[command].append((code, out.getvalue(), err.getvalue(),
+                                  _outputs(out_dir) if out_dir.exists()
+                                  else {}))
+    return runs
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(CORPUS_FILES), row=st.integers(0, 10**6),
@@ -715,33 +772,77 @@ def test_fuzzed_cell_gives_located_result(fuzz_corpus, name, row, column,
     end in exit 0, 1 or 2 with no traceback, and validate lists at most
     MAX_VIOLATIONS violations, each on a line under 200 characters. A second
     validate, which may read the corpus cache, gives the same result."""
-    data_dir, run_cfg = fuzz_corpus
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp) / "corpus"
-        shutil.copytree(data_dir, corpus)
-        with open(corpus / name, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
+    def edit(rows: list) -> None:
         fields = rows[row % len(rows)]
         fields[column % len(fields)] = cell
-        with open(corpus / name, "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows(rows)
-        args = [str(corpus), "--config", str(run_cfg)]
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            validated = main(["validate", *args])
-            listed = out.getvalue().splitlines()
-            again = StringIO()
-            with redirect_stdout(again):
-                assert main(["validate", *args]) == validated
-            assert again.getvalue().splitlines() == listed
-            compared = main(["compare", *args, "--level", "overall",
-                             "--out", str(Path(tmp) / "out")])
+    runs = _fuzzed_runs(fuzz_corpus, {name: edit})
+    (validated, listed, _, _), again = runs["validate"]
+    compared = runs["compare"][0][0]
+    assert again[:2] == (validated, listed)
     assert validated in (0, 1) and compared in (0, 1, 2)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert not any("Traceback" in out + err for command in runs.values()
+                   for _, out, err, _ in command)
     if validated == 1:
-        violations = listed[1:]
+        violations = listed.splitlines()[1:]
         assert 0 < len(violations) <= MAX_VIOLATIONS
         assert all(len(line) < 200 for line in violations)
+
+
+# a violation of a loaded corpus names its file and line
+LOCATED = re.compile(r"  (publications|authorships|professors|fields|"
+                     r"salaries)\.csv:\d+ \[[^\]]+\]: \S")
+FUZZ_ROWS = st.lists(FUZZ_CELLS, max_size=8)
+
+
+@st.composite
+def row_edits(draw) -> Callable[[list], None]:
+    """An edit of a file's rows: one row replaced by drawn cells, by a copy
+    of another row, or removed, or a drawn row added."""
+    kind = draw(st.sampled_from(["replace", "copy", "remove", "add"]))
+    row, other = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    cells = draw(FUZZ_ROWS)
+
+    def edit(rows: list) -> None:
+        i = row % len(rows)
+        if kind == "replace":
+            rows[i] = cells
+        elif kind == "copy":
+            rows[i] = list(rows[other % len(rows)])
+        elif kind == "remove":
+            del rows[i]
+        else:
+            rows.insert(i, cells)
+    return edit
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.dictionaries(st.sampled_from(CORPUS_FILES), row_edits(),
+                             min_size=1, max_size=2))
+def test_fuzzed_rows_in_two_files_give_located_results(fuzz_corpus, edits):
+    """Whole rows of one or two corpus files replaced, copied, removed or
+    added: validate and compare either succeed or end in exit 1 or 2 with
+    no traceback and a located message; every violation validate lists
+    names its file and line. Each command gives the same result, outputs
+    included, on the empty cache and on the warm cache it leaves."""
+    runs = _fuzzed_runs(fuzz_corpus, edits)
+    for command, (cold, warm) in runs.items():
+        assert cold == warm, command
+        code, out, err, _ = cold
+        assert code in (0, 1, 2) and "Traceback" not in out + err, command
+    (validated, listed, _, _), _ = runs["validate"]
+    (compared, _, compare_err, _), _ = runs["compare"]
+    if validated == 1:
+        violations = listed.splitlines()[1:]
+        assert 0 < len(violations) <= MAX_VIOLATIONS
+        assert all(LOCATED.match(line) and len(line) < 200
+                   for line in violations), violations
+        assert compared == 1
+        assert compare_err.startswith("INVALID: ")
+        assert LOCATED.match("  " + compare_err.split("violation(s): ")[1])
+    else:
+        assert validated == 0 and compared in (0, 1)
+        assert compared == 0 or compare_err.startswith("error: ")
 
 
 def test_end_to_end_determinism(synth_setup):

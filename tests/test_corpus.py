@@ -19,7 +19,7 @@ from rankdiff.cli import main
 from rankdiff.corpus import LEVELS
 from rankdiff.errors import MAX_VIOLATIONS
 from helpers import (RELAXED_CFG, WINDOW, eligible_ids, professors_by_pub,
-                     random_corpus, scope_of)
+                     random_corpus, rebuilt, records, scope_of)
 
 
 def test_load_minimal_fixture(corpus_dir, window):
@@ -53,8 +53,8 @@ def test_authorships_exceed_author_count(window):
     profs = {f"p{i}": Professor(f"p{i}", "A", "S", "r", 5.0) for i in range(4)}
     auths = [Authorship("w", f"p{i}") for i in range(4)]
     with pytest.raises(CorpusLoadError, match="n_authors_total"):
-        Corpus(ObservationWindow(2008, 2012), pubs, auths, profs,
-               FieldScheme({"S": "U"}), {"r": 1.0})
+        Corpus.from_records(ObservationWindow(2008, 2012), pubs, auths, profs,
+                            FieldScheme({"S": "U"}), {"r": 1.0})
 
 
 def test_duplicate_pub_id(corpus_dir, window):
@@ -89,7 +89,8 @@ def test_wrong_header(corpus_dir, window):
 def test_unknown_sds_and_rank(window):
     profs = {"p": Professor("p", "A", "NOPE", "ghost_rank", 5.0)}
     with pytest.raises(CorpusLoadError) as err:
-        Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": 1.0})
+        Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
+                            {"r": 1.0})
     fields = {v.field for v in err.value.violations}
     assert fields == {"sds_code", "academic_rank"}
 
@@ -97,7 +98,8 @@ def test_unknown_sds_and_rank(window):
 def test_tenure_exceeding_window(window):
     profs = {"p": Professor("p", "A", "S", "r", 6.0)}
     with pytest.raises(CorpusLoadError, match="exceeds window length"):
-        Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": 1.0})
+        Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
+                            {"r": 1.0})
 
 
 @pytest.mark.parametrize("name, line, old, new, fld, message", [
@@ -299,16 +301,17 @@ def test_first_table_problem_is_the_first_by_line(tmp_path, capsys, text,
 
 def _boards_and_indexes(data_dir: Path):
     corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
-    # the indexes are built on first use, by scoring
-    assert not {"pubs_by_professor", "professors_by_pub"} & set(vars(corpus))
     pass_ = professor_pass(corpus, compute_scaling_factors(corpus))
     boards = [scoreboards(pass_, RELAXED_CFG, level) for level in LEVELS]
+    pubs_by_professor: dict[str, list[str]] = {}
+    for a in records(corpus).authorships:
+        pubs_by_professor.setdefault(a.professor_id, []).append(a.pub_id)
     indexes = [{k: sorted(v) for k, v in index.items()}
-               for index in (corpus.pubs_by_professor, professors_by_pub(corpus))]
+               for index in (pubs_by_professor, professors_by_pub(corpus))]
     # every field of the pass but the digests of the bytes read
     fields = pass_._asdict()
     del fields["file_digests"]
-    return boards, indexes, corpus.universities, fields
+    return boards, indexes, sorted(set(corpus.universities)), fields
 
 
 ROW_ORDER_CORPUS = random_corpus(np.random.default_rng(5), n_universities=6,
@@ -343,7 +346,8 @@ def test_row_order_changes_no_board_or_index(seed):
 def test_non_finite_values_in_memory(window, years, salary):
     profs = {"p": Professor("p", "A", "S", "r", years)}
     with pytest.raises(CorpusLoadError):
-        Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": salary})
+        Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
+                            {"r": salary})
 
 
 # ---------------------------------------------------------------------------
@@ -351,39 +355,41 @@ def test_non_finite_values_in_memory(window, years, salary):
 
 def test_filter_short_tenure(tiny_corpus):
     filtered = apply_filters(tiny_corpus, FilterConfig())
-    assert "p4" not in filtered.professors          # 2.5 years < 3
+    assert "p4" not in filtered.professor_ids       # 2.5 years < 3
     assert filtered.filter_report.professors_removed_tenure == 1
+
+
+# the year, categories and citations of the meeting abstract w5
+W5 = (2010, ("C1",), 9)
 
 
 def test_filter_excluded_doc_type(tiny_corpus):
     filtered = apply_filters(tiny_corpus, FilterConfig())
-    assert "w5" not in filtered.publications        # meeting abstract
-    assert "w5" not in filtered.baseline_publications
+    assert "w5" not in filtered.pub_ids             # meeting abstract
+    assert W5 not in zip(*filtered.baseline)
     assert filtered.filter_report.publications_removed_doctype == 1
 
 
 def test_filter_baseline_keeps_doctypes_when_asked(tiny_corpus):
     cfg = FilterConfig(baseline_include_all_doctypes=True)
     filtered = apply_filters(tiny_corpus, cfg)
-    assert "w5" not in filtered.publications
-    assert "w5" in filtered.baseline_publications
+    assert "w5" not in filtered.pub_ids
+    assert W5 in zip(*filtered.baseline)
 
 
 def test_filter_threshold_zero_is_identity(tiny_corpus):
     cfg = FilterConfig(min_years_on_staff=0, excluded_doc_types=frozenset())
     filtered = apply_filters(tiny_corpus, cfg)
-    assert set(filtered.professors) == set(tiny_corpus.professors)
-    assert set(filtered.publications) == set(tiny_corpus.publications)
+    assert set(filtered.professor_ids) == set(tiny_corpus.professor_ids)
+    assert set(filtered.pub_ids) == set(tiny_corpus.pub_ids)
 
 
 def test_filter_out_of_window_publication(tiny_corpus):
-    pubs = dict(tiny_corpus.publications)
+    pubs = dict(records(tiny_corpus).publications)
     pubs["old"] = Publication("old", 1999, "article", ("C1",), 3, 1)
-    corpus = Corpus(tiny_corpus.window, pubs, tiny_corpus.authorships,
-                    tiny_corpus.professors, tiny_corpus.field_scheme,
-                    tiny_corpus.salary_table)
+    corpus = rebuilt(tiny_corpus, pubs)
     filtered = apply_filters(corpus, FilterConfig())
-    assert "old" not in filtered.publications
+    assert "old" not in filtered.pub_ids
     assert filtered.filter_report.publications_removed_window == 1
 
 
@@ -391,8 +397,8 @@ def test_filtering_idempotent(tiny_corpus):
     cfg = FilterConfig()
     once = apply_filters(tiny_corpus, cfg)
     twice = apply_filters(once, cfg)
-    assert set(twice.professors) == set(once.professors)
-    assert set(twice.publications) == set(once.publications)
+    assert set(twice.professor_ids) == set(once.professor_ids)
+    assert set(twice.pub_ids) == set(once.pub_ids)
     assert twice.digest() == once.digest()
 
 
@@ -401,9 +407,9 @@ def test_filtered_authorships_reference_survivors():
     for _ in range(20):
         corpus = random_corpus(rng, n_universities=2, n_sds=2)
         filtered = apply_filters(corpus, FilterConfig())
-        for a in filtered.authorships:
-            assert a.pub_id in filtered.publications
-            assert a.professor_id in filtered.professors
+        for a in records(filtered).authorships:
+            assert a.pub_id in filtered.pub_ids
+            assert a.professor_id in filtered.professor_ids
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +422,8 @@ def _headcount_corpus(window, counts: dict[str, int]) -> Corpus:
         for _ in range(n):
             i += 1
             profs[f"p{i}"] = Professor(f"p{i}", univ, "S", "r", 5.0)
-    return Corpus(window, {}, [], profs, FieldScheme({"S": "U"}), {"r": 1.0})
+    return Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
+                               {"r": 1.0})
 
 
 def test_eligible_units_threshold(window):
@@ -473,7 +480,7 @@ def test_scope_codes_per_level(tiny_corpus):
 
 
 def test_scope_of_per_level(tiny_corpus):
-    p4 = tiny_corpus.professors["p4"]
+    p4 = records(tiny_corpus).professors["p4"]
     assert scope_of(tiny_corpus, p4, "sds") == "S2"
     assert scope_of(tiny_corpus, p4, "uda") == "U1"
     assert scope_of(tiny_corpus, p4, "overall") is None

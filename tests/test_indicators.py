@@ -15,16 +15,16 @@ from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
 from rankdiff.baselines import CellStats
 from helpers import (RELAXED_CFG, add_publication, clone_university,
                      oracle_unit_scores, overall_scores, random_corpus,
-                     scope_of, staff_of, unit_ids)
+                     rebuilt, records, scope_of, staff_of, unit_ids)
 
 WINDOW = ObservationWindow(2008, 2012)
 
 
 def _corpus(pubs, auths, profs, sds_map=None, salaries=None):
-    return Corpus(WINDOW, {p.pub_id: p for p in pubs}, auths,
-                  {p.professor_id: p for p in profs},
-                  FieldScheme(sds_map or {"S": "U"}),
-                  salaries or {"r": 1.0})
+    return Corpus.from_records(WINDOW, {p.pub_id: p for p in pubs}, auths,
+                               {p.professor_id: p for p in profs},
+                               FieldScheme(sds_map or {"S": "U"}),
+                               salaries or {"r": 1.0})
 
 
 def _pub(pub_id, citations, n_authors, year=2008, cats=("C",)):
@@ -32,7 +32,14 @@ def _pub(pub_id, citations, n_authors, year=2008, cats=("C",)):
 
 
 def _fss_p(corpus, table):
-    return professor_scores(corpus, impact_map(corpus, table))
+    """Professor id -> FSS_P."""
+    return dict(zip(corpus.professor_ids,
+                    professor_scores(corpus, impact_map(corpus, table))))
+
+
+def _averages(corpus, scores):
+    """``sds_averages`` of scores given by professor id."""
+    return sds_averages(corpus, [scores[p] for p in corpus.professor_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,7 @@ def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
     pass_ = professor_pass(corpus, ScalingFactorTable({}), fss=False)
     pass_ = pass_._replace(scores=[scores[p] for p in pass_.professor_ids],
-                           averages=sds_averages(corpus, scores))
+                           averages=_averages(corpus, scores))
     fss, _ = unit_scores(pass_, univ, scope,
                          staff_of(pass_, univ, level, scope), FSS)
     return fss
@@ -111,19 +118,19 @@ def _staff_corpus(assignment: dict[str, tuple[str, str]]) -> Corpus:
 
 def test_sds_average_ignores_unproductive():
     corpus = _staff_corpus({"p1": ("A", "S"), "p2": ("B", "S"), "p3": ("C", "S")})
-    averages = sds_averages(corpus, {"p1": 0.0, "p2": 2.0, "p3": 4.0})
+    averages = _averages(corpus, {"p1": 0.0, "p2": 2.0, "p3": 4.0})
     assert averages == {"S": 3.0}
 
 
 def test_sds_average_no_productive_professors(caplog):
     corpus = _staff_corpus({"p1": ("A", "S")})
-    assert "S" not in sds_averages(corpus, {"p1": 0.0})
+    assert "S" not in _averages(corpus, {"p1": 0.0})
     assert "SDS S has no productive professor" in caplog.text
 
 
 def test_sds_average_singleton():
     corpus = _staff_corpus({"p1": ("A", "S")})
-    assert sds_averages(corpus, {"p1": 1.0})["S"] == 1.0
+    assert _averages(corpus, {"p1": 1.0})["S"] == 1.0
 
 
 def test_fss_unit_all_at_average():
@@ -256,16 +263,17 @@ def test_mncs_weights_in_unit_interval():
     for _ in range(10):
         corpus = random_corpus(rng)
         for pub_id, m in _unit_weights(corpus):
-            pub = corpus.publications[pub_id]
+            pub = records(corpus).publications[pub_id]
             assert 0 < m / pub.n_authors_total <= 1
 
 
 def _unit_weights(corpus):
-    for univ in corpus.universities:
-        members = {p.professor_id for p in corpus.professors.values()
+    rows = records(corpus)
+    for univ in sorted(set(corpus.universities)):
+        members = {p.professor_id for p in rows.professors.values()
                    if p.university_id == univ}
         counts: dict[str, int] = {}
-        for a in corpus.authorships:
+        for a in rows.authorships:
             if a.professor_id in members:
                 counts[a.pub_id] = counts.get(a.pub_id, 0) + 1
         yield from counts.items()
@@ -335,10 +343,11 @@ def test_scoreboards_match_naive_oracle(level, relaxed_cfg, caplog):
     table = ScalingFactorTable({k: v for k, v in full.items() if k != missing})
     # expected skip warnings: each unit's in-scope publications in that cell
     skipped: dict[tuple, set] = {}
-    for a in corpus.authorships:
-        pub = corpus.publications[a.pub_id]
+    rows = records(corpus)
+    for a in rows.authorships:
+        pub = rows.publications[a.pub_id]
         if (pub.year,) + pub.subject_categories == missing:
-            prof = corpus.professors[a.professor_id]
+            prof = rows.professors[a.professor_id]
             unit = (prof.university_id, scope_of(corpus, prof, level))
             skipped.setdefault(unit, set()).add(a.pub_id)
     assert skipped
@@ -386,7 +395,7 @@ def test_mncs_paradox_small_loop():
             continue
         year, cat = next(iter(table))
         mean = table.cell(year, cat).mean
-        prof = next(p.professor_id for p in corpus.professors.values()
+        prof = next(p.professor_id for p in records(corpus).professors.values()
                     if p.university_id == "UNIV1")
         low_c = int(mean * before * 0.5)
         if low_c / mean >= before:
@@ -404,7 +413,7 @@ def test_fss_monotone_in_cited_publications():
     for _ in range(30):
         corpus = random_corpus(rng, n_universities=2, n_sds=1)
         table = compute_scaling_factors(corpus)
-        pid = sorted(corpus.professors)[0]
+        pid = sorted(corpus.professor_ids)[0]
         year, cat = next(iter(table))
         before = _fss_p(corpus, table)[pid]
         cited = Publication("EXTRA_C", year, "article", (cat,), 3, 2)
@@ -421,7 +430,7 @@ def test_size_independence_under_cloning():
         corpus = random_corpus(rng, n_universities=3, n_sds=2,
                                profs_per=(1, 2))
         table = compute_scaling_factors(corpus)
-        averages = sds_averages(corpus, _fss_p(corpus, table))
+        averages = _averages(corpus, _fss_p(corpus, table))
         univ = "UNIV1"
         fss_before = overall_scores(corpus, table, FSS).get(univ)
         mncs_before = _unit_mncs(corpus, table, univ)
@@ -444,9 +453,8 @@ def test_uniform_salary_scaling_leaves_units_unchanged():
         corpus = random_corpus(rng, n_universities=3, n_sds=2)
         table = compute_scaling_factors(corpus)
         k = float(rng.uniform(0.2, 8.0))
-        scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
-                        corpus.professors, corpus.field_scheme,
-                        {r: s * k for r, s in corpus.salary_table.items()})
+        scaled = rebuilt(corpus, salary_table={
+            r: s * k for r, s in corpus.salary_table.items()})
         scores = _fss_p(corpus, table)
         scores_k = _fss_p(scaled, table)
         for pid in scores:
@@ -489,9 +497,8 @@ def test_scoreboards_invariant_under_salary_scaling(level, factor, relaxed_cfg):
     rng = np.random.default_rng(33)
     for _ in range(5):
         corpus = random_corpus(rng, n_universities=4, n_sds=4)
-        scaled = Corpus(corpus.window, corpus.publications, corpus.authorships,
-                        corpus.professors, corpus.field_scheme,
-                        {r: factor * s for r, s in corpus.salary_table.items()})
+        scaled = rebuilt(corpus, salary_table={
+            r: factor * s for r, s in corpus.salary_table.items()})
         table = compute_scaling_factors(corpus)
         before = scoreboards(professor_pass(corpus, table), relaxed_cfg,
                              level, "both")
@@ -512,12 +519,12 @@ def test_scores_invariant_under_input_permutation():
     corpus = random_corpus(rng, n_universities=2, n_sds=2)
     table = compute_scaling_factors(corpus)
 
-    order = list(corpus.publications)
+    rows = records(corpus)
+    order = list(rows.publications)
     rng.shuffle(order)
-    shuffled = Corpus(corpus.window, {k: corpus.publications[k] for k in order},
-                      list(reversed(corpus.authorships)),
-                      dict(reversed(list(corpus.professors.items()))),
-                      corpus.field_scheme, corpus.salary_table)
+    shuffled = rebuilt(corpus, {k: rows.publications[k] for k in order},
+                       list(reversed(rows.authorships)),
+                       dict(reversed(list(rows.professors.items()))))
     assert _fss_p(shuffled, table) == _fss_p(corpus, table)
     for indicator in (FSS, MNCS):
         assert overall_scores(shuffled, table, indicator) == \
@@ -538,11 +545,9 @@ def test_renaming_universities_permutes_board_entries(seed, order):
     corpus = random_corpus(np.random.default_rng(seed), n_universities=4,
                            n_sds=3)
     new_name = {f"UNIV{i + 1}": f"UNIV{j + 1}" for i, j in enumerate(order)}
-    renamed = Corpus(corpus.window, corpus.publications, corpus.authorships,
-                     {pid: p._replace(
-                         university_id=new_name[p.university_id])
-                      for pid, p in corpus.professors.items()},
-                     corpus.field_scheme, corpus.salary_table)
+    renamed = rebuilt(corpus, professors={
+        pid: p._replace(university_id=new_name[p.university_id])
+        for pid, p in records(corpus).professors.items()})
     table = compute_scaling_factors(corpus)
     for level in LEVELS:
         before = scoreboards(professor_pass(corpus, table), RELAXED_CFG, level)
@@ -569,15 +574,12 @@ def test_citation_scale_leaves_impacts_and_unit_scores(seed, k):
     # impact, and every score built on them, stays where it was
     corpus = random_corpus(np.random.default_rng(seed), n_universities=3,
                            n_sds=3)
-    scaled = Corpus(corpus.window,
-                    {w: p._replace(citations=p.citations * k)
-                     for w, p in corpus.publications.items()},
-                    corpus.authorships, corpus.professors, corpus.field_scheme,
-                    corpus.salary_table)
+    scaled = rebuilt(corpus, {w: p._replace(citations=p.citations * k)
+                              for w, p in records(corpus).publications.items()})
     table = compute_scaling_factors(corpus)
     table_k = compute_scaling_factors(scaled)
-    impacts = impact_map(corpus, table)
-    impacts_k = impact_map(scaled, table_k)
+    impacts = dict(zip(corpus.pub_ids, impact_map(corpus, table)))
+    impacts_k = dict(zip(scaled.pub_ids, impact_map(scaled, table_k)))
     assert impacts_k.keys() == impacts.keys()
     for pub_id, impact in impacts.items():
         assert impacts_k[pub_id] == pytest.approx(impact, rel=1e-12, abs=0)

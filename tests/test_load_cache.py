@@ -18,6 +18,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
 from rankdiff.cli import main
 from rankdiff.cache import CACHE_ENTRIES, cached_pass, store_pass
-from rankdiff.corpus import CorpusPaths
+from rankdiff.corpus import CorpusPaths, read_files
 from helpers import RELAXED_CFG, WINDOW, random_corpus
 
 RUN_CFG = ("start_year=2008\nend_year=2012\nmin_professors_sds=1\n"
@@ -69,6 +70,11 @@ def _no_parsing(monkeypatch):
         raise AssertionError("parsed or checked on a cache hit")
     monkeypatch.setattr(corpus_module, "read_csv", refuse)
     monkeypatch.setattr(corpus_module.Corpus, "check", refuse)
+
+
+def _digests(data_dir: Path) -> dict[str, str]:
+    """The digests of the corpus files as they are now."""
+    return read_files(data_dir).digests
 
 
 def _entries(cache: Path) -> list[Path]:
@@ -112,8 +118,8 @@ def _validate_levels(*args, hit: bool = False) -> dict[str, tuple]:
 def _count_loads(monkeypatch) -> list[str]:
     """The corpus directory of every load_corpus call of the CLI."""
     loads = []
-    monkeypatch.setattr(cli, "load_corpus", lambda paths, window: loads.append(
-        str(paths)) or load_corpus(paths, window))
+    monkeypatch.setattr(cli, "load_corpus", lambda files, window: loads.append(
+        str(files.paths.publications.parent)) or load_corpus(files, window))
     return loads
 
 
@@ -142,8 +148,8 @@ def test_load_corpus_keeps_no_entry(cache, data_dir, monkeypatch):
     once = [f"{name}.csv" for name in ("publications", "fields", "salaries",
                                        "professors", "authorships")]
     assert calls == 2 * [*once, "check"]
-    assert second.publications == first.publications
-    assert second.professors == first.professors
+    assert second.pub_columns == first.pub_columns
+    assert second.prof_columns == first.prof_columns
 
 
 def test_file_digests_are_of_the_bytes_loaded(cache, data_dir):
@@ -493,10 +499,9 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
 
 
 def test_cached_pass_equals_the_pass_made(cache, data_dir):
-    paths = CorpusPaths.from_dir(data_dir)
     made = _made_pass(data_dir)
     store_pass(WINDOW, RELAXED_CFG, None, made)
-    hit = cached_pass(paths, WINDOW, RELAXED_CFG, None, True)
+    hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, True)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
     assert list(hit.table().items()) == list(made.table().items())
     for level in LEVELS:
@@ -518,12 +523,11 @@ def test_pass_marshals_as_it_is(data_dir, fss):
 
 
 def test_pass_without_fss_misses_for_fss(cache, data_dir):
-    paths = CorpusPaths.from_dir(data_dir)
     corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
     made = professor_pass(corpus, compute_scaling_factors(corpus), fss=False)
     store_pass(WINDOW, RELAXED_CFG, None, made)
-    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, False) is not None
-    assert cached_pass(paths, WINDOW, RELAXED_CFG, None, True) is None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, False) is not None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, True) is None
     with pytest.raises(ValueError, match="without it"):
         scoreboards(made, RELAXED_CFG, "sds", "fss")
 
@@ -540,7 +544,6 @@ FILTER_CHANGES = {
 def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
                                                monkeypatch):
     assert set(FILTER_CHANGES) == set(FilterConfig._fields)
-    paths = CorpusPaths.from_dir(data_dir)
     baselines = _pruned_baselines(data_dir, tmp_path / "b.csv").read_bytes()
     made = {pinned: _made_pass(data_dir, baselines=pinned)
             for pinned in (None, baselines)}
@@ -550,18 +553,18 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     assert _pass_snapshot(made[None]) != _pass_snapshot(made[baselines])
     for pinned, pass_ in made.items():
         assert _pass_snapshot(cached_pass(
-            paths, WINDOW, RELAXED_CFG, pinned, True)) == _pass_snapshot(pass_)
+            _digests(data_dir), WINDOW, RELAXED_CFG, pinned, True)) == _pass_snapshot(pass_)
     edited = bytes([baselines[0] ^ 1]) + baselines[1:]     # one bit
-    assert cached_pass(paths, WINDOW, RELAXED_CFG, edited, True) is None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, edited, True) is None
 
     for name, value in FILTER_CHANGES.items():
         assert getattr(RELAXED_CFG, name) != value
         cfg = RELAXED_CFG._replace(**{name: value})
-        assert cached_pass(paths, WINDOW, cfg, baselines, True) is None, name
+        assert cached_pass(_digests(data_dir), WINDOW, cfg, baselines, True) is None, name
     for name, value in [("start_year", 2007), ("end_year", 2013),
                         ("citation_snapshot_label", "other")]:
         window = WINDOW._replace(**{name: value})
-        assert cached_pass(paths, window, RELAXED_CFG, baselines, True) \
+        assert cached_pass(_digests(data_dir), window, RELAXED_CFG, baselines, True) \
             is None, name
 
     # a module's source: the same key from a copy of the sources, another
@@ -573,11 +576,11 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     monkeypatch.setattr(cache_module, "__file__", str(copy / "cache.py"))
     for name in ("indicators", "cli", "baselines"):
         cache_module._fingerprint.cache_clear()
-        assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True)
+        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True)
         with open(copy / f"{name}.py", "a", encoding="utf-8") as f:
             f.write("\n")
         cache_module._fingerprint.cache_clear()
-        assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True) \
+        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True) \
             is None, name
         store_pass(WINDOW, RELAXED_CFG, baselines,
                    _made_pass(data_dir, baselines=baselines))
@@ -590,7 +593,7 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     fields[4] = str(int(fields[4]) + 1)
     path.write_text(header + ",".join(fields) + "".join(rest),
                     encoding="utf-8")
-    assert cached_pass(paths, WINDOW, RELAXED_CFG, baselines, True) is None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True) is None
 
 
 def test_include_all_doctypes_flag_misses(cache, data_dir, tmp_path,
@@ -661,6 +664,23 @@ def test_store_removes_passes_of_the_earlier_format(cache, data_dir,
     assert [p.name for p in _entries(cache) if p.suffix != ".marshal"] == \
         ["notes.txt"]
     assert len(_entries(cache)) == 2
+
+
+def test_store_removes_stale_temporaries(cache, data_dir, run_cfg, tmp_path,
+                                         capsys):
+    """A writer killed between writing and renaming leaves its temporary
+    file: a write removes one older than STALE_SECONDS, and keeps a fresh
+    one, which a live writer may be about to rename."""
+    cache.mkdir(parents=True)
+    stale, fresh = cache / "a.marshal.1.tmp", cache / "b.marshal.2.tmp"
+    for path in (stale, fresh):
+        path.write_bytes(b"half an entry")
+    old = time.time() - cache_module.STALE_SECONDS - 60
+    os.utime(stale, (old, old))
+    assert _run(["score", str(data_dir), "--config", str(run_cfg), "--level",
+                 "sds", "--out", str(tmp_path / "out")], capsys)[0] == 0
+    assert not stale.exists() and fresh.exists()
+    assert len([p for p in _entries(cache) if p.suffix == ".marshal"]) == 1
 
 
 def test_cap_counts_verdicts_and_passes(cache, data_dir, tmp_path, capsys):
@@ -744,9 +764,10 @@ def test_same_bytes_at_two_paths_share_entries(cache, data_dir, tmp_path,
 def test_pass_is_keyed_by_the_bytes_it_was_made_from(cache, data_dir,
                                                      tmp_path, capsys,
                                                      monkeypatch):
-    """A file edited between the pass lookup and the load is stored under
-    the edited bytes' digest, so the original bytes never hit the pass
-    made from the edited ones."""
+    """Each corpus file is read once per command: a file edited after the
+    pass lookup read it changes nothing in that run, whose pass is made from
+    the bytes read and stored under their digest. The edited bytes then
+    miss, and the original bytes hit the pass made from them."""
     (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
     path = data_dir / "publications.csv"
     original = path.read_bytes()
@@ -766,9 +787,13 @@ def test_pass_is_keyed_by_the_bytes_it_was_made_from(cache, data_dir,
         return load_corpus(*args)
     with monkeypatch.context() as patch:
         patch.setattr(cli, "load_corpus", load_edited)
-        score("edited")
+        during = score("during")
+    after_edit = score("after_edit")
     path.write_bytes(original)
-    again = score("again")
+    with monkeypatch.context() as patch:
+        _refuse_scoring(patch)
+        again = score("again")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty_cache"))
-    assert again == score("fresh")
-    assert _outputs(tmp_path / "edited") != _outputs(tmp_path / "fresh")
+    assert during == again == score("fresh")
+    assert after_edit[2] != during[2]
+    assert len(_entries(cache)) == 2

@@ -44,9 +44,9 @@ def _corpus() -> Corpus:
     auths = [Authorship(w, p) for w, p in [
         ("w1", "a1"), ("w2", "b1"), ("w3", "a2"), ("w4", "b2"), ("w4", "a1"),
         ("w5", "a1"), ("w5", "d3"), ("w6", "e3"), ("w7", "d3")]]
-    return Corpus(ObservationWindow(2008, 2012), {p.pub_id: p for p in pubs},
-                  auths, profs, FieldScheme({"S1": "U1", "S2": "U1", "S3": "U2"}),
-                  {"r": 1.0})
+    return Corpus.from_records(
+        ObservationWindow(2008, 2012), {p.pub_id: p for p in pubs}, auths,
+        profs, FieldScheme({"S1": "U1", "S2": "U1", "S3": "U2"}), {"r": 1.0})
 
 
 IND = "WARNING rankdiff.indicators: "

@@ -9,12 +9,12 @@ import pytest
 
 from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       SynthConfigError, apply_filters,
-                      compute_scaling_factors, generate,
-                      measure_quantity_impact_correlation, professor_pass,
+                      compute_scaling_factors, generate, professor_pass,
                       scoreboards, write_corpus_csvs)
 from rankdiff.synth import (DOC_TYPE_WEIGHTS, MAX_PUBS_PER_PROFESSOR,
                             _choice_cdf)
-from helpers import professors_by_pub, unit_ids
+from helpers import (measure_quantity_impact_correlation, professors_by_pub,
+                     records, unit_ids)
 
 
 def small_cfg(seed=7, **overrides) -> SynthConfig:
@@ -98,8 +98,7 @@ def test_scalar_picks_draw_what_rng_choice_draws():
 
 def test_multi_uda_cfg_draws_second_categories_and_coauthors():
     corpus = generate(multi_uda_cfg())
-    assert any(len(pub.subject_categories) > 1
-               for pub in corpus.publications.values())
+    assert any(len(cats) > 1 for cats in corpus.categories)
     assert any(len(authors) > 1 for authors in professors_by_pub(corpus).values())
 
 
@@ -118,15 +117,16 @@ def test_generated_corpora_validate():
 def test_cross_university_coauthorship_and_external_authors():
     corpus = generate(small_cfg(seed=3, n_universities=10,
                                 professors_per_sds=(4, 8)))
-    profs = corpus.professors
+    rows = records(corpus)
+    profs = rows.professors
     by_pub = professors_by_pub(corpus)
     cross = any(
         len({profs[a].university_id for a in authors}) > 1
         for authors in by_pub.values())
     fractional = any(
         len(by_pub.get(pub_id, [])) <
-        corpus.publications[pub_id].n_authors_total
-        for pub_id in corpus.publications)
+        rows.publications[pub_id].n_authors_total
+        for pub_id in rows.publications)
     assert cross
     assert fractional
 
@@ -135,7 +135,7 @@ def test_populated_cells_have_cited_publication():
     corpus = generate(small_cfg(seed=11, n_universities=12,
                                 pubs_per_professor=8.0))
     cells: dict[tuple[int, str], list] = {}
-    for pub in corpus.publications.values():
+    for pub in records(corpus).publications.values():
         for cat in pub.subject_categories:
             cells.setdefault((pub.year, cat), []).append(pub.citations)
     for key, citations in cells.items():
@@ -153,9 +153,10 @@ def test_quantity_impact_correlation_steering():
                        ("full", 80000.0)),
         window=ObservationWindow(2008, 2012, "synthetic snapshot"))
     corpus = generate(cfg)
-    assert len(corpus.professors) >= 2000
+    assert len(corpus.professor_ids) >= 2000
     table = compute_scaling_factors(corpus)
-    measured = measure_quantity_impact_correlation(corpus, table)
+    measured = measure_quantity_impact_correlation(
+        professor_pass(corpus, table, fss=False))
     assert measured == pytest.approx(0.6, abs=0.1)
 
 
@@ -170,7 +171,7 @@ def test_chemistry_shaped_corpus_runs_all_pipelines():
                        ("full", 80000.0)),
         window=ObservationWindow(2008, 2012, "synthetic snapshot"))
     corpus = generate(cfg)
-    assert len(corpus.professors) == pytest.approx(3174, rel=0.15)
+    assert len(corpus.professor_ids) == pytest.approx(3174, rel=0.15)
     filtered = apply_filters(corpus, FilterConfig())
     table = compute_scaling_factors(filtered)
     for level in ("sds", "uda", "overall"):
