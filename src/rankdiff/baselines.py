@@ -104,7 +104,6 @@ def compute_scaling_factors(corpus: Corpus) -> ScalingFactorTable:
     cells = {key: CellStats(mean=sums[key] / cited[key], cited_count=cited[key],
                             total_count=total[key])
              for key in cited}
-    log_computed(len(cells), len(years))
     return ScalingFactorTable(cells)
 
 

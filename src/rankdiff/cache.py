@@ -24,7 +24,7 @@ from collections.abc import Callable
 from itertools import chain
 from pathlib import Path
 
-from .corpus import Corpus, FilterConfig, ObservationWindow
+from .corpus import FilterConfig, ObservationWindow
 from .indicators import ProfessorPass
 
 # how many entries the cache directory keeps: the latest written
@@ -131,27 +131,26 @@ def verdict(file_digests: dict[str, str], window: ObservationWindow
                 lambda payload: (dict(payload[0]), int(payload[1])))
 
 
-def store_verdict(corpus: Corpus) -> None:
-    """Keep the counts of a corpus that passed every check."""
-    store(entry("validate", tuple(corpus.window),
-                list(corpus.file_digests.values())),
-          (corpus.counts(), corpus.outside_window()))
+def store_verdict(file_digests: dict[str, str], window: ObservationWindow,
+                  kept: tuple[dict[str, int], int]) -> None:
+    """Keep the counts of the corpus of ``file_digests``, which passed every
+    check in ``window``, and its publications outside it."""
+    store(entry("validate", tuple(window), list(file_digests.values())), kept)
 
 
 # ---------------------------------------------------------------------------
 # The professor pass, keyed also by the filters and the baselines' source
 
 def cached_pass(file_digests: dict[str, str], window: ObservationWindow,
-                cfg: FilterConfig, baselines: bytes | None, fss: bool
+                cfg: FilterConfig, baselines: bytes | None
                 ) -> ProfessorPass | None:
     """The cached professor pass of the corpus of ``file_digests``, loaded
     in ``window``, filtered by ``cfg`` and scored against the baseline table
-    whose file holds ``baselines`` (None: computed from the corpus). None on
-    a miss, and when the pass lacks the FSS that ``fss`` asks for."""
-    pass_ = load(_pass_entry(window, cfg, baselines, file_digests),
-                 lambda payload: _checked(ProfessorPass(*payload,
-                                                        file_digests)))
-    return None if pass_ is None or fss and pass_.scores is None else pass_
+    whose file holds ``baselines`` (None: computed from the corpus); None on
+    a miss."""
+    return load(_pass_entry(window, cfg, baselines, file_digests),
+                lambda payload: _checked(ProfessorPass(*payload,
+                                                       file_digests)))
 
 
 def store_pass(window: ObservationWindow, cfg: FilterConfig,
@@ -177,17 +176,16 @@ def _checked(pass_: ProfessorPass) -> ProfessorPass:
     index in range; ValueError otherwise."""
     n, m = len(pass_.professor_ids), len(pass_.impacts)
     indices = list(chain.from_iterable(pass_.pubs))
-    scores = [] if pass_.scores is None else [(pass_.scores, n, {float})]
     for column, length, kinds in [
             (pass_.professor_ids, n, {str}), (pass_.universities, n, {str}),
             (pass_.sds, n, {str}), (pass_.pubs, n, {list}),
+            (pass_.scores, n, {float}),
             (pass_.impacts, m, {float, type(None)}),
-            (pass_.n_authors, m, {int}), (indices, len(indices), {int}),
-            *scores]:
+            (pass_.n_authors, m, {int}), (indices, len(indices), {int})]:
         if (type(column) is not list or len(column) != length
                 or not set(map(type, column)) <= kinds):
             raise ValueError("damaged professor pass")
-    mappings = (pass_.sds_to_uda, pass_.cells, pass_.averages or {})
+    mappings = (pass_.sds_to_uda, pass_.cells, pass_.averages)
     if ({type(x) for x in mappings} != {dict}
             or indices and not 0 <= min(indices) <= max(indices) < m):
         raise ValueError("damaged professor pass")

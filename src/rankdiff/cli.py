@@ -58,21 +58,30 @@ def _digest(path: str | Path, data: bytes | None) -> str:
 
 class OutputDir:
     """Standard output layout with overwrite protection and a manifest.
-    With ``force``, the outputs a readable manifest lists, each inside the
-    directory, and that manifest are removed first; nothing else is."""
+    A directory holding nothing but empty layout subdirectories, as a run
+    that failed after making them leaves, counts as empty. With ``force``,
+    the outputs a readable manifest lists, each inside the directory, and
+    that manifest are removed first; nothing else is."""
+
+    LAYOUT = ("scoreboards", "comparisons", "summaries", "manifest")
 
     def __init__(self, root: str | Path, force: bool):
         self.root = Path(root)
-        if self.root.exists() and any(self.root.iterdir()):
+        if self.root.exists() and not self._holds_only_layout():
             if not force:
                 raise SystemExitWithCode(
                     EXIT_CONFIG,
                     f"output directory {self.root} is not empty; use --force")
             self._remove_previous_outputs()
-        for sub in ("scoreboards", "comparisons", "summaries", "manifest"):
+        for sub in self.LAYOUT:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.warnings: list[str] = []
+
+    def _holds_only_layout(self) -> bool:
+        return all(entry.name in self.LAYOUT and entry.is_dir()
+                   and not entry.is_symlink() and not any(entry.iterdir())
+                   for entry in self.root.iterdir())
 
     def _remove_previous_outputs(self) -> None:
         manifest = self.root / "manifest" / "run_manifest.json"
@@ -168,11 +177,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for v in exc.violations:
                 print(f"  {v}")
             return EXIT_VALIDATION
-        cache.store_verdict(corpus)
-        counts = corpus.counts()
-    else:
-        counts, outside = kept
-        log_loaded(counts, outside)
+        kept = corpus.counts(), corpus.outside_window()
+        cache.store_verdict(files.digests, run_cfg.window, kept)
+    counts, outside = kept
+    log_loaded(counts, outside)
     print("VALID")
     for entity, count in counts.items():
         print(f"  {entity}: {count}")
@@ -186,15 +194,9 @@ def _baseline_table(args: argparse.Namespace, corpus: Corpus,
     if not args.baselines:
         return compute_scaling_factors(corpus)
     try:
-        table = ScalingFactorTable.from_csv(args.baselines, data=baselines)
+        return ScalingFactorTable.from_csv(args.baselines, data=baselines)
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
-    _log_imported(args, len(table))
-    return table
-
-
-def _log_imported(args: argparse.Namespace, cells: int) -> None:
-    log.info("baselines imported from %s (%d cells)", args.baselines, cells)
 
 
 def _score_corpus(args: argparse.Namespace, indicator: str
@@ -204,39 +206,39 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     scoring warnings. Also returns the professor pass and the digests of
     the files read. The pass comes from the cache, or from loading and
     filtering the corpus, building or importing the baselines and scoring
-    the professors, and is then kept there; a cached pass logs from its
-    counters what those stages logged, in the same order around the same
-    output directory check."""
+    the professors, and is then kept there. The stages log nothing: their
+    lines are logged here, from the same counts on a hit and on a miss."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    fss = indicator != MNCS
     files = read_files(args.data_dir)
     baselines = read_bytes(args.baselines) if args.baselines else None
     # an unreadable --baselines is reported where it is parsed, uncached
     cached = not args.baselines or baselines is not None
     pass_ = (cache.cached_pass(files.digests, run_cfg.window, run_cfg.filters,
-                               baselines, fss) if cached else None)
+                               baselines) if cached else None)
     if pass_ is None:
         loaded = load_corpus(files, run_cfg.window)
         corpus = apply_filters(loaded, run_cfg.filters)
+        counts, report = loaded.counts(), corpus.filter_report
     else:
-        report = FilterReport(*pass_.filter_report)
-        log_loaded(pass_.corpus_counts, report.publications_removed_window)
-        log_filtered(report)
+        counts, report = (pass_.corpus_counts,
+                          FilterReport(*pass_.filter_report))
+    log_loaded(counts, report.publications_removed_window)
+    log_filtered(report)
     del files       # the bytes, parsed or hashed, are not needed again
     out = OutputDir(args.out, args.force)
     if pass_ is None:
         pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
-                               fss, loaded.counts())
+                               counts)
         if cached:
             cache.store_pass(run_cfg.window, run_cfg.filters, baselines,
                              pass_)
+    if args.baselines:
+        log.info("baselines imported from %s (%d cells)", args.baselines,
+                 len(pass_.cells))
     else:
-        if args.baselines:
-            _log_imported(args, len(pass_.cells))
-        else:
-            log_computed(len(pass_.cells), pass_.baseline_population)
-        if fss:
-            log_fss(pass_)
+        log_computed(len(pass_.cells), pass_.baseline_population)
+    if indicator != MNCS:
+        log_fss(pass_)
     if args.export_baselines:
         pass_.table().to_csv(out.path("summaries", "baselines.csv"))
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)

@@ -596,8 +596,10 @@ def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
         return cells
 
     pub_columns = read("publications", PUBLICATION_COLUMNS, ("pub_id",))
-    pub_columns[3] = [tuple(filter(None, map(str.strip, c.split("|"))))
-                      for c in pub_columns[3]]
+    # far fewer distinct category cells than publications: split each once
+    split = {cell: tuple(filter(None, map(str.strip, cell.split("|"))))
+             for cell in set(pub_columns[3])}
+    pub_columns[3] = list(map(split.__getitem__, pub_columns[3]))
 
     codes, sds_names, udas, uda_names = read("fields", FIELD_COLUMNS,
                                              ("sds_code",))
@@ -616,13 +618,10 @@ def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
     auth_columns = read("authorships", AUTHORSHIP_COLUMNS)
     if violations:
         raise CorpusLoadError(violations)
-    corpus = Corpus.from_columns(window, pub_columns, auth_columns,
-                                 prof_columns, scheme,
-                                 dict(zip(ranks, salaries)), lines,
-                                 files.digests)
-    if log.isEnabledFor(logging.INFO):
-        log_loaded(corpus.counts(), corpus.outside_window())
-    return corpus
+    return Corpus.from_columns(window, pub_columns, auth_columns,
+                               prof_columns, scheme,
+                               dict(zip(ranks, salaries)), lines,
+                               files.digests)
 
 
 def log_loaded(counts: dict[str, int], outside_window: int) -> None:
@@ -661,7 +660,6 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
         publications_removed_window=len(in_window) - sum(in_window),
         authorships_removed=sum(map(len, corpus.pubs)) - sum(map(len, pubs)),
     )
-    log_filtered(report)
     return Corpus(corpus.window, publications, professors, pubs,
                   corpus.field_scheme, corpus.salary_table, baseline, report,
                   corpus.file_digests)

@@ -68,58 +68,38 @@ def professor_scores(corpus: Corpus, impacts: list[float | None]
 
     score = (1 / salary) * (1 / t) * sum over authored publications of
     (normalized impact / total co-author count). A publication whose
-    ``impacts`` entry is None (no baseline) is skipped and counted in one
-    warning. Terms are summed in publication index order, which is id order,
-    so input row order cannot change a score.
+    ``impacts`` entry is None (no baseline) is skipped. Terms are summed in
+    publication index order, which is id order, so input row order cannot
+    change a score.
     """
     scores: list[float] = []
-    skipped = 0
     n_authors, salary_table = corpus.n_authors, corpus.salary_table
     for indices, rank, years in zip(corpus.pubs, corpus.ranks,
                                     corpus.years_on_staff):
         total = 0.0
         for j in indices:
             impact = impacts[j]
-            if impact is None:
-                skipped += 1
-            else:
+            if impact is not None:
                 total += impact / n_authors[j]
         scores.append(total / (salary_table[rank] * years))
-    log_fss_skipped(skipped)
     return scores
-
-
-def log_fss_skipped(skipped: int) -> None:
-    if skipped:
-        log.warning("fss: %d publication terms skipped for missing baselines",
-                    skipped)
 
 
 def sds_averages(corpus: Corpus, scores: list[float]) -> dict[str, float]:
     """National mean productivity of each SDS's productive professors, from
     the ``scores`` of the professors, by index.
 
-    An SDS without a productive professor has no mean and is logged. Values
-    are summed in professor index order, which is id order, so input row
-    order cannot change them.
+    An SDS without a productive professor has no mean. Values are summed in
+    professor index order, which is id order, so input row order cannot
+    change them.
     """
     productive: dict[str, list[float]] = {}
     for code, score in zip(corpus.sds, scores):
         values = productive.setdefault(code, [])
         if score > 0:
             values.append(score)
-    averages: dict[str, float] = {}
-    for code, values in sorted(productive.items()):
-        if values:
-            averages[code] = sum(values) / len(values)
-        else:
-            log_unproductive(code)
-    return averages
-
-
-def log_unproductive(sds_code: str) -> None:
-    log.warning("SDS %s has no productive professor; its staff are "
-                "excluded from unit FSS", sds_code)
+    return {code: sum(values) / len(values)
+            for code, values in sorted(productive.items()) if values}
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +107,30 @@ def log_unproductive(sds_code: str) -> None:
 
 class ProfessorPass(NamedTuple):
     """The columns the unit pass reads of a filtered corpus scored against a
-    baseline table, and the counters its stages log.
+    baseline table, and the counters of its stages, which the CLI logs.
 
     Professors and publications are in id order, each named by its index.
     Per professor: ``professor_ids``, ``universities``, ``sds``, ``pubs``
     (the ascending indices of their publications) and ``scores`` (FSS_P);
     per publication: ``impacts`` (None without a baseline) and
     ``n_authors``. ``cells`` maps (year, category) to (mean, cited_count,
-    total_count). ``scores``, ``averages``, ``fss_skipped`` and
-    ``unproductive`` are None without FSS. Every field but the last,
-    ``file_digests``, is of builtin types, stored by ``marshal`` as is.
+    total_count). Every field but the last, ``file_digests``, is of builtin
+    types, stored by ``marshal`` as is.
     """
     professor_ids: list[str]
     universities: list[str]
     sds: list[str]
     pubs: list[list[int]]
-    scores: list[float] | None
+    scores: list[float]
     impacts: list[float | None]
     n_authors: list[int]
     sds_to_uda: dict[str, str]
-    averages: dict[str, float] | None
+    averages: dict[str, float]
     cells: dict[tuple[int, str], tuple[float, int, int]]
     filter_report: tuple[int, ...] | None
     baseline_population: int
-    fss_skipped: int | None
-    unproductive: list[str] | None
+    fss_skipped: int
+    unproductive: list[str]
     corpus_counts: dict[str, int] | None
     file_digests: dict[str, str]
 
@@ -162,36 +141,37 @@ class ProfessorPass(NamedTuple):
 
 
 def professor_pass(corpus: Corpus, table: ScalingFactorTable,
-                   fss: bool = True,
                    corpus_counts: dict[str, int] | None = None
                    ) -> ProfessorPass:
-    """The professor pass of a filtered corpus: the normalized impacts and,
-    with ``fss``, each professor's FSS_P and the SDS averages. It logs what
-    ``professor_scores`` and ``sds_averages`` log. ``corpus_counts`` are
-    the counts of the corpus before filtering, when known."""
+    """The professor pass of a filtered corpus: the normalized impacts, each
+    professor's FSS_P and the SDS averages, with the publication terms FSS
+    skipped for missing baselines and the SDS without an average.
+    ``corpus_counts`` are the counts of the corpus before filtering, when
+    known."""
     impacts = impact_map(corpus, table)
-    scores = averages = skipped = unproductive = None
-    if fss:
-        scores = professor_scores(corpus, impacts)
-        averages = sds_averages(corpus, scores)
-        skipped = sum(impacts[j] is None for ps in corpus.pubs for j in ps)
-        unproductive = sorted(set(corpus.sds).difference(averages))
+    scores = professor_scores(corpus, impacts)
+    averages = sds_averages(corpus, scores)
     return ProfessorPass(
         corpus.professor_ids, corpus.universities, corpus.sds, corpus.pubs,
         scores, impacts, corpus.n_authors,
         dict(corpus.field_scheme.sds_to_uda), averages,
         {cell: tuple(stats) for cell, stats in table.items()},
         None if corpus.filter_report is None else tuple(corpus.filter_report),
-        len(corpus.baseline[0]), skipped, unproductive, corpus_counts,
+        len(corpus.baseline[0]),
+        sum(impacts[j] is None for ps in corpus.pubs for j in ps),
+        sorted(set(corpus.sds).difference(averages)), corpus_counts,
         corpus.file_digests)
 
 
 def log_fss(pass_: ProfessorPass) -> None:
-    """Log what ``professor_scores`` and ``sds_averages`` logged when the
-    pass was made."""
-    log_fss_skipped(pass_.fss_skipped)
+    """Log the publication terms FSS skipped and each SDS without an
+    average."""
+    if pass_.fss_skipped:
+        log.warning("fss: %d publication terms skipped for missing baselines",
+                    pass_.fss_skipped)
     for code in pass_.unproductive:
-        log_unproductive(code)
+        log.warning("SDS %s has no productive professor; its staff are "
+                    "excluded from unit FSS", code)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +278,12 @@ def scoreboards(pass_: ProfessorPass, cfg: FilterConfig, level: str,
 
     When both indicators are requested, each scope's FSS and MNCS boards are
     restricted to the units that obtained both scores; the rest are dropped
-    and reported. FSS needs a pass made with FSS.
+    and reported.
     """
     if indicator not in (FSS, MNCS, BOTH):
         raise ValueError(f"unknown indicator {indicator!r}")
     want_fss = indicator in (FSS, BOTH)
     want_mncs = indicator in (MNCS, BOTH)
-    if want_fss and pass_.scores is None:
-        raise ValueError("FSS asked of a professor pass made without it")
     result = ScoreboardSet(level, {}, [], [])
     for scope, scope_units in eligible_units(pass_, level, cfg).items():
         if level == LEVEL_SDS and len(scope_units) < cfg.min_units_to_rank:

@@ -14,9 +14,12 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
   ``--baseline-include-all-doctypes``;
 - ``compare --from-scores`` on the three score tables in ``tests/data``.
 
-Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in three cache states:
-an empty cache, the warm cache that first run leaves, and
-``XDG_CACHE_HOME`` a regular file. The exit code, stdout, stderr and every
+Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in four cache states:
+an empty cache, the warm cache that first run leaves, ``XDG_CACHE_HOME`` a
+regular file, and ``shared``: the whole matrix in order in one cache per
+log level, so that a command also reads what the commands before it kept,
+such as the pass of a ``score --indicator mncs`` read by a later ``score
+--indicator both`` or ``compare``. The exit code, stdout, stderr and every
 output file are compared between the two checkouts; only the manifest's
 ``timestamp`` and the output path, the run's own work directory, are
 ignored. The script prints each difference and exits 1 if there is any,
@@ -36,7 +39,7 @@ from pathlib import Path
 LEVELS = ("sds", "uda", "overall")
 INDICATORS = ("fss", "mncs", "both")
 LOG_LEVELS = ("error", "debug")
-CACHE_STATES = ("empty", "warm", "file")
+CACHE_STATES = ("empty", "warm", "file")      # each command on its own
 SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
 WORK = "<WORK>"
 # the exported table every --baselines run reads
@@ -130,31 +133,44 @@ def main(argv: list[str]) -> int:
         return 2
     base, change, data_dir, run_cfg = (Path(a).resolve() for a in argv)
     found = runs = files = 0
+    commands = matrix(data_dir, run_cfg)
     with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
         checkouts = [(base, Path(tmp) / "base"),
                      (change, Path(tmp) / "change")]
         for _, work in checkouts:
             work.mkdir()
             (work / "cache-file").write_text("not a directory")
-        for name, command in matrix(data_dir, run_cfg):
-            for log_level in LOG_LEVELS:
-                for _, work in checkouts:
-                    shutil.rmtree(work / "cache", ignore_errors=True)
-                for state in CACHE_STATES:
-                    label = f"{name} RANKDIFF_LOG={log_level} cache={state}"
-                    # the empty cache, then the one it left, then a file
-                    cache = "cache-file" if state == "file" else "cache"
-                    results = [run(checkout, work, name, command, log_level,
-                                   work / cache)
-                               for checkout, work in checkouts]
-                    runs += 1
-                    files += len(results[1]) - 3
-                    for report in differences(label, *results):
-                        print(report, flush=True)
-                        found += 1
+
+        def compare(name: str, command: list[str], log_level: str,
+                    state: str, cache: str) -> None:
+            nonlocal found, runs, files
+            label = f"{name} RANKDIFF_LOG={log_level} cache={state}"
+            results = [run(checkout, work, name, command, log_level,
+                           work / cache) for checkout, work in checkouts]
+            runs += 1
+            files += len(results[1]) - 3
+            for report in differences(label, *results):
+                print(report, flush=True)
+                found += 1
             if name != "score-sds-both-export":
                 for _, work in checkouts:
                     shutil.rmtree(work / "out" / name, ignore_errors=True)
+
+        def clear(cache: str) -> None:
+            for _, work in checkouts:
+                shutil.rmtree(work / cache, ignore_errors=True)
+
+        for name, command in commands:
+            for log_level in LOG_LEVELS:
+                clear("cache")
+                # the empty cache, then the one it left, then a file
+                for state in CACHE_STATES:
+                    compare(name, command, log_level, state,
+                            "cache-file" if state == "file" else "cache")
+        for log_level in LOG_LEVELS:
+            clear("cache-shared")
+            for name, command in commands:
+                compare(name, command, log_level, "shared", "cache-shared")
     print(f"{runs} runs in each checkout, {files} output files compared, "
           f"{found} difference(s)")
     return 1 if found else 0

@@ -295,6 +295,38 @@ def test_output_dir_overwrite_requires_force(synth_setup):
     assert main(args + ["--force"]) == 0
 
 
+def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
+    """A run that fails after making the output layout leaves only empty
+    subdirectories, and the corrected rerun writes there without --force;
+    a file in any of them still needs it."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    bad = tmp_path / "bad_baselines.csv"
+    bad.write_text("year,category,mean,cited_count,total_count\n"
+                   "2008,C,abc,1,1\n", encoding="utf-8")
+    big = tmp_path / "big.csv"
+    big.write_text("unit,fss_score,mncs_score\nU0,1.2e308,0\nU1,1.3e308,1\n",
+                   encoding="utf-8")
+    score = ["score", str(data_dir), "--config", str(run_cfg), "--level",
+             "overall"]
+    for out, failing, fixed, code in [
+            ("score", [*score, "--baselines", str(bad)], score, 2),
+            ("replay", ["compare", "--from-scores", str(big)],
+             ["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv")],
+             1)]:
+        out = tmp_path / out
+        assert main(failing + ["--out", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["comparisons", "manifest", "scoreboards", "summaries"])
+        assert not _files(out)
+        capsys.readouterr()
+        assert main(fixed + ["--out", str(out)]) == 0
+        assert "not empty" not in capsys.readouterr().err
+    (tmp_path / "filled" / "summaries").mkdir(parents=True)
+    (tmp_path / "filled" / "summaries" / "notes.txt").write_text("kept")
+    assert main([*score, "--out", str(tmp_path / "filled")]) == 2
+    assert "is not empty; use --force" in capsys.readouterr().err
+
+
 def _files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*")
             if p.is_file()}

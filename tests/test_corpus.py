@@ -37,6 +37,22 @@ def test_load_roundtrip_preserves_digest(tmp_path, tiny_corpus, window):
     assert reloaded.digest() == tiny_corpus.digest()
 
 
+def test_padded_categories_load_as_the_plain_ones(corpus_dir, window,
+                                                  tiny_corpus):
+    """Spaces around a category and empty parts of a cell are dropped, in
+    every row that holds the cell, repeated or not."""
+    path = corpus_dir / "publications.csv"
+    text = path.read_text(encoding="utf-8")
+    for plain, padded in [(",C1|C2,", ", C1 | C2 ,"), (",C2,", ",| C2,"),
+                          (",C1,", ",C1 |,")]:
+        assert plain in text
+        text = text.replace(plain, padded)
+    path.write_text(text, encoding="utf-8")
+    loaded = load_corpus(corpus_dir, window)
+    assert loaded.categories == tiny_corpus.categories
+    assert loaded.digest() == tiny_corpus.digest()
+
+
 def test_dangling_authorship_names_row(corpus_dir, window):
     with open(corpus_dir / "authorships.csv", "a", encoding="utf-8") as f:
         f.write("w1,GHOST\n")

@@ -53,11 +53,11 @@ def test_fss_professor_unity_case():
     assert _fss_p(corpus, table)["p"] == 1.0
 
 
-def test_fss_professor_no_publications(caplog):
+def test_fss_professor_no_publications():
     prof = Professor("p", "A", "S", "r", 3.0)
     corpus = _corpus([], [], [prof])
     assert _fss_p(corpus, ScalingFactorTable({}))["p"] == 0.0
-    assert "skipped" not in caplog.text
+    assert professor_pass(corpus, ScalingFactorTable({})).fss_skipped == 0
 
 
 def test_fss_professor_hand_computed():
@@ -86,14 +86,13 @@ def test_fss_professor_nonpositive_tenure():
         _corpus([], [], [broken])
 
 
-def test_fss_skips_missing_baseline_terms(caplog):
+def test_fss_skips_missing_baseline_terms():
     prof = Professor("p", "A", "S", "r", 1.0)
     corpus = _corpus([_pub("w1", 2, 1), _pub("w2", 5, 1, cats=("UNKNOWN",))],
                      [Authorship("w1", "p"), Authorship("w2", "p")], [prof])
     table = ScalingFactorTable({(2008, "C"): CellStats(2.0, 1, 1)})
     assert _fss_p(corpus, table)["p"] == 1.0
-    assert "fss: 1 publication terms skipped for missing baselines" \
-        in caplog.text
+    assert professor_pass(corpus, table).fss_skipped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_fss_skips_missing_baseline_terms(caplog):
 
 def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
-    pass_ = professor_pass(corpus, ScalingFactorTable({}), fss=False)
+    pass_ = professor_pass(corpus, ScalingFactorTable({}))
     pass_ = pass_._replace(scores=[scores[p] for p in pass_.professor_ids],
                            averages=_averages(corpus, scores))
     fss, _ = unit_scores(pass_, univ, scope,
@@ -122,10 +121,10 @@ def test_sds_average_ignores_unproductive():
     assert averages == {"S": 3.0}
 
 
-def test_sds_average_no_productive_professors(caplog):
+def test_sds_average_no_productive_professors():
     corpus = _staff_corpus({"p1": ("A", "S")})
     assert "S" not in _averages(corpus, {"p1": 0.0})
-    assert "SDS S has no productive professor" in caplog.text
+    assert professor_pass(corpus, ScalingFactorTable({})).unproductive == ["S"]
 
 
 def test_sds_average_singleton():

@@ -478,6 +478,33 @@ def test_pass_hit_prints_what_a_miss_prints(data_dir, tmp_path):
     assert "INFO rankdiff.corpus: loaded corpus" in results["debug", "hit"][2]
 
 
+@pytest.mark.parametrize("level", LOG_LEVELS)
+def test_mncs_only_pass_serves_compare(level, data_dir, run_cfg, tmp_path,
+                                       capsys, caplog, monkeypatch):
+    """Every pass holds FSS: a ``compare`` after ``score --indicator mncs``
+    on the same settings reads the pass that score made, and prints, logs
+    and writes what a ``compare`` on an empty cache does."""
+    _add_unproductive_sds(data_dir)
+    loads = _count_loads(monkeypatch)
+    corpus = [str(data_dir), "--config", str(run_cfg), "--level", "sds"]
+    runs = {}
+    for tag, first in [("cold", []), ("after_mncs", ["score"])]:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"xdg-{tag}"))
+        if first:
+            assert _run_at(level, ["score", *corpus, "--indicator", "mncs",
+                                   "--out", str(tmp_path / "mncs")],
+                           capsys, caplog)[0] == 0
+        code, out, err = _run_at(level, ["compare", *corpus, "--out",
+                                         str(tmp_path / tag)], capsys, caplog)
+        runs[tag] = (code, out.replace(str(tmp_path / tag), "OUT"), err,
+                     _outputs(tmp_path / tag))
+    assert loads == 2 * [str(data_dir)]
+    assert runs["after_mncs"] == runs["cold"]
+    assert runs["cold"][0] == 0
+    assert ("WARNING rankdiff.indicators: SDS S9 has no productive "
+            "professor") in runs["cold"][2]
+
+
 def _pass_snapshot(pass_) -> list:
     """Every field of a professor pass, with its order and value types."""
     def typed(value):
@@ -501,7 +528,7 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
 def test_cached_pass_equals_the_pass_made(cache, data_dir):
     made = _made_pass(data_dir)
     store_pass(WINDOW, RELAXED_CFG, None, made)
-    hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, True)
+    hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
     assert list(hit.table().items()) == list(made.table().items())
     for level in LEVELS:
@@ -509,27 +536,16 @@ def test_cached_pass_equals_the_pass_made(cache, data_dir):
             scoreboards(made, RELAXED_CFG, level)
 
 
-@pytest.mark.parametrize("fss", [True, False], ids=["fss", "mncs_only"])
-def test_pass_marshals_as_it_is(data_dir, fss):
+def test_pass_marshals_as_it_is(data_dir):
     """Every field of a professor pass but its last, the file digests, is
     of builtin types that marshal stores and loads back equal."""
     corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
-    made = professor_pass(corpus, compute_scaling_factors(corpus), fss)
+    made = professor_pass(corpus, compute_scaling_factors(corpus))
     assert ProfessorPass._fields[-1] == "file_digests"
     stored = made[:-1]
     assert marshal.loads(marshal.dumps(stored)) == stored
     assert ProfessorPass(*marshal.loads(marshal.dumps(stored)),
                          made.file_digests) == made
-
-
-def test_pass_without_fss_misses_for_fss(cache, data_dir):
-    corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
-    made = professor_pass(corpus, compute_scaling_factors(corpus), fss=False)
-    store_pass(WINDOW, RELAXED_CFG, None, made)
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, False) is not None
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, True) is None
-    with pytest.raises(ValueError, match="without it"):
-        scoreboards(made, RELAXED_CFG, "sds", "fss")
 
 
 # a different valid value for every setting of FilterConfig
@@ -553,18 +569,18 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     assert _pass_snapshot(made[None]) != _pass_snapshot(made[baselines])
     for pinned, pass_ in made.items():
         assert _pass_snapshot(cached_pass(
-            _digests(data_dir), WINDOW, RELAXED_CFG, pinned, True)) == _pass_snapshot(pass_)
+            _digests(data_dir), WINDOW, RELAXED_CFG, pinned)) == _pass_snapshot(pass_)
     edited = bytes([baselines[0] ^ 1]) + baselines[1:]     # one bit
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, edited, True) is None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, edited) is None
 
     for name, value in FILTER_CHANGES.items():
         assert getattr(RELAXED_CFG, name) != value
         cfg = RELAXED_CFG._replace(**{name: value})
-        assert cached_pass(_digests(data_dir), WINDOW, cfg, baselines, True) is None, name
+        assert cached_pass(_digests(data_dir), WINDOW, cfg, baselines) is None, name
     for name, value in [("start_year", 2007), ("end_year", 2013),
                         ("citation_snapshot_label", "other")]:
         window = WINDOW._replace(**{name: value})
-        assert cached_pass(_digests(data_dir), window, RELAXED_CFG, baselines, True) \
+        assert cached_pass(_digests(data_dir), window, RELAXED_CFG, baselines) \
             is None, name
 
     # a module's source: the same key from a copy of the sources, another
@@ -576,11 +592,11 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     monkeypatch.setattr(cache_module, "__file__", str(copy / "cache.py"))
     for name in ("indicators", "cli", "baselines"):
         cache_module._fingerprint.cache_clear()
-        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True)
+        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines)
         with open(copy / f"{name}.py", "a", encoding="utf-8") as f:
             f.write("\n")
         cache_module._fingerprint.cache_clear()
-        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True) \
+        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines) \
             is None, name
         store_pass(WINDOW, RELAXED_CFG, baselines,
                    _made_pass(data_dir, baselines=baselines))
@@ -593,7 +609,7 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     fields[4] = str(int(fields[4]) + 1)
     path.write_text(header + ",".join(fields) + "".join(rest),
                     encoding="utf-8")
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines, True) is None
+    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines) is None
 
 
 def test_include_all_doctypes_flag_misses(cache, data_dir, tmp_path,

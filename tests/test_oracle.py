@@ -2,12 +2,15 @@
 
 ``perfbench/reference.py`` recomputes every FSS and MNCS from the five
 corpus CSVs with numpy and imports nothing from ``rankdiff``. Here a drawn
-synth config and drawn run thresholds go through ``rankdiff synth`` and
-``score --level L --indicator both`` at each level, in process, each level
-first on an empty cache and then again on the warm one, and every board
-must match ``Reference.boards`` within ``checks.SCORE_RTOL``. This covers the
-whole path from file bytes to output CSV. ``reference.py`` ignores
-``baseline_include_all_doctypes``, so that setting stays off.
+synth config and drawn run thresholds go through ``rankdiff synth`` and, at
+each level L and in process, ``score --level L --indicator mncs`` on an
+empty cache, then ``score --level L --indicator both`` and ``compare
+--level L`` on the pass that first command left. Every board must match
+``Reference.boards`` within ``checks.SCORE_RTOL``, and every comparison
+``checks.check_compare``, so each FSS value checked comes from a pass an
+MNCS-only command made. This covers the whole path from file bytes to
+output CSV. ``reference.py`` ignores ``baseline_include_all_doctypes``, so
+that setting stays off.
 """
 from __future__ import annotations
 
@@ -96,15 +99,22 @@ def test_boards_match_the_reference(perfbench, data):
                       str(corpus)]) == 0
         ref = reference.Reference(
             corpus, reference.read_run_settings(tmp / "run.cfg"))
+        args = [str(corpus), "--config", str(tmp / "run.cfg")]
         for level in LEVELS:
-            # each level's own empty cache, then the same cache warm
+            # each level's own empty cache, which the MNCS-only score fills
             patch.setenv("XDG_CACHE_HOME", str(tmp / f"cache-{level}"))
-            expected = ref.boards(level, "both")
-            for state in ("cold", "warm"):
-                out = tmp / f"{level}-{state}"
-                assert _main(["score", str(corpus), "--config",
-                              str(tmp / "run.cfg"), "--level", level,
-                              "--indicator", "both", "--out", str(out)]) == 0
-                assert checks.check_scoreboards(out, expected, level,
-                                                "both") == [], (level, state)
-            assert list((tmp / f"cache-{level}" / "rankdiff").iterdir())
+            for indicator in ("mncs", "both"):
+                out = tmp / f"{level}-{indicator}"
+                assert _main(["score", *args, "--level", level, "--indicator",
+                              indicator, "--out", str(out)]) == 0
+                assert checks.check_scoreboards(
+                    out, ref.boards(level, indicator), level,
+                    indicator) == [], (level, indicator)
+            out = tmp / f"{level}-compare"
+            assert _main(["compare", *args, "--level", level,
+                          "--out", str(out)]) == 0
+            scopes = checks.corpus_compare_scopes(ref.boards(level))
+            assert checks.check_compare(out, level, scopes) == [], level
+            # the one pass every command read
+            cache = tmp / f"cache-{level}" / "rankdiff"
+            assert len(list(cache.iterdir())) == 1

@@ -156,7 +156,7 @@ def test_quantity_impact_correlation_steering():
     assert len(corpus.professor_ids) >= 2000
     table = compute_scaling_factors(corpus)
     measured = measure_quantity_impact_correlation(
-        professor_pass(corpus, table, fss=False))
+        professor_pass(corpus, table))
     assert measured == pytest.approx(0.6, abs=0.1)
 
 
