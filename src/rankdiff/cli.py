@@ -22,7 +22,7 @@ from pathlib import Path
 from . import cache, divergence, report
 from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
 from .corpus import (Corpus, FilterReport, LEVEL_SDS, LEVELS, RunConfig,
-                     apply_filters, load_corpus, log_filtered, log_loaded,
+                     apply_filters, load_corpus, log_corpus,
                      read_bytes, read_config, read_csv, read_files,
                      write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
@@ -150,39 +150,56 @@ def _config_snapshot(run_cfg: RunConfig) -> dict:
     }
 
 
-def _input_digests(args: argparse.Namespace, pass_: ProfessorPass,
-                   baselines: bytes | None) -> dict[str, str]:
-    """sha256 of every file the run read: the corpus files, as they were
-    loaded, and any --baselines, whose bytes were ``baselines``."""
-    digests = dict(pass_.file_digests)
+def _professor_pass(args: argparse.Namespace
+                    ) -> tuple[RunConfig, ProfessorPass, dict[str, str]]:
+    """The run's settings, the professor pass of its corpus and the sha256 of
+    every file the run read: the corpus files, as they were loaded, and any
+    --baselines. The pass comes from the cache, or from loading and
+    filtering the corpus, building or importing the baselines and scoring
+    the professors, and is then kept there. The stages log nothing: the
+    loaded-corpus and filters lines are logged here, from the same counts
+    on a hit and on a miss."""
+    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
+    files = read_files(args.data_dir)
+    digests = files.digests
+    baselines = read_bytes(args.baselines) if args.baselines else None
+    # an unreadable --baselines is reported where it is parsed, uncached
+    cached = not args.baselines or baselines is not None
+    key = (digests, run_cfg.window, run_cfg.filters, baselines)
+    pass_ = cache.cached_pass(*key) if cached else None
+    if pass_ is not None:
+        log_corpus(pass_.corpus_counts, FilterReport(*pass_.filter_report))
+    else:
+        corpus = load_corpus(files, run_cfg.window)
+        del files       # the bytes parsed are not needed again
+        counts = corpus.counts()
+        corpus = apply_filters(corpus, run_cfg.filters)
+        log_corpus(counts, corpus.filter_report)
+        pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
+                               counts)
+        if cached:
+            cache.store_pass(*key, pass_)
     if args.baselines:
-        digests[str(Path(args.baselines))] = _digest(args.baselines, baselines)
-    return digests
+        digests = {**digests, str(Path(args.baselines)):
+                   _digest(args.baselines, baselines)}
+    return run_cfg, pass_, digests
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    run_cfg = _config_or_exit(args.config)
-    files = read_files(args.data_dir)
-    kept = cache.verdict(files.digests, run_cfg.window)
-    if kept is None:
-        try:
-            corpus = load_corpus(files, run_cfg.window)
-        except CorpusLoadError as exc:
-            shown = len(exc.violations)
-            print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
-                  else f"INVALID: first {shown} of {exc.total} violation(s)")
-            for v in exc.violations:
-                print(f"  {v}")
-            return EXIT_VALIDATION
-        kept = corpus.counts(), corpus.outside_window()
-        cache.store_verdict(files.digests, run_cfg.window, kept)
-    counts, outside = kept
-    log_loaded(counts, outside)
+    try:
+        _, pass_, _ = _professor_pass(args)
+    except CorpusLoadError as exc:
+        shown = len(exc.violations)
+        print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
+              else f"INVALID: first {shown} of {exc.total} violation(s)")
+        for v in exc.violations:
+            print(f"  {v}")
+        return EXIT_VALIDATION
     print("VALID")
-    for entity, count in counts.items():
+    for entity, count in pass_.corpus_counts.items():
         print(f"  {entity}: {count}")
     return EXIT_OK
 
@@ -203,35 +220,10 @@ def _score_corpus(args: argparse.Namespace, indicator: str
                   ) -> tuple[RunConfig, OutputDir, ProfessorPass,
                              dict[str, str], ScoreboardSet]:
     """Score the corpus at ``args.level``; the output directory holds the
-    scoring warnings. Also returns the professor pass and the digests of
-    the files read. The pass comes from the cache, or from loading and
-    filtering the corpus, building or importing the baselines and scoring
-    the professors, and is then kept there. The stages log nothing: their
-    lines are logged here, from the same counts on a hit and on a miss."""
-    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    files = read_files(args.data_dir)
-    baselines = read_bytes(args.baselines) if args.baselines else None
-    # an unreadable --baselines is reported where it is parsed, uncached
-    cached = not args.baselines or baselines is not None
-    pass_ = (cache.cached_pass(files.digests, run_cfg.window, run_cfg.filters,
-                               baselines) if cached else None)
-    if pass_ is None:
-        loaded = load_corpus(files, run_cfg.window)
-        corpus = apply_filters(loaded, run_cfg.filters)
-        counts, report = loaded.counts(), corpus.filter_report
-    else:
-        counts, report = (pass_.corpus_counts,
-                          FilterReport(*pass_.filter_report))
-    log_loaded(counts, report.publications_removed_window)
-    log_filtered(report)
-    del files       # the bytes, parsed or hashed, are not needed again
+    scoring warnings. Also returns the run's settings, the professor pass
+    and the digests of the files read."""
+    run_cfg, pass_, inputs = _professor_pass(args)
     out = OutputDir(args.out, args.force)
-    if pass_ is None:
-        pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
-                               counts)
-        if cached:
-            cache.store_pass(run_cfg.window, run_cfg.filters, baselines,
-                             pass_)
     if args.baselines:
         log.info("baselines imported from %s (%d cells)", args.baselines,
                  len(pass_.cells))
@@ -245,8 +237,7 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
-    return run_cfg, out, pass_, _input_digests(args, pass_, baselines), \
-        board_set
+    return run_cfg, out, pass_, inputs, board_set
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -441,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="load and validate a corpus")
     p_val.add_argument("data_dir")
     p_val.add_argument("--config", required=True)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, baselines=None,
+                       baseline_include_all_doctypes=False)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="run config (key=value lines)")

@@ -158,8 +158,7 @@ class Corpus:
                  professors: list[list], pubs: list[list[int]],
                  field_scheme: FieldScheme, salary_table: dict[str, float],
                  baseline: tuple[list, list, list] | None = None,
-                 filter_report: FilterReport | None = None,
-                 file_digests: dict[str, str] | None = None):
+                 filter_report: FilterReport | None = None):
         self.window = window
         self.pub_columns, self.prof_columns = publications, professors
         (self.pub_ids, self.years, self.doc_types, self.categories,
@@ -172,14 +171,13 @@ class Corpus:
         self.baseline = ((self.years, self.categories, self.citations)
                          if baseline is None else baseline)
         self.filter_report = filter_report
-        self.file_digests = {} if file_digests is None else file_digests
 
     @classmethod
     def from_columns(cls, window: ObservationWindow, publications: list[list],
                      authorships: list[list], professors: list[list],
                      field_scheme: FieldScheme, salary_table: dict[str, float],
-                     lines: dict[str, tuple[str, list[int]]] | None = None,
-                     file_digests: dict[str, str] | None = None) -> "Corpus":
+                     lines: dict[str, tuple[str, list[int]]] | None = None
+                     ) -> "Corpus":
         """The corpus of the given columns, in the order of
         PUBLICATION_COLUMNS, AUTHORSHIP_COLUMNS and PROFESSOR_COLUMNS, with
         categories as tuples; raises CorpusLoadError with every violation
@@ -198,7 +196,7 @@ class Corpus:
         for indices in pubs:
             indices.sort()
         return cls(window, publications, professors, pubs, field_scheme,
-                   salary_table, file_digests=file_digests)
+                   salary_table)
 
     @classmethod
     def from_records(cls, window: ObservationWindow,
@@ -255,13 +253,21 @@ class Corpus:
             if code not in field_scheme.sds_to_uda:
                 add("professors", i, pid, "sds_code",
                     f"unknown SDS {_quote(code)}")
-            if rank not in salary_table:
+            salary = salary_table.get(rank)
+            if salary is None:
                 add("professors", i, pid, "academic_rank",
                     f"rank {_quote(rank)} missing from salary table")
             if not 0 < years <= n_years:
                 add("professors", i, pid, "years_on_staff",
                     f"{years} exceeds window length {n_years}"
                     if years > n_years else f"must be > 0, got {years}")
+            # FSS divides by the product: it must neither underflow to 0
+            # nor overflow, where the salary itself is valid
+            elif (salary is not None and 0 < salary < math.inf
+                  and not 0 < salary * years < math.inf):
+                add("professors", i, pid, "years_on_staff",
+                    f"{years} years at salary {salary} of rank {_quote(rank)}: "
+                    f"salary * years must be finite and > 0")
         pub_rows = dict(zip(pub_ids, range(len(pub_ids))))
         known = set(professor_ids)
         # the authorships, the costliest table, are walked row by row only
@@ -313,10 +319,6 @@ class Corpus:
             "sds": len(self.field_scheme.sds_to_uda),
             "uda": len(set(self.field_scheme.sds_to_uda.values())),
         }
-
-    def outside_window(self) -> int:
-        """How many publications fall outside the window."""
-        return sum(not self.window.contains(year) for year in self.years)
 
     def digest(self) -> str:
         """Stable content hash of the corpus, independent of row order."""
@@ -573,8 +575,8 @@ def read_bytes(path: str | Path) -> bytes | None:
 
 def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
                 window: ObservationWindow) -> Corpus:
-    """Load and validate the five corpus CSV files, each read once to be
-    both parsed and hashed; ``paths`` may be the files ``read_files`` read.
+    """Load and validate the five corpus CSV files; ``paths`` may be the
+    files ``read_files`` read already.
 
     ``read_csv`` checks every cell and key; the corpus invariants are then
     checked once by ``Corpus.check``, which names the file and line of each
@@ -620,13 +622,7 @@ def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
         raise CorpusLoadError(violations)
     return Corpus.from_columns(window, pub_columns, auth_columns,
                                prof_columns, scheme,
-                               dict(zip(ranks, salaries)), lines,
-                               files.digests)
-
-
-def log_loaded(counts: dict[str, int], outside_window: int) -> None:
-    log.info("loaded corpus: %s (%d publications outside window, kept until "
-             "filtering)", counts, outside_window)
+                               dict(zip(ranks, salaries)), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +642,11 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
                 for inside, doc_type in zip(in_window, corpus.doc_types)]
     baseline = None
     if cfg.baseline_include_all_doctypes:
-        baseline = tuple(list(compress(column, in_window)) for column
-                         in (corpus.years, corpus.categories, corpus.citations))
+        # the in-window part of the baseline, not of the publications: a
+        # filtered corpus's baseline holds publications it no longer has
+        inside = list(map(corpus.window.contains, corpus.baseline[0]))
+        baseline = tuple(list(compress(column, inside))
+                         for column in corpus.baseline)
     # the index of each kept publication: the number kept before it
     index = list(accumulate(keep_pub, initial=0))
     pubs = [[index[j] for j in indices if keep_pub[j]]
@@ -661,16 +660,26 @@ def apply_filters(corpus: Corpus, cfg: FilterConfig) -> Corpus:
         authorships_removed=sum(map(len, corpus.pubs)) - sum(map(len, pubs)),
     )
     return Corpus(corpus.window, publications, professors, pubs,
-                  corpus.field_scheme, corpus.salary_table, baseline, report,
-                  corpus.file_digests)
+                  corpus.field_scheme, corpus.salary_table, baseline, report)
 
 
-def log_filtered(report: FilterReport) -> None:
+def log_corpus(counts: dict[str, int], report: FilterReport) -> None:
+    """Log the ``counts`` of a loaded corpus and the ``report`` of its
+    filtering."""
+    log.info("loaded corpus: %s (%d publications outside window, kept until "
+             "filtering)", counts, report.publications_removed_window)
     log.info("filters: %s", report)
 
 
 # ---------------------------------------------------------------------------
 # CSV writing (synthesis output, corpus round-trips)
+
+def _number_cell(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back equal, else as its
+    repr, which always does."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
 
 def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
     """Serialize a corpus to the five canonical CSV files, deterministically."""
@@ -683,14 +692,14 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
     write_csv(paths.publications, PUBLICATION_COLUMNS, zip(*publications))
     write_csv(paths.authorships, AUTHORSHIP_COLUMNS, corpus.authorships())
     *professors, years_on_staff = corpus.prof_columns
-    write_csv(paths.professors, PROFESSOR_COLUMNS, zip(
-        *professors, (f"{years:g}" for years in years_on_staff)))
+    write_csv(paths.professors, PROFESSOR_COLUMNS,
+              zip(*professors, map(_number_cell, years_on_staff)))
     write_csv(paths.fields, FIELD_COLUMNS,
               ([code, scheme.sds_names.get(code, code), uda,
                 scheme.uda_names.get(uda, uda)]
                for code, uda in sorted(scheme.sds_to_uda.items())))
     write_csv(paths.salaries, SALARY_COLUMNS,
-              ([rank, f"{salary:g}"]
+              ([rank, _number_cell(salary)]
                for rank, salary in sorted(corpus.salary_table.items())))
     return paths
 

@@ -114,8 +114,8 @@ class ProfessorPass(NamedTuple):
     (the ascending indices of their publications) and ``scores`` (FSS_P);
     per publication: ``impacts`` (None without a baseline) and
     ``n_authors``. ``cells`` maps (year, category) to (mean, cited_count,
-    total_count). Every field but the last, ``file_digests``, is of builtin
-    types, stored by ``marshal`` as is.
+    total_count). Every field is of builtin types, stored by ``marshal`` as
+    is.
     """
     professor_ids: list[str]
     universities: list[str]
@@ -132,7 +132,6 @@ class ProfessorPass(NamedTuple):
     fss_skipped: int
     unproductive: list[str]
     corpus_counts: dict[str, int] | None
-    file_digests: dict[str, str]
 
     def table(self) -> ScalingFactorTable:
         """The baseline table the pass was scored against."""
@@ -159,8 +158,7 @@ def professor_pass(corpus: Corpus, table: ScalingFactorTable,
         None if corpus.filter_report is None else tuple(corpus.filter_report),
         len(corpus.baseline[0]),
         sum(impacts[j] is None for ps in corpus.pubs for j in ps),
-        sorted(set(corpus.sds).difference(averages)), corpus_counts,
-        corpus.file_digests)
+        sorted(set(corpus.sds).difference(averages)), corpus_counts)
 
 
 def log_fss(pass_: ProfessorPass) -> None:

@@ -79,16 +79,9 @@ class SynthConfig(Checked, _Synth):
             raise SynthConfigError("sds_spec must name at least one SDS")
         first_code: dict[str, str] = {}
         for code, uda in self.sds_spec:
-            # codes go to the corpus CSVs as they are: a padded code would
-            # load back stripped, and '|' separates a publication's categories
-            for kind, value in (("SDS", code), ("UDA", uda)):
-                if not isinstance(value, str):
-                    raise SynthConfigError(
-                        f"{kind} code {value!r} must be a string")
-                if not value or value != value.strip():
-                    raise SynthConfigError(
-                        f"{kind} code {value!r} must be non-empty and have "
-                        f"no surrounding spaces")
+            _check_name("SDS code", code)
+            _check_name("UDA code", uda)
+            # '|' separates a publication's categories
             if "|" in code:
                 raise SynthConfigError(f"SDS code {code!r} must not contain '|'")
             cat = _primary_category(code)
@@ -118,6 +111,7 @@ class SynthConfig(Checked, _Synth):
         if not self.salary_levels:
             raise SynthConfigError("salary_levels must not be empty")
         for rank, salary in self.salary_levels:
+            _check_name("rank", rank)
             if not 0 < salary < math.inf:
                 raise SynthConfigError(
                     f"salary for rank {rank!r} must be finite and > 0")
@@ -173,6 +167,17 @@ class SynthConfig(Checked, _Synth):
         except (KeyError, TypeError, ValueError, IndexError,
                 OverflowError) as exc:
             raise SynthConfigError(f"{path}: bad synth config: {exc}") from exc
+
+
+def _check_name(kind: str, value: object) -> None:
+    """A code or rank goes to the corpus CSVs as it is: it must be a
+    non-empty string, and have no surrounding spaces, which would not load
+    back."""
+    if not isinstance(value, str):
+        raise SynthConfigError(f"{kind} {value!r} must be a string")
+    if not value or value != value.strip():
+        raise SynthConfigError(f"{kind} {value!r} must be non-empty and have "
+                               f"no surrounding spaces")
 
 
 def _check_years(window: dict) -> None:

@@ -12,7 +12,11 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
   again with ``--baselines``, the table that checkout exported;
 - ``compare`` at each level, with and without
   ``--baseline-include-all-doctypes``;
-- ``compare --from-scores`` on the three score tables in ``tests/data``.
+- ``compare --from-scores`` on the three score tables in ``tests/data``;
+- the error cases: ``validate`` and ``compare`` on a copy of the corpus
+  with one broken row and on a copy missing ``authorships.csv``, and
+  ``score --baselines`` naming a missing table and a table with a bad
+  cell, each made in the checkout's work directory.
 
 Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in four cache states:
 an empty cache, the warm cache that first run leaves, ``XDG_CACHE_HOME`` a
@@ -44,6 +48,10 @@ SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
 WORK = "<WORK>"
 # the exported table every --baselines run reads
 EXPORTED = "out/score-sds-both-export/summaries/baselines.csv"
+# a publication row Corpus.check rejects: a negative citation count
+BROKEN_ROW = "W_BROKEN,2010,article,C,-1,1\n"
+BAD_BASELINES = ("year,category,mean,cited_count,total_count\n"
+                 "2008,C,abc,1,1\n")
 
 
 def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
@@ -73,7 +81,29 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"replay-{table}", [
             "compare", "--from-scores", str(data / f"ref_{table}.csv"),
             "--label", table, "--out", "{out}"]))
+    for corpus_name in ("broken", "incomplete"):
+        damaged = ["{work}/" + corpus_name, "--config", str(run_cfg)]
+        commands.append((f"validate-{corpus_name}", ["validate", *damaged]))
+        commands.append((f"compare-{corpus_name}", [
+            "compare", *damaged, "--level", "sds", "--out", "{out}"]))
+    for table in ("missing", "bad"):
+        commands.append((f"score-baselines-{table}", [
+            "score", *corpus, "--level", "sds", "--baselines",
+            "{work}/" + f"{table}-baselines.csv", "--out", "{out}"]))
     return commands
+
+
+def make_error_inputs(data_dir: Path, work: Path) -> None:
+    """The inputs of the error cases in ``work``: the corpus with one broken
+    row, the corpus without its authorships and a baseline table with a bad
+    cell; ``missing-baselines.csv`` is not made."""
+    shutil.copytree(data_dir, work / "broken")
+    with open(work / "broken" / "publications.csv", "a",
+              encoding="utf-8") as f:
+        f.write(BROKEN_ROW)
+    shutil.copytree(data_dir, work / "incomplete")
+    (work / "incomplete" / "authorships.csv").unlink()
+    (work / "bad-baselines.csv").write_text(BAD_BASELINES, encoding="utf-8")
 
 
 def run(checkout: Path, work: Path, name: str, argv: list[str],
@@ -140,6 +170,7 @@ def main(argv: list[str]) -> int:
         for _, work in checkouts:
             work.mkdir()
             (work / "cache-file").write_text("not a directory")
+            make_error_inputs(data_dir, work)
 
         def compare(name: str, command: list[str], log_level: str,
                     state: str, cache: str) -> None:

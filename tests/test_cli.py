@@ -298,7 +298,8 @@ def test_output_dir_overwrite_requires_force(synth_setup):
 def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
     """A run that fails after making the output layout leaves only empty
     subdirectories, and the corrected rerun writes there without --force;
-    a file in any of them still needs it."""
+    a file in any of them still needs it. A bad --baselines table fails
+    before the output directory is made."""
     tmp_path, data_dir, run_cfg = synth_setup
     bad = tmp_path / "bad_baselines.csv"
     bad.write_text("year,category,mean,cited_count,total_count\n"
@@ -308,16 +309,19 @@ def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
                    encoding="utf-8")
     score = ["score", str(data_dir), "--config", str(run_cfg), "--level",
              "overall"]
-    for out, failing, fixed, code in [
-            ("score", [*score, "--baselines", str(bad)], score, 2),
+    for out, failing, fixed, code, layout in [
+            ("score", [*score, "--baselines", str(bad)], score, 2, False),
             ("replay", ["compare", "--from-scores", str(big)],
              ["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv")],
-             1)]:
+             1, True)]:
         out = tmp_path / out
         assert main(failing + ["--out", str(out)]) == code
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            ["comparisons", "manifest", "scoreboards", "summaries"])
-        assert not _files(out)
+        if layout:
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["comparisons", "manifest", "scoreboards", "summaries"])
+            assert not _files(out)
+        else:
+            assert not out.exists()
         capsys.readouterr()
         assert main(fixed + ["--out", str(out)]) == 0
         assert "not empty" not in capsys.readouterr().err

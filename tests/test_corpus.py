@@ -324,10 +324,7 @@ def _boards_and_indexes(data_dir: Path):
         pubs_by_professor.setdefault(a.professor_id, []).append(a.pub_id)
     indexes = [{k: sorted(v) for k, v in index.items()}
                for index in (pubs_by_professor, professors_by_pub(corpus))]
-    # every field of the pass but the digests of the bytes read
-    fields = pass_._asdict()
-    del fields["file_digests"]
-    return boards, indexes, sorted(set(corpus.universities)), fields
+    return boards, indexes, sorted(set(corpus.universities)), pass_._asdict()
 
 
 ROW_ORDER_CORPUS = random_corpus(np.random.default_rng(5), n_universities=6,
@@ -364,6 +361,37 @@ def test_non_finite_values_in_memory(window, years, salary):
     with pytest.raises(CorpusLoadError):
         Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
                             {"r": salary})
+
+
+def test_salary_times_tenure_out_of_range_is_located(corpus_dir, tmp_path,
+                                                     capsys, window):
+    """A valid salary and a valid tenure whose product underflows to 0 or
+    overflows, by which FSS divides, fail the load at the professor's row:
+    validate and score exit 1 naming it, with no traceback."""
+    for name, plain, changed in [
+            ("salaries.csv", "assistant,1\n", "assistant,5e-324\n"),
+            ("professors.csv", "p4,B,S2,assistant,2.5",
+             "p4,B,S2,assistant,0.5")]:
+        text = (corpus_dir / name).read_text(encoding="utf-8")
+        assert plain in text
+        (corpus_dir / name).write_text(text.replace(plain, changed),
+                                       encoding="utf-8")
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text("start_year=2008\nend_year=2012\n"
+                       "min_years_on_staff=0\n", encoding="utf-8")
+    problem = ("professors.csv:5 [years_on_staff]: 0.5 years at salary 5e-324 "
+               "of rank 'assistant': salary * years must be finite and > 0")
+    corpus = [str(corpus_dir), "--config", str(run_cfg)]
+    assert main(["validate", *corpus]) == 1
+    assert capsys.readouterr().out == f"INVALID: 1 violation(s)\n  {problem}\n"
+    assert main(["score", *corpus, "--level", "sds",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        f"INVALID: 1 corpus violation(s): {problem}\n"
+    profs = {"p": Professor("p", "A", "S", "r", 5.0)}
+    with pytest.raises(CorpusLoadError, match="salary \\* years must be"):
+        Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),
+                            {"r": 1e308})
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +438,19 @@ def test_filter_out_of_window_publication(tiny_corpus):
 
 
 def test_filtering_idempotent(tiny_corpus):
-    cfg = FilterConfig()
-    once = apply_filters(tiny_corpus, cfg)
-    twice = apply_filters(once, cfg)
-    assert set(twice.professor_ids) == set(once.professor_ids)
-    assert set(twice.pub_ids) == set(once.pub_ids)
-    assert twice.digest() == once.digest()
+    """Filtering twice keeps what filtering once keeps, the baseline
+    population included, whether excluded doc types stay in it or not."""
+    for include_all in (False, True):
+        cfg = FilterConfig(baseline_include_all_doctypes=include_all)
+        once = apply_filters(tiny_corpus, cfg)
+        twice = apply_filters(once, cfg)
+        assert set(twice.professor_ids) == set(once.professor_ids)
+        assert set(twice.pub_ids) == set(once.pub_ids)
+        assert twice.digest() == once.digest()
+        assert twice.baseline == once.baseline
+        assert (W5 in zip(*twice.baseline)) == include_all
+        assert list(compute_scaling_factors(twice).items()) == \
+            list(compute_scaling_factors(once).items())
 
 
 def test_filtered_authorships_reference_survivors():

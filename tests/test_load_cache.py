@@ -1,6 +1,6 @@
-"""The on-disk cache behind the CLI: the verdict of ``validate`` and the
-professor pass of ``score`` and ``compare``, one entry format named by the
-digest of its key; ``load_corpus`` itself keeps nothing.
+"""The on-disk cache behind the CLI: the professor pass that ``validate``,
+``score`` and ``compare`` each look up or make and keep, named by the digest
+of its key; ``load_corpus`` itself keeps nothing.
 
 A hit must print, log and write what a miss does, without parsing the
 corpus or running a stage of the professor pass; an unreadable, stale or
@@ -130,7 +130,7 @@ def run_cfg(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# load_corpus and the verdict of validate
+# load_corpus, and the pass that validate keeps
 
 def test_load_corpus_keeps_no_entry(cache, data_dir, monkeypatch):
     """Every load reads and checks the five files again, and writes
@@ -152,13 +152,21 @@ def test_load_corpus_keeps_no_entry(cache, data_dir, monkeypatch):
     assert second.prof_columns == first.prof_columns
 
 
-def test_file_digests_are_of_the_bytes_loaded(cache, data_dir):
+def test_file_digests_are_of_the_bytes_loaded(cache, data_dir, run_cfg,
+                                              tmp_path, capsys):
+    """``read_files`` hashes the bytes it read, which a miss parses, and the
+    manifest records those digests by path, on a miss and on a hit."""
     paths = CorpusPaths.from_dir(data_dir)
     expected = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in paths}
-    corpus = load_corpus(data_dir, WINDOW)
-    assert corpus.file_digests == expected
-    assert apply_filters(corpus, RELAXED_CFG).file_digests == expected
+    assert read_files(data_dir).digests == expected
+    for tag in ("miss", "hit"):
+        out = tmp_path / tag
+        assert _run(["score", str(data_dir), "--config", str(run_cfg),
+                     "--level", "sds", "--out", str(out)], capsys)[0] == 0
+        manifest = json.loads((out / "manifest" / "run_manifest.json")
+                              .read_text(encoding="utf-8"))
+        assert manifest["inputs"] == expected
 
 
 def _outside_window(data_dir: Path) -> None:
@@ -170,9 +178,9 @@ def _outside_window(data_dir: Path) -> None:
 
 def test_validate_hit_prints_what_a_miss_prints(cache, data_dir, run_cfg,
                                                 capsys, caplog, monkeypatch):
-    """At each level, a verdict hit prints VALID and the counts, and logs
-    the loaded-corpus line, as the miss before it did, without parsing or
-    checking the corpus."""
+    """At each level, a pass hit prints VALID and the counts, and logs the
+    loaded-corpus and filters lines, as the miss before it did, without
+    parsing or checking the corpus."""
     _outside_window(data_dir)
     loads = _count_loads(monkeypatch)
     args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
@@ -192,7 +200,10 @@ def test_validate_hit_prints_what_a_miss_prints(cache, data_dir, run_cfg,
         "INFO rankdiff.corpus: loaded corpus: {'universities': 4, "
         "'professors': 22, 'publications': 61, 'authorships': 74, "
         "'sds': 3, 'uda': 2} (1 publications outside window, kept until "
-        "filtering)\n"))
+        "filtering)\n"
+        "INFO rankdiff.corpus: filters: FilterReport("
+        "professors_removed_tenure=0, publications_removed_doctype=0, "
+        "publications_removed_window=1, authorships_removed=0)\n"))
 
 
 @pytest.mark.parametrize("damage", [
@@ -320,7 +331,7 @@ def test_outputs_independent_of_the_cache(cache, data_dir, tmp_path, capsys,
             _outputs(out)
 
     missed = commands("miss")
-    assert len(_entries(cache)) == 2        # the verdict and the pass
+    assert len(_entries(cache)) == 1        # the pass validate made
     hit = commands("hit")
     blocked = tmp_path / "blocked"
     blocked.write_text("a file where the cache directory would be")
@@ -505,6 +516,36 @@ def test_mncs_only_pass_serves_compare(level, data_dir, run_cfg, tmp_path,
             "professor") in runs["cold"][2]
 
 
+def test_validate_keeps_the_pass_score_and_compare_read(
+        cache, data_dir, run_cfg, tmp_path, capsys, caplog, monkeypatch):
+    """``validate`` keeps the pass of its config: a ``compare`` and a
+    ``score`` after it load nothing, and print, log and write at debug what
+    each does on an empty cache."""
+    _add_unproductive_sds(data_dir)
+    loads = _count_loads(monkeypatch)
+    corpus = [str(data_dir), "--config", str(run_cfg)]
+    commands = {"compare": ["compare", *corpus, "--level", "sds"],
+                "score": ["score", *corpus, "--level", "uda",
+                          "--export-baselines"]}
+
+    def run(tag: str, name: str) -> tuple:
+        out = tmp_path / tag / name
+        argv = commands[name] + ["--out", str(out)]
+        code, stdout, err = _run_at("debug", argv, capsys, caplog)
+        return code, stdout.replace(str(out), "OUT"), err, _outputs(out)
+    cold = {}
+    for name in commands:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"xdg-{name}"))
+        cold[name] = run("cold", name)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
+    assert _run_at("debug", ["validate", *corpus], capsys, caplog)[0] == 0
+    warm = {name: run("warm", name) for name in commands}
+    assert loads == 3 * [str(data_dir)]     # two cold commands and validate
+    assert warm == cold
+    assert [code for code, *_ in cold.values()] == [0, 0]
+    assert len(_entries(cache)) == 1
+
+
 def _pass_snapshot(pass_) -> list:
     """Every field of a professor pass, with its order and value types."""
     def typed(value):
@@ -527,7 +568,7 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
 
 def test_cached_pass_equals_the_pass_made(cache, data_dir):
     made = _made_pass(data_dir)
-    store_pass(WINDOW, RELAXED_CFG, None, made)
+    store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, made)
     hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
     assert list(hit.table().items()) == list(made.table().items())
@@ -537,15 +578,12 @@ def test_cached_pass_equals_the_pass_made(cache, data_dir):
 
 
 def test_pass_marshals_as_it_is(data_dir):
-    """Every field of a professor pass but its last, the file digests, is
-    of builtin types that marshal stores and loads back equal."""
-    corpus = apply_filters(load_corpus(data_dir, WINDOW), RELAXED_CFG)
-    made = professor_pass(corpus, compute_scaling_factors(corpus))
-    assert ProfessorPass._fields[-1] == "file_digests"
-    stored = made[:-1]
+    """Every field of a professor pass is of builtin types that marshal
+    stores and loads back equal, so the pass is stored whole."""
+    made = _made_pass(data_dir)
+    stored = tuple(made)
     assert marshal.loads(marshal.dumps(stored)) == stored
-    assert ProfessorPass(*marshal.loads(marshal.dumps(stored)),
-                         made.file_digests) == made
+    assert ProfessorPass(*marshal.loads(marshal.dumps(stored))) == made
 
 
 # a different valid value for every setting of FilterConfig
@@ -564,7 +602,7 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     made = {pinned: _made_pass(data_dir, baselines=pinned)
             for pinned in (None, baselines)}
     for pinned, pass_ in made.items():
-        store_pass(WINDOW, RELAXED_CFG, pinned, pass_)
+        store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, pinned, pass_)
     # each table keeps its own entry
     assert _pass_snapshot(made[None]) != _pass_snapshot(made[baselines])
     for pinned, pass_ in made.items():
@@ -598,7 +636,7 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
         cache_module._fingerprint.cache_clear()
         assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines) \
             is None, name
-        store_pass(WINDOW, RELAXED_CFG, baselines,
+        store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines,
                    _made_pass(data_dir, baselines=baselines))
     cache_module._fingerprint.cache_clear()
 
@@ -647,7 +685,7 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
         damaged = list(payload)
         damaged[ProfessorPass._fields.index(name)] = value
         return marshal.dumps((key, tuple(damaged)))
-    fields = ProfessorPass(*payload, {})
+    fields = ProfessorPass(*payload)
     pubs = [list(p) for p in fields.pubs]
     next(p for p in pubs if p)[-1] = len(fields.impacts)
     damages = [good[:len(good) // 2], b"", b"\x00garbage" * 50,
@@ -655,7 +693,18 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
                marshal.dumps((key, payload[:-1])),
                marshal.dumps((key, ("x",) * len(payload))), marshal.dumps([key]),
                replaced("universities", fields.universities[:-1]),
-               replaced("pubs", pubs)]
+               replaced("pubs", pubs),
+               # each field the CLI reads besides the columns
+               replaced("filter_report", 5),
+               replaced("filter_report", fields.filter_report[:-1]),
+               replaced("filter_report", (0, 0, 0, "1")),
+               replaced("corpus_counts", None),
+               replaced("corpus_counts", {"professors": "22"}),
+               replaced("corpus_counts", {22: 22}),
+               replaced("baseline_population", "61"),
+               replaced("fss_skipped", 0.0),
+               replaced("unproductive", "S9"),
+               replaced("unproductive", [9])]
     for i, damaged in enumerate(damages):
         entry.write_bytes(damaged)
         filtered = []
@@ -699,21 +748,29 @@ def test_store_removes_stale_temporaries(cache, data_dir, run_cfg, tmp_path,
     assert len([p for p in _entries(cache) if p.suffix == ".marshal"]) == 1
 
 
-def test_cap_counts_verdicts_and_passes(cache, data_dir, tmp_path, capsys):
-    """A verdict and a pass per window, each a file named by its key's
-    digest with the one suffix, and CACHE_ENTRIES in all, the latest
-    written."""
+def test_cap_counts_the_entries_of_every_command(cache, data_dir, tmp_path,
+                                                 capsys):
+    """Per window, the pass validate keeps, which a score with the same
+    settings reads, and the pass of a compare with other settings, each a
+    file named by its key's digest with the one suffix, and CACHE_ENTRIES
+    in all, the latest written."""
     written = []
     for i in range(CACHE_ENTRIES):
         config = tmp_path / f"run{i}.cfg"
         config.write_text(RUN_CFG + f"citation_snapshot_label=run {i}\n",
                           encoding="utf-8")
         args = [str(data_dir), "--config", str(config)]
-        for argv in (["validate", *args],
-                     ["score", *args, "--level", "sds",
-                      "--out", str(tmp_path / f"out{i}")]):
+        for argv, adds in [
+                (["validate", *args], 1),
+                (["score", *args, "--level", "sds",
+                  "--out", str(tmp_path / f"score{i}")], 0),
+                (["compare", *args, "--baseline-include-all-doctypes",
+                  "--out", str(tmp_path / f"compare{i}")], 1)]:
             before = set(_entries(cache))
             assert _run(argv, capsys)[0] == 0
+            assert len(set(_entries(cache)) - before) == adds
+            if not adds:
+                continue
             (new,) = set(_entries(cache)) - before
             assert new.suffix == ".marshal" and len(new.stem) == 32
             int(new.stem, 16)
@@ -754,8 +811,7 @@ def test_same_bytes_at_two_paths_share_entries(cache, data_dir, tmp_path,
                                                run_cfg, capsys, caplog,
                                                monkeypatch):
     """Entries are named by content: a copy of the corpus elsewhere hits
-    the verdict and the pass of the original, and its manifest names the
-    copy's files."""
+    the pass of the original, and its manifest names the copy's files."""
     score = ["score", "--config", str(run_cfg), "--level", "sds"]
     args = (run_cfg, capsys, caplog, monkeypatch)
     original = _validate_levels(data_dir, *args)
@@ -768,7 +824,7 @@ def test_same_bytes_at_two_paths_share_entries(cache, data_dir, tmp_path,
         _refuse_scoring(patch)
         assert _run([*score, str(copy), "--out", str(tmp_path / "b")],
                     capsys)[0] == 0
-    assert len(_entries(cache)) == 2
+    assert len(_entries(cache)) == 1
     assert _outputs(tmp_path / "b").keys() == _outputs(tmp_path / "a").keys()
     manifest = json.loads((tmp_path / "b" / "manifest" / "run_manifest.json")
                           .read_text(encoding="utf-8"))

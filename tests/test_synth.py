@@ -9,8 +9,8 @@ import pytest
 
 from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       SynthConfigError, apply_filters,
-                      compute_scaling_factors, generate, professor_pass,
-                      scoreboards, write_corpus_csvs)
+                      compute_scaling_factors, generate, load_corpus,
+                      professor_pass, scoreboards, write_corpus_csvs)
 from rankdiff.synth import (DOC_TYPE_WEIGHTS, MAX_PUBS_PER_PROFESSOR,
                             _choice_cdf)
 from helpers import (measure_quantity_impact_correlation, professors_by_pub,
@@ -245,6 +245,32 @@ def test_sds_code_clash_named(sds_spec, message):
 def test_code_that_would_not_load_back_rejected(sds_spec, message):
     with pytest.raises(SynthConfigError, match=re.escape(message)):
         small_cfg(sds_spec=sds_spec)
+
+
+@pytest.mark.parametrize("rank", ["", " full", "full "])
+def test_rank_that_would_not_load_back_rejected(rank):
+    """A rank is a key of salaries.csv: like a code, it must be non-empty
+    and have no surrounding spaces, or the corpus fails its own validate."""
+    with pytest.raises(SynthConfigError, match=re.escape(
+            f"rank {rank!r} must be non-empty and have no surrounding "
+            f"spaces")):
+        small_cfg(salary_levels=(("assistant", 45000.0), (rank, 80000.0)))
+
+
+@pytest.mark.parametrize("salary", [1234567.0, 98765.43, 45000.0, 0.1 + 0.2,
+                                    1e22, 5e-324])
+def test_synth_salaries_load_back_as_generated(tmp_path, salary):
+    """Every salary and tenure in the CSVs reads back equal to the value
+    generated: ``:g`` where it keeps the value, its repr where six
+    significant digits would round it."""
+    corpus = generate(small_cfg(
+        n_universities=2, salary_levels=(("assistant", salary),
+                                         ("full", 80000.0))))
+    paths = write_corpus_csvs(corpus, tmp_path / "corpus")
+    loaded = load_corpus(paths, corpus.window)
+    assert loaded.salary_table == corpus.salary_table
+    assert loaded.years_on_staff == corpus.years_on_staff
+    assert loaded.digest() == corpus.digest()
 
 
 def test_config_from_json(tmp_path):
