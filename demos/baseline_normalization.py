@@ -9,8 +9,7 @@ Dividing by it makes the cited population average exactly 1 in every cell.
 from __future__ import annotations
 
 from rankdiff import (Corpus, FieldScheme, ObservationWindow, Publication,
-                      compute_scaling_factors, normalized_impact,
-                      scaling_factor)
+                      compute_scaling_factors, impact_map, scaling_factor)
 
 WINDOW = ObservationWindow(2008, 2009)
 
@@ -26,16 +25,19 @@ pubs = [
 corpus = Corpus.from_records(WINDOW, {p.pub_id: p for p in pubs}, [], {},
                              FieldScheme({"S": "U"}), {"r": 1.0})
 
+# the baseline table: (year, category) -> (mean, cited_count, total_count)
 table = compute_scaling_factors(corpus)
 print("scaling factors (mean citations of cited publications per cell):")
-for (year, cat), cell in table.items():
-    print(f"  {year} {cat:<5} mean {cell.mean:6.2f}   "
-          f"({cell.cited_count} cited of {cell.total_count})")
+for (year, cat), (mean, cited, total) in sorted(table.items()):
+    print(f"  {year} {cat:<5} mean {mean:6.2f}   ({cited} cited of {total})")
+
+# citations over the scaling factor, by publication id
+impacts = dict(zip(corpus.pub_ids, impact_map(corpus, table)))
 
 print("\nper-publication normalized impact:")
 for p in pubs:
     factor = scaling_factor(p.year, p.subject_categories, table)
-    impact = normalized_impact(p.year, p.subject_categories, p.citations, table)
+    impact = impacts[p.pub_id]
     cats = "+".join(p.subject_categories)
     print(f"  {p.pub_id}: {p.citations:>2} citations / baseline {factor:5.2f} "
           f"({cats}) -> impact {impact:.3f}")
@@ -44,9 +46,9 @@ print("\nnote the cross-listed publication: its baseline is the arithmetic")
 print("mean of the two cell factors, so 12 citations land between the")
 print("hot-field and quiet-field interpretations.")
 
-hot = [normalized_impact(p.year, p.subject_categories, p.citations, table)
+hot = [impacts[p.pub_id]
        for p in pubs if p.subject_categories == ("HOT",) and p.citations > 0]
-cold = [normalized_impact(p.year, p.subject_categories, p.citations, table)
+cold = [impacts[p.pub_id]
         for p in pubs if p.subject_categories == ("COLD",) and p.citations > 0]
 print(f"\ncited single-category impact means: HOT {sum(hot)/len(hot):.3f}, "
       f"COLD {sum(cold)/len(cold):.3f}  (1.0 by construction)")

@@ -84,7 +84,7 @@ print(f"ALPHA's MNCS with its original portfolio: {before:.4f}")
 weak = Publication("extra", 2009, "article", ("C",), 1, 2)
 with_weak = build_corpus(extra_pub=weak)
 after = alpha_score(with_weak, MNCS)
-impact = weak.citations / table.cell(2009, "C").mean
+impact = weak.citations / table[2009, "C"][0]
 print(f"add a publication with normalized impact {impact:.3f} "
       f"(below average): MNCS falls to {after:.4f}")
 

@@ -1,8 +1,8 @@
 """rankdiff: FSS/MNCS research-performance indicators and ranking-divergence
 analytics over publication/staff corpora."""
 
-from .baselines import (CellStats, ScalingFactorTable, compute_scaling_factors,
-                        normalized_impact, scaling_factor)
+from .baselines import (compute_scaling_factors, read_baselines,
+                        scaling_factor, write_baselines)
 from .corpus import (Authorship, Corpus, CorpusPaths, FieldScheme,
                      FilterConfig, FilterReport, LEVEL_OVERALL, LEVEL_SDS,
                      LEVEL_UDA, LEVELS, ObservationWindow, Professor,
@@ -12,9 +12,9 @@ from .divergence import (DispersionStats, DivergenceSummary, QuartileSummary,
                          RangeSummary, average_ranks, dispersion, pearson,
                          quartile_stats, range_summary, shift_stats, spearman)
 from .errors import (CorpusLoadError, DegeneratePopulation,
-                     DegenerateVariance, EmptyBoard, MissingBaseline,
-                     NoRankableSds, RankdiffError, SynthConfigError,
-                     UnitSetMismatch, Violation, ZeroMean)
+                     DegenerateVariance, EmptyBoard, NoRankableSds,
+                     RankdiffError, SynthConfigError, UnitSetMismatch,
+                     Violation, ZeroMean)
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
                          ScoreboardSet, ScopePair, UnitScore, eligible_units,
                          impact_map, professor_pass, professor_scores,

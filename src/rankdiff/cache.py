@@ -137,15 +137,21 @@ def store_pass(file_digests: dict[str, str], window: ObservationWindow,
 def _checked(pass_: ProfessorPass) -> ProfessorPass:
     """``pass_`` when every field the CLI reads has its type: each column a
     list of one value of its type per professor or publication, each
-    publication index in range, each mapping a dict, the filter report four
-    integers, the corpus counts integers by name, the stage counters
-    integers and the unproductive SDS codes strings; ValueError
-    otherwise."""
+    publication index in range, the UDA of every SDS a string by SDS code,
+    the SDS averages floats by code, each baseline cell (year, category) ->
+    (mean, cited_count, total_count), the filter report four integers, the
+    corpus counts integers by name, the stage counters integers and the
+    unproductive SDS codes strings; ValueError otherwise."""
     n, m = len(pass_.professor_ids), len(pass_.impacts)
-    counts = pass_.corpus_counts
-    mappings = (pass_.sds_to_uda, pass_.cells, pass_.averages, counts)
-    if ({type(x) for x in mappings} != {dict}
+    counts, cells = pass_.corpus_counts, pass_.cells
+    sds_to_uda, averages = pass_.sds_to_uda, pass_.averages
+    if ({type(x) for x in (sds_to_uda, cells, averages, counts)} != {dict}
             or type(pass_.filter_report) is not tuple):
+        raise ValueError("damaged professor pass")
+    if not ({(type(k), type(v)) for k, v in cells.items()} <= {(tuple, tuple)}
+            and {tuple(map(type, k)) for k in cells} <= {(int, str)}
+            and {tuple(map(type, v)) for v in cells.values()}
+            <= {(float, int, int)}):
         raise ValueError("damaged professor pass")
     indices = list(chain.from_iterable(pass_.pubs))
     # (values, their number or None for any, the types they may have)
@@ -157,12 +163,17 @@ def _checked(pass_: ProfessorPass) -> ProfessorPass:
             (pass_.n_authors, m, {int}), (indices, None, {int}),
             (list(pass_.filter_report), 4, {int}),
             (list(counts), None, {str}), (list(counts.values()), None, {int}),
+            (list(sds_to_uda), None, {str}),
+            (list(sds_to_uda.values()), None, {str}),
+            (list(averages), None, {str}),
+            (list(averages.values()), None, {float}),
             ([pass_.baseline_population, pass_.fss_skipped], None, {int}),
             (pass_.unproductive, None, {str})]:
         if (type(column) is not list
                 or length is not None and len(column) != length
                 or not set(map(type, column)) <= kinds):
             raise ValueError("damaged professor pass")
-    if indices and not 0 <= min(indices) <= max(indices) < m:
+    if (indices and not 0 <= min(indices) <= max(indices) < m
+            or not sds_to_uda.keys() >= set(pass_.sds)):
         raise ValueError("damaged professor pass")
     return pass_

@@ -20,7 +20,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import cache, divergence, report
-from .baselines import ScalingFactorTable, compute_scaling_factors, log_computed
+from .baselines import (Cells, compute_scaling_factors, log_computed,
+                        read_baselines, write_baselines)
 from .corpus import (Corpus, FilterReport, LEVEL_SDS, LEVELS, RunConfig,
                      apply_filters, load_corpus, log_corpus,
                      read_bytes, read_config, read_csv, read_files,
@@ -205,13 +206,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _baseline_table(args: argparse.Namespace, corpus: Corpus,
-                    baselines: bytes | None) -> ScalingFactorTable:
+                    baselines: bytes | None) -> Cells:
     """The --baselines table, parsed from its bytes ``baselines``, or the
     table computed from the corpus."""
     if not args.baselines:
         return compute_scaling_factors(corpus)
     try:
-        return ScalingFactorTable.from_csv(args.baselines, data=baselines)
+        return read_baselines(args.baselines, data=baselines)
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
 
@@ -221,7 +222,8 @@ def _score_corpus(args: argparse.Namespace, indicator: str
                              dict[str, str], ScoreboardSet]:
     """Score the corpus at ``args.level``; the output directory holds the
     scoring warnings. Also returns the run's settings, the professor pass
-    and the digests of the files read."""
+    and the digests of the files read. A unit score that is not finite ends
+    the run with exit 1 before the first file is written."""
     run_cfg, pass_, inputs = _professor_pass(args)
     out = OutputDir(args.out, args.force)
     if args.baselines:
@@ -231,9 +233,18 @@ def _score_corpus(args: argparse.Namespace, indicator: str
         log_computed(len(pass_.cells), pass_.baseline_population)
     if indicator != MNCS:
         log_fss(pass_)
-    if args.export_baselines:
-        pass_.table().to_csv(out.path("summaries", "baselines.csv"))
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)
+    for scope, pair in board_set.pairs.items():
+        for board in filter(None, (pair.fss, pair.mncs)):
+            for e in board.entries:
+                if not math.isfinite(e.score):
+                    raise SystemExitWithCode(
+                        EXIT_VALIDATION, f"{args.data_dir}: scope "
+                        f"{_label(scope)}: unit {e.university_id}: "
+                        f"{e.indicator} score is {e.score}; the scores are "
+                        f"too large for float arithmetic")
+    if args.export_baselines:
+        write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
@@ -255,8 +266,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _label(scope: str | None) -> str:
+    return "overall" if scope is None else scope
+
+
 def _slug(scope: str | None) -> str:
-    return "overall" if scope is None else scope.replace("/", "_")
+    return _label(scope).replace("/", "_")
 
 
 def _require_finite(source: str, label: str, stats) -> None:
@@ -357,8 +372,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             else:
                 staff = {e.university_id: e.research_staff
                          for e in pair.fss.entries}
-                yield (scope if scope is not None else "overall", pair.fss,
-                       pair.mncs, staff)
+                yield _label(scope), pair.fss, pair.mncs, staff
 
     comparisons = _emit_comparisons(
         out, args.data_dir, args.level,

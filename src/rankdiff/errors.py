@@ -34,10 +34,6 @@ class CorpusLoadError(RankdiffError):
         super().__init__(f"{self.total} corpus violation(s): {head}{more}")
 
 
-class MissingBaseline(RankdiffError):
-    """A publication's (year, category) cell has no citation baseline."""
-
-
 class EmptyBoard(RankdiffError):
     """A scoreboard with no entries cannot be ranked."""
 

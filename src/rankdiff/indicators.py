@@ -14,10 +14,9 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .baselines import CellStats, ScalingFactorTable, scaling_factor
+from .baselines import Cells, scaling_factor
 from .corpus import (Corpus, FilterConfig, LEVEL_OVERALL, LEVEL_SDS,
                      LEVEL_UDA)
-from .errors import MissingBaseline
 
 log = logging.getLogger("rankdiff.indicators")
 
@@ -41,21 +40,18 @@ class ScoreBoard(NamedTuple):
     entries: list[UnitScore]
 
 
-def impact_map(corpus: Corpus, table: ScalingFactorTable) -> list[float | None]:
-    """Normalized impact of each publication, by index; None: no baseline.
+def impact_map(corpus: Corpus, cells: Cells) -> list[float | None]:
+    """Normalized impact of each publication, by index: its citations over
+    its scaling factor, 0 when uncited; None: no baseline in ``cells``.
 
-    The scaling factor is found once per distinct (year, categories); each
-    impact is then what ``normalized_impact`` gives.
+    The scaling factor is found once per distinct (year, categories).
     """
     factors: dict[tuple[int, tuple[str, ...]], float | None] = {}
     impacts: list[float | None] = []
     for cell, cites in zip(zip(corpus.years, corpus.categories),
                            corpus.citations):
         if cell not in factors:
-            try:
-                factors[cell] = scaling_factor(*cell, table)
-            except MissingBaseline:
-                factors[cell] = None
+            factors[cell] = scaling_factor(*cell, cells)
         factor = factors[cell]
         impacts.append(None if factor is None else
                        cites / factor if cites else 0.0)
@@ -113,9 +109,9 @@ class ProfessorPass(NamedTuple):
     Per professor: ``professor_ids``, ``universities``, ``sds``, ``pubs``
     (the ascending indices of their publications) and ``scores`` (FSS_P);
     per publication: ``impacts`` (None without a baseline) and
-    ``n_authors``. ``cells`` maps (year, category) to (mean, cited_count,
-    total_count). Every field is of builtin types, stored by ``marshal`` as
-    is.
+    ``n_authors``. ``cells`` is the baseline table: (year, category) to
+    (mean, cited_count, total_count). Every field is of builtin types,
+    stored by ``marshal`` as is.
     """
     professor_ids: list[str]
     universities: list[str]
@@ -126,35 +122,30 @@ class ProfessorPass(NamedTuple):
     n_authors: list[int]
     sds_to_uda: dict[str, str]
     averages: dict[str, float]
-    cells: dict[tuple[int, str], tuple[float, int, int]]
+    cells: Cells
     filter_report: tuple[int, ...] | None
     baseline_population: int
     fss_skipped: int
     unproductive: list[str]
     corpus_counts: dict[str, int] | None
 
-    def table(self) -> ScalingFactorTable:
-        """The baseline table the pass was scored against."""
-        return ScalingFactorTable(dict(zip(
-            self.cells, map(CellStats._make, self.cells.values()))))
 
-
-def professor_pass(corpus: Corpus, table: ScalingFactorTable,
+def professor_pass(corpus: Corpus, cells: Cells,
                    corpus_counts: dict[str, int] | None = None
                    ) -> ProfessorPass:
-    """The professor pass of a filtered corpus: the normalized impacts, each
+    """The professor pass of a filtered corpus scored against the baseline
+    table ``cells``, which it keeps: the normalized impacts, each
     professor's FSS_P and the SDS averages, with the publication terms FSS
     skipped for missing baselines and the SDS without an average.
     ``corpus_counts`` are the counts of the corpus before filtering, when
     known."""
-    impacts = impact_map(corpus, table)
+    impacts = impact_map(corpus, cells)
     scores = professor_scores(corpus, impacts)
     averages = sds_averages(corpus, scores)
     return ProfessorPass(
         corpus.professor_ids, corpus.universities, corpus.sds, corpus.pubs,
         scores, impacts, corpus.n_authors,
-        dict(corpus.field_scheme.sds_to_uda), averages,
-        {cell: tuple(stats) for cell, stats in table.items()},
+        dict(corpus.field_scheme.sds_to_uda), averages, cells,
         None if corpus.filter_report is None else tuple(corpus.filter_report),
         len(corpus.baseline[0]),
         sum(impacts[j] is None for ps in corpus.pubs for j in ps),

@@ -429,10 +429,10 @@ def oracle_unit_scores(corpus: Corpus, table, level: str) -> dict:
     rows = records(corpus)
 
     def impact(pub):
-        cells = [table.cell(pub.year, c) for c in pub.subject_categories]
+        cells = [table.get((pub.year, c)) for c in pub.subject_categories]
         if None in cells:
             return None
-        return pub.citations / (sum(c.mean for c in cells) / len(cells))
+        return pub.citations / (sum(c[0] for c in cells) / len(cells))
 
     def fss_p(prof):
         total = 0.0

@@ -16,7 +16,10 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
 - the error cases: ``validate`` and ``compare`` on a copy of the corpus
   with one broken row and on a copy missing ``authorships.csv``, and
   ``score --baselines`` naming a missing table and a table with a bad
-  cell, each made in the checkout's work directory.
+  cell, each made in the checkout's work directory;
+- the missing-baseline path: ``score --indicator both`` at ``sds`` and
+  ``uda`` and ``compare --level sds`` with ``--baselines``, a table of
+  every other row of the table that checkout exported.
 
 Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in four cache states:
 an empty cache, the warm cache that first run leaves, ``XDG_CACHE_HOME`` a
@@ -26,8 +29,10 @@ such as the pass of a ``score --indicator mncs`` read by a later ``score
 --indicator both`` or ``compare``. The exit code, stdout, stderr and every
 output file are compared between the two checkouts; only the manifest's
 ``timestamp`` and the output path, the run's own work directory, are
-ignored. The script prints each difference and exits 1 if there is any,
-else 0. Pytest does not collect it.
+ignored. Then each script in ``demos/`` runs once, with the checkout's
+``src``, and its exit code, stdout and stderr are compared. The script
+prints each difference and exits 1 if there is any, else 0. Pytest does
+not collect it.
 """
 from __future__ import annotations
 
@@ -46,8 +51,12 @@ LOG_LEVELS = ("error", "debug")
 CACHE_STATES = ("empty", "warm", "file")      # each command on its own
 SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
 WORK = "<WORK>"
-# the exported table every --baselines run reads
-EXPORTED = "out/score-sds-both-export/summaries/baselines.csv"
+# the command exporting the table every --baselines run reads, and that
+# table
+EXPORT = "score-sds-both-export"
+EXPORTED = f"out/{EXPORT}/summaries/baselines.csv"
+# every other row of the exported table: the missing-baseline path
+PARTIAL = "partial-baselines.csv"
 # a publication row Corpus.check rejects: a negative citation count
 BROKEN_ROW = "W_BROKEN,2010,article,C,-1,1\n"
 BAD_BASELINES = ("year,category,mean,cited_count,total_count\n"
@@ -90,6 +99,13 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"score-baselines-{table}", [
             "score", *corpus, "--level", "sds", "--baselines",
             "{work}/" + f"{table}-baselines.csv", "--out", "{out}"]))
+    partial = ["--baselines", "{work}/" + PARTIAL]
+    for level in ("sds", "uda"):
+        commands.append((f"score-{level}-partial", [
+            "score", *corpus, "--level", level, "--indicator", "both",
+            *partial, "--out", "{out}"]))
+    commands.append(("compare-sds-partial", [
+        "compare", *corpus, "--level", "sds", *partial, "--out", "{out}"]))
     return commands
 
 
@@ -106,6 +122,28 @@ def make_error_inputs(data_dir: Path, work: Path) -> None:
     (work / "bad-baselines.csv").write_text(BAD_BASELINES, encoding="utf-8")
 
 
+def make_partial_table(work: Path) -> None:
+    """Write PARTIAL in ``work``: the header and every other row, from the
+    first, of the table EXPORT left there; nothing if there is none."""
+    exported = work / EXPORTED
+    if exported.is_file():
+        header, *rows = exported.read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        (work / PARTIAL).write_text(header + "".join(rows[::2]),
+                                    encoding="utf-8")
+
+
+def hide(data: bytes, work: Path) -> bytes:
+    return data.replace(str(work).encode(), WORK.encode())
+
+
+def streams(proc: subprocess.CompletedProcess, work: Path) -> dict[str, bytes]:
+    """The exit code, stdout and stderr of a finished run."""
+    return {"exit code": str(proc.returncode).encode(),
+            "stdout": hide(proc.stdout, work),
+            "stderr": hide(proc.stderr, work)}
+
+
 def run(checkout: Path, work: Path, name: str, argv: list[str],
         log_level: str, cache: Path) -> dict[str, bytes]:
     """Run one command in one checkout with the cache at ``cache``; its exit
@@ -119,11 +157,7 @@ def run(checkout: Path, work: Path, name: str, argv: list[str],
         [sys.executable, "-m", "rankdiff",
          *(a.format(out=out, work=work) for a in argv)],
         cwd=checkout, env=env, capture_output=True)
-
-    def hide(data: bytes) -> bytes:
-        return data.replace(str(work).encode(), WORK.encode())
-    result = {"exit code": str(proc.returncode).encode(),
-              "stdout": hide(proc.stdout), "stderr": hide(proc.stderr)}
+    result = streams(proc, work)
     for path in sorted(out.rglob("*")) if out.is_dir() else ():
         if path.is_file():
             data = path.read_bytes()
@@ -131,8 +165,22 @@ def run(checkout: Path, work: Path, name: str, argv: list[str],
                 manifest = json.loads(data)
                 manifest.pop("timestamp")
                 data = json.dumps(manifest, indent=1, sort_keys=True).encode()
-            result[f"file {path.relative_to(out).as_posix()}"] = hide(data)
+            result[f"file {path.relative_to(out).as_posix()}"] = hide(data,
+                                                                      work)
     return result
+
+
+def run_demo(checkout: Path, work: Path, demo: str) -> dict[str, bytes]:
+    """Run ``demos/<demo>`` of one checkout with its ``src``; its exit code,
+    stdout and stderr, or only that it is missing."""
+    script = checkout / "demos" / demo
+    if not script.is_file():
+        return {"missing": b""}
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               XDG_CACHE_HOME=str(work / "cache-demos"))
+    return streams(subprocess.run([sys.executable, str(script)],
+                                  cwd=checkout, env=env, capture_output=True),
+                   work)
 
 
 def differences(name: str, base: dict[str, bytes],
@@ -183,8 +231,10 @@ def main(argv: list[str]) -> int:
             for report in differences(label, *results):
                 print(report, flush=True)
                 found += 1
-            if name != "score-sds-both-export":
-                for _, work in checkouts:
+            for _, work in checkouts:
+                if name == EXPORT:
+                    make_partial_table(work)
+                else:
                     shutil.rmtree(work / "out" / name, ignore_errors=True)
 
         def clear(cache: str) -> None:
@@ -202,6 +252,15 @@ def main(argv: list[str]) -> int:
             clear("cache-shared")
             for name, command in commands:
                 compare(name, command, log_level, "shared", "cache-shared")
+        demos = sorted({p.name for checkout, _ in checkouts
+                        for p in (checkout / "demos").glob("*.py")})
+        for demo in demos:
+            results = [run_demo(checkout, work, demo)
+                       for checkout, work in checkouts]
+            runs += 1
+            for report in differences(f"demo {demo}", *results):
+                print(report, flush=True)
+                found += 1
     print(f"{runs} runs in each checkout, {files} output files compared, "
           f"{found} difference(s)")
     return 1 if found else 0

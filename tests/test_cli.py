@@ -660,25 +660,99 @@ def test_synth_config_read_as_utf8_under_any_locale(tmp_path):
         str(cfg_path): hashlib.sha256(cfg_path.read_bytes()).hexdigest()}
 
 
-@pytest.mark.parametrize("text, line", [
-    ("year,cat,mean,cited_count,total_count\n2008,C,2.0,1,1\n", 1),
-    ("year,category,mean,cited_count,total_count\n2008,C,nan,1,1\n", 2),
+CELL_CHECK = "must contain >= 1 cited publication and a finite positive mean"
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("year,cat,mean,cited_count,total_count\n2008,C,2.0,1,1\n", 1,
+     "header: expected columns"),
+    ("year,category,mean,cited_count,total_count\n2008,C,nan,1,1\n", 2,
+     "mean: not a finite number: 'nan'"),
     ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
-     "2008, C ,3.0,1,1\n", 3),
-    ("year,category,mean,cited_count,total_count\n2008, ,2.0,1,1\n", 2),
+     "2008, C ,3.0,1,1\n", 3, "duplicate key '2008', 'C'"),
+    ("year,category,mean,cited_count,total_count\n2008, ,2.0,1,1\n", 2,
+     "category: empty"),
     # fewer publications in a cell than cited ones
-    ("year,category,mean,cited_count,total_count\n2008,C,2.0,16,-7\n", 2),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,16,-7\n", 2,
+     "cell (2008, 'C') must have total_count >= cited_count"),
     ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
-     "2009,C,3.0,26,0\n", 3),
+     "2009,C,3.0,26,0\n", 3,
+     "cell (2009, 'C') must have total_count >= cited_count"),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,3,2\n", 2,
+     "cell (2008, 'C') must have total_count >= cited_count"),
+    # no cited publication, or a mean that is not positive
+    ("year,category,mean,cited_count,total_count\n2008,C,0.0,1,1\n", 2,
+     f"cell (2008, 'C') {CELL_CHECK}"),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,1,1\n"
+     "2009,C,-2.0,1,1\n", 3, f"cell (2009, 'C') {CELL_CHECK}"),
+    ("year,category,mean,cited_count,total_count\n2008,C,2.0,0,3\n", 2,
+     f"cell (2008, 'C') {CELL_CHECK}"),
+    ("year,category,mean,cited_count,total_count\n2008,C,0.0,0,3\n", 2,
+     f"cell (2008, 'C') {CELL_CHECK}"),
 ])
-def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line):
+def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line,
+                                           problem):
     tmp_path, data_dir, run_cfg = synth_setup
     bad = tmp_path / "bad_baselines.csv"
     bad.write_text(text, encoding="utf-8")
     assert main(["score", str(data_dir), "--config", str(run_cfg),
                  "--level", "overall", "--out", str(tmp_path / "out"),
                  "--baselines", str(bad)]) == 2
-    assert f"error: bad baselines: {bad}:{line}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad baselines: {bad}:{line}: ")
+    assert problem in err
+
+
+def _tiny_salary(tmp_path: Path, data_dir: Path) -> list[str]:
+    """A copy of the corpus whose assistants earn 1e-310, which passes
+    validation and overflows their FSS_P."""
+    tiny = tmp_path / "tiny-salary"
+    shutil.copytree(data_dir, tiny)
+    salaries = tiny / "salaries.csv"
+    text = salaries.read_text(encoding="utf-8")
+    assert "\nassistant,45000\n" in text
+    salaries.write_text(text.replace("\nassistant,45000\n",
+                                     "\nassistant,1e-310\n"),
+                        encoding="utf-8")
+    return [str(tiny)]
+
+
+def _tiny_means(tmp_path: Path, data_dir: Path) -> list[str]:
+    """The corpus with its exported baseline table, every mean set to
+    1e-310, which passes the table check and overflows every impact."""
+    run_cfg = tmp_path / "run.cfg"
+    export = tmp_path / "export"
+    assert main(["score", str(data_dir), "--config", str(run_cfg), "--level",
+                 "sds", "--export-baselines", "--out", str(export)]) == 0
+    header, *rows = (export / "summaries" / "baselines.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    tiny = tmp_path / "tiny-means.csv"
+    tiny.write_text(header + "".join(
+        ",".join(row.split(",")[:2] + ["1e-310"] + row.split(",")[3:])
+        for row in rows), encoding="utf-8")
+    return [str(data_dir), "--baselines", str(tiny)]
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--level", "uda", "--export-baselines"],
+    ["compare", "--level", "sds", "--export-baselines"]],
+    ids=["score", "compare"])
+@pytest.mark.parametrize("inputs", [_tiny_salary, _tiny_means],
+                         ids=["salary", "means"])
+def test_non_finite_unit_score_fails_before_any_output(synth_setup, capsys,
+                                                       command, inputs):
+    tmp_path, data_dir, run_cfg = synth_setup
+    corpus = inputs(tmp_path, data_dir)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command[0], *corpus, "--config", str(run_cfg), *command[1:],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: {re.escape(corpus[0])}: scope [^:]+: unit [^:]+: "
+        rf"(fss|mncs) score is (nan|inf); the scores are too large for float "
+        rf"arithmetic\n", err), err
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 def _pad_csv(src: Path, dst: Path) -> None:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from rankdiff import (FSS, LEVELS, MNCS, Authorship, Corpus, CorpusLoadError,
                       FieldScheme, FilterConfig, ObservationWindow, Professor,
-                      Publication, ScalingFactorTable, compute_scaling_factors,
-                      impact_map, professor_pass, professor_scores, rank,
-                      scoreboards, sds_averages, unit_scores)
-from rankdiff.baselines import CellStats
+                      Publication, compute_scaling_factors, impact_map,
+                      professor_pass, professor_scores, rank, scoreboards,
+                      sds_averages, unit_scores)
 from helpers import (RELAXED_CFG, add_publication, clone_university,
                      oracle_unit_scores, overall_scores, random_corpus,
                      rebuilt, records, scope_of, staff_of, unit_ids)
@@ -49,15 +48,15 @@ def test_fss_professor_unity_case():
     # one publication, c = mean, sole author, unit salary and tenure
     prof = Professor("p", "A", "S", "r", 1.0)
     corpus = _corpus([_pub("w", 2, 1)], [Authorship("w", "p")], [prof])
-    table = ScalingFactorTable({(2008, "C"): CellStats(2.0, 1, 1)})
+    table = {(2008, "C"): (2.0, 1, 1)}
     assert _fss_p(corpus, table)["p"] == 1.0
 
 
 def test_fss_professor_no_publications():
     prof = Professor("p", "A", "S", "r", 3.0)
     corpus = _corpus([], [], [prof])
-    assert _fss_p(corpus, ScalingFactorTable({}))["p"] == 0.0
-    assert professor_pass(corpus, ScalingFactorTable({})).fss_skipped == 0
+    assert _fss_p(corpus, {})["p"] == 0.0
+    assert professor_pass(corpus, {}).fss_skipped == 0
 
 
 def test_fss_professor_hand_computed():
@@ -67,8 +66,7 @@ def test_fss_professor_hand_computed():
     corpus = _corpus([_pub("w1", 4, 2, cats=("C1",)), _pub("w2", 3, 3, cats=("C2",))],
                      [Authorship("w1", "p"), Authorship("w2", "p")],
                      [prof], salaries={"r": 2.0})
-    table = ScalingFactorTable({(2008, "C1"): CellStats(2.0, 1, 1),
-                                (2008, "C2"): CellStats(3.0, 1, 1)})
+    table = {(2008, "C1"): (2.0, 1, 1), (2008, "C2"): (3.0, 1, 1)}
     assert _fss_p(corpus, table)["p"] == pytest.approx(2 / 15)
 
 
@@ -90,7 +88,7 @@ def test_fss_skips_missing_baseline_terms():
     prof = Professor("p", "A", "S", "r", 1.0)
     corpus = _corpus([_pub("w1", 2, 1), _pub("w2", 5, 1, cats=("UNKNOWN",))],
                      [Authorship("w1", "p"), Authorship("w2", "p")], [prof])
-    table = ScalingFactorTable({(2008, "C"): CellStats(2.0, 1, 1)})
+    table = {(2008, "C"): (2.0, 1, 1)}
     assert _fss_p(corpus, table)["p"] == 1.0
     assert professor_pass(corpus, table).fss_skipped == 1
 
@@ -100,7 +98,7 @@ def test_fss_skips_missing_baseline_terms():
 
 def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
-    pass_ = professor_pass(corpus, ScalingFactorTable({}))
+    pass_ = professor_pass(corpus, {})
     pass_ = pass_._replace(scores=[scores[p] for p in pass_.professor_ids],
                            averages=_averages(corpus, scores))
     fss, _ = unit_scores(pass_, univ, scope,
@@ -124,7 +122,7 @@ def test_sds_average_ignores_unproductive():
 def test_sds_average_no_productive_professors():
     corpus = _staff_corpus({"p1": ("A", "S")})
     assert "S" not in _averages(corpus, {"p1": 0.0})
-    assert professor_pass(corpus, ScalingFactorTable({})).unproductive == ["S"]
+    assert professor_pass(corpus, {}).unproductive == ["S"]
 
 
 def test_sds_average_singleton():
@@ -208,14 +206,14 @@ def test_mncs_all_unit_impact():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([_pub("w1", 3, 2), _pub("w2", 3, 3)],
                      [Authorship("w1", "p"), Authorship("w2", "p")], profs)
-    table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 2, 2)})
+    table = {(2008, "C"): (3.0, 2, 2)}
     assert _mncs(corpus, table).score == pytest.approx(1.0)
 
 
 def test_mncs_single_publication_weight_cancels():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([_pub("w", 6, 2)], [Authorship("w", "p")], profs)
-    table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 1)})
+    table = {(2008, "C"): (3.0, 1, 1)}
     unit = _mncs(corpus, table)
     assert unit.score == pytest.approx(2.0)
     assert unit.publication_weight == pytest.approx(0.5)
@@ -228,7 +226,7 @@ def test_mncs_uncited_keeps_weight_in_denominator():
     corpus = _corpus([_pub("w1", 6, 4), _pub("w2", 0, 4)],
                      [Authorship("w1", "p1"), Authorship("w1", "p2"),
                       Authorship("w2", "p1")], profs)
-    table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 2)})
+    table = {(2008, "C"): (3.0, 1, 2)}
     unit = _mncs(corpus, table)
     assert unit.score == pytest.approx(1.0 / 0.75)
 
@@ -240,7 +238,7 @@ def test_mncs_counts_in_scope_professors_once_per_publication():
     corpus = _corpus([_pub("w", 6, 4)],
                      [Authorship("w", "p1"), Authorship("w", "p2")],
                      profs, sds_map={"S1": "U", "S2": "U"})
-    table = ScalingFactorTable({(2008, "C"): CellStats(3.0, 1, 1)})
+    table = {(2008, "C"): (3.0, 1, 1)}
     unit = _mncs(corpus, table)
     assert unit.publication_weight == pytest.approx(0.5)   # m=2, n=4
     # at SDS level only one professor is in scope: m=1, n=4
@@ -251,7 +249,7 @@ def test_mncs_counts_in_scope_professors_once_per_publication():
 def test_mncs_no_publications():
     profs = [Professor("p", "A", "S", "r", 5.0)]
     corpus = _corpus([], [], profs)
-    table = ScalingFactorTable({})
+    table = {}
     assert _mncs(corpus, table) is None
     assert unit_scores(professor_pass(corpus, table), "A", None, [0],
                        MNCS) == (None, None)
@@ -338,8 +336,8 @@ def test_scoreboards_match_naive_oracle(level, relaxed_cfg, caplog):
     rng = np.random.default_rng(31)
     corpus = random_corpus(rng, n_universities=4, n_sds=4)
     full = compute_scaling_factors(corpus)
-    missing = next(iter(full))
-    table = ScalingFactorTable({k: v for k, v in full.items() if k != missing})
+    missing = min(full)
+    table = {k: v for k, v in full.items() if k != missing}
     # expected skip warnings: each unit's in-scope publications in that cell
     skipped: dict[tuple, set] = {}
     rows = records(corpus)
@@ -392,8 +390,8 @@ def test_mncs_paradox_small_loop():
         before = _unit_mncs(corpus, table)
         if before is None or before <= 0:
             continue
-        year, cat = next(iter(table))
-        mean = table.cell(year, cat).mean
+        year, cat = min(table)
+        mean = table[year, cat][0]
         prof = next(p.professor_id for p in records(corpus).professors.values()
                     if p.university_id == "UNIV1")
         low_c = int(mean * before * 0.5)
@@ -413,7 +411,7 @@ def test_fss_monotone_in_cited_publications():
         corpus = random_corpus(rng, n_universities=2, n_sds=1)
         table = compute_scaling_factors(corpus)
         pid = sorted(corpus.professor_ids)[0]
-        year, cat = next(iter(table))
+        year, cat = min(table)
         before = _fss_p(corpus, table)[pid]
         cited = Publication("EXTRA_C", year, "article", (cat,), 3, 2)
         with_cited = add_publication(corpus, cited, [pid])

@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankdiff import (LEVELS, FilterConfig, ProfessorPass, ScalingFactorTable,
-                      apply_filters, compute_scaling_factors, load_corpus,
-                      professor_pass, scoreboards, write_corpus_csvs)
+from rankdiff import (LEVELS, FilterConfig, ProfessorPass, apply_filters,
+                      compute_scaling_factors, load_corpus, professor_pass,
+                      read_baselines, scoreboards, write_baselines,
+                      write_corpus_csvs)
 from rankdiff import cache as cache_module
 from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
@@ -396,8 +397,8 @@ def _pruned_baselines(data_dir: Path, path: Path) -> Path:
     """The corpus's baseline table without its 2010 cells, so some
     publications have no baseline and are skipped, with warnings."""
     table = compute_scaling_factors(load_corpus(data_dir, WINDOW))
-    ScalingFactorTable({cell: stats for cell, stats in table.items()
-                        if cell[0] != 2010}).to_csv(path)
+    write_baselines({cell: stats for cell, stats in table.items()
+                     if cell[0] != 2010}, path)
     return path
 
 
@@ -562,7 +563,7 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
     loaded = load_corpus(data_dir, window)
     corpus = apply_filters(loaded, cfg)
     table = (compute_scaling_factors(corpus) if baselines is None else
-             ScalingFactorTable.from_csv("pinned.csv", data=baselines))
+             read_baselines("pinned.csv", data=baselines))
     return professor_pass(corpus, table, corpus_counts=loaded.counts())
 
 
@@ -571,7 +572,7 @@ def test_cached_pass_equals_the_pass_made(cache, data_dir):
     store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, made)
     hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None)
     assert _pass_snapshot(hit) == _pass_snapshot(made)
-    assert list(hit.table().items()) == list(made.table().items())
+    assert hit.cells == made.cells
     for level in LEVELS:
         assert scoreboards(hit, RELAXED_CFG, level) == \
             scoreboards(made, RELAXED_CFG, level)
@@ -704,7 +705,21 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
                replaced("baseline_population", "61"),
                replaced("fss_skipped", 0.0),
                replaced("unproductive", "S9"),
-               replaced("unproductive", [9])]
+               replaced("unproductive", [9]),
+               replaced("averages", {code: str(average) for code, average
+                                     in fields.averages.items()}),
+               replaced("averages", {1: 1.0}),
+               replaced("sds_to_uda", {code: uda for code, uda
+                                       in fields.sds_to_uda.items()
+                                       if code != fields.sds[0]}),
+               replaced("sds_to_uda", {code: 1 for code in fields.sds_to_uda}),
+               replaced("cells", {**fields.cells, ("2008", "C"): (1.0, 1, 1)}),
+               replaced("cells", {**fields.cells, (2008, "C", 1): (1.0, 1, 1)}),
+               replaced("cells", {**fields.cells, "2008,C": (1.0, 1, 1)}),
+               replaced("cells", {**fields.cells, (2008, "C"): (1, 1, 1)}),
+               replaced("cells", {**fields.cells, (2008, "C"): (1.0, 1)}),
+               replaced("cells", {**fields.cells, (2008, "C"): [1.0, 1, 1]})]
+    assert fields.averages and fields.cells
     for i, damaged in enumerate(damages):
         entry.write_bytes(damaged)
         filtered = []

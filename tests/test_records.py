@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from rankdiff import (FSS, Authorship, CellStats, ComparisonRow,
-                      ComparisonTable, CorpusPaths, DispersionStats,
-                      DivergenceSummary, FieldScheme, FilterConfig,
-                      FilterReport, ObservationWindow, Professor, Publication,
+from rankdiff import (FSS, Authorship, ComparisonRow, ComparisonTable,
+                      CorpusPaths, DispersionStats, DivergenceSummary,
+                      FieldScheme, FilterConfig, FilterReport,
+                      ObservationWindow, Professor, Publication,
                       QuartileSummary, RangeSummary, RankEntry, RankedList,
                       RunConfig, ScoreBoard, ScoreboardSet, ScopePair,
                       SynthConfig, SynthConfigError, UnitScore, Violation)
@@ -40,7 +40,6 @@ RECORDS = [
     lambda: FilterReport(1, 2, 3, 4),
     lambda: CorpusPaths.from_dir("corpus"),
     lambda: RunConfig(ObservationWindow(2008, 2012), FilterConfig()),
-    lambda: CellStats(2.0, 1, 3),
     lambda: UnitScore("U1", FSS, 1.5, research_staff=3),
     _board,
     lambda: ScopePair("S", _board(), None, ["U2"]),
