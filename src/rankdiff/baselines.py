@@ -12,10 +12,9 @@ total_count).
 from __future__ import annotations
 
 import logging
-import math
 from pathlib import Path
 
-from .corpus import Corpus, read_csv, write_csv
+from .corpus import Corpus, read_bytes, read_csv, write_csv
 
 log = logging.getLogger("rankdiff.baselines")
 
@@ -25,20 +24,27 @@ CSV_COLUMNS = {"year": int, "category": str, "mean": float, "cited_count": int,
 Cells = dict[tuple[int, str], tuple[float, int, int]]
 
 
-def read_baselines(path: str | Path, data: bytes | None = None) -> Cells:
-    """Read a table written by ``write_baselines``; ``data``, when given, is
-    the file's bytes, read already.
+def read_baselines(path: str | Path) -> Cells:
+    """Read a table written by ``write_baselines``: ``parse_baselines`` of
+    the file's bytes."""
+    return parse_baselines(path, read_bytes(path))
+
+
+def parse_baselines(path: str | Path, data: bytes | None) -> Cells:
+    """The table in ``data``, the bytes ``read_bytes`` returned from
+    ``path``.
 
     Raises ValueError naming the file and line of the first bad header,
     cell, duplicate (year, category) or empty category, of a cell without a
     cited publication, a finite positive mean or total_count >= cited_count,
-    or of an undecodable byte.
+    or of an undecodable byte; naming the path of a missing file.
     """
     lines, (years, categories, *stats) = read_csv(
-        path, CSV_COLUMNS, key=("year", "category"), data=data)
+        path, data, CSV_COLUMNS, key=("year", "category"))
     cells = dict(zip(zip(years, categories), zip(*stats)))
     for line, (key, (mean, cited, total)) in zip(lines, cells.items()):
-        if cited < 1 or not 0 < mean < math.inf:
+        # read_csv has checked that every number is finite
+        if cited < 1 or mean <= 0:
             raise ValueError(f"{path}:{line}: cell {key} must contain >= 1 "
                              f"cited publication and a finite positive mean")
         if total < cited:

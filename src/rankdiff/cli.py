@@ -20,12 +20,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import cache, divergence, report
-from .baselines import (Cells, compute_scaling_factors, log_computed,
-                        read_baselines, write_baselines)
-from .corpus import (Corpus, FilterReport, LEVEL_SDS, LEVELS, RunConfig,
-                     apply_filters, load_corpus, log_corpus,
-                     read_bytes, read_config, read_csv, read_files,
-                     write_corpus_csvs)
+from .baselines import (compute_scaling_factors, log_computed,
+                        parse_baselines, write_baselines)
+from .corpus import (FilterReport, LEVEL_SDS, LEVELS, RunConfig, apply_filters,
+                     decode, load_corpus, log_corpus, read_bytes, read_config,
+                     read_csv, read_files, slug, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
                          ScoreboardSet, UnitScore, log_fss, professor_pass,
@@ -48,13 +47,6 @@ def _setup_logging() -> None:
                            logging.WARNING)
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _digest(path: str | Path, data: bytes | None) -> str:
-    """sha256 of ``data``, the bytes of ``path`` that were parsed; of the
-    file as it is now when it could not be read before it was parsed."""
-    return hashlib.sha256(Path(path).read_bytes() if data is None
-                          else data).hexdigest()
 
 
 class OutputDir:
@@ -164,7 +156,7 @@ def _professor_pass(args: argparse.Namespace
     files = read_files(args.data_dir)
     digests = files.digests
     baselines = read_bytes(args.baselines) if args.baselines else None
-    # an unreadable --baselines is reported where it is parsed, uncached
+    # a missing --baselines is reported where it is parsed, uncached
     cached = not args.baselines or baselines is not None
     key = (digests, run_cfg.window, run_cfg.filters, baselines)
     pass_ = cache.cached_pass(*key) if cached else None
@@ -176,13 +168,20 @@ def _professor_pass(args: argparse.Namespace
         counts = corpus.counts()
         corpus = apply_filters(corpus, run_cfg.filters)
         log_corpus(counts, corpus.filter_report)
-        pass_ = professor_pass(corpus, _baseline_table(args, corpus, baselines),
-                               counts)
+        if args.baselines:
+            try:
+                cells = parse_baselines(args.baselines, baselines)
+            except ValueError as exc:
+                raise SystemExitWithCode(EXIT_CONFIG,
+                                         f"bad baselines: {exc}") from exc
+        else:
+            cells = compute_scaling_factors(corpus)
+        pass_ = professor_pass(corpus, cells, counts)
         if cached:
             cache.store_pass(*key, pass_)
     if args.baselines:
         digests = {**digests, str(Path(args.baselines)):
-                   _digest(args.baselines, baselines)}
+                   hashlib.sha256(baselines).hexdigest()}
     return run_cfg, pass_, digests
 
 
@@ -205,25 +204,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _baseline_table(args: argparse.Namespace, corpus: Corpus,
-                    baselines: bytes | None) -> Cells:
-    """The --baselines table, parsed from its bytes ``baselines``, or the
-    table computed from the corpus."""
-    if not args.baselines:
-        return compute_scaling_factors(corpus)
-    try:
-        return read_baselines(args.baselines, data=baselines)
-    except ValueError as exc:
-        raise SystemExitWithCode(EXIT_CONFIG, f"bad baselines: {exc}") from exc
-
-
 def _score_corpus(args: argparse.Namespace, indicator: str
                   ) -> tuple[RunConfig, OutputDir, ProfessorPass,
                              dict[str, str], ScoreboardSet]:
     """Score the corpus at ``args.level``; the output directory holds the
     scoring warnings. Also returns the run's settings, the professor pass
-    and the digests of the files read. A unit score that is not finite ends
-    the run with exit 1 before the first file is written."""
+    and the digests of the files read. An SDS average of FSS or a unit score
+    that is not finite ends the run with exit 1 before the first file is
+    written."""
     run_cfg, pass_, inputs = _professor_pass(args)
     out = OutputDir(args.out, args.force)
     if args.baselines:
@@ -234,15 +222,20 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     if indicator != MNCS:
         log_fss(pass_)
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)
-    for scope, pair in board_set.pairs.items():
-        for board in filter(None, (pair.fss, pair.mncs)):
-            for e in board.entries:
-                if not math.isfinite(e.score):
-                    raise SystemExitWithCode(
-                        EXIT_VALIDATION, f"{args.data_dir}: scope "
-                        f"{_label(scope)}: unit {e.university_id}: "
-                        f"{e.indicator} score is {e.score}; the scores are "
-                        f"too large for float arithmetic")
+    # FSS divides each professor's score by their SDS's average: one that
+    # overflowed would turn the SDS's finite scores into 0
+    overflowed = [f"SDS {code}: fss average is inf" for code, average
+                  in pass_.averages.items()
+                  if indicator != MNCS and average == math.inf]
+    overflowed += [f"scope {_label(scope)}: unit {e.university_id}: "
+                   f"{e.indicator} score is {e.score}"
+                   for scope, pair in board_set.pairs.items()
+                   for board in filter(None, (pair.fss, pair.mncs))
+                   for e in board.entries if not math.isfinite(e.score)]
+    if overflowed:
+        raise SystemExitWithCode(
+            EXIT_VALIDATION, f"{args.data_dir}: {overflowed[0]}; the scores "
+            f"are too large for float arithmetic")
     if args.export_baselines:
         write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
     out.warnings.extend(board_set.warnings)
@@ -255,7 +248,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     run_cfg, out, _, inputs, board_set = _score_corpus(args, args.indicator)
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
-        name = f"scoreboard_{args.level}_{_slug(scope)}.csv"
+        name = f"scoreboard_{args.level}_{slug(_label(scope))}.csv"
         report.write_scoreboard_csv(boards, out.path("scoreboards", name))
     if board_set.not_rankable:
         out.warnings.append(
@@ -268,10 +261,6 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _label(scope: str | None) -> str:
     return "overall" if scope is None else scope
-
-
-def _slug(scope: str | None) -> str:
-    return _label(scope).replace("/", "_")
 
 
 def _require_finite(source: str, label: str, stats) -> None:
@@ -321,7 +310,7 @@ def _emit_comparisons(
             dispersions.append(stats)
     for cmp in comparisons:
         report.write_comparison_csv(cmp, out.path(
-            "comparisons", f"comparison_{tag}_{_slug(cmp.label)}.csv"))
+            "comparisons", f"comparison_{tag}_{slug(cmp.label)}.csv"))
     report.write_shift_summary_csv(
         shifts, out.path("summaries", f"shift_summary_{tag}.csv"))
     report.write_quartile_summary_csv(
@@ -389,8 +378,8 @@ def _read_scores_csv(path: Path, data: bytes | None
                      ) -> tuple[ScoreBoard, ScoreBoard]:
     try:
         _, (units, fss_scores, mncs_scores) = read_csv(
-            path, {"unit": str, "fss_score": float, "mncs_score": float},
-            extra_columns=True, key=("unit",), data=data)
+            path, data, {"unit": str, "fss_score": float, "mncs_score": float},
+            extra_columns=True, key=("unit",))
     except ValueError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
     fss_entries = [UnitScore(u, FSS, s) for u, s in zip(units, fss_scores)]
@@ -413,13 +402,13 @@ def _compare_from_scores(args: argparse.Namespace) -> int:
         f"FSS vs MNCS comparison (replay: {args.label})",
         [(args.label, fss_board, mncs_board, None)])
     out.write_manifest("compare", sys.argv[1:], None,
-                       {str(path): _digest(path, data)})
+                       {str(path): hashlib.sha256(data).hexdigest()})
     print(f"compared {cmp.n} units; outputs in {out.root}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    data = Path(args.config_file).read_bytes()
+    data = read_bytes(args.config_file)
     try:
         cfg = SynthConfig.from_json(args.config_file, data)
         corpus = generate(cfg)
@@ -428,7 +417,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = OutputDir(args.out, args.force)
     paths = write_corpus_csvs(corpus, out.root)
     out.outputs.extend(p.name for p in paths)
-    out.write_manifest("synth", sys.argv[1:], json.loads(data),
+    out.write_manifest("synth", sys.argv[1:],
+                       json.loads(decode(data, args.config_file)),
                        {str(args.config_file): hashlib.sha256(data).hexdigest()})
     print(f"synthesized corpus: {corpus.counts()} -> {out.root}")
     return EXIT_OK

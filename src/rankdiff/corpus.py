@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import CorpusLoadError, Violation
+from .errors import CorpusLoadError, InputError, Violation
 
 log = logging.getLogger("rankdiff.corpus")
 
@@ -32,6 +32,11 @@ LEVELS = (LEVEL_SDS, LEVEL_UDA, LEVEL_OVERALL)
 DEFAULT_EXCLUDED_DOC_TYPES = frozenset(
     {"editorial material", "meeting abstract", "reply to letter"}
 )
+
+
+def slug(scope: str) -> str:
+    """A scope, an SDS or UDA code or "overall", in output file names."""
+    return scope.replace("/", "_")
 
 
 class Checked:
@@ -228,11 +233,14 @@ class Corpus:
         violation is named by the key of its row."""
         v: list[Violation] = []
 
+        def at(table: str, row: int, key: str) -> str:
+            if lines is None:
+                return key
+            name, numbers = lines[table]
+            return f"{name}:{numbers[row]}"
+
         def add(table: str, row: int, key: str, fld: str, msg: str) -> None:
-            if lines is not None:
-                name, numbers = lines[table]
-                key = f"{name}:{numbers[row]}"
-            v.append(Violation(key, fld, msg))
+            v.append(Violation(at(table, row, key), fld, msg))
 
         pub_ids, _, _, categories, citations, n_authors = publications
         for i, (pub_id, cats, cites, n) in enumerate(
@@ -262,12 +270,15 @@ class Corpus:
                     f"{years} exceeds window length {n_years}"
                     if years > n_years else f"must be > 0, got {years}")
             # FSS divides by the product: it must neither underflow to 0
-            # nor overflow, where the salary itself is valid
+            # nor overflow, nor be so small that its reciprocal overflows,
+            # where the salary itself is valid
             elif (salary is not None and 0 < salary < math.inf
-                  and not 0 < salary * years < math.inf):
+                  and not (0 < salary * years < math.inf
+                           and 1 / (salary * years) < math.inf)):
                 add("professors", i, pid, "years_on_staff",
                     f"{years} years at salary {salary} of rank {_quote(rank)}: "
-                    f"salary * years must be finite and > 0")
+                    f"salary * years must be finite and > 0, and so must its "
+                    f"reciprocal")
         pub_rows = dict(zip(pub_ids, range(len(pub_ids))))
         known = set(professor_ids)
         # the authorships, the costliest table, are walked row by row only
@@ -298,6 +309,18 @@ class Corpus:
             if count > n_authors[i] >= 1:       # < 1 is reported above
                 add("publications", i, pub_id, "n_authors_total",
                     f"{count} authorships exceed n_authors_total={n_authors[i]}")
+        # the output files of a scope are named by its slug, which two SDS
+        # codes, or two UDA codes, must not share
+        for fld, codes in (("sds_code", list(field_scheme.sds_to_uda)),
+                           ("uda_code", list(field_scheme.sds_to_uda.values()))):
+            named: dict[str, str] = {}
+            for i, code in enumerate(codes):
+                other = named.setdefault(slug(code), code)
+                if other != code:
+                    where = at("fields", codes.index(other), other)
+                    add("fields", i, code, fld, f"{_quote(code)} and "
+                        f"{_quote(other)} of {where} share the output name "
+                        f"{_quote(slug(code))}")
         for i, salary in enumerate(salary_table.values()):
             if not 0 < salary < math.inf:
                 add("salaries", i, "salary_table", "avg_yearly_salary",
@@ -418,11 +441,12 @@ def _typed_column(cells: list[str], kind: type) -> list | None:
     return values if math.isfinite(sum(values)) else None
 
 
-def read_csv(path: str | Path, columns: dict[str, type],
+def read_csv(path: str | Path, data: bytes | None, columns: dict[str, type],
              problems: list[Violation] | None = None, label: str | None = None,
-             extra_columns: bool = False, key: tuple[str, ...] = (),
-             data: bytes | None = None) -> tuple[list[int], list[list]]:
-    """The rows of a UTF-8 CSV file, column by column: (lines, cells).
+             extra_columns: bool = False, key: tuple[str, ...] = ()
+             ) -> tuple[list[int], list[list]]:
+    """The rows of a UTF-8 CSV file, ``data`` as ``read_bytes`` returned it
+    from ``path``, column by column: (lines, cells).
 
     ``columns`` maps each column to the type of its cells, ``str``, ``int``
     or ``float``. ``cells`` holds one list of typed cells per column, in that
@@ -437,8 +461,7 @@ def read_csv(path: str | Path, columns: dict[str, type],
     and ends the file. Problems come in file order, by line and then by
     column, and are appended to ``problems``; without it, the first raises
     ValueError("<label>:<line>: ..."). ``label`` names the file; it defaults
-    to the path as given. ``data``, when given, is the file's bytes, read
-    already.
+    to the path as given.
     """
     label = str(path) if label is None else label
     names = list(columns)
@@ -451,16 +474,10 @@ def read_csv(path: str | Path, columns: dict[str, type],
         problems.append(Violation(where, fld, message))
 
     try:
-        if data is None:
-            data = Path(path).read_bytes()
-        text = data.decode("utf-8")
-    except FileNotFoundError:
-        problem(str(path), "-", "file not found")
-        return nothing
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        problem(f"{label}:{line}", "-",
-                f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})")
+        text = decode(data, path, label)
+    except InputError as exc:
+        where, message = exc.args
+        problem(where, "-", message)
         return nothing
     reader = csv.reader(io.StringIO(text, newline=""))
     # (line, column number, field, message): a row problem has column -1, a
@@ -565,12 +582,29 @@ def read_files(paths: CorpusPaths | str | Path) -> CorpusFiles:
 
 
 def read_bytes(path: str | Path) -> bytes | None:
-    """The bytes of an input file, read once to be both parsed and hashed;
-    None when it cannot be read, which its parser then reports."""
+    """The bytes of an input file, read once to be both parsed and hashed:
+    the only place one is opened. None when it does not exist, which its
+    parser reports; any other OSError is raised."""
     try:
         return Path(path).read_bytes()
-    except OSError:
+    except FileNotFoundError:
         return None
+
+
+def decode(data: bytes | None, path: str | Path, label: str | None = None
+           ) -> str:
+    """The text of an input file, ``data`` as ``read_bytes`` returned it
+    from ``path``. Raises InputError naming a missing file by its path, and
+    the first byte that is not UTF-8 by ``label`` (the path by default) and
+    its line."""
+    if data is None:
+        raise InputError(str(path), "file not found")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{label or path}:{line}",
+                         f"not valid UTF-8 (byte {data[exc.start]:#04x})") from None
 
 
 def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
@@ -592,8 +626,8 @@ def load_corpus(paths: CorpusFiles | CorpusPaths | str | Path,
     def read(name: str, columns: dict[str, type], key: tuple[str, ...] = ()
              ) -> list[list]:
         path = getattr(files.paths, name)
-        numbers, cells = read_csv(path, columns, violations, label=path.name,
-                                  key=key, data=contents[name])
+        numbers, cells = read_csv(path, contents[name], columns, violations,
+                                  label=path.name, key=key)
         lines[name] = (path.name, numbers)
         return cells
 
@@ -742,11 +776,13 @@ def read_config(path: str | Path) -> RunConfig:
     The keys are start_year and end_year (required), citation_snapshot_label,
     and the fields of FilterConfig, each parsed as the type of its default
     (a set is comma separated). A key may appear once. A bad value or a
-    repeated key raises ValueError("<file>:<line>: <key>: ...").
+    repeated key raises ValueError("<file>:<line>: <key>: ..."); a missing
+    file or a byte that is not UTF-8 raises ``decode``'s InputError.
     """
     settings = dict(_WINDOW_KEYS, **FilterConfig._field_defaults)
     raw: dict[str, tuple[int, str]] = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = decode(read_bytes(path), path)
+    for i, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

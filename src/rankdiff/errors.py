@@ -19,6 +19,14 @@ class Violation(NamedTuple):
         return f"{self.where} [{self.field}]: {self.message}"
 
 
+class InputError(ValueError):
+    """An input file that is missing or not UTF-8: ``args`` are where it is,
+    its path or its name and line, and what is wrong."""
+
+    def __str__(self) -> str:
+        return ": ".join(self.args)
+
+
 MAX_VIOLATIONS = 100
 
 

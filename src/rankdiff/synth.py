@@ -9,7 +9,6 @@ steered. Same seed, same bytes.
 """
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -19,8 +18,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import (Authorship, Checked, Corpus, FieldScheme,
-                     ObservationWindow, Professor, Publication)
-from .errors import SynthConfigError
+                     ObservationWindow, Professor, Publication, decode, slug)
+from .errors import InputError, SynthConfigError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,17 +116,16 @@ class SynthConfig(Checked, _Synth):
                     f"salary for rank {rank!r} must be finite and > 0")
 
     @classmethod
-    def from_json(cls, path: str | Path, data: bytes | None = None
-                  ) -> "SynthConfig":
-        """The config in the JSON file at ``path``; ``data``, when given, is
-        the file's bytes, read already."""
-        if data is None:
-            data = Path(path).read_bytes()
+    def from_json(cls, path: str | Path, data: bytes | None) -> "SynthConfig":
+        """The config in ``data``, the bytes ``read_bytes`` returned from
+        the JSON file at ``path``."""
         try:
-            # decoded as a UTF-8 text file is read, newlines translated
-            raw = json.loads(io.TextIOWrapper(io.BytesIO(data),
-                                              encoding="utf-8").read())
-        except ValueError as exc:       # bad JSON, or bytes that are not UTF-8
+            # newlines translated, as a text file is read
+            raw = json.loads(decode(data, path).replace("\r\n", "\n")
+                             .replace("\r", "\n"))
+        except InputError as exc:       # a missing file or a bad byte
+            raise SynthConfigError(str(exc)) from None
+        except ValueError as exc:
             raise SynthConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:
             if not isinstance(raw, dict):
@@ -217,7 +215,7 @@ def _is_int(value: object) -> bool:
 
 def _primary_category(sds_code: str) -> str:
     """The one primary subject category of an SDS."""
-    return f"CAT_{sds_code.replace('/', '_')}"
+    return f"CAT_{slug(sds_code)}"
 
 
 def _gamma_from_normal(z: np.ndarray, shape: float) -> np.ndarray:

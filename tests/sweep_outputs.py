@@ -13,10 +13,12 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
 - ``compare`` at each level, with and without
   ``--baseline-include-all-doctypes``;
 - ``compare --from-scores`` on the three score tables in ``tests/data``;
-- the error cases: ``validate`` and ``compare`` on a copy of the corpus
-  with one broken row and on a copy missing ``authorships.csv``, and
+- the error cases: ``validate`` and ``compare`` on copies of the corpus
+  with one broken row, without ``authorships.csv``, with a 0xff byte in
+  ``professors.csv`` and with ``authorships.csv`` a directory;
   ``score --baselines`` naming a missing table and a table with a bad
-  cell, each made in the checkout's work directory;
+  cell; and ``compare --from-scores`` naming a missing table; each made
+  in the checkout's work directory;
 - the missing-baseline path: ``score --indicator both`` at ``sds`` and
   ``uda`` and ``compare --level sds`` with ``--baselines``, a table of
   every other row of the table that checkout exported.
@@ -59,6 +61,10 @@ EXPORTED = f"out/{EXPORT}/summaries/baselines.csv"
 PARTIAL = "partial-baselines.csv"
 # a publication row Corpus.check rejects: a negative citation count
 BROKEN_ROW = "W_BROKEN,2010,article,C,-1,1\n"
+# a professor row whose university is not UTF-8
+BAD_BYTE_ROW = b"P_BAD_BYTE,UNIV_\xff,S,assistant,5\n"
+# the damaged copies of the corpus
+DAMAGED = ("broken", "incomplete", "bad-byte", "directory")
 BAD_BASELINES = ("year,category,mean,cited_count,total_count\n"
                  "2008,C,abc,1,1\n")
 
@@ -90,7 +96,7 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"replay-{table}", [
             "compare", "--from-scores", str(data / f"ref_{table}.csv"),
             "--label", table, "--out", "{out}"]))
-    for corpus_name in ("broken", "incomplete"):
+    for corpus_name in DAMAGED:
         damaged = ["{work}/" + corpus_name, "--config", str(run_cfg)]
         commands.append((f"validate-{corpus_name}", ["validate", *damaged]))
         commands.append((f"compare-{corpus_name}", [
@@ -99,6 +105,9 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"score-baselines-{table}", [
             "score", *corpus, "--level", "sds", "--baselines",
             "{work}/" + f"{table}-baselines.csv", "--out", "{out}"]))
+    commands.append(("replay-missing", [
+        "compare", "--from-scores", "{work}/missing-scores.csv",
+        "--out", "{out}"]))
     partial = ["--baselines", "{work}/" + PARTIAL]
     for level in ("sds", "uda"):
         commands.append((f"score-{level}-partial", [
@@ -110,15 +119,19 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
 
 
 def make_error_inputs(data_dir: Path, work: Path) -> None:
-    """The inputs of the error cases in ``work``: the corpus with one broken
-    row, the corpus without its authorships and a baseline table with a bad
-    cell; ``missing-baselines.csv`` is not made."""
-    shutil.copytree(data_dir, work / "broken")
+    """The inputs of the error cases in ``work``: the DAMAGED copies of the
+    corpus and a baseline table with a bad cell; ``missing-baselines.csv``
+    and ``missing-scores.csv`` are not made."""
+    for name in DAMAGED:
+        shutil.copytree(data_dir, work / name)
     with open(work / "broken" / "publications.csv", "a",
               encoding="utf-8") as f:
         f.write(BROKEN_ROW)
-    shutil.copytree(data_dir, work / "incomplete")
     (work / "incomplete" / "authorships.csv").unlink()
+    with open(work / "bad-byte" / "professors.csv", "ab") as f:
+        f.write(BAD_BYTE_ROW)
+    (work / "directory" / "authorships.csv").unlink()
+    (work / "directory" / "authorships.csv").mkdir()
     (work / "bad-baselines.csv").write_text(BAD_BASELINES, encoding="utf-8")
 
 

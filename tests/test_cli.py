@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import builtins
 import csv
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -11,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -457,7 +461,7 @@ def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
 @pytest.mark.parametrize("text, message", [
     # a Latin-1 byte in the window label
     (json.dumps(SYNTH_CFG).encode().replace(b'"synthetic"', b'"caf\xe9"'),
-     "invalid JSON"),
+     ":1: not valid UTF-8 (byte 0xe9)"),
     (json.dumps(SYNTH_CFG).replace('"seed": 13', '"seed": ' + "9" * 5000)
      .encode(), "invalid JSON"),
     (json.dumps({**SYNTH_CFG, "citation_dispersion": 10**400}).encode(),
@@ -470,7 +474,7 @@ def test_synth_unreadable_config_is_config_error(tmp_path, capsys, text,
     bad.write_bytes(text)
     assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {bad}: " in err and message in err
+    assert err.startswith(f"error: {bad}:") and message in err
     assert "Traceback" not in err
 
 
@@ -703,16 +707,183 @@ def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line,
     assert problem in err
 
 
+CORPUS_FILES = ("publications.csv", "authorships.csv", "professors.csv",
+                "fields.csv", "salaries.csv")
+INPUTS = (*CORPUS_FILES, "baselines", "scores", "run_config", "synth_config")
+DAMAGES = ("missing", "directory", "bad_byte")
+
+
+def _input_and_command(tmp_path: Path, data_dir: Path, run_cfg: Path,
+                       name: str) -> tuple[Path, list[str]]:
+    """The path of input ``name``, as a valid file, and the argv of a
+    command that reads it."""
+    score = ["score", str(data_dir), "--config", str(run_cfg), "--level",
+             "sds", "--out", str(tmp_path / "out")]
+    if name in CORPUS_FILES:
+        corpus = tmp_path / "copy"
+        shutil.copytree(data_dir, corpus)
+        score[1] = str(corpus)
+        return corpus / name, score
+    if name == "run_config":
+        return run_cfg, score
+    if name == "baselines":
+        path = tmp_path / "baselines.csv"
+        path.write_text("year,category,mean,cited_count,total_count\n"
+                        "2008,C,2.0,1,1\n2009,C,2.0,1,1\n", encoding="utf-8")
+        return path, [*score, "--baselines", str(path)]
+    if name == "scores":
+        path = tmp_path / "scores.csv"
+        path.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,1\n",
+                        encoding="utf-8")
+        return path, ["compare", "--from-scores", str(path),
+                      "--out", str(tmp_path / "out")]
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(SYNTH_CFG, indent=1), encoding="utf-8")
+    return path, ["synth", str(path), "--out", str(tmp_path / "out")]
+
+
+def _damage(path: Path, damage: str) -> None:
+    """Remove ``path``, make it a directory, or put byte 0xff at the start
+    of its line 3."""
+    if damage == "bad_byte":
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        return
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+
+
+def _input_error(name: str, damage: str, path: Path) -> tuple[int, str]:
+    """The exit code and stderr of a command whose input ``name`` at
+    ``path`` has ``damage``."""
+    if damage == "directory":
+        problem = str(IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), str(path)))
+    elif name in CORPUS_FILES:
+        where = path.name + ":3" if damage == "bad_byte" else str(path)
+        problem = (f"{where} [-]: "
+                   + ("not valid UTF-8 (byte 0xff)" if damage == "bad_byte"
+                      else "file not found"))
+        return 1, f"INVALID: 1 corpus violation(s): {problem}\n"
+    elif damage == "bad_byte":
+        problem = f"{path}:3: not valid UTF-8 (byte 0xff)"
+    else:
+        problem = f"{path}: file not found"
+    prefix = {"baselines": "bad baselines: ", "run_config": "bad config: "}
+    if damage != "directory" or name == "run_config":
+        problem = prefix.get(name, "") + problem
+    return 2, f"error: {problem}\n"
+
+
+@pytest.fixture
+def opens(monkeypatch) -> Counter:
+    """Count every open of a file, by its absolute path."""
+    counts: Counter = Counter()
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            counts[os.path.abspath(file)] += 1
+        return real(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    return counts
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_error_matrix(synth_setup, capsys, opens, name, damage):
+    """Each input file, missing, a directory or holding a byte that is not
+    UTF-8, ends the command with exit 1 or 2 and one message naming it, and
+    the line of a bad byte, with no traceback; it is opened once."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    path, argv = _input_and_command(tmp_path, data_dir, run_cfg, name)
+    _damage(path, damage)
+    capsys.readouterr()
+    opens.clear()
+    code, err = _input_error(name, damage, path)
+    assert (main(argv), capsys.readouterr()) == (code, ("", err))
+    assert str(path if name not in CORPUS_FILES or damage != "bad_byte"
+               else path.name + ":3") in err
+    assert "Traceback" not in err
+    assert opens[str(path)] == 1
+
+
+def test_each_input_is_opened_once_per_command(synth_setup, opens):
+    """Every command, from an empty or a warm cache, opens each of its
+    input files once: to hash it and, on a miss, to parse it."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    corpus = [str(data_dir), "--config", str(run_cfg)]
+    export = tmp_path / "export"
+    assert main(["score", *corpus, "--level", "sds", "--export-baselines",
+                 "--out", str(export)]) == 0
+    baselines = export / "summaries" / "baselines.csv"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,1\nC,3,3\n",
+                      encoding="utf-8")
+    corpus_inputs = [data_dir / name for name in CORPUS_FILES] + [run_cfg]
+    commands = [
+        (["validate", *corpus], corpus_inputs),
+        (["score", *corpus, "--level", "uda", "--baselines", str(baselines)],
+         corpus_inputs + [baselines]),
+        (["compare", *corpus, "--level", "sds",
+          "--baseline-include-all-doctypes"], corpus_inputs),
+        (["compare", "--from-scores", str(scores)], [scores]),
+        (["synth", str(tmp_path / "synth.json")], [tmp_path / "synth.json"]),
+    ]
+    for run, (argv, inputs) in enumerate(commands * 2):
+        if argv[0] != "validate":
+            argv = [*argv, "--out", str(tmp_path / f"out{run}")]
+        opens.clear()
+        assert main(argv) == 0
+        assert {str(p): opens[str(p)] for p in inputs} == \
+            {str(p): 1 for p in inputs}
+
+
+@pytest.mark.parametrize("command", ["validate", "compare"])
+@pytest.mark.parametrize("renames, problem", [
+    ({"fields.csv": ("SDS/02,", "SDS_01,"),
+      "professors.csv": (",SDS/02,", ",SDS_01,")},
+     "fields.csv:3 [sds_code]: 'SDS_01' and 'SDS/01' of fields.csv:2 share "
+     "the output name 'SDS_01'"),
+    ({"fields.csv": (",1,", ",U/1,", ",2,", ",U_1,")},
+     "fields.csv:4 [uda_code]: 'U_1' and 'U/1' of fields.csv:2 share the "
+     "output name 'U_1'"),
+], ids=["sds", "uda"])
+def test_codes_sharing_an_output_name_are_rejected(synth_setup, capsys,
+                                                   command, renames, problem):
+    """Two SDS or two UDA codes whose output files would have the same
+    name, '/' written as '_', fail the load at the second one's line."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    for name, pairs in renames.items():
+        text = (data_dir / name).read_text(encoding="utf-8")
+        for old, new in zip(pairs[::2], pairs[1::2]):
+            assert old in text
+            text = text.replace(old, new)
+        (data_dir / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    argv = [command, str(data_dir), "--config", str(run_cfg)]
+    if command == "compare":
+        argv += ["--level", "sds", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        (f"INVALID: 1 violation(s)\n  {problem}\n", "")
+        if command == "validate" else
+        ("", f"INVALID: 1 corpus violation(s): {problem}\n"))
+
+
 def _tiny_salary(tmp_path: Path, data_dir: Path) -> list[str]:
-    """A copy of the corpus whose assistants earn 1e-310, which passes
-    validation and overflows their FSS_P."""
+    """A copy of the corpus whose assistants earn 1e-308, which passes
+    validation and overflows the sum of the FSS_P of SDS/01."""
     tiny = tmp_path / "tiny-salary"
     shutil.copytree(data_dir, tiny)
     salaries = tiny / "salaries.csv"
     text = salaries.read_text(encoding="utf-8")
     assert "\nassistant,45000\n" in text
     salaries.write_text(text.replace("\nassistant,45000\n",
-                                     "\nassistant,1e-310\n"),
+                                     "\nassistant,1e-308\n"),
                         encoding="utf-8")
     return [str(tiny)]
 
@@ -737,10 +908,16 @@ def _tiny_means(tmp_path: Path, data_dir: Path) -> list[str]:
     ["score", "--level", "uda", "--export-baselines"],
     ["compare", "--level", "sds", "--export-baselines"]],
     ids=["score", "compare"])
-@pytest.mark.parametrize("inputs", [_tiny_salary, _tiny_means],
-                         ids=["salary", "means"])
+@pytest.mark.parametrize("inputs, problem", [
+    (_tiny_salary, "SDS SDS/01: fss average is inf"),
+    (_tiny_means, "SDS [^:]+: fss average is inf")],
+    ids=["salary", "means"])
 def test_non_finite_unit_score_fails_before_any_output(synth_setup, capsys,
-                                                       command, inputs):
+                                                       command, inputs,
+                                                       problem):
+    """An SDS average of FSS that overflowed ends the run with exit 1,
+    naming it, before any output file is written; it would otherwise make
+    the SDS's finite FSS scores 0."""
     tmp_path, data_dir, run_cfg = synth_setup
     corpus = inputs(tmp_path, data_dir)
     capsys.readouterr()
@@ -749,9 +926,24 @@ def test_non_finite_unit_score_fails_before_any_output(synth_setup, capsys,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(
-        rf"error: {re.escape(corpus[0])}: scope [^:]+: unit [^:]+: "
-        rf"(fss|mncs) score is (nan|inf); the scores are too large for float "
-        rf"arithmetic\n", err), err
+        rf"error: {re.escape(corpus[0])}: {problem}; the scores are too large "
+        rf"for float arithmetic\n", err), err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_non_finite_mncs_unit_score_fails_before_any_output(synth_setup,
+                                                            capsys):
+    tmp_path, data_dir, run_cfg = synth_setup
+    corpus = _tiny_means(tmp_path, data_dir)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["score", *corpus, "--config", str(run_cfg), "--level", "uda",
+                 "--indicator", "mncs", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: {re.escape(corpus[0])}: scope [^:]+: unit [^:]+: mncs score "
+        rf"is (nan|inf); the scores are too large for float arithmetic\n",
+        err), err
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
@@ -809,8 +1001,6 @@ def fuzz_corpus(tmp_path_factory):
     return root / "corpus", run_cfg
 
 
-CORPUS_FILES = ("publications.csv", "authorships.csv", "professors.csv",
-                "fields.csv", "salaries.csv")
 FUZZ_CELLS = st.one_of(
     st.sampled_from(["", " ", "nan", "-inf", "1e400", "9" * 5000, "-" + "1" * 17,
                      "0x10", "1_000", "2.5"]),

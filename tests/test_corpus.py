@@ -365,8 +365,9 @@ def test_non_finite_values_in_memory(window, years, salary):
 
 def test_salary_times_tenure_out_of_range_is_located(corpus_dir, tmp_path,
                                                      capsys, window):
-    """A valid salary and a valid tenure whose product underflows to 0 or
-    overflows, by which FSS divides, fail the load at the professor's row:
+    """A valid salary and a valid tenure whose product underflows to 0,
+    overflows or has no finite reciprocal, by which FSS divides, fail the
+    load at the professor's row, not at the unit whose score would be nan:
     validate and score exit 1 naming it, with no traceback."""
     for name, plain, changed in [
             ("salaries.csv", "assistant,1\n", "assistant,5e-324\n"),
@@ -379,15 +380,20 @@ def test_salary_times_tenure_out_of_range_is_located(corpus_dir, tmp_path,
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text("start_year=2008\nend_year=2012\n"
                        "min_years_on_staff=0\n", encoding="utf-8")
-    problem = ("professors.csv:5 [years_on_staff]: 0.5 years at salary 5e-324 "
-               "of rank 'assistant': salary * years must be finite and > 0")
+    # p4's product underflows to 0; p2's and p3's, 2.5e-323, have no
+    # finite reciprocal
+    problems = [f"professors.csv:{line} [years_on_staff]: {years} years at "
+                f"salary 5e-324 of rank 'assistant': salary * years must be "
+                f"finite and > 0, and so must its reciprocal"
+                for line, years in [(3, 5.0), (4, 5.0), (5, 0.5)]]
     corpus = [str(corpus_dir), "--config", str(run_cfg)]
     assert main(["validate", *corpus]) == 1
-    assert capsys.readouterr().out == f"INVALID: 1 violation(s)\n  {problem}\n"
+    assert capsys.readouterr().out == "INVALID: 3 violation(s)\n" + "".join(
+        f"  {problem}\n" for problem in problems)
     assert main(["score", *corpus, "--level", "sds",
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == \
-        f"INVALID: 1 corpus violation(s): {problem}\n"
+        f"INVALID: 3 corpus violation(s): {'; '.join(problems)}\n"
     profs = {"p": Professor("p", "A", "S", "r", 5.0)}
     with pytest.raises(CorpusLoadError, match="salary \\* years must be"):
         Corpus.from_records(window, {}, [], profs, FieldScheme({"S": "U"}),

@@ -26,9 +26,9 @@ import pytest
 
 from rankdiff import (LEVELS, FilterConfig, ProfessorPass, apply_filters,
                       compute_scaling_factors, load_corpus, professor_pass,
-                      read_baselines, scoreboards, write_baselines,
-                      write_corpus_csvs)
+                      scoreboards, write_baselines, write_corpus_csvs)
 from rankdiff import cache as cache_module
+from rankdiff.baselines import parse_baselines
 from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
 from rankdiff.cli import main
@@ -563,7 +563,7 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
     loaded = load_corpus(data_dir, window)
     corpus = apply_filters(loaded, cfg)
     table = (compute_scaling_factors(corpus) if baselines is None else
-             read_baselines("pinned.csv", data=baselines))
+             parse_baselines("pinned.csv", baselines))
     return professor_pass(corpus, table, corpus_counts=loaded.counts())
 
 

@@ -258,7 +258,7 @@ def test_rank_that_would_not_load_back_rejected(rank):
 
 
 @pytest.mark.parametrize("salary", [1234567.0, 98765.43, 45000.0, 0.1 + 0.2,
-                                    1e22, 5e-324])
+                                    1e22, 1e-300])
 def test_synth_salaries_load_back_as_generated(tmp_path, salary):
     """Every salary and tenure in the CSVs reads back equal to the value
     generated: ``:g`` where it keeps the value, its repr where six
@@ -287,7 +287,7 @@ def test_config_from_json(tmp_path):
     }
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    cfg = SynthConfig.from_json(path)
+    cfg = SynthConfig.from_json(path, path.read_bytes())
     assert cfg.seed == 3
     assert cfg.sds_spec == (("SDS/01", "1"), ("SDS/02", "2"))
     assert cfg.window.n_years == 5
@@ -297,7 +297,26 @@ def test_config_from_json_errors(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SynthConfigError, match="invalid JSON"):
-        SynthConfig.from_json(path)
+        SynthConfig.from_json(path, path.read_bytes())
     path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
     with pytest.raises(SynthConfigError, match="bad synth config"):
-        SynthConfig.from_json(path)
+        SynthConfig.from_json(path, path.read_bytes())
+    with pytest.raises(SynthConfigError, match=re.escape(
+            f"{path}: file not found")):
+        SynthConfig.from_json(path, None)
+    with pytest.raises(SynthConfigError, match=re.escape(
+            f"{path}:2: not valid UTF-8 (byte 0xfe)")):
+        SynthConfig.from_json(path, b'{\n"seed": "\xfe"}')
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_config_json_error_counts_one_character_per_newline(newline):
+    """A JSON syntax error is placed as in the file read as text: each
+    newline, CRLF included, is one character."""
+    data = newline.join(["{", ' "seed": 1,', " x}"]).encode()
+    with pytest.raises(SynthConfigError) as exc:
+        SynthConfig.from_json("synth.json", data)
+    assert str(exc.value) == (
+        "synth.json: invalid JSON: Expecting property name enclosed in double "
+        "quotes: line 3 column 2 (char 15)")
