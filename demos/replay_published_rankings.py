@@ -14,7 +14,7 @@ from pathlib import Path
 
 from rankdiff import ScoreBoard, compare, rank, shift_stats, quartile_stats
 from rankdiff.indicators import FSS, MNCS, UnitScore
-from rankdiff.report import comparison_markdown
+from rankdiff.report import COMPARISON
 
 DATA = Path(__file__).parent.parent / "tests" / "data"
 
@@ -47,6 +47,6 @@ for name, label in REFS:
     print(f"{q.pct_shifting_quartile:.1f}% shift quartile; "
           f"{q.pct_leaving_q1:.1f}% of FSS-Q1 units are not MNCS-Q1")
     print("\nfirst rows of the comparison table:")
-    head = comparison_markdown(cmp).splitlines()
+    head = COMPARISON.markdown(cmp.rows).splitlines()
     print("\n".join(head[:7]))
     print()

@@ -11,7 +11,7 @@ from rankdiff import (FilterConfig, ObservationWindow, SynthConfig,
                       apply_filters, compare, compute_scaling_factors,
                       dispersion, generate, professor_pass, quartile_stats,
                       rank, scoreboards, shift_stats)
-from rankdiff.report import shift_summary_markdown
+from rankdiff.report import SHIFT_SUMMARY
 
 cfg = SynthConfig(
     seed=42,
@@ -55,7 +55,7 @@ for level in ("sds", "uda", "overall"):
     if board_set.not_rankable:
         print(f"    not rankable (too few units): {board_set.not_rankable}")
     if summaries:
-        print(shift_summary_markdown(summaries))
+        print(SHIFT_SUMMARY.markdown(summaries))
 
 # dispersion: MNCS typically discriminates less than FSS
 board_set = scoreboards(pass_, filters, "overall")

@@ -280,8 +280,10 @@ def _emit_comparisons(
     """Rank and compare each (label, fss board, mncs board, staff) pair.
 
     Writes one comparison CSV per pair, the shift, quartile and dispersion
-    summaries named by ``tag``, and report.md. With ``uda_of`` (SDS level),
-    the shift summaries are also ranged per discipline. A statistic that is
+    summaries named by ``tag``, and report.md, one section per table with
+    rows. With ``uda_of`` (SDS level), the shift summaries are also ranged
+    per discipline. Each CSV goes through its ``report.write_*_csv`` name,
+    where the benchmark's tracer finds it. A statistic that is
     not finite ends the run with exit 1, naming ``source``, the input; every
     statistic is checked before the first file is written.
     """
@@ -309,7 +311,7 @@ def _emit_comparisons(
             _require_finite(source, label, stats)
             dispersions.append(stats)
     for cmp in comparisons:
-        report.write_comparison_csv(cmp, out.path(
+        report.write_comparison_csv(cmp.rows, out.path(
             "comparisons", f"comparison_{tag}_{slug(cmp.label)}.csv"))
     report.write_shift_summary_csv(
         shifts, out.path("summaries", f"shift_summary_{tag}.csv"))
@@ -317,7 +319,11 @@ def _emit_comparisons(
         quartiles, out.path("summaries", f"quartile_summary_{tag}.csv"))
     report.write_dispersion_csv(
         dispersions, out.path("summaries", f"dispersion_{tag}.csv"))
-    ranges = []
+    sections = [(f"Comparison: {cmp.label}", report.COMPARISON, cmp.rows)
+                for cmp in comparisons]
+    sections += [("Rank shift summary", report.SHIFT_SUMMARY, shifts),
+                 ("Quartile migration", report.QUARTILE_SUMMARY, quartiles),
+                 ("Score dispersion", report.DISPERSION, dispersions)]
     if uda_of is not None:
         by_uda: dict[str, list] = {}
         for summary in shifts:
@@ -326,8 +332,8 @@ def _emit_comparisons(
                   for uda, group in sorted(by_uda.items())]
         report.write_range_summary_csv(
             ranges, out.path("summaries", f"range_summary_{tag}.csv"))
-    md = report.render_report(title, comparisons, shifts, quartiles,
-                              dispersions, ranges)
+        sections.append(("Per-discipline ranges", report.RANGE_SUMMARY, ranges))
+    md = report.render_report(title, sections)
     out.path("comparisons", "report.md").write_text(md, encoding="utf-8")
     return comparisons
 

@@ -77,6 +77,7 @@ class SynthConfig(Checked, _Synth):
         if not self.sds_spec:
             raise SynthConfigError("sds_spec must name at least one SDS")
         first_code: dict[str, str] = {}
+        uda_named: dict[str, str] = {}
         for code, uda in self.sds_spec:
             _check_name("SDS code", code)
             _check_name("UDA code", uda)
@@ -91,6 +92,12 @@ class SynthConfig(Checked, _Synth):
                     f"SDS codes {first_code[cat]!r} and {code!r} share "
                     f"subject category {cat!r}")
             first_code[cat] = code
+            # a scope's output files are named by its slug
+            other = uda_named.setdefault(slug(uda), uda)
+            if other != uda:
+                raise SynthConfigError(
+                    f"UDA codes {other!r} and {uda!r} share the output name "
+                    f"{slug(uda)!r}")
         if (len(self.professors_per_sds) != 2
                 or not all(map(_is_int, self.professors_per_sds))):
             raise SynthConfigError(
@@ -109,11 +116,20 @@ class SynthConfig(Checked, _Synth):
             raise SynthConfigError("quantity_impact_corr must be in [0, 1)")
         if not self.salary_levels:
             raise SynthConfigError("salary_levels must not be empty")
+        n_years = self.window.n_years
         for rank, salary in self.salary_levels:
             _check_name("rank", rank)
             if not 0 < salary < math.inf:
                 raise SynthConfigError(
                     f"salary for rank {rank!r} must be finite and > 0")
+            # FSS divides by salary * tenure, and tenure is drawn in
+            # [1, n_years]: the corpus check tests the product both ways
+            if not all(0 < salary * t < math.inf and 1 / (salary * t) < math.inf
+                       for t in (1, n_years)):
+                raise SynthConfigError(
+                    f"salary for rank {rank!r} times a tenure of 1 to "
+                    f"{n_years} years must be finite and > 0, and so must "
+                    f"its reciprocal")
 
     @classmethod
     def from_json(cls, path: str | Path, data: bytes | None) -> "SynthConfig":

@@ -438,6 +438,13 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
      "window label must be a string, got 5"),
     ({"sds": 5}, "sds must be a list, got 5"),
     ({"window": 5}, "window must be an object, got 5"),
+    ({"sds": [{"sds": "A", "uda": "U/1"}, {"sds": "B", "uda": "U_1"}]},
+     "UDA codes 'U/1' and 'U_1' share the output name 'U_1'"),
+    ({"salaries": {"assistant": 5e-324}},
+     "salary for rank 'assistant' times a tenure of 1 to 5 years must be "
+     "finite and > 0, and so must its reciprocal"),
+    ({"salaries": {"full": 1e308}},
+     "salary for rank 'full' times a tenure of 1 to 5 years must be"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
@@ -445,7 +452,8 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
         "bool_pubs_per_professor", "string_pubs_per_professor",
         "string_salary", "string_end_year", "string_sds_entry",
         "400_digit_pubs_per_professor", "number_label", "number_sds",
-        "number_window"])
+        "number_window", "shared_uda_output_name", "tiny_salary",
+        "huge_salary"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -1245,6 +1253,29 @@ def test_from_scores_two_units_omits_correlations(tmp_path):
     assert row["pearson"] == "" and row["spearman"] == ""
     manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
     assert any("correlations omitted" in w for w in manifest["warnings"])
+
+
+def test_report_escapes_pipe_in_cells(tmp_path):
+    """A '|' in a unit or a label is escaped: every row of every report.md
+    table has as many cells as its header."""
+    scores = tmp_path / "pipe.csv"
+    scores.write_text("unit,fss_score,mncs_score\nA|B,2,1\nC,1,3\nD,3,2\n"
+                      "E,4,5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--from-scores", str(scores), "--label", "x|y",
+                 "--out", str(out)]) == 0
+    lines = (out / "comparisons" / "report.md").read_text(
+        encoding="utf-8").splitlines()
+    tables = 0
+    for prev, line in zip([""] + lines, lines):
+        if not line.startswith("|"):
+            continue
+        cells = len(re.split(r"(?<!\\)\|", line))
+        if not prev.startswith("|"):
+            header, tables = cells, tables + 1
+        assert cells == header, line
+    assert tables == 4
+    assert "| A\\|B |" in "\n".join(lines)
 
 
 def test_from_scores_zero_mean_omits_only_that_dispersion(tmp_path):

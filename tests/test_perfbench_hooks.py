@@ -5,7 +5,8 @@ function that is renamed, inlined or no longer looked up where it is
 patched leaves its span, and the layer metric built on it, at zero without
 an error. This runs a small synth, ``compare --level sds`` and
 ``score --level uda --indicator mncs`` in process under the tracer and
-checks that every patched span was recorded.
+checks that every patched span was recorded, and that the bytes it counts
+are those of every report file the two commands wrote.
 """
 from __future__ import annotations
 
@@ -71,3 +72,9 @@ def test_traced_commands_record_every_patched_span(tmp_path, monkeypatch):
     recorded = {name for _, name, *_ in tracer.spans}
     assert expected - recorded == set()
     assert UNCALLED <= named
+    # every report file is counted, so none was written around a patched name
+    written = sum(f.stat().st_size for run in ("cmp", "score")
+                  for f in (tmp_path / run).rglob("*") if f.is_file()
+                  and f.relative_to(tmp_path / run).parts[0] != "manifest")
+    assert written > 0
+    assert tracer.counts["report.bytes"] == written
