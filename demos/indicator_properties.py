@@ -61,7 +61,7 @@ def build_corpus(extra_pub: Publication | None = None,
 def alpha_score(corpus: Corpus, indicator: str) -> float:
     """ALPHA's overall score of one indicator from the full scoring pass."""
     pair = scoreboards(professor_pass(corpus, table), ALL_UNITS, "overall",
-                       indicator).pairs[None]
+                       indicator).pairs["overall"]
     board = pair.fss if indicator == FSS else pair.mncs
     return next(e.score for e in board.entries if e.university_id == "ALPHA")
 
@@ -104,7 +104,7 @@ mncs_small = alpha_score(base, MNCS)
 averages = sds_averages(base, list(fss_p(base).values()))
 doubled = build_corpus(cloned=True)
 doubled_pass = professor_pass(doubled, table)._replace(averages=averages)
-alpha_staff = eligible_units(doubled_pass, "overall", ALL_UNITS)[None]["ALPHA"]
+alpha_staff = eligible_units(doubled_pass, "overall", ALL_UNITS)["overall"]["ALPHA"]
 fss_big = unit_scores(doubled_pass, "ALPHA", None, alpha_staff, FSS)[0].score
 mncs_big = alpha_score(doubled, MNCS)
 print(f"ALPHA with 2 professors : FSS {fss_small:.6f}  MNCS {mncs_small:.6f}")

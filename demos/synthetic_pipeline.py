@@ -48,8 +48,7 @@ for level in ("sds", "uda", "overall"):
     for scope, pair in board_set.pairs.items():
         if len(pair.fss.entries) < 3:
             continue
-        cmp = compare(rank(pair.fss), rank(pair.mncs),
-                      label=str(scope) if scope else "overall")
+        cmp = compare(rank(pair.fss), rank(pair.mncs), label=scope)
         summaries.append(shift_stats(cmp))
     print(f"\n--- {level} level: {len(summaries)} rankable scope(s)")
     if board_set.not_rankable:
@@ -59,7 +58,7 @@ for level in ("sds", "uda", "overall"):
 
 # dispersion: MNCS typically discriminates less than FSS
 board_set = scoreboards(pass_, filters, "overall")
-pair = board_set.pairs[None]
+pair = board_set.pairs["overall"]
 cmp = compare(rank(pair.fss), rank(pair.mncs), label="overall")
 d_fss = dispersion(pair.fss)
 d_mncs = dispersion(pair.mncs)

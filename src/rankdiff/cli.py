@@ -22,13 +22,14 @@ from pathlib import Path
 from . import cache, divergence, report
 from .baselines import (compute_scaling_factors, log_computed,
                         parse_baselines, write_baselines)
-from .corpus import (FilterReport, LEVEL_SDS, LEVELS, RunConfig, apply_filters,
-                     decode, load_corpus, log_corpus, read_bytes, read_config,
+from .corpus import (SCOPE_NAME_RULE, FilterReport, LEVEL_SDS, LEVELS,
+                     RunConfig, apply_filters, decode, is_scope_name,
+                     load_corpus, log_corpus, read_bytes, read_config,
                      read_csv, read_files, slug, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
-                         ScoreboardSet, UnitScore, log_fss, professor_pass,
-                         scoreboards)
+                         ScoreboardSet, ScopePair, UnitScore, log_fss,
+                         professor_pass, scoreboards)
 from .ranking import ComparisonTable, compare, rank
 from .synth import SynthConfig, generate
 
@@ -224,18 +225,15 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     board_set = scoreboards(pass_, run_cfg.filters, args.level, indicator)
     # FSS divides each professor's score by their SDS's average: one that
     # overflowed would turn the SDS's finite scores into 0
-    overflowed = [f"SDS {code}: fss average is inf" for code, average
-                  in pass_.averages.items()
-                  if indicator != MNCS and average == math.inf]
-    overflowed += [f"scope {_label(scope)}: unit {e.university_id}: "
-                   f"{e.indicator} score is {e.score}"
-                   for scope, pair in board_set.pairs.items()
-                   for board in filter(None, (pair.fss, pair.mncs))
-                   for e in board.entries if not math.isfinite(e.score)]
-    if overflowed:
-        raise SystemExitWithCode(
-            EXIT_VALIDATION, f"{args.data_dir}: {overflowed[0]}; the scores "
-            f"are too large for float arithmetic")
+    if indicator != MNCS:
+        _require_finite(args.data_dir, ((f"SDS {code}: fss average", average)
+                                        for code, average
+                                        in pass_.averages.items()))
+    _require_finite(args.data_dir, (
+        (f"scope {scope}: unit {e.university_id}: {e.indicator} score",
+         e.score) for scope, pair in board_set.pairs.items()
+        for board in filter(None, (pair.fss, pair.mncs))
+        for e in board.entries))
     if args.export_baselines:
         write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
     out.warnings.extend(board_set.warnings)
@@ -248,36 +246,32 @@ def cmd_score(args: argparse.Namespace) -> int:
     run_cfg, out, _, inputs, board_set = _score_corpus(args, args.indicator)
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
-        name = f"scoreboard_{args.level}_{slug(_label(scope))}.csv"
+        name = f"scoreboard_{args.level}_{slug(scope)}.csv"
         report.write_scoreboard_csv(boards, out.path("scoreboards", name))
     if board_set.not_rankable:
         out.warnings.append(
-            "not rankable: " + ", ".join(str(s) for s in board_set.not_rankable))
+            "not rankable: " + ", ".join(board_set.not_rankable))
     out.write_manifest("score", sys.argv[1:], _config_snapshot(run_cfg),
                        inputs)
     print(f"wrote {len(board_set.pairs)} scope scoreboard(s) to {out.root}")
     return EXIT_OK
 
 
-def _label(scope: str | None) -> str:
-    return "overall" if scope is None else scope
-
-
-def _require_finite(source: str, label: str, stats) -> None:
-    """Exit 1 when a statistic of ``stats`` overflowed to inf or nan."""
-    for name, value in stats._asdict().items():
+def _require_finite(source: str, pairs: Iterable[tuple[str, object]]) -> None:
+    """Exit 1 naming ``source`` and the first of the (what, value) ``pairs``
+    whose value is a float that overflowed to inf or nan."""
+    for what, value in pairs:
         if isinstance(value, float) and not math.isfinite(value):
-            what = f"{getattr(stats, 'indicator', '')} {name}".lstrip()
             raise SystemExitWithCode(
-                EXIT_VALIDATION, f"{source}: scope {label}: {what} is {value}; "
-                f"the scores are too large for float arithmetic")
+                EXIT_VALIDATION, f"{source}: {what} is {value}; the scores "
+                f"are too large for float arithmetic")
 
 
 def _emit_comparisons(
         out: OutputDir, source: str, tag: str, title: str,
-        pairs: Iterable[tuple[str, ScoreBoard, ScoreBoard, dict | None]],
+        pairs: Iterable[ScopePair],
         uda_of: Callable[[str], str] | None = None) -> list[ComparisonTable]:
-    """Rank and compare each (label, fss board, mncs board, staff) pair.
+    """Rank and compare the FSS and MNCS boards of each scope pair.
 
     Writes one comparison CSV per pair, the shift, quartile and dispersion
     summaries named by ``tag``, and report.md, one section per table with
@@ -288,12 +282,14 @@ def _emit_comparisons(
     statistic is checked before the first file is written.
     """
     comparisons, shifts, quartiles, dispersions = [], [], [], []
-    for label, fss_board, mncs_board, staff in pairs:
+    for label, fss_board, mncs_board, _ in pairs:
+        staff = {e.university_id: e.research_staff for e in fss_board.entries}
         cmp = compare(rank(fss_board), rank(mncs_board), staff=staff,
                       label=label)
         comparisons.append(cmp)
         summary = divergence.shift_stats(cmp)
-        _require_finite(source, label, summary)
+        _require_finite(source, ((f"scope {label}: {name}", value)
+                                 for name, value in summary._asdict().items()))
         shifts.append(summary)
         if summary.pearson is None:
             out.warnings.append(f"scope {label}: correlations omitted "
@@ -308,7 +304,9 @@ def _emit_comparisons(
                 out.warnings.append(f"scope {label}: {board.indicator} "
                                     f"dispersion omitted (zero mean)")
                 continue
-            _require_finite(source, label, stats)
+            _require_finite(source, (
+                (f"scope {label}: {stats.indicator} {name}", value)
+                for name, value in stats._asdict().items()))
             dispersions.append(stats)
     for cmp in comparisons:
         report.write_comparison_csv(cmp.rows, out.path(
@@ -365,9 +363,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 out.warnings.append(f"scope {scope}: single unit, excluded from "
                                     f"percentile/quartile analytics")
             else:
-                staff = {e.university_id: e.research_staff
-                         for e in pair.fss.entries}
-                yield _label(scope), pair.fss, pair.mncs, staff
+                yield pair
 
     comparisons = _emit_comparisons(
         out, args.data_dir, args.level,
@@ -380,8 +376,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_scores_csv(path: Path, data: bytes | None
-                     ) -> tuple[ScoreBoard, ScoreBoard]:
+def _read_scores_csv(path: Path, data: bytes | None, label: str) -> ScopePair:
     try:
         _, (units, fss_scores, mncs_scores) = read_csv(
             path, data, {"unit": str, "fss_score": float, "mncs_score": float},
@@ -392,21 +387,23 @@ def _read_scores_csv(path: Path, data: bytes | None
     mncs_entries = [UnitScore(u, MNCS, s) for u, s in zip(units, mncs_scores)]
     if not fss_entries:
         raise SystemExitWithCode(EXIT_CONFIG, f"{path}: no score rows")
-    return (ScoreBoard("replay", None, FSS, fss_entries),
-            ScoreBoard("replay", None, MNCS, mncs_entries))
+    return ScopePair(label, ScoreBoard("replay", label, FSS, fss_entries),
+                     ScoreBoard("replay", label, MNCS, mncs_entries), [])
 
 
 def _compare_from_scores(args: argparse.Namespace) -> int:
+    if not is_scope_name(args.label):
+        raise SystemExitWithCode(
+            EXIT_CONFIG, f"--label: {args.label!r} {SCOPE_NAME_RULE}")
     path = Path(args.from_scores)
     data = read_bytes(path)
-    fss_board, mncs_board = _read_scores_csv(path, data)
+    pair = _read_scores_csv(path, data, args.label)
     out = OutputDir(args.out, args.force)
-    if len(fss_board.entries) < 2:
+    if len(pair.fss.entries) < 2:
         out.warnings.append("single unit: percentile set to 100 by convention")
     (cmp,) = _emit_comparisons(
         out, str(path), "replay",
-        f"FSS vs MNCS comparison (replay: {args.label})",
-        [(args.label, fss_board, mncs_board, None)])
+        f"FSS vs MNCS comparison (replay: {args.label})", [pair])
     out.write_manifest("compare", sys.argv[1:], None,
                        {str(path): hashlib.sha256(data).hexdigest()})
     print(f"compared {cmp.n} units; outputs in {out.root}")

@@ -13,6 +13,7 @@ import hashlib
 import io
 import logging
 import math
+import re
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate, compress
@@ -35,8 +36,20 @@ DEFAULT_EXCLUDED_DOC_TYPES = frozenset(
 
 
 def slug(scope: str) -> str:
-    """A scope, an SDS or UDA code or "overall", in output file names."""
+    """A scope (an SDS or UDA code, "overall" or a replay's label) in output
+    file names."""
     return scope.replace("/", "_")
+
+
+SCOPE_NAME_RULE = ("must be non-empty and have no surrounding spaces or "
+                   "control characters")
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+
+
+def is_scope_name(name: str) -> bool:
+    """Whether ``name`` may name a scope, which names its output files and
+    report rows: the SCOPE_NAME_RULE."""
+    return bool(name) and name == name.strip() and not _CONTROL.search(name)
 
 
 class Checked:
@@ -309,12 +322,17 @@ class Corpus:
             if count > n_authors[i] >= 1:       # < 1 is reported above
                 add("publications", i, pub_id, "n_authors_total",
                     f"{count} authorships exceed n_authors_total={n_authors[i]}")
-        # the output files of a scope are named by its slug, which two SDS
-        # codes, or two UDA codes, must not share
-        for fld, codes in (("sds_code", list(field_scheme.sds_to_uda)),
+        # each code names a scope, and its output files by its slug, which
+        # two SDS codes, or two UDA codes, must not share
+        sds_codes = list(field_scheme.sds_to_uda)
+        for fld, codes in (("sds_code", sds_codes),
                            ("uda_code", list(field_scheme.sds_to_uda.values()))):
             named: dict[str, str] = {}
             for i, code in enumerate(codes):
+                if not is_scope_name(code):
+                    add("fields", i, sds_codes[i], fld,
+                        f"{_quote(code)} {SCOPE_NAME_RULE}")
+                    continue
                 other = named.setdefault(slug(code), code)
                 if other != code:
                     where = at("fields", codes.index(other), other)

@@ -196,7 +196,7 @@ def dispersion(board: ScoreBoard) -> DispersionStats:
         squares = _fsum(d * d for d in _scaled(deviations))
     std = scale * math.sqrt(squares / (n - 1))
     return DispersionStats(
-        scope_code=board.scope_code or "overall",
+        scope_code=board.scope_code,
         indicator=board.indicator,
         n_units=n,
         mean=mean,

@@ -35,7 +35,7 @@ class UnitScore(NamedTuple):
 
 class ScoreBoard(NamedTuple):
     level: str
-    scope_code: str | None
+    scope_code: str
     indicator: str
     entries: list[UnitScore]
 
@@ -167,27 +167,27 @@ def log_fss(pass_: ProfessorPass) -> None:
 # The unit pass: eligible units, unit scores and the scoreboards
 
 def eligible_units(pass_: ProfessorPass, level: str, cfg: FilterConfig
-                   ) -> dict[str | None, dict[str, list[int]]]:
+                   ) -> dict[str, dict[str, list[int]]]:
     """The units meeting the level's headcount threshold, with their staff:
     ``scope_code -> university_id -> [professor indices]``.
 
-    A professor's scope code is their SDS, its UDA, or None at overall
-    level, where the unit is the university. Scopes come in code order,
-    universities in id order and professors in index order, which is id
-    order."""
+    A professor's scope code is their SDS, its UDA, or LEVEL_OVERALL at
+    overall level, where the unit is the university. Scopes come in code
+    order, universities in id order and professors in index order, which is
+    id order."""
     if level == LEVEL_SDS:
         scopes = pass_.sds
     elif level == LEVEL_UDA:
         scopes = map(pass_.sds_to_uda.__getitem__, pass_.sds)
     elif level == LEVEL_OVERALL:
-        scopes = repeat(None)
+        scopes = repeat(LEVEL_OVERALL)
     else:
         raise ValueError(f"unknown level {level!r}")
-    members: dict[tuple[str | None, str], list[int]] = {}
+    members: dict[tuple[str, str], list[int]] = {}
     for i, key in enumerate(zip(scopes, pass_.universities)):
         members.setdefault(key, []).append(i)
     threshold = cfg.min_professors(level)
-    units: dict[str | None, dict[str, list[int]]] = {}
+    units: dict[str, dict[str, list[int]]] = {}
     for (scope, univ), staff in sorted(members.items()):
         if len(staff) >= threshold:
             units.setdefault(scope, {})[univ] = staff
@@ -195,7 +195,7 @@ def eligible_units(pass_: ProfessorPass, level: str, cfg: FilterConfig
 
 
 def unit_scores(pass_: ProfessorPass, university_id: str,
-                scope_code: str | None, members: list[int], indicator: str
+                scope_code: str, members: list[int], indicator: str
                 ) -> tuple[UnitScore | None, UnitScore | None]:
     """(fss, mncs) of the unit (university_id, scope_code) whose professors
     are the pass's ``members``, by index; None where not asked by
@@ -247,7 +247,7 @@ def unit_scores(pass_: ProfessorPass, university_id: str,
 
 
 class ScopePair(NamedTuple):
-    scope_code: str | None
+    scope_code: str
     fss: ScoreBoard | None
     mncs: ScoreBoard | None
     dropped_units: list[str]
@@ -255,8 +255,8 @@ class ScopePair(NamedTuple):
 
 class ScoreboardSet(NamedTuple):
     level: str
-    pairs: dict[str | None, ScopePair]
-    not_rankable: list[str | None]
+    pairs: dict[str, ScopePair]
+    not_rankable: list[str]
     warnings: list[str]
 
 

@@ -11,7 +11,7 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .corpus import write_csv
+from .corpus import LEVEL_OVERALL, write_csv
 from .divergence import RANGE_STATS, RangeSummary
 from .indicators import UnitScore
 from .ranking import round_half_away, shift_glyph
@@ -61,11 +61,12 @@ def _span(s: RangeSummary, stat: str, spec: str) -> str:
     return f"({format(lo, spec)}-{format(hi, spec)})"
 
 
-SCOREBOARD = Table(  # items: ScoreBoard
+SCOREBOARD = Table(  # items: ScoreBoard; the overall scope_code cell is empty
     ["level", "scope_code", "university_id", "indicator", "score",
      "research_staff_or_weight"],
-    lambda board: ([board.level, board.scope_code or "", e.university_id,
-                    board.indicator, repr(e.score), _staff_or_weight(e)]
+    lambda board: ([board.level, "" if board.level == LEVEL_OVERALL
+                    else board.scope_code, e.university_id, board.indicator,
+                    repr(e.score), _staff_or_weight(e)]
                    for e in board.entries))
 
 COMPARISON = Table(  # items: ComparisonRow, sorted by FSS rank

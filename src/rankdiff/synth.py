@@ -17,8 +17,9 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import (Authorship, Checked, Corpus, FieldScheme,
-                     ObservationWindow, Professor, Publication, decode, slug)
+from .corpus import (SCOPE_NAME_RULE, Authorship, Checked, Corpus,
+                     FieldScheme, ObservationWindow, Professor, Publication,
+                     decode, is_scope_name, slug)
 from .errors import InputError, SynthConfigError
 
 if TYPE_CHECKING:
@@ -184,14 +185,13 @@ class SynthConfig(Checked, _Synth):
 
 
 def _check_name(kind: str, value: object) -> None:
-    """A code or rank goes to the corpus CSVs as it is: it must be a
-    non-empty string, and have no surrounding spaces, which would not load
-    back."""
+    """A code or rank goes to the corpus CSVs as it is, and a code names a
+    scope: it must be a string that keeps the scope-name rule, which the
+    corpus check applies to codes when it loads them back."""
     if not isinstance(value, str):
         raise SynthConfigError(f"{kind} {value!r} must be a string")
-    if not value or value != value.strip():
-        raise SynthConfigError(f"{kind} {value!r} must be non-empty and have "
-                               f"no surrounding spaces")
+    if not is_scope_name(value):
+        raise SynthConfigError(f"{kind} {value!r} {SCOPE_NAME_RULE}")
 
 
 def _check_years(window: dict) -> None:

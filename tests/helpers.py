@@ -283,19 +283,19 @@ def measure_quantity_impact_correlation(pass_: ProfessorPass) -> float:
     return pearson(counts, impacts)
 
 
-def scope_of(corpus: Corpus, prof: Professor, level: str) -> str | None:
-    """The professor's scope code at a level: SDS, UDA, or None overall."""
+def scope_of(corpus: Corpus, prof: Professor, level: str) -> str:
+    """The professor's scope code at a level: SDS, UDA, or "overall"."""
     if level == LEVEL_SDS:
         return prof.sds_code
     if level == LEVEL_UDA:
         return corpus.field_scheme.sds_to_uda[prof.sds_code]
     if level == LEVEL_OVERALL:
-        return None
+        return LEVEL_OVERALL
     raise ValueError(f"unknown level {level!r}")
 
 
 def eligible_ids(corpus: Corpus, level: str, cfg: FilterConfig
-                 ) -> dict[str | None, dict[str, list[str]]]:
+                 ) -> dict[str, dict[str, list[str]]]:
     """``eligible_units`` of the corpus's professor pass, each unit's staff
     named by professor id."""
     pass_ = professor_pass(corpus, compute_scaling_factors(corpus))
@@ -402,13 +402,13 @@ def overall_scores(corpus: Corpus, table, indicator: str) -> dict[str, float]:
     """University -> overall score of one indicator, from ``scoreboards``
     with every unit eligible; a university without that score is absent."""
     pair = scoreboards(professor_pass(corpus, table), RELAXED_CFG, "overall",
-                       indicator).pairs[None]
+                       indicator).pairs[LEVEL_OVERALL]
     board = pair.fss if indicator == FSS else pair.mncs
     return {e.university_id: e.score for e in board.entries}
 
 
 def staff_of(pass_: ProfessorPass, univ: str, level: str = "overall",
-             scope: str | None = None) -> list[int]:
+             scope: str = LEVEL_OVERALL) -> list[int]:
     """The professor indices of the unit (univ, scope), as ``scoreboards``
     gets them from ``eligible_units``."""
     return eligible_units(pass_, level, RELAXED_CFG)[scope][univ]

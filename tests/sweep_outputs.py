@@ -15,13 +15,16 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
 - ``compare --from-scores`` on the three score tables in ``tests/data``;
 - the error cases: ``validate`` and ``compare`` on copies of the corpus
   with one broken row, without ``authorships.csv``, with a 0xff byte in
-  ``professors.csv`` and with ``authorships.csv`` a directory;
+  ``professors.csv``, with ``authorships.csv`` a directory and with an SDS
+  code holding a control character in ``fields.csv``;
   ``score --baselines`` naming a missing table and a table with a bad
   cell; and ``compare --from-scores`` naming a missing table; each made
   in the checkout's work directory;
-- the missing-baseline path: ``score --indicator both`` at ``sds`` and
-  ``uda`` and ``compare --level sds`` with ``--baselines``, a table of
-  every other row of the table that checkout exported.
+- the missing-baseline path: ``score --indicator both`` at each level
+  and ``compare`` at ``sds`` and ``overall`` with ``--baselines``, a table
+  of every other row of the table that checkout exported, and ``compare
+  --level overall`` with a table of its first row alone, which drops
+  units at overall level.
 
 Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in four cache states:
 an empty cache, the warm cache that first run leaves, ``XDG_CACHE_HOME`` a
@@ -59,12 +62,17 @@ EXPORT = "score-sds-both-export"
 EXPORTED = f"out/{EXPORT}/summaries/baselines.csv"
 # every other row of the exported table: the missing-baseline path
 PARTIAL = "partial-baselines.csv"
+# its first row alone: most universities lose every MNCS term and are
+# dropped at overall level
+SPARSE = "sparse-baselines.csv"
 # a publication row Corpus.check rejects: a negative citation count
 BROKEN_ROW = "W_BROKEN,2010,article,C,-1,1\n"
 # a professor row whose university is not UTF-8
 BAD_BYTE_ROW = b"P_BAD_BYTE,UNIV_\xff,S,assistant,5\n"
+# a fields row whose SDS code breaks the scope-name rule: a BEL inside it
+CONTROL_ROW = "S_\x07CTRL,Control field,U_CTRL,Control discipline\n"
 # the damaged copies of the corpus
-DAMAGED = ("broken", "incomplete", "bad-byte", "directory")
+DAMAGED = ("broken", "incomplete", "bad-byte", "directory", "control-code")
 BAD_BASELINES = ("year,category,mean,cited_count,total_count\n"
                  "2008,C,abc,1,1\n")
 
@@ -109,12 +117,16 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
         "compare", "--from-scores", "{work}/missing-scores.csv",
         "--out", "{out}"]))
     partial = ["--baselines", "{work}/" + PARTIAL]
-    for level in ("sds", "uda"):
+    for level in LEVELS:
         commands.append((f"score-{level}-partial", [
             "score", *corpus, "--level", level, "--indicator", "both",
             *partial, "--out", "{out}"]))
-    commands.append(("compare-sds-partial", [
-        "compare", *corpus, "--level", "sds", *partial, "--out", "{out}"]))
+    for level in ("sds", "overall"):
+        commands.append((f"compare-{level}-partial", [
+            "compare", *corpus, "--level", level, *partial, "--out", "{out}"]))
+    commands.append(("compare-overall-sparse", [
+        "compare", *corpus, "--level", "overall", "--baselines",
+        "{work}/" + SPARSE, "--out", "{out}"]))
     return commands
 
 
@@ -132,16 +144,22 @@ def make_error_inputs(data_dir: Path, work: Path) -> None:
         f.write(BAD_BYTE_ROW)
     (work / "directory" / "authorships.csv").unlink()
     (work / "directory" / "authorships.csv").mkdir()
+    with open(work / "control-code" / "fields.csv", "a",
+              encoding="utf-8") as f:
+        f.write(CONTROL_ROW)
     (work / "bad-baselines.csv").write_text(BAD_BASELINES, encoding="utf-8")
 
 
 def make_partial_table(work: Path) -> None:
-    """Write PARTIAL in ``work``: the header and every other row, from the
-    first, of the table EXPORT left there; nothing if there is none."""
+    """Write PARTIAL and SPARSE in ``work``: the header and every other
+    row, from the first, and the header and the first row, of the table
+    EXPORT left there; nothing if there is none."""
     exported = work / EXPORTED
     if exported.is_file():
         header, *rows = exported.read_text(encoding="utf-8").splitlines(
             keepends=True)
+        (work / SPARSE).write_text(header + "".join(rows[:1]),
+                                   encoding="utf-8")
         (work / PARTIAL).write_text(header + "".join(rows[::2]),
                                     encoding="utf-8")
 

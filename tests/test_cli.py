@@ -445,6 +445,12 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
      "finite and > 0, and so must its reciprocal"),
     ({"salaries": {"full": 1e308}},
      "salary for rank 'full' times a tenure of 1 to 5 years must be"),
+    ({"sds": [{"sds": "A\nB", "uda": "1"}]},
+     "SDS code 'A\\nB' must be non-empty and have no surrounding spaces or "
+     "control characters"),
+    ({"sds": [{"sds": "A", "uda": "U\x85"}]},
+     "UDA code 'U\\x85' must be non-empty and have no surrounding spaces or "
+     "control characters"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
@@ -453,7 +459,7 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
         "string_salary", "string_end_year", "string_sds_entry",
         "400_digit_pubs_per_professor", "number_label", "number_sds",
         "number_window", "shared_uda_output_name", "tiny_salary",
-        "huge_salary"])
+        "huge_salary", "control_sds", "control_uda"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -859,11 +865,20 @@ def test_each_input_is_opened_once_per_command(synth_setup, opens):
     ({"fields.csv": (",1,", ",U/1,", ",2,", ",U_1,")},
      "fields.csv:4 [uda_code]: 'U_1' and 'U/1' of fields.csv:2 share the "
      "output name 'U_1'"),
-], ids=["sds", "uda"])
+    ({"fields.csv": ("SDS/03,2,", "SDS/03,,")},
+     "fields.csv:4 [uda_code]: '' must be non-empty and have no surrounding "
+     "spaces or control characters"),
+    # a quoted newline: the row ends on line 4
+    ({"fields.csv": ("\nSDS/02,", '\n"SDS\n02",'),
+      "professors.csv": (",SDS/02,", ',"SDS\n02",')},
+     "fields.csv:4 [sds_code]: 'SDS\\n02' must be non-empty and have no "
+     "surrounding spaces or control characters"),
+], ids=["sds", "uda", "empty_uda", "control_sds"])
 def test_codes_sharing_an_output_name_are_rejected(synth_setup, capsys,
                                                    command, renames, problem):
     """Two SDS or two UDA codes whose output files would have the same
-    name, '/' written as '_', fail the load at the second one's line."""
+    name, '/' written as '_', fail the load at the second one's line; so
+    does a code that breaks the scope-name rule, at its own line."""
     tmp_path, data_dir, run_cfg = synth_setup
     for name, pairs in renames.items():
         text = (data_dir / name).read_text(encoding="utf-8")
@@ -1239,6 +1254,41 @@ def test_non_finite_config_setting_is_config_error(synth_setup, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: bad config: {bad_cfg}:7: min_years_on_staff: " \
         in capsys.readouterr().err
+
+
+def test_replay_tables_are_named_by_label(tmp_path):
+    """Every summary of a replay, dispersion included, and its report.md
+    sections name the scope by its --label."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,3\nC,4,1\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--from-scores", str(scores), "--label", "CHIM_08",
+                 "--out", str(out)]) == 0
+    for name in ("shift_summary", "quartile_summary", "dispersion"):
+        text = (out / "summaries" / f"{name}_replay.csv").read_text(
+            encoding="utf-8")
+        assert {row["scope"] for row in csv.DictReader(text.splitlines())} \
+            == {"CHIM_08"}, name
+    md = (out / "comparisons" / "report.md").read_text(encoding="utf-8")
+    dispersion = md.split("## Score dispersion\n")[1].strip().splitlines()
+    assert [line.split(" | ")[:2] for line in dispersion[2:]] == \
+        [["| CHIM_08", "FSS"], ["| CHIM_08", "MNCS"]]
+
+
+@pytest.mark.parametrize("label", ["", " x", "a\nb", "a\x7fb", "a\x9f"],
+                         ids=["empty", "padded", "newline", "del", "c1"])
+def test_replay_label_breaking_the_scope_name_rule_is_rejected(
+        tmp_path, capsys, label):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,3\n",
+                      encoding="utf-8")
+    assert main(["compare", "--from-scores", str(scores), "--label", label,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --label: {label!r} must be non-empty and have no surrounding "
+        f"spaces or control characters\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_from_scores_two_units_omits_correlations(tmp_path):

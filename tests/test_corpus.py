@@ -17,7 +17,7 @@ from rankdiff import (Authorship, Corpus, CorpusLoadError, FieldScheme,
                       write_corpus_csvs)
 from rankdiff.cli import main
 from rankdiff.corpus import LEVELS
-from rankdiff.errors import MAX_VIOLATIONS
+from rankdiff.errors import MAX_VIOLATIONS, Violation
 from helpers import (RELAXED_CFG, WINDOW, eligible_ids, professors_by_pub,
                      random_corpus, rebuilt, records, scope_of)
 
@@ -109,6 +109,24 @@ def test_unknown_sds_and_rank(window):
                             {"r": 1.0})
     fields = {v.field for v in err.value.violations}
     assert fields == {"sds_code", "academic_rank"}
+
+
+@pytest.mark.parametrize("scheme, row, fld, code", [
+    ({"S": "U", " T": "U"}, " T", "sds_code", " T"),
+    ({"S": ""}, "S", "uda_code", ""),
+    ({"S": "U\tV"}, "S", "uda_code", "U\tV"),
+    ({"S\x85": "U"}, "S\x85", "sds_code", "S\x85"),
+], ids=["padded_sds", "empty_uda", "tab_uda", "c1_sds"])
+def test_code_breaking_scope_name_rule_in_memory(window, scheme, row, fld,
+                                                 code):
+    """A code of the field scheme names a scope: without a file, its row is
+    named by its SDS code."""
+    with pytest.raises(CorpusLoadError) as err:
+        Corpus.from_records(window, {}, [], {}, FieldScheme(scheme),
+                            {"r": 1.0})
+    assert err.value.violations == [Violation(
+        row, fld, f"{code!r} must be non-empty and have no surrounding "
+        f"spaces or control characters")]
 
 
 def test_tenure_exceeding_window(window):
@@ -492,8 +510,8 @@ def test_eligible_units_threshold(window):
 def test_overall_threshold_excludes_29(window):
     corpus = _headcount_corpus(window, {"A": 29, "B": 30})
     units = eligible_ids(corpus, "overall", FilterConfig())
-    assert list(units) == [None]
-    assert list(units[None]) == ["B"]
+    assert list(units) == ["overall"]
+    assert list(units["overall"]) == ["B"]
 
 
 def test_eligibility_monotone_in_threshold(window):
@@ -530,7 +548,7 @@ def test_scope_codes_per_level(tiny_corpus):
 
     assert scope_codes(tiny_corpus, "sds") == ["S1", "S2"]
     assert scope_codes(tiny_corpus, "uda") == ["U1"]
-    assert scope_codes(tiny_corpus, "overall") == [None]
+    assert scope_codes(tiny_corpus, "overall") == ["overall"]
     # only populated scopes count
     filtered = apply_filters(tiny_corpus, FilterConfig())   # drops p4 (S2)
     assert scope_codes(filtered, "sds") == ["S1"]
@@ -540,7 +558,7 @@ def test_scope_of_per_level(tiny_corpus):
     p4 = records(tiny_corpus).professors["p4"]
     assert scope_of(tiny_corpus, p4, "sds") == "S2"
     assert scope_of(tiny_corpus, p4, "uda") == "U1"
-    assert scope_of(tiny_corpus, p4, "overall") is None
+    assert scope_of(tiny_corpus, p4, "overall") == "overall"
     with pytest.raises(ValueError, match="unknown level"):
         scope_of(tiny_corpus, p4, "faculty")
 

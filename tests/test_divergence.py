@@ -49,7 +49,7 @@ def test_tiny_deviations_keep_their_correlation_and_dispersion(scale):
     assert pearson(xs, [1, 2, 4, 3]) == pytest.approx(0.8)
     assert pearson(xs, ys) == pytest.approx(0.8)
     assert spearman(xs, ys) == pytest.approx(0.8)
-    stats = dispersion(ScoreBoard("overall", None, FSS, [
+    stats = dispersion(ScoreBoard("overall", "overall", FSS, [
         UnitScore(f"U{i}", FSS, x) for i, x in enumerate(xs)]))
     assert stats.coefficient_of_variation == pytest.approx(
         math.sqrt(5 / 3) / 2.5, rel=1e-12 if scale > 1e-300 else 1e-6)

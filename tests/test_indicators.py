@@ -195,7 +195,7 @@ def test_fss_unit_standardizes_by_own_sds_at_uda_level():
 # ---------------------------------------------------------------------------
 # MNCS
 
-def _mncs(corpus, table, level="overall", scope=None):
+def _mncs(corpus, table, level="overall", scope="overall"):
     """Unit A's MNCS entry from the scoring pass; None when it has none."""
     pair = scoreboards(professor_pass(corpus, table), RELAXED_CFG, level,
                        MNCS).pairs[scope]

@@ -1,9 +1,10 @@
-"""The full, ordered warnings of three scoring runs, pinned byte for byte.
+"""The full, ordered warnings of four scoring runs, pinned byte for byte.
 
 The fixture triggers every scoring warning: an SDS with no productive
 professor (S2), a ``--baselines`` table without one cell (2010/CX), an SDS
 scope below ``min_units_to_rank`` (S3, whose units are never scored) and
-units dropped for missing one indicator (C in S1, every unit of S2). Each
+units dropped for missing one indicator (C in S1, every unit of S2, C
+overall, named by the scope ``overall``). Each
 command runs in a fresh interpreter at the default log level, so stderr is
 exactly what a user sees.
 """
@@ -78,9 +79,14 @@ EXPECTED = {
          "scope S2: no units with both scores"]),
     ("score", "--level", "uda", "--indicator", "mncs"): (
         [_skipped("A/U1"), _skipped("D/U2")], []),
+    ("compare", "--level", "overall"): (
+        [FSS_SKIPPED, NO_PRODUCTIVE, _dropped("A/overall"),
+         _skipped("A/overall"), _dropped("B/overall"), _dropped("C/overall"),
+         _skipped("D/overall")],
+        ["scope overall: dropped units missing one indicator: C"]),
     ("score", "--level", "overall", "--indicator", "fss"): (
-        [FSS_SKIPPED, NO_PRODUCTIVE, _dropped("A/None"), _dropped("B/None"),
-         _dropped("C/None")], []),
+        [FSS_SKIPPED, NO_PRODUCTIVE, _dropped("A/overall"), _dropped("B/overall"),
+         _dropped("C/overall")], []),
 }
 
 
