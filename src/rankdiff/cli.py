@@ -1,9 +1,10 @@
 """Command-line entry point: validate, score, compare, synth.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error. Every
-run that writes output also writes a manifest recording command, config,
-input digests, output files, and warnings. Log level comes from
-RANKDIFF_LOG (error|warn|info|debug).
+Exit codes: 0 success, 1 validation failure, 2 configuration error. A
+command that writes output makes its directory at its first write, after
+every check, and ends with a manifest recording its command, argv, config,
+input digests, output files and warnings; one that fails makes no
+directory. Log level comes from RANKDIFF_LOG (error|warn|info|debug).
 """
 from __future__ import annotations
 
@@ -16,16 +17,17 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import cache, divergence, report
 from .baselines import (compute_scaling_factors, log_computed,
                         parse_baselines, write_baselines)
-from .corpus import (SCOPE_NAME_RULE, FilterReport, LEVEL_SDS, LEVELS,
-                     RunConfig, apply_filters, decode, is_scope_name,
-                     load_corpus, log_corpus, read_bytes, read_config,
-                     read_csv, read_files, slug, write_corpus_csvs)
+from .corpus import (FilterReport, LEVEL_SDS, LEVELS, RunConfig,
+                     apply_filters, decode, load_corpus, log_corpus,
+                     read_bytes, read_config, read_csv, read_files,
+                     scope_name_problem, slug, write_corpus_csvs)
 from .errors import CorpusLoadError, RankdiffError, SynthConfigError, ZeroMean
 from .indicators import (BOTH, FSS, MNCS, ProfessorPass, ScoreBoard,
                          ScoreboardSet, ScopePair, UnitScore, log_fss,
@@ -51,31 +53,32 @@ def _setup_logging() -> None:
 
 
 class OutputDir:
-    """Standard output layout with overwrite protection and a manifest.
-    A directory holding nothing but empty layout subdirectories, as a run
-    that failed after making them leaves, counts as empty. With ``force``,
-    the outputs a readable manifest lists, each inside the directory, and
-    that manifest are removed first; nothing else is."""
+    """What a command writes: its files, in the standard layout, and a
+    manifest of its argv, config, input digests, outputs and warnings. The
+    layout is made once, at the first ``path`` or the manifest, so a command
+    that fails a check makes no directory. An existing directory must be
+    empty; ``--force`` first removes the outputs a readable manifest lists,
+    each inside it, that manifest and the layout subdirectories left empty."""
 
     LAYOUT = ("scoreboards", "comparisons", "summaries", "manifest")
 
-    def __init__(self, root: str | Path, force: bool):
-        self.root = Path(root)
-        if self.root.exists() and not self._holds_only_layout():
-            if not force:
+    def __init__(self, args: argparse.Namespace, config: dict | None,
+                 inputs: dict[str, str]):
+        self.root = Path(args.out)
+        self.record = {"command": args.command, "argv": args.argv,
+                       "config": config, "inputs": inputs}
+        self.outputs: list[str] = []
+        self.warnings: list[str] = []
+        self._made = False
+        if self.root.exists() and any(self.root.iterdir()):
+            if not args.force:
                 raise SystemExitWithCode(
                     EXIT_CONFIG,
                     f"output directory {self.root} is not empty; use --force")
             self._remove_previous_outputs()
-        for sub in self.LAYOUT:
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
-        self.outputs: list[str] = []
-        self.warnings: list[str] = []
-
-    def _holds_only_layout(self) -> bool:
-        return all(entry.name in self.LAYOUT and entry.is_dir()
-                   and not entry.is_symlink() and not any(entry.iterdir())
-                   for entry in self.root.iterdir())
+            for sub in self.LAYOUT:
+                with suppress(OSError):     # not empty, not a dir, or missing
+                    (self.root / sub).rmdir()
 
     def _remove_previous_outputs(self) -> None:
         manifest = self.root / "manifest" / "run_manifest.json"
@@ -92,22 +95,23 @@ class OutputDir:
                 path.unlink()
         manifest.unlink()
 
+    def _make(self) -> None:
+        if not self._made:
+            for sub in self.LAYOUT:
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
+            self._made = True
+
     def path(self, sub: str, name: str) -> Path:
+        self._make()
         p = self.root / sub / name
         self.outputs.append(str(p.relative_to(self.root)))
         return p
 
-    def write_manifest(self, command: str, argv: list[str],
-                       config: dict | None, inputs: dict[str, str]) -> None:
-        manifest = {
-            "command": command,
-            "argv": argv,
-            "config": config,
-            "inputs": inputs,
-            "outputs": sorted(self.outputs),
-            "warnings": self.warnings,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
+    def write_manifest(self) -> None:
+        self._make()
+        manifest = {**self.record, "outputs": sorted(self.outputs),
+                    "warnings": self.warnings,
+                    "timestamp": datetime.now(timezone.utc).isoformat()}
         path = self.root / "manifest" / "run_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
@@ -133,15 +137,6 @@ def _config_or_exit(path: str | None, include_all: bool = False) -> RunConfig:
         run_cfg = run_cfg._replace(filters=run_cfg.filters._replace(
             baseline_include_all_doctypes=True))
     return run_cfg
-
-
-def _config_snapshot(run_cfg: RunConfig) -> dict:
-    return {
-        "window": {"start_year": run_cfg.window.start_year,
-                   "end_year": run_cfg.window.end_year,
-                   "label": run_cfg.window.citation_snapshot_label},
-        "filters": run_cfg.filters.as_dict(),
-    }
 
 
 def _professor_pass(args: argparse.Namespace
@@ -206,15 +201,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _score_corpus(args: argparse.Namespace, indicator: str
-                  ) -> tuple[RunConfig, OutputDir, ProfessorPass,
-                             dict[str, str], ScoreboardSet]:
+                  ) -> tuple[OutputDir, ProfessorPass, ScoreboardSet]:
     """Score the corpus at ``args.level``; the output directory holds the
-    scoring warnings. Also returns the run's settings, the professor pass
-    and the digests of the files read. An SDS average of FSS or a unit score
+    run's settings, the digests of the files read and the scoring warnings.
+    Also returns the professor pass. An SDS average of FSS or a unit score
     that is not finite ends the run with exit 1 before the first file is
     written."""
     run_cfg, pass_, inputs = _professor_pass(args)
-    out = OutputDir(args.out, args.force)
+    window = run_cfg.window
+    out = OutputDir(args, {
+        "window": {"start_year": window.start_year,
+                   "end_year": window.end_year,
+                   "label": window.citation_snapshot_label},
+        "filters": run_cfg.filters.as_dict()}, inputs)
     if args.baselines:
         log.info("baselines imported from %s (%d cells)", args.baselines,
                  len(pass_.cells))
@@ -234,16 +233,16 @@ def _score_corpus(args: argparse.Namespace, indicator: str
          e.score) for scope, pair in board_set.pairs.items()
         for board in filter(None, (pair.fss, pair.mncs))
         for e in board.entries))
-    if args.export_baselines:
-        write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
     out.warnings.extend(board_set.warnings)
     if not board_set.pairs:
         out.warnings.append(f"no eligible units at {args.level} level")
-    return run_cfg, out, pass_, inputs, board_set
+    return out, pass_, board_set
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    run_cfg, out, _, inputs, board_set = _score_corpus(args, args.indicator)
+    out, pass_, board_set = _score_corpus(args, args.indicator)
+    if args.export_baselines:
+        write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
     for scope, pair in board_set.pairs.items():
         boards = [b for b in (pair.fss, pair.mncs) if b is not None]
         name = f"scoreboard_{args.level}_{slug(scope)}.csv"
@@ -251,8 +250,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if board_set.not_rankable:
         out.warnings.append(
             "not rankable: " + ", ".join(board_set.not_rankable))
-    out.write_manifest("score", sys.argv[1:], _config_snapshot(run_cfg),
-                       inputs)
+    out.write_manifest()
     print(f"wrote {len(board_set.pairs)} scope scoreboard(s) to {out.root}")
     return EXIT_OK
 
@@ -269,20 +267,27 @@ def _require_finite(source: str, pairs: Iterable[tuple[str, object]]) -> None:
 
 def _emit_comparisons(
         out: OutputDir, source: str, tag: str, title: str,
-        pairs: Iterable[ScopePair],
+        pairs: Iterable[ScopePair], min_units: int,
         uda_of: Callable[[str], str] | None = None) -> list[ComparisonTable]:
-    """Rank and compare the FSS and MNCS boards of each scope pair.
+    """Rank and compare the FSS and MNCS boards of each scope pair; a pair
+    with fewer than ``min_units`` units is a warning in its place instead.
 
-    Writes one comparison CSV per pair, the shift, quartile and dispersion
-    summaries named by ``tag``, and report.md, one section per table with
-    rows. With ``uda_of`` (SDS level), the shift summaries are also ranged
-    per discipline. Each CSV goes through its ``report.write_*_csv`` name,
-    where the benchmark's tracer finds it. A statistic that is
-    not finite ends the run with exit 1, naming ``source``, the input; every
-    statistic is checked before the first file is written.
+    Writes one comparison CSV per pair compared, the shift, quartile and
+    dispersion summaries named by ``tag``, and report.md, one section per
+    table with rows. With ``uda_of`` (SDS level), the shift summaries are
+    also ranged per discipline. Each CSV goes through its
+    ``report.write_*_csv`` name, where the benchmark's tracer finds it. A
+    statistic that is not finite ends the run with exit 1, naming
+    ``source``, the input, before the first file is written.
     """
     comparisons, shifts, quartiles, dispersions = [], [], [], []
     for label, fss_board, mncs_board, _ in pairs:
+        if len(fss_board.entries) < min_units:
+            out.warnings.append(
+                f"scope {label}: single unit, excluded from percentile/"
+                f"quartile analytics" if fss_board.entries
+                else f"scope {label}: no units with both scores")
+            continue
         staff = {e.university_id: e.research_staff for e in fss_board.entries}
         cmp = compare(rank(fss_board), rank(mncs_board), staff=staff,
                       label=label)
@@ -352,26 +357,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.data_dir:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "either DATA_DIR or --from-scores is required")
-    run_cfg, out, pass_, inputs, board_set = _score_corpus(args, BOTH)
-
-    # lazy, so each skip warning keeps its scope-order place in the manifest
-    def rankable():
-        for scope, pair in board_set.pairs.items():
-            if not pair.fss.entries:
-                out.warnings.append(f"scope {scope}: no units with both scores")
-            elif len(pair.fss.entries) < 2:
-                out.warnings.append(f"scope {scope}: single unit, excluded from "
-                                    f"percentile/quartile analytics")
-            else:
-                yield pair
-
+    out, pass_, board_set = _score_corpus(args, BOTH)
     comparisons = _emit_comparisons(
         out, args.data_dir, args.level,
         f"FSS vs MNCS comparison ({args.level} level)",
-        rankable(),
+        board_set.pairs.values(), 2,
         pass_.sds_to_uda.__getitem__ if args.level == LEVEL_SDS else None)
-    out.write_manifest("compare", sys.argv[1:], _config_snapshot(run_cfg),
-                       inputs)
+    if args.export_baselines:       # after every statistic is checked
+        write_baselines(pass_.cells, out.path("summaries", "baselines.csv"))
+    out.write_manifest()
     print(f"compared {len(comparisons)} scope(s); outputs in {out.root}")
     return EXIT_OK
 
@@ -392,20 +386,20 @@ def _read_scores_csv(path: Path, data: bytes | None, label: str) -> ScopePair:
 
 
 def _compare_from_scores(args: argparse.Namespace) -> int:
-    if not is_scope_name(args.label):
-        raise SystemExitWithCode(
-            EXIT_CONFIG, f"--label: {args.label!r} {SCOPE_NAME_RULE}")
+    problem = scope_name_problem(args.label)
+    if problem:
+        raise SystemExitWithCode(EXIT_CONFIG,
+                                 f"--label: {args.label!r} {problem}")
     path = Path(args.from_scores)
     data = read_bytes(path)
     pair = _read_scores_csv(path, data, args.label)
-    out = OutputDir(args.out, args.force)
+    out = OutputDir(args, None, {str(path): hashlib.sha256(data).hexdigest()})
     if len(pair.fss.entries) < 2:
         out.warnings.append("single unit: percentile set to 100 by convention")
     (cmp,) = _emit_comparisons(
         out, str(path), "replay",
-        f"FSS vs MNCS comparison (replay: {args.label})", [pair])
-    out.write_manifest("compare", sys.argv[1:], None,
-                       {str(path): hashlib.sha256(data).hexdigest()})
+        f"FSS vs MNCS comparison (replay: {args.label})", [pair], 1)
+    out.write_manifest()
     print(f"compared {cmp.n} units; outputs in {out.root}")
     return EXIT_OK
 
@@ -417,12 +411,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         corpus = generate(cfg)
     except SynthConfigError as exc:
         raise SystemExitWithCode(EXIT_CONFIG, str(exc)) from exc
-    out = OutputDir(args.out, args.force)
+    out = OutputDir(args, json.loads(decode(data, args.config_file)),
+                    {str(args.config_file): hashlib.sha256(data).hexdigest()})
     paths = write_corpus_csvs(corpus, out.root)
     out.outputs.extend(p.name for p in paths)
-    out.write_manifest("synth", sys.argv[1:],
-                       json.loads(decode(data, args.config_file)),
-                       {str(args.config_file): hashlib.sha256(data).hexdigest()})
+    out.write_manifest()
     print(f"synthesized corpus: {corpus.counts()} -> {out.root}")
     return EXIT_OK
 
@@ -486,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     # the cyclic garbage collector is paused while the command runs: a run
     # creates tens of thousands of objects and no reference cycle, so the
     # collections they would trigger find nothing to free

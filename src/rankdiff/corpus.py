@@ -41,15 +41,22 @@ def slug(scope: str) -> str:
     return scope.replace("/", "_")
 
 
-SCOPE_NAME_RULE = ("must be non-empty and have no surrounding spaces or "
-                   "control characters")
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+# the longest output file name of a scope is comparison_replay_<slug>.csv,
+# and a file name holds at most 255 bytes
+SCOPE_NAME_BYTES = 255 - len("comparison_replay_.csv")
 
 
-def is_scope_name(name: str) -> bool:
-    """Whether ``name`` may name a scope, which names its output files and
-    report rows: the SCOPE_NAME_RULE."""
-    return bool(name) and name == name.strip() and not _CONTROL.search(name)
+def scope_name_problem(name: str) -> str | None:
+    """Why ``name`` may not name a scope, which names its output files and
+    report rows, or None if it may: the scope-name rule."""
+    if not name or name != name.strip() or _CONTROL.search(name):
+        return ("must be non-empty and have no surrounding spaces or "
+                "control characters")
+    if len(slug(name).encode()) > SCOPE_NAME_BYTES:
+        return (f"must be at most {SCOPE_NAME_BYTES} bytes in UTF-8, to fit "
+                f"in an output file name")
+    return None
 
 
 class Checked:
@@ -329,9 +336,10 @@ class Corpus:
                            ("uda_code", list(field_scheme.sds_to_uda.values()))):
             named: dict[str, str] = {}
             for i, code in enumerate(codes):
-                if not is_scope_name(code):
+                problem = scope_name_problem(code)
+                if problem:
                     add("fields", i, sds_codes[i], fld,
-                        f"{_quote(code)} {SCOPE_NAME_RULE}")
+                        f"{_quote(code)} {problem}")
                     continue
                 other = named.setdefault(slug(code), code)
                 if other != code:

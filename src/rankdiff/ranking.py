@@ -5,6 +5,7 @@ import logging
 import re
 from decimal import Decimal, ROUND_HALF_UP
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import DegeneratePopulation, EmptyBoard, UnitSetMismatch
@@ -87,16 +88,9 @@ def rank(board: ScoreBoard) -> RankedList:
                   100.0 if degenerate else percentile(i, n))
         for i, e in enumerate(ordered, start=1)
     ]
-    ties: list[tuple[float, tuple[str, ...]]] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1].score == ordered[i].score:
-            j += 1
-        if j > i:
-            ties.append((ordered[i].score,
-                         tuple(e.university_id for e in ordered[i:j + 1])))
-        i = j + 1
+    groups = [(score, [e.university_id for e in group])
+              for score, group in groupby(ordered, key=lambda e: e.score)]
+    ties = [(score, tuple(ids)) for score, ids in groups if len(ids) > 1]
     if ties:
         log.info("board %s/%s/%s: %d tie group(s): %s", board.level,
                  board.scope_code, board.indicator, len(ties),

@@ -17,9 +17,9 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import (SCOPE_NAME_RULE, Authorship, Checked, Corpus,
-                     FieldScheme, ObservationWindow, Professor, Publication,
-                     decode, is_scope_name, slug)
+from .corpus import (Authorship, Checked, Corpus, FieldScheme,
+                     ObservationWindow, Professor, Publication, decode,
+                     scope_name_problem, slug)
 from .errors import InputError, SynthConfigError
 
 if TYPE_CHECKING:
@@ -190,8 +190,9 @@ def _check_name(kind: str, value: object) -> None:
     corpus check applies to codes when it loads them back."""
     if not isinstance(value, str):
         raise SynthConfigError(f"{kind} {value!r} must be a string")
-    if not is_scope_name(value):
-        raise SynthConfigError(f"{kind} {value!r} {SCOPE_NAME_RULE}")
+    problem = scope_name_problem(value)
+    if problem:
+        raise SynthConfigError(f"{kind} {value!r} {problem}")
 
 
 def _check_years(window: dict) -> None:

@@ -36,8 +36,9 @@ output file are compared between the two checkouts; only the manifest's
 ``timestamp`` and the output path, the run's own work directory, are
 ignored. Then each script in ``demos/`` runs once, with the checkout's
 ``src``, and its exit code, stdout and stderr are compared. The script
-prints each difference and exits 1 if there is any, else 0. Pytest does
-not collect it.
+prints each difference, with its counts of removed and added lines, each
+distinct substitution and its count, and the first 40 lines of its diff,
+and exits 1 if there is any, else 0. Pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 LEVELS = ("sds", "uda", "overall")
@@ -214,9 +216,33 @@ def run_demo(checkout: Path, work: Path, demo: str) -> dict[str, bytes]:
                    work)
 
 
+def substitutions(old: list[str], new: list[str]
+                  ) -> tuple[int, int, Counter[tuple[str, str]]]:
+    """The counts of removed and added lines from ``old`` to ``new``, and
+    each distinct substitution with its count: the changed span of a removed
+    line and of the added line it pairs with, in order."""
+    removed = added = 0
+    found: Counter[tuple[str, str]] = Counter()
+    lines = difflib.SequenceMatcher(None, old, new, autojunk=False)
+    for op, i1, i2, j1, j2 in lines.get_opcodes():
+        if op == "equal":
+            continue
+        removed += i2 - i1
+        added += j2 - j1
+        for a, b in zip(old[i1:i2], new[j1:j2]):
+            changed = [span for span in difflib.SequenceMatcher(
+                None, a, b, autojunk=False).get_opcodes() if span[0] != "equal"]
+            if changed:     # from the first change to the last, each side
+                (_, a1, _, b1, _), (_, _, a2, _, b2) = changed[0], changed[-1]
+                found[a[a1:a2], b[b1:b2]] += 1
+    return removed, added, found
+
+
 def differences(name: str, base: dict[str, bytes],
                 change: dict[str, bytes]) -> list[str]:
-    """One report per part that differs: missing on a side, or its diff."""
+    """One report per part that differs: missing on a side, or its counts
+    of removed and added lines, its substitutions, most frequent first, and
+    the first 40 lines of its diff."""
     reports = []
     for part in sorted(base.keys() | change.keys()):
         old, new = base.get(part), change.get(part)
@@ -226,12 +252,16 @@ def differences(name: str, base: dict[str, bytes],
             side = "base" if old is None else "change"
             reports.append(f"DIFF {name}: {part}: missing in {side}")
             continue
-        diff = difflib.unified_diff(
-            old.decode(errors="replace").splitlines(),
-            new.decode(errors="replace").splitlines(),
-            "base", "change", lineterm="", n=1)
-        lines = list(diff)
-        shown = "\n".join(lines[:40] + (["..."] if len(lines) > 40 else []))
+        old_lines = old.decode(errors="replace").splitlines()
+        new_lines = new.decode(errors="replace").splitlines()
+        removed, added, found = substitutions(old_lines, new_lines)
+        lines = list(difflib.unified_diff(old_lines, new_lines, "base",
+                                          "change", lineterm="", n=1))
+        shown = "\n".join(
+            [f"{removed} line(s) removed, {added} added"]
+            + [f"{count}× {a!r} -> {b!r}"
+               for (a, b), count in found.most_common()]
+            + lines[:40] + (["..."] if len(lines) > 40 else []))
         reports.append(f"DIFF {name}: {part}\n{shown}")
     return reports
 

@@ -300,10 +300,12 @@ def test_output_dir_overwrite_requires_force(synth_setup):
 
 
 def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
-    """A run that fails after making the output layout leaves only empty
-    subdirectories, and the corrected rerun writes there without --force;
-    a file in any of them still needs it. A bad --baselines table fails
-    before the output directory is made."""
+    """A run that fails makes no output directory: a bad --baselines table
+    fails before it is made, a statistic that overflows before the first
+    write, --export-baselines included. A run that fails after --force
+    removed a previous run's outputs leaves the directory empty. Either way
+    the corrected rerun needs no --force; a file in any subdirectory still
+    needs it."""
     tmp_path, data_dir, run_cfg = synth_setup
     bad = tmp_path / "bad_baselines.csv"
     bad.write_text("year,category,mean,cited_count,total_count\n"
@@ -313,17 +315,34 @@ def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
                    encoding="utf-8")
     score = ["score", str(data_dir), "--config", str(run_cfg), "--level",
              "overall"]
-    for out, failing, fixed, code, layout in [
-            ("score", [*score, "--baselines", str(bad)], score, 2, False),
-            ("replay", ["compare", "--from-scores", str(big)],
-             ["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv")],
-             1, True)]:
+    replay = ["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv")]
+    # every baseline mean 1e-305: unit MNCS scores near 1e307, whose
+    # correlation overflows
+    assert main([*score, "--export-baselines",
+                 "--out", str(tmp_path / "exported")]) == 0
+    header, *rows = (tmp_path / "exported" / "summaries" / "baselines.csv"
+                     ).read_text(encoding="utf-8").splitlines()
+    tiny = tmp_path / "tiny_baselines.csv"
+    tiny.write_text("\n".join([header, *(
+        ",".join([year, cat, "1e-305", cited, total])
+        for year, cat, _, cited, total in (row.split(",") for row in rows))])
+        + "\n", encoding="utf-8")
+    compare = ["compare", str(data_dir), "--config", str(run_cfg), "--level",
+               "sds", "--export-baselines"]
+    for out, before, failing, fixed, code in [
+            ("score", None, [*score, "--baselines", str(bad)], score, 2),
+            ("statistic", None, [*compare, "--baselines", str(tiny)], compare,
+             1),
+            ("replay", None, ["compare", "--from-scores", str(big)], replay,
+             1),
+            ("forced", replay, ["compare", "--from-scores", str(big),
+                                "--force"], replay, 1)]:
         out = tmp_path / out
+        if before:
+            assert main(before + ["--out", str(out)]) == 0
         assert main(failing + ["--out", str(out)]) == code
-        if layout:
-            assert sorted(p.name for p in out.iterdir()) == sorted(
-                ["comparisons", "manifest", "scoreboards", "summaries"])
-            assert not _files(out)
+        if before:
+            assert list(out.iterdir()) == []
         else:
             assert not out.exists()
         capsys.readouterr()
@@ -333,6 +352,25 @@ def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
     (tmp_path / "filled" / "summaries" / "notes.txt").write_text("kept")
     assert main([*score, "--out", str(tmp_path / "filled")]) == 2
     assert "is not empty; use --force" in capsys.readouterr().err
+    # empty layout subdirectories, as a failed run of an older version left
+    for sub in cli.OutputDir.LAYOUT:
+        (tmp_path / "layout" / sub).mkdir(parents=True)
+    assert main([*score, "--out", str(tmp_path / "layout")]) == 2
+    assert main([*score, "--out", str(tmp_path / "layout"), "--force"]) == 0
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    """The manifest's argv is the command's own: the list main was given,
+    whatever the host process's command line, else ``sys.argv[1:]``."""
+    argv = ["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv")]
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    assert main([*argv, "--out", str(tmp_path / "given")]) == 0
+    monkeypatch.setattr(sys, "argv", ["rankdiff", *argv, "--out",
+                                      str(tmp_path / "read")])
+    assert main() == 0
+    for out in ("given", "read"):
+        assert _manifest(tmp_path / out)["argv"] == \
+            [*argv, "--out", str(tmp_path / out)]
 
 
 def _files(root: Path) -> set[str]:
@@ -451,6 +489,12 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     ({"sds": [{"sds": "A", "uda": "U\x85"}]},
      "UDA code 'U\\x85' must be non-empty and have no surrounding spaces or "
      "control characters"),
+    ({"sds": [{"sds": "S" * 234, "uda": "1"}]},
+     f"SDS code '{'S' * 234}' must be at most 233 bytes in UTF-8, to fit in "
+     f"an output file name"),
+    ({"sds": [{"sds": "A", "uda": "é" * 117}]},
+     f"UDA code '{'é' * 117}' must be at most 233 bytes in UTF-8, to fit in "
+     f"an output file name"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
@@ -459,7 +503,8 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
         "string_salary", "string_end_year", "string_sds_entry",
         "400_digit_pubs_per_professor", "number_label", "number_sds",
         "number_window", "shared_uda_output_name", "tiny_salary",
-        "huge_salary", "control_sds", "control_uda"])
+        "huge_salary", "control_sds", "control_uda", "long_sds",
+        "long_two_byte_uda"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -873,7 +918,15 @@ def test_each_input_is_opened_once_per_command(synth_setup, opens):
       "professors.csv": (",SDS/02,", ',"SDS\n02",')},
      "fields.csv:4 [sds_code]: 'SDS\\n02' must be non-empty and have no "
      "surrounding spaces or control characters"),
-], ids=["sds", "uda", "empty_uda", "control_sds"])
+    ({"fields.csv": ("\nSDS/02,", "\n" + "S" * 234 + ","),
+      "professors.csv": (",SDS/02,", "," + "S" * 234 + ",")},
+     f"fields.csv:3 [sds_code]: '{'S' * 39}... must be at most 233 bytes in "
+     f"UTF-8, to fit in an output file name"),
+    ({"fields.csv": (",2,", "," + "é" * 117 + ",")},
+     f"fields.csv:4 [uda_code]: '{'é' * 39}... must be at most 233 bytes in "
+     f"UTF-8, to fit in an output file name"),
+], ids=["sds", "uda", "empty_uda", "control_sds", "long_sds",
+        "long_two_byte_uda"])
 def test_codes_sharing_an_output_name_are_rejected(synth_setup, capsys,
                                                    command, renames, problem):
     """Two SDS or two UDA codes whose output files would have the same
@@ -1031,8 +1084,10 @@ FUZZ_CELLS = st.one_of(
     st.text(st.characters(codec="utf-8"), min_size=200, max_size=3000))
 
 
-def _outputs(root: Path) -> dict[str, bytes]:
-    """Every file under ``root``, the manifest without its timestamp."""
+def _outputs(root: Path, argv: list[str]) -> dict[str, bytes]:
+    """Every file under ``root``; the manifest without its timestamp, and
+    without its argv once that is checked to be ``argv``, the command's
+    own."""
     files = {}
     for path in sorted(root.rglob("*")):
         if path.is_file():
@@ -1040,6 +1095,7 @@ def _outputs(root: Path) -> dict[str, bytes]:
             if path.name == "run_manifest.json":
                 manifest = json.loads(data)
                 manifest.pop("timestamp")
+                assert manifest.pop("argv") == argv
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(root))] = data
     return files
@@ -1080,7 +1136,7 @@ def _fuzzed_runs(fuzz_corpus, edits: dict[str, Callable[[list], None]]):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
             runs[command].append((code, out.getvalue(), err.getvalue(),
-                                  _outputs(out_dir) if out_dir.exists()
+                                  _outputs(out_dir, argv) if out_dir.exists()
                                   else {}))
     return runs
 
@@ -1276,19 +1332,33 @@ def test_replay_tables_are_named_by_label(tmp_path):
         [["| CHIM_08", "FSS"], ["| CHIM_08", "MNCS"]]
 
 
-@pytest.mark.parametrize("label", ["", " x", "a\nb", "a\x7fb", "a\x9f"],
-                         ids=["empty", "padded", "newline", "del", "c1"])
+@pytest.mark.parametrize("label, rule", [
+    *((label, "must be non-empty and have no surrounding spaces or control "
+              "characters") for label in ["", " x", "a\nb", "a\x7fb", "a\x9f"]),
+    *((label, "must be at most 233 bytes in UTF-8, to fit in an output file "
+              "name") for label in ["x" * 234, "é" * 117])],
+    ids=["empty", "padded", "newline", "del", "c1", "long", "long_two_byte"])
 def test_replay_label_breaking_the_scope_name_rule_is_rejected(
-        tmp_path, capsys, label):
+        tmp_path, capsys, label, rule):
     scores = tmp_path / "scores.csv"
     scores.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,3\n",
                       encoding="utf-8")
     assert main(["compare", "--from-scores", str(scores), "--label", label,
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --label: {label!r} must be non-empty and have no surrounding "
-        f"spaces or control characters\n")
+    assert capsys.readouterr().err == f"error: --label: {label!r} {rule}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", ["x" * 233, "é" * 116 + "x"],
+                         ids=["ascii", "two_byte"])
+def test_replay_label_of_233_bytes_names_its_file(tmp_path, label):
+    """The longest label fits its comparison file name, 255 bytes."""
+    out = tmp_path / "out"
+    assert main(["compare", "--from-scores", str(DATA_DIR / "ref_overall.csv"),
+                 "--label", label, "--out", str(out)]) == 0
+    name = f"comparison_replay_{label}.csv"
+    assert len(name.encode()) == 255
+    assert (out / "comparisons" / name).is_file()
 
 
 def test_from_scores_two_units_omits_correlations(tmp_path):

@@ -301,6 +301,9 @@ def test_invalid_corpus_fails_twice_and_leaves_no_entry(cache, data_dir,
 
 
 def _outputs(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``; the manifest without its timestamp and
+    with ``root`` written OUT in its argv, as runs into different
+    directories differ by their --out."""
     files = {}
     for path in sorted(root.rglob("*")):
         if path.is_file():
@@ -308,6 +311,8 @@ def _outputs(root: Path) -> dict[str, bytes]:
             if path.name == "run_manifest.json":
                 manifest = json.loads(data)
                 manifest.pop("timestamp")
+                manifest["argv"] = [arg.replace(str(root), "OUT")
+                                    for arg in manifest["argv"]]
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(root))] = data
     return files
