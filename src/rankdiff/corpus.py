@@ -53,7 +53,11 @@ def scope_name_problem(name: str) -> str | None:
     if not name or name != name.strip() or _CONTROL.search(name):
         return ("must be non-empty and have no surrounding spaces or "
                 "control characters")
-    if len(slug(name).encode()) > SCOPE_NAME_BYTES:
+    try:
+        size = len(slug(name).encode())
+    except UnicodeEncodeError:      # a lone surrogate, such as argv's 0xff
+        return "must be encodable in UTF-8"
+    if size > SCOPE_NAME_BYTES:
         return (f"must be at most {SCOPE_NAME_BYTES} bytes in UTF-8, to fit "
                 f"in an output file name")
     return None

@@ -26,19 +26,21 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
   --level overall`` with a table of its first row alone, which drops
   units at overall level.
 
-Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in four cache states:
-an empty cache, the warm cache that first run leaves, ``XDG_CACHE_HOME`` a
-regular file, and ``shared``: the whole matrix in order in one cache per
-log level, so that a command also reads what the commands before it kept,
-such as the pass of a ``score --indicator mncs`` read by a later ``score
---indicator both`` or ``compare``. The exit code, stdout, stderr and every
-output file are compared between the two checkouts; only the manifest's
-``timestamp`` and the output path, the run's own work directory, are
-ignored. Then each script in ``demos/`` runs once, with the checkout's
-``src``, and its exit code, stdout and stderr are compared. The script
-prints each difference, with its counts of removed and added lines, each
-distinct substitution and its count, and the first 40 lines of its diff,
-and exits 1 if there is any, else 0. Pytest does not collect it.
+Each runs at ``RANKDIFF_LOG=error`` and ``debug``, in five cache states:
+an empty cache, the warm cache that first run leaves, ``truncated``: that
+cache with each entry cut to half its length, which both checkouts must
+take for a miss, ``XDG_CACHE_HOME`` a regular file, and ``shared``: the
+whole matrix in order in one cache per log level, so that a command also
+reads what the commands before it kept, such as the pass of a ``score
+--indicator mncs`` read by a later ``score --indicator both`` or
+``compare``. The exit code, stdout, stderr and every output file are
+compared between the two checkouts; only the manifest's ``timestamp`` and
+the output path, the run's own work directory, are ignored. Then each
+script in ``demos/`` runs once, with the checkout's ``src``, and its exit
+code, stdout and stderr are compared. The script prints each difference,
+with its counts of removed and added lines, each distinct substitution and
+its count, and the first 40 lines of its diff, and exits 1 if there is
+any, else 0. Pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from pathlib import Path
 LEVELS = ("sds", "uda", "overall")
 INDICATORS = ("fss", "mncs", "both")
 LOG_LEVELS = ("error", "debug")
-CACHE_STATES = ("empty", "warm", "file")      # each command on its own
+CACHE_STATES = ("empty", "warm", "truncated", "file")  # each command alone
 SCORE_TABLES = ("field_chim08", "overall", "uda_chemistry")
 WORK = "<WORK>"
 # the command exporting the table every --baselines run reads, and that
@@ -302,11 +304,20 @@ def main(argv: list[str]) -> int:
             for _, work in checkouts:
                 shutil.rmtree(work / cache, ignore_errors=True)
 
+        def truncate(cache: str) -> None:
+            for _, work in checkouts:
+                for entry in (work / cache).glob("rankdiff/*"):
+                    data = entry.read_bytes()
+                    entry.write_bytes(data[:len(data) // 2])
+
         for name, command in commands:
             for log_level in LOG_LEVELS:
                 clear("cache")
-                # the empty cache, then the one it left, then a file
+                # the empty cache, then the one it left, then that cache
+                # with its entries cut, then a file
                 for state in CACHE_STATES:
+                    if state == "truncated":
+                        truncate("cache")
                     compare(name, command, log_level, state,
                             "cache-file" if state == "file" else "cache")
         for log_level in LOG_LEVELS:

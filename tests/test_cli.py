@@ -495,6 +495,8 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     ({"sds": [{"sds": "A", "uda": "é" * 117}]},
      f"UDA code '{'é' * 117}' must be at most 233 bytes in UTF-8, to fit in "
      f"an output file name"),
+    ({"sds": [{"sds": "A\ud800", "uda": "1"}]},
+     "SDS code 'A\\ud800' must be encodable in UTF-8"),
 ], ids=["negative_seed", "salaries_list", "float_seed", "bool_seed",
         "float_n_universities", "string_professors_per_sds",
         "float_professors_per_sds", "bool_start_year", "float_end_year",
@@ -504,7 +506,7 @@ def test_synth_non_finite_number_is_config_error(tmp_path, capsys, key, value):
         "400_digit_pubs_per_professor", "number_label", "number_sds",
         "number_window", "shared_uda_output_name", "tiny_salary",
         "huge_salary", "control_sds", "control_uda", "long_sds",
-        "long_two_byte_uda"])
+        "long_two_byte_uda", "surrogate_sds"])
 def test_synth_bad_setting_is_located_config_error(tmp_path, capsys, override,
                                                    message):
     bad = tmp_path / "bad.json"
@@ -1336,8 +1338,11 @@ def test_replay_tables_are_named_by_label(tmp_path):
     *((label, "must be non-empty and have no surrounding spaces or control "
               "characters") for label in ["", " x", "a\nb", "a\x7fb", "a\x9f"]),
     *((label, "must be at most 233 bytes in UTF-8, to fit in an output file "
-              "name") for label in ["x" * 234, "é" * 117])],
-    ids=["empty", "padded", "newline", "del", "c1", "long", "long_two_byte"])
+              "name") for label in ["x" * 234, "é" * 117]),
+    # the byte 0xff in argv, which Python decodes to a lone surrogate
+    (b"a\xffb".decode(errors="surrogateescape"), "must be encodable in UTF-8")],
+    ids=["empty", "padded", "newline", "del", "c1", "long", "long_two_byte",
+         "not_utf8"])
 def test_replay_label_breaking_the_scope_name_rule_is_rejected(
         tmp_path, capsys, label, rule):
     scores = tmp_path / "scores.csv"

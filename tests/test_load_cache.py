@@ -3,9 +3,9 @@
 of its key; ``load_corpus`` itself keeps nothing.
 
 A hit must print, log and write what a miss does, without parsing the
-corpus or running a stage of the professor pass; an unreadable, stale or
-foreign entry must be a miss; and no state of the cache may change what a
-command prints, logs, writes or returns.
+corpus or running a stage of the professor pass; an unreadable, damaged,
+stale or foreign entry must be a miss; and no state of the cache may
+change what a command prints, logs, writes or returns.
 """
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ import logging
 import marshal
 import os
 import random
+import re
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -207,13 +209,26 @@ def test_validate_hit_prints_what_a_miss_prints(cache, data_dir, run_cfg,
         "publications_removed_window=1, authorships_removed=0)\n"))
 
 
+def _key(data_dir: Path, run_cfg: Path) -> bytes:
+    """The digest of the key of the entry a run on ``data_dir`` with the
+    config ``run_cfg`` keeps."""
+    return cache_module.entry(_digests(data_dir),
+                              *corpus_module.read_config(run_cfg), None)[1]
+
+
+def _sealed(key: bytes, payload: bytes) -> bytes:
+    """An entry of ``payload`` whose checksum is that of ``key``."""
+    return hashlib.sha256(key + payload).digest() + payload
+
+
+# each damage of a good entry, given the entry and its key's digest
 @pytest.mark.parametrize("damage", [
     lambda data, key: data[:len(data) // 2],
     lambda data, key: b"",
     lambda data, key: b"\x00garbage" * 50,
-    lambda data, key: marshal.dumps((b"another key", marshal.loads(data)[1])),
-    lambda data, key: marshal.dumps((key, ["not", "columns"])),
-    lambda data, key: marshal.dumps([key]),
+    lambda data, key: _sealed(b"another key", data[32:]),
+    lambda data, key: data[:32] + marshal.dumps(["not", "columns"]),
+    lambda data, key: data[:32] + marshal.dumps([key]),
 ], ids=["truncated", "empty", "garbage", "wrong_key", "wrong_columns",
         "wrong_shape"])
 def test_damaged_entry_is_a_miss_and_is_rewritten(cache, data_dir, run_cfg,
@@ -222,16 +237,72 @@ def test_damaged_entry_is_a_miss_and_is_rewritten(cache, data_dir, run_cfg,
     args = (data_dir, run_cfg, capsys, caplog, monkeypatch)
     expected = _validate_levels(*args)
     (entry,) = _entries(cache)
-    good = entry.read_bytes()
-    key = marshal.loads(good)[0]
+    good, key = entry.read_bytes(), _key(data_dir, run_cfg)
     loads = _count_loads(monkeypatch)
     for level in LOG_LEVELS:
         entry.write_bytes(damage(good, key))
         assert _validate(level, *args) == expected[level]
         assert _entries(cache) == [entry]
-        assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+        assert entry.read_bytes() == good
         assert _validate(level, *args, hit=True) == expected[level]
     assert len(loads) == 2                  # each damaged entry missed
+
+
+def test_every_flipped_byte_misses(cache, data_dir):
+    """No damage to one byte of an entry is served, or raises: not one that
+    keeps its types, such as another score, nor one that makes marshal
+    allocate a list of a billion items."""
+    digests = _digests(data_dir)
+    store_pass(digests, WINDOW, RELAXED_CFG, None, _made_pass(data_dir))
+    (entry,) = _entries(cache)
+    good = entry.read_bytes()
+    assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is not None
+    for i in range(len(good)):
+        entry.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1:])
+        assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is None, i
+
+
+def test_changed_scores_miss(cache, data_dir):
+    """An entry whose every score is another float, each stored in the same
+    8 bytes, misses."""
+    digests = _digests(data_dir)
+    made = _made_pass(data_dir)
+    store_pass(digests, WINDOW, RELAXED_CFG, None, made)
+    (entry,) = _entries(cache)
+    good = entry.read_bytes()
+    changed = {struct.pack("<d", s): struct.pack("<d", s + 1.0)
+               for s in made.scores}
+    assert all(old in good for old in changed)
+    entry.write_bytes(re.sub(b"|".join(map(re.escape, changed)),
+                             lambda m: changed[m.group()], good))
+    assert entry.read_bytes() != good
+    assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is None
+
+
+def test_entry_read_as_a_huge_list_misses(cache, data_dir, tmp_path, capsys):
+    """A flipped type byte that marshal reads as a list of 1.6 billion items
+    is a miss: ``compare`` writes what it wrote on the miss that made the
+    entry, and the entry is made again."""
+    (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
+
+    def compare(tag: str):
+        code, out, err = _run([
+            "compare", str(data_dir), "--config", str(tmp_path / "run.cfg"),
+            "--level", "uda", "--out", str(tmp_path / tag)], capsys)
+        return (code, out.replace(str(tmp_path / tag), "OUT"), err,
+                _outputs(tmp_path / tag))
+    expected = compare("first")
+    assert expected[0] == 0
+    (entry,) = _entries(cache)
+    good = entry.read_bytes()
+    # "uda", the name of the last corpus count, is an interned string: its
+    # type byte 0xda read as 0xdb is a list of
+    # int.from_bytes(b"\x03uda", "little") items
+    at = good.rindex(b"\x03uda") - 1
+    assert good[at] == 0xda
+    entry.write_bytes(good[:at] + b"\xdb" + good[at + 1:])
+    assert compare("again") == expected
+    assert entry.read_bytes() == good
 
 
 def test_edited_byte_misses(cache, data_dir, run_cfg, capsys, caplog,
@@ -685,19 +756,21 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
     expected = score("first")
     (entry,) = _entries(cache)
     good = entry.read_bytes()
-    key, payload = marshal.loads(good)
+    checksum, payload = good[:32], marshal.loads(good[32:])
+    key = _key(data_dir, tmp_path / "run.cfg")
 
     def replaced(name: str, value) -> bytes:
         damaged = list(payload)
         damaged[ProfessorPass._fields.index(name)] = value
-        return marshal.dumps((key, tuple(damaged)))
+        return checksum + marshal.dumps(tuple(damaged))
     fields = ProfessorPass(*payload)
     pubs = [list(p) for p in fields.pubs]
     next(p for p in pubs if p)[-1] = len(fields.impacts)
     damages = [good[:len(good) // 2], b"", b"\x00garbage" * 50,
-               marshal.dumps((b"another key", payload)),
-               marshal.dumps((key, payload[:-1])),
-               marshal.dumps((key, ("x",) * len(payload))), marshal.dumps([key]),
+               _sealed(b"another key", good[32:]),
+               checksum + marshal.dumps(payload[:-1]),
+               checksum + marshal.dumps(("x",) * len(payload)),
+               checksum + marshal.dumps([key]),
                replaced("universities", fields.universities[:-1]),
                replaced("pubs", pubs),
                # each field the CLI reads besides the columns
@@ -734,7 +807,7 @@ def test_damaged_pass_entry_is_a_miss_and_is_rewritten(cache, data_dir,
             assert score(f"again{i}") == expected
         assert filtered == [1], i           # a miss
         assert _entries(cache) == [entry]
-        assert marshal.loads(entry.read_bytes()) == marshal.loads(good)
+        assert entry.read_bytes() == good
 
 
 def test_store_removes_passes_of_the_earlier_format(cache, data_dir,
