@@ -4,15 +4,16 @@
 An entry is a file in ``$XDG_CACHE_HOME/rankdiff`` (else
 ``~/.cache/rankdiff``) named by its key's digest. It holds a checksum, the
 sha256 of that digest and the payload, then the payload: the pass written
-by ``marshal``. A key covers the source of every module that computes an
-entry, the interpreter's cache tag, the marshal version, the window, the
-digests of the five corpus files, the filter settings and the digest of
-any imported baseline table, so the same bytes at two paths share one
-entry. The directory keeps at most CACHE_ENTRIES entries, the latest
-written. An entry that cannot be read or fails its checksum is a miss,
-and one that cannot be written is skipped, so no result depends on the
-cache. The checksum finds damage, not forgery: ``marshal`` is not secure
-against data made to attack it, so the directory is the user's alone.
+by ``marshal``. A key is the run manifest's ``config`` and the digests of
+its ``inputs`` (the corpus files and any imported baseline table, not
+their paths, so the same bytes at two paths share one entry), with the
+source of every module of the package, the interpreter's cache tag and the
+marshal version. The directory keeps at most CACHE_ENTRIES entries, the
+latest written. An entry that cannot be read or fails its checksum is a
+miss, and one that cannot be written is skipped, so no result depends on
+the cache. The checksum finds damage, not forgery: ``marshal`` is not
+secure against data made to attack it, so the directory is the user's
+alone.
 """
 from __future__ import annotations
 
@@ -25,26 +26,21 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import FilterConfig, ObservationWindow
 from .indicators import ProfessorPass
 
 # how many entries the cache directory keeps: the latest written
 CACHE_ENTRIES = 8
 # the age past which a temporary file's writer is taken to be dead
 STALE_SECONDS = 3600
-# the modules whose source computes an entry
-SOURCES = ("baselines", "cache", "cli", "corpus", "indicators")
 # the bytes of an entry's checksum, before its payload
 CHECKSUM_BYTES = 32
 
 
-def entry(file_digests: dict[str, str], window: ObservationWindow,
-          cfg: FilterConfig, baselines: bytes | None
-          ) -> tuple[str, bytes] | None:
-    """The cache file of the pass of the corpus of ``file_digests``, loaded
-    in ``window``, filtered by ``cfg`` and scored against the baseline table
-    whose file holds ``baselines`` (None: computed from the corpus), and the
-    digest of its key; None without a cache directory."""
+def entry(inputs: dict[str, str], config: dict) -> tuple[str, bytes] | None:
+    """The cache file of the pass made from the files whose sha256
+    ``inputs`` holds by path, in its order, the paths left out, with the
+    JSON-ready settings ``config``, and the digest of its key; None without
+    a cache directory."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.expanduser(os.path.join("~", ".cache"))
@@ -55,32 +51,27 @@ def entry(file_digests: dict[str, str], window: ObservationWindow,
     except OSError:
         return None
     digest.update(repr((
-        sys.implementation.cache_tag, marshal.version, tuple(window),
-        list(file_digests.values()),
-        # sorted: the repr of a frozenset varies with the hash seed
-        json.dumps(cfg.as_dict(), sort_keys=True),
-        None if baselines is None else hashlib.sha256(baselines).hexdigest(),
-    )).encode())
+        sys.implementation.cache_tag, marshal.version, list(inputs.values()),
+        json.dumps(config, sort_keys=True))).encode())
     name = digest.hexdigest()[:32] + ".marshal"
     return os.path.join(base, "rankdiff", name), digest.digest()
 
 
 @functools.cache
 def _fingerprint() -> bytes:
-    """sha256 of the source of every module in SOURCES."""
+    """sha256 of the sha256 of the source of every module of the package,
+    in the order of their names."""
     digest = hashlib.sha256()
-    for name in SOURCES:
-        digest.update(Path(__file__).with_name(f"{name}.py").read_bytes())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.digest()
 
 
-def cached_pass(file_digests: dict[str, str], window: ObservationWindow,
-                cfg: FilterConfig, baselines: bytes | None
-                ) -> ProfessorPass | None:
+def cached_pass(inputs: dict[str, str], config: dict) -> ProfessorPass | None:
     """The cached professor pass of the ``entry`` of these arguments; None
     on a miss: no entry, or one that cannot be read or whose first 32 bytes
     are not the sha256 of the key's digest and the rest."""
-    located = entry(file_digests, window, cfg, baselines)
+    located = entry(inputs, config)
     if located is None:
         return None
     path, key = located
@@ -97,16 +88,15 @@ def cached_pass(file_digests: dict[str, str], window: ObservationWindow,
     return ProfessorPass(*marshal.loads(payload))
 
 
-def store_pass(file_digests: dict[str, str], window: ObservationWindow,
-               cfg: FilterConfig, baselines: bytes | None,
+def store_pass(inputs: dict[str, str], config: dict,
                pass_: ProfessorPass) -> None:
-    """Keep a professor pass, as it is, as the ``entry`` of the other
-    arguments, after its checksum. It is written through a temporary file;
+    """Keep a professor pass, as it is, as the ``entry`` of ``inputs`` and
+    ``config``, after its checksum. It is written through a temporary file;
     the oldest other entries beyond CACHE_ENTRIES, every ``.pass`` file,
     which earlier versions wrote, and every temporary file older than
     STALE_SECONDS, which a killed writer left, are removed. An error skips
     the write."""
-    located = entry(file_digests, window, cfg, baselines)
+    located = entry(inputs, config)
     if located is None:
         return
     path, key = located

@@ -140,45 +140,43 @@ def _config_or_exit(path: str | None, include_all: bool = False) -> RunConfig:
 
 
 def _professor_pass(args: argparse.Namespace
-                    ) -> tuple[RunConfig, ProfessorPass, dict[str, str]]:
-    """The run's settings, the professor pass of its corpus and the sha256 of
-    every file the run read: the corpus files, as they were loaded, and any
-    --baselines. The pass comes from the cache, or from loading and
-    filtering the corpus, building or importing the baselines and scoring
-    the professors, and is then kept there. The stages log nothing: the
-    loaded-corpus and filters lines are logged here, from the same counts
-    on a hit and on a miss."""
+                    ) -> tuple[RunConfig, dict, ProfessorPass, dict[str, str]]:
+    """The run's settings, as themselves and as the manifest's snapshot,
+    the professor pass of its corpus and the sha256 of every file the run
+    read: the corpus files, as they were loaded, and any --baselines, read
+    and checked with the settings before any corpus file. The snapshot and
+    the digests key the cached pass; a miss loads and filters the corpus,
+    builds the baselines unless given, scores the professors and keeps the
+    pass. Both log the loaded-corpus and filters lines here, from the pass."""
     run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
+    window = run_cfg.window
+    config = {"window": {"start_year": window.start_year,
+                         "end_year": window.end_year,
+                         "label": window.citation_snapshot_label},
+              "filters": run_cfg.filters.as_dict()}
+    cells, table = None, {}
+    if args.baselines:
+        data = read_bytes(args.baselines)
+        try:
+            cells = parse_baselines(args.baselines, data)
+        except ValueError as exc:
+            raise SystemExitWithCode(EXIT_CONFIG,
+                                     f"bad baselines: {exc}") from exc
+        table = {str(Path(args.baselines)): hashlib.sha256(data).hexdigest()}
     files = read_files(args.data_dir)
-    digests = files.digests
-    baselines = read_bytes(args.baselines) if args.baselines else None
-    # a missing --baselines is reported where it is parsed, uncached
-    cached = not args.baselines or baselines is not None
-    key = (digests, run_cfg.window, run_cfg.filters, baselines)
-    pass_ = cache.cached_pass(*key) if cached else None
-    if pass_ is not None:
-        log_corpus(pass_.corpus_counts, FilterReport(*pass_.filter_report))
-    else:
-        corpus = load_corpus(files, run_cfg.window)
+    inputs = {**files.digests, **table}
+    pass_ = cache.cached_pass(inputs, config)
+    if pass_ is None:
+        corpus = load_corpus(files, window)
         del files       # the bytes parsed are not needed again
         counts = corpus.counts()
         corpus = apply_filters(corpus, run_cfg.filters)
-        log_corpus(counts, corpus.filter_report)
-        if args.baselines:
-            try:
-                cells = parse_baselines(args.baselines, baselines)
-            except ValueError as exc:
-                raise SystemExitWithCode(EXIT_CONFIG,
-                                         f"bad baselines: {exc}") from exc
-        else:
+        if cells is None:
             cells = compute_scaling_factors(corpus)
         pass_ = professor_pass(corpus, cells, counts)
-        if cached:
-            cache.store_pass(*key, pass_)
-    if args.baselines:
-        digests = {**digests, str(Path(args.baselines)):
-                   hashlib.sha256(baselines).hexdigest()}
-    return run_cfg, pass_, digests
+        cache.store_pass(inputs, config, pass_)
+    log_corpus(pass_.corpus_counts, FilterReport(*pass_.filter_report))
+    return run_cfg, config, pass_, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def _professor_pass(args: argparse.Namespace
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        _, pass_, _ = _professor_pass(args)
+        pass_ = _professor_pass(args)[2]
     except CorpusLoadError as exc:
         shown = len(exc.violations)
         print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
@@ -207,13 +205,8 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     Also returns the professor pass. An SDS average of FSS or a unit score
     that is not finite ends the run with exit 1 before the first file is
     written."""
-    run_cfg, pass_, inputs = _professor_pass(args)
-    window = run_cfg.window
-    out = OutputDir(args, {
-        "window": {"start_year": window.start_year,
-                   "end_year": window.end_year,
-                   "label": window.citation_snapshot_label},
-        "filters": run_cfg.filters.as_dict()}, inputs)
+    run_cfg, config, pass_, inputs = _professor_pass(args)
+    out = OutputDir(args, config, inputs)
     if args.baselines:
         log.info("baselines imported from %s (%d cells)", args.baselines,
                  len(pass_.cells))

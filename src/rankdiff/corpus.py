@@ -63,6 +63,13 @@ def scope_name_problem(name: str) -> str | None:
     return None
 
 
+def fss_divisor_ok(salary: float, years: float) -> bool:
+    """Whether salary * years, by which FSS divides a professor's output,
+    is finite and > 0, and so is its reciprocal: the FSS divisor rule."""
+    product = salary * years
+    return 0 < product < math.inf and 1 / product < math.inf
+
+
 class Checked:
     """Base, before a NamedTuple, of a record whose ``_check`` raises on bad
     values: it runs on every construction, ``_replace`` included."""
@@ -293,12 +300,9 @@ class Corpus:
                 add("professors", i, pid, "years_on_staff",
                     f"{years} exceeds window length {n_years}"
                     if years > n_years else f"must be > 0, got {years}")
-            # FSS divides by the product: it must neither underflow to 0
-            # nor overflow, nor be so small that its reciprocal overflows,
-            # where the salary itself is valid
+            # the FSS divisor rule, where the salary itself is valid
             elif (salary is not None and 0 < salary < math.inf
-                  and not (0 < salary * years < math.inf
-                           and 1 / (salary * years) < math.inf)):
+                  and not fss_divisor_ok(salary, years)):
                 add("professors", i, pid, "years_on_staff",
                     f"{years} years at salary {salary} of rank {_quote(rank)}: "
                     f"salary * years must be finite and > 0, and so must its "

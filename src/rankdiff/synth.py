@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import (Authorship, Checked, Corpus, FieldScheme,
                      ObservationWindow, Professor, Publication, decode,
-                     scope_name_problem, slug)
+                     fss_divisor_ok, scope_name_problem, slug)
 from .errors import InputError, SynthConfigError
 
 if TYPE_CHECKING:
@@ -123,10 +123,9 @@ class SynthConfig(Checked, _Synth):
             if not 0 < salary < math.inf:
                 raise SynthConfigError(
                     f"salary for rank {rank!r} must be finite and > 0")
-            # FSS divides by salary * tenure, and tenure is drawn in
-            # [1, n_years]: the corpus check tests the product both ways
-            if not all(0 < salary * t < math.inf and 1 / (salary * t) < math.inf
-                       for t in (1, n_years)):
+            # tenure is drawn in [1, n_years]: the product is checked at
+            # both ends
+            if not all(fss_divisor_ok(salary, t) for t in (1, n_years)):
                 raise SynthConfigError(
                     f"salary for rank {rank!r} times a tenure of 1 to "
                     f"{n_years} years must be finite and > 0, and so must "

@@ -768,6 +768,40 @@ def test_baselines_import_rejects_bad_file(synth_setup, capsys, text, line,
     assert problem in err
 
 
+@pytest.mark.parametrize("command", ["score", "compare"])
+@pytest.mark.parametrize("table, problem", [
+    (None, ": file not found"),
+    ("year,category,mean,cited_count,total_count\n2008,C,0.0,1,1\n",
+     f":2: cell (2008, 'C') {CELL_CHECK}"),
+], ids=["missing", "bad_cell"])
+def test_baselines_are_checked_before_the_corpus(synth_setup, capsys,
+                                                 monkeypatch, command, table,
+                                                 problem):
+    """A missing or bad --baselines table is a configuration error found
+    with the settings, before any corpus file is opened: exit 2 and no
+    output directory, also when the corpus is invalid too."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    with open(data_dir / "authorships.csv", "a", encoding="utf-8") as f:
+        f.write("W99999,P0001\n")          # an unknown publication
+    assert main(["validate", str(data_dir), "--config", str(run_cfg)]) == 1
+    table_path = tmp_path / "baselines.csv"
+    if table is not None:
+        table_path.write_text(table, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, str(data_dir), "--config", str(run_cfg), "--level",
+            "sds", "--baselines", str(table_path), "--out", str(out)]
+    capsys.readouterr()
+    expected = (2, ("", f"error: bad baselines: {table_path}{problem}\n"))
+    assert (main(argv), capsys.readouterr()) == expected
+    assert not out.exists()
+
+    def refuse(*args):
+        raise AssertionError("a corpus file was opened")
+    monkeypatch.setattr(cli, "read_files", refuse)
+    assert (main(argv), capsys.readouterr()) == expected
+    assert not out.exists()
+
+
 CORPUS_FILES = ("publications.csv", "authorships.csv", "professors.csv",
                 "fields.csv", "salaries.csv")
 INPUTS = (*CORPUS_FILES, "baselines", "scores", "run_config", "synth_config")

@@ -80,6 +80,23 @@ def _digests(data_dir: Path) -> dict[str, str]:
     return read_files(data_dir).digests
 
 
+def _inputs(data_dir: Path, baselines: bytes | None = None) -> dict[str, str]:
+    """The manifest's ``inputs`` of a run on ``data_dir``, with the baseline
+    table ``baselines`` (None: computed from the corpus)."""
+    table = {} if baselines is None else {
+        "pinned.csv": hashlib.sha256(baselines).hexdigest()}
+    return {**_digests(data_dir), **table}
+
+
+def _config(window=WINDOW, cfg=RELAXED_CFG) -> dict:
+    """The manifest's ``config`` of a run in ``window`` with the filters
+    ``cfg``."""
+    return {"window": {"start_year": window.start_year,
+                       "end_year": window.end_year,
+                       "label": window.citation_snapshot_label},
+            "filters": cfg.as_dict()}
+
+
 def _entries(cache: Path) -> list[Path]:
     return sorted(cache.glob("*")) if cache.exists() else []
 
@@ -212,8 +229,8 @@ def test_validate_hit_prints_what_a_miss_prints(cache, data_dir, run_cfg,
 def _key(data_dir: Path, run_cfg: Path) -> bytes:
     """The digest of the key of the entry a run on ``data_dir`` with the
     config ``run_cfg`` keeps."""
-    return cache_module.entry(_digests(data_dir),
-                              *corpus_module.read_config(run_cfg), None)[1]
+    return cache_module.entry(_inputs(data_dir),
+                              _config(*corpus_module.read_config(run_cfg)))[1]
 
 
 def _sealed(key: bytes, payload: bytes) -> bytes:
@@ -252,22 +269,22 @@ def test_every_flipped_byte_misses(cache, data_dir):
     """No damage to one byte of an entry is served, or raises: not one that
     keeps its types, such as another score, nor one that makes marshal
     allocate a list of a billion items."""
-    digests = _digests(data_dir)
-    store_pass(digests, WINDOW, RELAXED_CFG, None, _made_pass(data_dir))
+    inputs = _inputs(data_dir)
+    store_pass(inputs, _config(), _made_pass(data_dir))
     (entry,) = _entries(cache)
     good = entry.read_bytes()
-    assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is not None
+    assert cached_pass(inputs, _config()) is not None
     for i in range(len(good)):
         entry.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1:])
-        assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is None, i
+        assert cached_pass(inputs, _config()) is None, i
 
 
 def test_changed_scores_miss(cache, data_dir):
     """An entry whose every score is another float, each stored in the same
     8 bytes, misses."""
-    digests = _digests(data_dir)
+    inputs = _inputs(data_dir)
     made = _made_pass(data_dir)
-    store_pass(digests, WINDOW, RELAXED_CFG, None, made)
+    store_pass(inputs, _config(), made)
     (entry,) = _entries(cache)
     good = entry.read_bytes()
     changed = {struct.pack("<d", s): struct.pack("<d", s + 1.0)
@@ -276,7 +293,7 @@ def test_changed_scores_miss(cache, data_dir):
     entry.write_bytes(re.sub(b"|".join(map(re.escape, changed)),
                              lambda m: changed[m.group()], good))
     assert entry.read_bytes() != good
-    assert cached_pass(digests, WINDOW, RELAXED_CFG, None) is None
+    assert cached_pass(inputs, _config()) is None
 
 
 def test_entry_read_as_a_huge_list_misses(cache, data_dir, tmp_path, capsys):
@@ -645,8 +662,8 @@ def _made_pass(data_dir: Path, window=WINDOW, cfg=RELAXED_CFG,
 
 def test_cached_pass_equals_the_pass_made(cache, data_dir):
     made = _made_pass(data_dir)
-    store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None, made)
-    hit = cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, None)
+    store_pass(_inputs(data_dir), _config(), made)
+    hit = cached_pass(_inputs(data_dir), _config())
     assert _pass_snapshot(hit) == _pass_snapshot(made)
     assert hit.cells == made.cells
     for level in LEVELS:
@@ -663,6 +680,21 @@ def test_pass_marshals_as_it_is(data_dir):
     assert ProfessorPass(*marshal.loads(marshal.dumps(stored))) == made
 
 
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch):
+    """A copy of every module of the package, whose source the cache's
+    fingerprint hashes during the test; a test that edits it clears the
+    fingerprint."""
+    copy = tmp_path / "package"
+    copy.mkdir()
+    for path in Path(cache_module.__file__).parent.glob("*.py"):
+        shutil.copy(path, copy)
+    monkeypatch.setattr(cache_module, "__file__", str(copy / "cache.py"))
+    cache_module._fingerprint.cache_clear()
+    yield copy
+    cache_module._fingerprint.cache_clear()
+
+
 # a different valid value for every setting of FilterConfig
 FILTER_CHANGES = {
     "min_years_on_staff": 2.5, "excluded_doc_types": frozenset({"letter"}),
@@ -673,49 +705,43 @@ FILTER_CHANGES = {
 
 
 def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
-                                               monkeypatch):
+                                               package_copy):
     assert set(FILTER_CHANGES) == set(FilterConfig._fields)
     baselines = _pruned_baselines(data_dir, tmp_path / "b.csv").read_bytes()
     made = {pinned: _made_pass(data_dir, baselines=pinned)
             for pinned in (None, baselines)}
     for pinned, pass_ in made.items():
-        store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, pinned, pass_)
+        store_pass(_inputs(data_dir, pinned), _config(), pass_)
     # each table keeps its own entry
     assert _pass_snapshot(made[None]) != _pass_snapshot(made[baselines])
     for pinned, pass_ in made.items():
         assert _pass_snapshot(cached_pass(
-            _digests(data_dir), WINDOW, RELAXED_CFG, pinned)) == _pass_snapshot(pass_)
+            _inputs(data_dir, pinned), _config())) == _pass_snapshot(pass_)
     edited = bytes([baselines[0] ^ 1]) + baselines[1:]     # one bit
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, edited) is None
+    assert cached_pass(_inputs(data_dir, edited), _config()) is None
 
     for name, value in FILTER_CHANGES.items():
         assert getattr(RELAXED_CFG, name) != value
         cfg = RELAXED_CFG._replace(**{name: value})
-        assert cached_pass(_digests(data_dir), WINDOW, cfg, baselines) is None, name
+        assert cached_pass(_inputs(data_dir, baselines),
+                           _config(cfg=cfg)) is None, name
     for name, value in [("start_year", 2007), ("end_year", 2013),
                         ("citation_snapshot_label", "other")]:
         window = WINDOW._replace(**{name: value})
-        assert cached_pass(_digests(data_dir), window, RELAXED_CFG, baselines) \
-            is None, name
+        assert cached_pass(_inputs(data_dir, baselines),
+                           _config(window)) is None, name
 
-    # a module's source: the same key from a copy of the sources, another
-    # once one module differs by a byte
-    copy = tmp_path / "sources"
-    copy.mkdir()
-    for name in cache_module.SOURCES:
-        shutil.copy(Path(cache_module.__file__).with_name(f"{name}.py"), copy)
-    monkeypatch.setattr(cache_module, "__file__", str(copy / "cache.py"))
-    for name in ("indicators", "cli", "baselines"):
-        cache_module._fingerprint.cache_clear()
-        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines)
-        with open(copy / f"{name}.py", "a", encoding="utf-8") as f:
+    # a module's source: the same key from a copy of the package, another
+    # once any one module differs by a byte
+    for module in sorted(package_copy.glob("*.py")):
+        assert cached_pass(_inputs(data_dir, baselines), _config())
+        with open(module, "a", encoding="utf-8") as f:
             f.write("\n")
         cache_module._fingerprint.cache_clear()
-        assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines) \
-            is None, name
-        store_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines,
+        assert cached_pass(_inputs(data_dir, baselines), _config()) is None, \
+            module.name
+        store_pass(_inputs(data_dir, baselines), _config(),
                    _made_pass(data_dir, baselines=baselines))
-    cache_module._fingerprint.cache_clear()
 
     # the corpus bytes last: an edited citation count
     path = data_dir / "publications.csv"
@@ -724,7 +750,26 @@ def test_every_input_of_the_pass_is_in_its_key(cache, data_dir, tmp_path,
     fields[4] = str(int(fields[4]) + 1)
     path.write_text(header + ",".join(fields) + "".join(rest),
                     encoding="utf-8")
-    assert cached_pass(_digests(data_dir), WINDOW, RELAXED_CFG, baselines) is None
+    assert cached_pass(_inputs(data_dir, baselines), _config()) is None
+
+
+def test_every_module_of_the_package_is_in_the_key(cache, data_dir,
+                                                   package_copy):
+    """A byte appended to ``report.py``, which computes no pass, misses, and
+    so does a module added to the package: no list of modules can leave
+    one out."""
+    inputs = _inputs(data_dir)
+    store_pass(inputs, _config(), _made_pass(data_dir))
+    assert cached_pass(inputs, _config())
+    with open(package_copy / "report.py", "ab") as f:
+        f.write(b"\n")
+    cache_module._fingerprint.cache_clear()
+    assert cached_pass(inputs, _config()) is None
+    store_pass(inputs, _config(), _made_pass(data_dir))
+    assert cached_pass(inputs, _config())
+    (package_copy / "extra.py").write_bytes(b"")
+    cache_module._fingerprint.cache_clear()
+    assert cached_pass(inputs, _config()) is None
 
 
 def test_include_all_doctypes_flag_misses(cache, data_dir, tmp_path,
@@ -924,6 +969,55 @@ def test_same_bytes_at_two_paths_share_entries(cache, data_dir, tmp_path,
     assert manifest["inputs"] == {
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in CorpusPaths.from_dir(copy)}
+
+
+def test_same_table_at_two_paths_shares_an_entry(cache, data_dir, tmp_path,
+                                                 run_cfg, capsys,
+                                                 monkeypatch):
+    """A --baselines table is in the key by its digest: a copy of it
+    elsewhere hits the pass the original made, and writes the same files;
+    each manifest names its own table."""
+    original = _pruned_baselines(data_dir, tmp_path / "pinned.csv")
+    copy = tmp_path / "elsewhere" / "table.csv"
+    copy.parent.mkdir()
+    shutil.copy(original, copy)
+    score = ["score", str(data_dir), "--config", str(run_cfg), "--level",
+             "uda"]
+    assert _run([*score, "--baselines", str(original), "--out",
+                 str(tmp_path / "a")], capsys)[0] == 0
+    with monkeypatch.context() as patch:
+        _refuse_scoring(patch)
+        assert _run([*score, "--baselines", str(copy), "--out",
+                     str(tmp_path / "b")], capsys)[0] == 0
+    assert len(_entries(cache)) == 1
+    digest = hashlib.sha256(original.read_bytes()).hexdigest()
+    outputs = {}
+    for tag, table in [("a", original), ("b", copy)]:
+        outputs[tag] = _outputs(tmp_path / tag)
+        manifest = json.loads(outputs[tag].pop(
+            "manifest/run_manifest.json"))
+        assert manifest["inputs"] == {**_digests(data_dir), str(table): digest}
+    assert outputs["a"] == outputs["b"]
+
+
+def test_manifest_config_and_inputs_are_the_key(cache, data_dir, tmp_path,
+                                                run_cfg, capsys):
+    """The entry a run keeps is named by the ``config`` its manifest
+    records and its ``inputs``: the corpus files, then any table."""
+    table = _pruned_baselines(data_dir, tmp_path / "pinned.csv")
+    for extra in ([], ["--baselines", str(table)]):
+        out = tmp_path / f"out{len(extra)}"
+        before = set(_entries(cache))
+        assert _run(["compare", str(data_dir), "--config", str(run_cfg),
+                     *extra, "--out", str(out)], capsys)[0] == 0
+        (new,) = set(_entries(cache)) - before
+        manifest = json.loads((out / "manifest" / "run_manifest.json")
+                              .read_text(encoding="utf-8"))
+        inputs = _digests(data_dir)
+        if extra:
+            inputs[str(table)] = hashlib.sha256(table.read_bytes()).hexdigest()
+        assert manifest["inputs"] == inputs
+        assert cache_module.entry(inputs, manifest["config"])[0] == str(new)
 
 
 def test_pass_is_keyed_by_the_bytes_it_was_made_from(cache, data_dir,
