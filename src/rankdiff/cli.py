@@ -54,11 +54,13 @@ def _setup_logging() -> None:
 
 class OutputDir:
     """What a command writes: its files, in the standard layout, and a
-    manifest of its argv, config, input digests, outputs and warnings. The
-    layout is made once, at the first ``path`` or the manifest, so a command
-    that fails a check makes no directory. An existing directory must be
-    empty; ``--force`` first removes the outputs a readable manifest lists,
-    each inside it, that manifest and the layout subdirectories left empty."""
+    manifest of its argv, config, input digests, outputs and warnings. A
+    subdirectory of the layout is made at the first ``path`` into it, and
+    ``manifest`` at the manifest, so a command that fails a check makes no
+    directory and one that writes makes only the subdirectories it fills.
+    An existing directory must be empty; ``--force`` first removes the
+    outputs a readable manifest lists, each inside it, that manifest and the
+    layout subdirectories left empty."""
 
     LAYOUT = ("scoreboards", "comparisons", "summaries", "manifest")
 
@@ -69,7 +71,7 @@ class OutputDir:
                        "config": config, "inputs": inputs}
         self.outputs: list[str] = []
         self.warnings: list[str] = []
-        self._made = False
+        self._made: set[str] = set()
         if self.root.exists() and any(self.root.iterdir()):
             if not args.force:
                 raise SystemExitWithCode(
@@ -95,24 +97,23 @@ class OutputDir:
                 path.unlink()
         manifest.unlink()
 
-    def _make(self) -> None:
-        if not self._made:
-            for sub in self.LAYOUT:
-                (self.root / sub).mkdir(parents=True, exist_ok=True)
-            self._made = True
+    def _make(self, sub: str) -> Path:
+        directory = self.root / sub
+        if sub not in self._made:
+            directory.mkdir(parents=True, exist_ok=True)
+            self._made.add(sub)
+        return directory
 
     def path(self, sub: str, name: str) -> Path:
-        self._make()
-        p = self.root / sub / name
+        p = self._make(sub) / name
         self.outputs.append(str(p.relative_to(self.root)))
         return p
 
     def write_manifest(self) -> None:
-        self._make()
         manifest = {**self.record, "outputs": sorted(self.outputs),
                     "warnings": self.warnings,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
-        path = self.root / "manifest" / "run_manifest.json"
+        path = self._make("manifest") / "run_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
 
@@ -124,36 +125,28 @@ class SystemExitWithCode(Exception):
         super().__init__(message)
 
 
-def _config_or_exit(path: str | None, include_all: bool = False) -> RunConfig:
-    """The run's settings: the config file, with the command-line flag."""
+def _config_or_exit(path: str | None) -> RunConfig:
+    """The run's settings: the config file."""
     if path is None:
         raise SystemExitWithCode(EXIT_CONFIG,
                                  "--config is required for corpus commands")
     try:
-        run_cfg = read_config(path)
+        return read_config(path)
     except (OSError, ValueError) as exc:
         raise SystemExitWithCode(EXIT_CONFIG, f"bad config: {exc}") from exc
-    if include_all:
-        run_cfg = run_cfg._replace(filters=run_cfg.filters._replace(
-            baseline_include_all_doctypes=True))
-    return run_cfg
 
 
 def _professor_pass(args: argparse.Namespace
-                    ) -> tuple[RunConfig, dict, ProfessorPass, dict[str, str]]:
-    """The run's settings, as themselves and as the manifest's snapshot,
-    the professor pass of its corpus and the sha256 of every file the run
-    read: the corpus files, as they were loaded, and any --baselines, read
-    and checked with the settings before any corpus file. The snapshot and
-    the digests key the cached pass; a miss loads and filters the corpus,
-    builds the baselines unless given, scores the professors and keeps the
-    pass. Both log the loaded-corpus and filters lines here, from the pass."""
-    run_cfg = _config_or_exit(args.config, args.baseline_include_all_doctypes)
-    window = run_cfg.window
-    config = {"window": {"start_year": window.start_year,
-                         "end_year": window.end_year,
-                         "label": window.citation_snapshot_label},
-              "filters": run_cfg.filters.as_dict()}
+                    ) -> tuple[RunConfig, ProfessorPass, dict[str, str]]:
+    """The run's settings, the professor pass of its corpus and the sha256
+    of every file the run read: the corpus files, as they were loaded, and
+    any --baselines, read and checked with the settings before any corpus
+    file. The settings' snapshot and the digests key the cached pass; a
+    miss loads and filters the corpus, builds the baselines unless given,
+    scores the professors and keeps the pass. Both log the loaded-corpus
+    and filters lines here, from the pass."""
+    run_cfg = _config_or_exit(args.config)
+    config = run_cfg.as_dict()
     cells, table = None, {}
     if args.baselines:
         data = read_bytes(args.baselines)
@@ -167,7 +160,7 @@ def _professor_pass(args: argparse.Namespace
     inputs = {**files.digests, **table}
     pass_ = cache.cached_pass(inputs, config)
     if pass_ is None:
-        corpus = load_corpus(files, window)
+        corpus = load_corpus(files, run_cfg.window)
         del files       # the bytes parsed are not needed again
         counts = corpus.counts()
         corpus = apply_filters(corpus, run_cfg.filters)
@@ -176,7 +169,7 @@ def _professor_pass(args: argparse.Namespace
         pass_ = professor_pass(corpus, cells, counts)
         cache.store_pass(inputs, config, pass_)
     log_corpus(pass_.corpus_counts, FilterReport(*pass_.filter_report))
-    return run_cfg, config, pass_, inputs
+    return run_cfg, pass_, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +177,7 @@ def _professor_pass(args: argparse.Namespace
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        pass_ = _professor_pass(args)[2]
+        pass_ = _professor_pass(args)[1]
     except CorpusLoadError as exc:
         shown = len(exc.violations)
         print(f"INVALID: {exc.total} violation(s)" if exc.total == shown
@@ -205,8 +198,8 @@ def _score_corpus(args: argparse.Namespace, indicator: str
     Also returns the professor pass. An SDS average of FSS or a unit score
     that is not finite ends the run with exit 1 before the first file is
     written."""
-    run_cfg, config, pass_, inputs = _professor_pass(args)
-    out = OutputDir(args, config, inputs)
+    run_cfg, pass_, inputs = _professor_pass(args)
+    out = OutputDir(args, run_cfg.as_dict(), inputs)
     if args.baselines:
         log.info("baselines imported from %s (%d cells)", args.baselines,
                  len(pass_.cells))
@@ -339,9 +332,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         corpus_only = [name for name, given in [
             ("DATA_DIR", args.data_dir), ("--config", args.config),
             ("--baselines", args.baselines),
-            ("--export-baselines", args.export_baselines),
-            ("--baseline-include-all-doctypes",
-             args.baseline_include_all_doctypes)] if given]
+            ("--export-baselines", args.export_baselines)] if given]
         if corpus_only:
             raise SystemExitWithCode(
                 EXIT_CONFIG, f"--from-scores reads no corpus; remove "
@@ -425,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="load and validate a corpus")
     p_val.add_argument("data_dir")
     p_val.add_argument("--config", required=True)
-    p_val.set_defaults(func=cmd_validate, baselines=None,
-                       baseline_include_all_doctypes=False)
+    p_val.set_defaults(func=cmd_validate, baselines=None)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="run config (key=value lines)")
@@ -438,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "recomputing")
         p.add_argument("--export-baselines", action="store_true",
                        help="write the scaling-factor table used")
-        p.add_argument("--baseline-include-all-doctypes", action="store_true",
-                       help="keep doc-type-excluded publications in baselines")
 
     p_score = sub.add_parser("score", help="compute indicator scoreboards")
     p_score.add_argument("data_dir")
@@ -473,7 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # a usage error (2) or --help (0), printed
+        return exc.code
     args.argv = argv
     # the cyclic garbage collector is paused while the command runs: a run
     # creates tens of thousands of objects and no reference cycle, so the

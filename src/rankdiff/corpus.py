@@ -160,7 +160,8 @@ class FilterConfig(Checked, _Filters):
                 raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot of every setting, for the run manifest."""
+        """JSON-ready snapshot of every filter setting: the ``filters`` of
+        ``RunConfig.as_dict``."""
         snapshot = self._asdict()
         snapshot["excluded_doc_types"] = sorted(self.excluded_doc_types)
         return snapshot
@@ -309,6 +310,17 @@ class Corpus:
                     f"reciprocal")
         pub_rows = dict(zip(pub_ids, range(len(pub_ids))))
         known = set(professor_ids)
+        # read_csv rejects a repeated key in a file, so only a corpus made
+        # from records can have one; its ids are walked only then
+        for table, fld, ids, unique in (
+                ("publications", "pub_id", pub_ids, pub_rows),
+                ("professors", "professor_id", professor_ids, known)):
+            if len(unique) < len(ids):
+                seen: set[str] = set()
+                for i, key in enumerate(ids):
+                    if key in seen:
+                        add(table, i, key, fld, f"duplicate key {_quote(key)}")
+                    seen.add(key)
         # the authorships, the costliest table, are walked row by row only
         # when a test of their whole columns fails
         a_pubs, a_profs = authorships
@@ -778,6 +790,14 @@ def write_corpus_csvs(corpus: Corpus, outdir: str | Path) -> CorpusPaths:
 class RunConfig(NamedTuple):
     window: ObservationWindow
     filters: FilterConfig
+
+    def as_dict(self) -> dict:
+        """JSON-ready snapshot of every setting: the run manifest's
+        ``config``, which keys the cached professor pass."""
+        return {"window": {"start_year": self.window.start_year,
+                           "end_year": self.window.end_year,
+                           "label": self.window.citation_snapshot_label},
+                "filters": self.filters.as_dict()}
 
 
 _TRUE = {"1", "true", "yes", "on"}

@@ -106,14 +106,13 @@ class ProfessorPass(NamedTuple):
     baseline table, and the counters of its stages, which the CLI logs.
 
     Professors and publications are in id order, each named by its index.
-    Per professor: ``professor_ids``, ``universities``, ``sds``, ``pubs``
-    (the ascending indices of their publications) and ``scores`` (FSS_P);
-    per publication: ``impacts`` (None without a baseline) and
-    ``n_authors``. ``cells`` is the baseline table: (year, category) to
+    Per professor: ``universities``, ``sds``, ``pubs`` (the ascending
+    indices of their publications) and ``scores`` (FSS_P); per
+    publication: ``impacts`` (None without a baseline) and ``n_authors``.
+    ``cells`` is the baseline table: (year, category) to
     (mean, cited_count, total_count). Every field is of builtin types,
     stored by ``marshal`` as is.
     """
-    professor_ids: list[str]
     universities: list[str]
     sds: list[str]
     pubs: list[list[int]]
@@ -143,7 +142,7 @@ def professor_pass(corpus: Corpus, cells: Cells,
     scores = professor_scores(corpus, impacts)
     averages = sds_averages(corpus, scores)
     return ProfessorPass(
-        corpus.professor_ids, corpus.universities, corpus.sds, corpus.pubs,
+        corpus.universities, corpus.sds, corpus.pubs,
         scores, impacts, corpus.n_authors,
         dict(corpus.field_scheme.sds_to_uda), averages, cells,
         None if corpus.filter_report is None else tuple(corpus.filter_report),

@@ -299,7 +299,7 @@ def eligible_ids(corpus: Corpus, level: str, cfg: FilterConfig
     """``eligible_units`` of the corpus's professor pass, each unit's staff
     named by professor id."""
     pass_ = professor_pass(corpus, compute_scaling_factors(corpus))
-    return {scope: {univ: [pass_.professor_ids[i] for i in members]
+    return {scope: {univ: [corpus.professor_ids[i] for i in members]
                     for univ, members in units.items()}
             for scope, units in eligible_units(pass_, level, cfg).items()}
 

@@ -10,8 +10,9 @@ directory and RUN_CFG a run config. Every command of the matrix runs as
 - ``validate``;
 - ``score`` at each level and indicator with ``--export-baselines``, and
   again with ``--baselines``, the table that checkout exported;
-- ``compare`` at each level, with and without
-  ``--baseline-include-all-doctypes``;
+- ``compare`` at each level, with RUN_CFG and with a copy of it that
+  also sets ``baseline_include_all_doctypes = true``, one file that both
+  checkouts read;
 - ``compare --from-scores`` on the three score tables in ``tests/data``;
 - the error cases: ``validate`` and ``compare`` on copies of the corpus
   with one broken row, without ``authorships.csv``, with a 0xff byte in
@@ -81,10 +82,12 @@ BAD_BASELINES = ("year,category,mean,cited_count,total_count\n"
                  "2008,C,abc,1,1\n")
 
 
-def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
+def matrix(data_dir: Path, run_cfg: Path, all_doctypes_cfg: Path
+           ) -> list[tuple[str, list[str]]]:
     """(name, argv) of every command, exports before the runs reading them;
     ``{out}`` stands for the output directory, ``{work}`` for the work
-    directory of the checkout."""
+    directory of the checkout. ``all_doctypes_cfg`` is ``run_cfg`` with
+    ``baseline_include_all_doctypes = true``."""
     corpus = [str(data_dir), "--config", str(run_cfg)]
     commands = [("validate", ["validate", *corpus])]
     for pinned in (False, True):
@@ -98,11 +101,11 @@ def matrix(data_dir: Path, run_cfg: Path) -> list[tuple[str, list[str]]]:
                                         "--indicator", indicator, *extra,
                                         "--out", "{out}"]))
     for level in LEVELS:
-        for include_all in (False, True):
-            extra = ["--baseline-include-all-doctypes"] if include_all else []
-            name = f"compare-{level}{'-all-doctypes' if include_all else ''}"
-            commands.append((name, ["compare", *corpus, "--level", level,
-                                    *extra, "--out", "{out}"]))
+        for suffix, config in (("", run_cfg),
+                               ("-all-doctypes", all_doctypes_cfg)):
+            commands.append((f"compare-{level}{suffix}", [
+                "compare", str(data_dir), "--config", str(config), "--level",
+                level, "--out", "{out}"]))
     data = Path(__file__).resolve().parent / "data"
     for table in SCORE_TABLES:
         commands.append((f"replay-{table}", [
@@ -274,8 +277,12 @@ def main(argv: list[str]) -> int:
         return 2
     base, change, data_dir, run_cfg = (Path(a).resolve() for a in argv)
     found = runs = files = 0
-    commands = matrix(data_dir, run_cfg)
     with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+        all_doctypes_cfg = Path(tmp) / "all-doctypes.cfg"
+        all_doctypes_cfg.write_text(
+            run_cfg.read_text(encoding="utf-8")
+            + "\nbaseline_include_all_doctypes = true\n", encoding="utf-8")
+        commands = matrix(data_dir, run_cfg, all_doctypes_cfg)
         checkouts = [(base, Path(tmp) / "base"),
                      (change, Path(tmp) / "change")]
         for _, work in checkouts:

@@ -299,6 +299,26 @@ def test_output_dir_overwrite_requires_force(synth_setup):
     assert main(args + ["--force"]) == 0
 
 
+def test_output_directory_holds_only_what_the_command_wrote(synth_setup):
+    """Each command makes the layout subdirectories it writes into, and no
+    other: a synth corpus directory holds its five CSVs and the manifest."""
+    tmp_path, data_dir, run_cfg = synth_setup
+    corpus = [str(data_dir), "--config", str(run_cfg)]
+    for argv, made in [
+            (["score", *corpus, "--level", "overall"],
+             {"scoreboards", "manifest"}),
+            (["score", *corpus, "--level", "sds", "--export-baselines"],
+             {"scoreboards", "summaries", "manifest"}),
+            (["compare", *corpus, "--level", "uda"],
+             {"comparisons", "summaries", "manifest"})]:
+        out = tmp_path / f"out-{len(made)}-{argv[0]}"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == made
+    assert {p.name for p in data_dir.iterdir()} == {
+        "publications.csv", "authorships.csv", "professors.csv",
+        "fields.csv", "salaries.csv", "manifest"}
+
+
 def test_rerun_after_a_failed_run_needs_no_force(synth_setup, capsys):
     """A run that fails makes no output directory: a bad --baselines table
     fails before it is made, a statistic that overflows before the first
@@ -919,12 +939,15 @@ def test_each_input_is_opened_once_per_command(synth_setup, opens):
     scores.write_text("unit,fss_score,mncs_score\nA,1,2\nB,2,1\nC,3,3\n",
                       encoding="utf-8")
     corpus_inputs = [data_dir / name for name in CORPUS_FILES] + [run_cfg]
+    all_cfg = tmp_path / "all.cfg"
+    all_cfg.write_text(RUN_CFG + "baseline_include_all_doctypes = true\n",
+                       encoding="utf-8")
     commands = [
         (["validate", *corpus], corpus_inputs),
         (["score", *corpus, "--level", "uda", "--baselines", str(baselines)],
          corpus_inputs + [baselines]),
-        (["compare", *corpus, "--level", "sds",
-          "--baseline-include-all-doctypes"], corpus_inputs),
+        (["compare", str(data_dir), "--config", str(all_cfg), "--level", "sds"],
+         corpus_inputs[:-1] + [all_cfg]),
         (["compare", "--from-scores", str(scores)], [scores]),
         (["synth", str(tmp_path / "synth.json")], [tmp_path / "synth.json"]),
     ]
@@ -1328,12 +1351,14 @@ def test_overall_level_below_threshold_warns_and_stays_empty(synth_setup):
     assert any("no eligible units" in w for w in manifest["warnings"])
 
 
-def test_baseline_include_all_doctypes_flag_runs(synth_setup):
-    tmp_path, data_dir, run_cfg = synth_setup
+def test_baseline_include_all_doctypes_key_runs(synth_setup):
+    tmp_path, data_dir, _ = synth_setup
+    all_cfg = tmp_path / "all.cfg"
+    all_cfg.write_text(RUN_CFG + "baseline_include_all_doctypes = true\n",
+                       encoding="utf-8")
     out = tmp_path / "alldoc"
-    assert main(["score", str(data_dir), "--config", str(run_cfg),
-                 "--level", "uda", "--out", str(out),
-                 "--baseline-include-all-doctypes"]) == 0
+    assert main(["score", str(data_dir), "--config", str(all_cfg),
+                 "--level", "uda", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest" / "run_manifest.json").read_text())
     assert manifest["config"]["filters"]["baseline_include_all_doctypes"] is True
 

@@ -80,6 +80,21 @@ def test_duplicate_pub_id(corpus_dir, window):
         load_corpus(corpus_dir, window)
 
 
+def test_duplicate_ids_in_memory(window):
+    """A repeated publication or professor id, which read_csv rejects in a
+    file, is a violation named by its key in a corpus made from records."""
+    pubs = {"a": Publication("P1", 2008, "article", ("C",), 1, 1),
+            "b": Publication("P1", 2009, "article", ("C",), 2, 1)}
+    profs = {"a": Professor("R1", "A", "S", "r", 5.0),
+             "b": Professor("R1", "B", "S", "r", 5.0)}
+    with pytest.raises(CorpusLoadError) as err:
+        Corpus.from_records(window, pubs, [Authorship("P1", "R1")], profs,
+                            FieldScheme({"S": "U"}), {"r": 1.0})
+    assert err.value.violations == [
+        Violation("P1", "pub_id", "duplicate key 'P1'"),
+        Violation("R1", "professor_id", "duplicate key 'R1'")]
+
+
 def test_malformed_row_names_file_line_field(corpus_dir, window):
     with open(corpus_dir / "publications.csv", "a", encoding="utf-8") as f:
         f.write("w9,not_a_year,article,C1,4,2\n")

@@ -99,7 +99,7 @@ def test_fss_skips_missing_baseline_terms():
 def _unit_fss(corpus, level, scope, scores, univ="A"):
     """Unit FSS from hand-made professor scores."""
     pass_ = professor_pass(corpus, {})
-    pass_ = pass_._replace(scores=[scores[p] for p in pass_.professor_ids],
+    pass_ = pass_._replace(scores=[scores[p] for p in corpus.professor_ids],
                            averages=_averages(corpus, scores))
     fss, _ = unit_scores(pass_, univ, scope,
                          staff_of(pass_, univ, level, scope), FSS)

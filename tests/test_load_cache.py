@@ -35,7 +35,7 @@ from rankdiff import cli, indicators
 from rankdiff import corpus as corpus_module
 from rankdiff.cli import main
 from rankdiff.cache import CACHE_ENTRIES, cached_pass, store_pass
-from rankdiff.corpus import CorpusPaths, read_files
+from rankdiff.corpus import CorpusPaths, RunConfig, read_files
 from helpers import RELAXED_CFG, WINDOW, random_corpus
 
 RUN_CFG = ("start_year=2008\nend_year=2012\nmin_professors_sds=1\n"
@@ -91,10 +91,17 @@ def _inputs(data_dir: Path, baselines: bytes | None = None) -> dict[str, str]:
 def _config(window=WINDOW, cfg=RELAXED_CFG) -> dict:
     """The manifest's ``config`` of a run in ``window`` with the filters
     ``cfg``."""
-    return {"window": {"start_year": window.start_year,
-                       "end_year": window.end_year,
-                       "label": window.citation_snapshot_label},
-            "filters": cfg.as_dict()}
+    return RunConfig(window, cfg).as_dict()
+
+
+def _all_doctypes_cfg(run_cfg: Path) -> Path:
+    """A copy of the config file ``run_cfg``, beside it, that also sets
+    ``baseline_include_all_doctypes = true``."""
+    path = run_cfg.with_name(f"all-{run_cfg.name}")
+    path.write_text(run_cfg.read_text(encoding="utf-8")
+                    + "baseline_include_all_doctypes = true\n",
+                    encoding="utf-8")
+    return path
 
 
 def _entries(cache: Path) -> list[Path]:
@@ -772,16 +779,17 @@ def test_every_module_of_the_package_is_in_the_key(cache, data_dir,
     assert cached_pass(inputs, _config()) is None
 
 
-def test_include_all_doctypes_flag_misses(cache, data_dir, tmp_path,
-                                          monkeypatch, capsys):
+def test_include_all_doctypes_key_misses(cache, data_dir, tmp_path,
+                                         monkeypatch, capsys):
     (tmp_path / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
-    argv = ["compare", str(data_dir), "--config", str(tmp_path / "run.cfg")]
+    _all_doctypes_cfg(tmp_path / "run.cfg")
     filtered = []
     monkeypatch.setattr(cli, "apply_filters", lambda *args: filtered.append(
         args[1]) or apply_filters(*args))
-    for i, extra in enumerate([[], [], ["--baseline-include-all-doctypes"],
-                               ["--baseline-include-all-doctypes"]]):
-        assert _run(argv + extra + ["--out", str(tmp_path / f"o{i}")],
+    for i, config in enumerate(["run.cfg", "run.cfg", "all-run.cfg",
+                                "all-run.cfg"]):
+        assert _run(["compare", str(data_dir), "--config",
+                     str(tmp_path / config), "--out", str(tmp_path / f"o{i}")],
                     capsys)[0] == 0
     assert [cfg.baseline_include_all_doctypes for cfg in filtered] == \
         [False, True]
@@ -902,7 +910,8 @@ def test_cap_counts_the_entries_of_every_command(cache, data_dir, tmp_path,
                 (["validate", *args], 1),
                 (["score", *args, "--level", "sds",
                   "--out", str(tmp_path / f"score{i}")], 0),
-                (["compare", *args, "--baseline-include-all-doctypes",
+                (["compare", str(data_dir), "--config",
+                  str(_all_doctypes_cfg(config)),
                   "--out", str(tmp_path / f"compare{i}")], 1)]:
             before = set(_entries(cache))
             assert _run(argv, capsys)[0] == 0
@@ -919,13 +928,15 @@ def test_cap_counts_the_entries_of_every_command(cache, data_dir, tmp_path,
 
 def test_alternating_settings_each_hit(cache, data_dir, tmp_path, run_cfg,
                                        capsys, monkeypatch):
-    """Computed baselines, a --baselines table and
-    --baseline-include-all-doctypes each keep their own pass: a second
+    """Computed baselines, a --baselines table and the
+    baseline_include_all_doctypes key each keep their own pass: a second
     round of the three runs no stage of the professor pass and gives what
     the first gave."""
     pinned = _pruned_baselines(data_dir, tmp_path / "pinned.csv")
-    settings = {"computed": [], "pinned": ["--baselines", str(pinned)],
-                "all_doctypes": ["--baseline-include-all-doctypes"]}
+    config = ["--config", str(run_cfg)]
+    settings = {"computed": config,
+                "pinned": [*config, "--baselines", str(pinned)],
+                "all_doctypes": ["--config", str(_all_doctypes_cfg(run_cfg))]}
     rounds = []
     for i in range(2):
         with monkeypatch.context() as patch:
@@ -935,8 +946,8 @@ def test_alternating_settings_each_hit(cache, data_dir, tmp_path, run_cfg,
             for name, extra in settings.items():
                 out = tmp_path / f"round{i}" / name
                 code, stdout, err = _run(
-                    ["score", str(data_dir), "--config", str(run_cfg),
-                     "--level", "uda", *extra, "--out", str(out)], capsys)
+                    ["score", str(data_dir), "--level", "uda", *extra,
+                     "--out", str(out)], capsys)
                 results[name] = (code, stdout.replace(str(out), "OUT"), err,
                                  _outputs(out))
             rounds.append(results)
